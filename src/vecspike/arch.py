@@ -314,6 +314,17 @@ class CycleReport:
             clock_hz=max(self.clock_hz, other.clock_hz),
         )
 
+    def scaled(self, n: int) -> "CycleReport":
+        """Accounting of ``n`` repetitions of these passes (``n`` merged copies)."""
+        return CycleReport(
+            total_cycles=n * self.total_cycles,
+            warmup_cycles=n * self.warmup_cycles,
+            active_pe_cycles=n * self.active_pe_cycles,
+            total_pe_cycles=n * self.total_pe_cycles,
+            pe_count=self.pe_count,
+            clock_hz=self.clock_hz,
+        )
+
     def validate(self):
         if not 0.0 <= self.utilization <= 1.0:
             raise ConfigError(f"utilization {self.utilization} out of [0, 1]")

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -80,6 +82,23 @@ def _load_config(path: str | None) -> HardwareConfig:
         raise _CliError(f"config is not valid JSON: {exc}", EXIT_VALIDATION) from exc
     if not isinstance(data, dict):
         raise _CliError("config must be a JSON object", EXIT_VALIDATION)
+    kinds = {f.name: type(f.default) for f in fields(HardwareConfig)}
+    for name, value in data.items():
+        if name not in kinds:
+            continue  # replace() reports unknown fields
+        if kinds[name] is float:
+            wanted = "a finite number"
+            ok = isinstance(value, int) or (
+                isinstance(value, float) and math.isfinite(value)
+            )
+        else:
+            wanted = "an integer"
+            ok = isinstance(value, int)
+        if isinstance(value, bool) or not ok:
+            raise _CliError(
+                f"config field {name!r} must be {wanted}, got {value!r}",
+                EXIT_VALIDATION,
+            )
     try:
         return HardwareConfig().replace(**data)
     except ConfigError as exc:
@@ -302,11 +321,7 @@ def cmd_bench(args) -> int:
                 encoding=layer.kind == "encoding-conv",
             )
             if layer.kind != "encoding-conv":
-                # spiking layers run once per time step
-                scaled = report
-                for _ in range(time_steps - 1):
-                    scaled = scaled.merged(report)
-                report = scaled
+                report = report.scaled(time_steps)  # spiking layers run every step
             totals = report if totals is None else totals.merged(report)
         lines.append(
             f"{name}: {totals.total_cycles} cycles/inference at T={time_steps}, "

@@ -3,8 +3,12 @@
 This module is the functional oracle for the dataflow engine: a direct
 integer/fixed-point implementation of integrate-and-fire dynamics, folded
 batch normalization, dense binary convolution, OR-pooling and whole-network
-execution.  Everything favours clarity over speed; the engine in
-``vecspike.dataflow`` must reproduce these results bit for bit.
+execution.  Everything favours clarity over speed, with one exception:
+the dense convolution sums one BLAS product per kernel offset, in float64
+when ``max|x| * C * kh * kw`` stays below 2**53 and in int64 otherwise.
+The engine in ``vecspike.dataflow`` must reproduce these results bit for
+bit; it shares no convolution code with this module, so the comparison
+stays an independent check.
 
 Conventions
 -----------
@@ -36,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ENCODING_INPUT_SCALE = 256  # 8-bit inputs represent u/256 of the (0,1) range
 ENCODING_SHIFT = 8  # log2 of the scale; folded params shift left by this
+FLOAT64_EXACT_LIMIT = 2**53  # integers below this magnitude are exact in float64
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +110,9 @@ class BinaryWeightTensor:
             raise InvalidParameterError("weight values must be -1 or +1")
         return cls((1 - vals) // 2)
 
-    def values(self) -> np.ndarray:
+    def values(self, dtype=np.int64) -> np.ndarray:
         """Logical weights: bit b maps to 1 - 2b."""
-        return (1 - 2 * self.sign_bits.astype(np.int64))
+        return np.subtract(1, 2 * self.sign_bits, dtype=dtype)
 
     @property
     def out_channels(self) -> int:
@@ -343,14 +348,20 @@ def conv2d_oracle(
     w_out = xp.shape[2] - kw + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"{kh}x{kw} kernel does not fit {xp.shape[1]}x{xp.shape[2]} input")
-    wv = weights.values()
-    out = np.zeros((weights.out_channels, h_out, w_out), dtype=np.int64)
+    # float64 is exact while no |partial sum| reaches 2**53; the bound covers
+    # the running sum over every offset, not only one offset's product
+    x_max = max(int(xp.max(initial=0)), -int(xp.min(initial=0)))
+    exact_in_float = x_max * c * kh * kw < FLOAT64_EXACT_LIMIT
+    dtype = np.float64 if exact_in_float else np.int64
+    xp = xp.astype(dtype)
+    wv = weights.values(dtype)
+    out = np.zeros((weights.out_channels, h_out, w_out), dtype=dtype)
     for u in range(kh):
         for v in range(kw):
-            out += np.einsum(
-                "oc,chw->ohw", wv[:, :, u, v], xp[:, u : u + h_out, v : v + w_out]
+            out += np.tensordot(
+                wv[:, :, u, v], xp[:, u : u + h_out, v : v + w_out], axes=1
             )
-    return out
+    return out.astype(np.int64)
 
 
 def maxpool2_oracle(spikes) -> np.ndarray:

@@ -10,13 +10,28 @@ sequential group passes in the accumulator's last stage.  The encoding
 layer maps each of the eight input bitplanes to its own block and
 recombines them with a shift-add in the first accumulator stage.
 
-Functional outputs are produced by a vectorized equivalent of the
+Functional outputs are produced by a GEMM-lowered equivalent of the
 column-by-column pipeline (integer addition is associative, so the
-reassociation is exact); cycle counts and PE activity follow the pass
-structure: output channels outermost, then channel groups, then row
-tiles, then columns, with the pipeline fill charged once per
-weight-register pass because consecutive column streams overlap one
-pass's drain with the next pass's fill.
+reassociation is exact).  Each (channel group, row tile) pass is lowered
+to im2col: the zero-padded tile's kh x kw windows become columns
+[cg*kh*kw][positions], and one matrix product with the group's +-1
+weights [cout][cg*kh*kw] yields every diagonal partial sum of the tile.
+The encoding layer stacks its eight bitplanes on a leading batch axis, so
+each tile is still one GEMM call, then shift-adds the planes in int64.
+Partial rows are accumulated in place into the int64 output, and the
+boundary ledger tracks the rows that a tile edge leaves pending.
+
+The GEMM runs in float32 or float64, which is exact only while every
+partial sum stays below 2**24 or 2**53 in magnitude.  With +-1 weights a
+tile's partial sums are bounded by ``max|x| * cg * kh * kw``.  That bound
+is computed from the input on every call (binary input is never
+assumed); past the float32 limit the GEMM runs in float64, and past the
+float64 limit in exact int64.
+
+Cycle counts and PE activity follow the pass structure: output channels
+outermost, then channel groups, then row tiles, then columns, with the
+pipeline fill charged once per weight-register pass because consecutive
+column streams overlap one pass's drain with the next pass's fill.
 """
 
 from __future__ import annotations
@@ -90,9 +105,6 @@ class TileBoundary:
                 self._resident.discard(g)
                 self.consumes += 1
 
-    def peak_bytes(self, width: int) -> int:
-        return self.peak_rows * width * self.param_bytes
-
     def assert_empty(self):
         if self._resident:
             raise BoundaryLedgerError(
@@ -101,22 +113,55 @@ class TileBoundary:
 
 
 # ---------------------------------------------------------------------------
-# vectorized tile kernel
+# GEMM-lowered tile kernel
 # ---------------------------------------------------------------------------
 
-def _tile_partial_rows(x_tile: np.ndarray, wv: np.ndarray) -> np.ndarray:
+# Every integer of magnitude below these limits is exact in float32/float64.
+# With +-1 weights no partial sum of a tile's dot products exceeds
+# max|x| * cg * kh * kw, so a GEMM whose bound stays below a limit is exact.
+FLOAT32_EXACT_LIMIT = 2**24
+FLOAT64_EXACT_LIMIT = 2**53
+
+_BITPLANE_SHIFTS = np.arange(8).reshape(8, 1, 1, 1)
+
+
+def gemm_dtype(bound: int) -> np.dtype:
+    """Narrowest GEMM dtype that is exact when no |partial sum| reaches ``bound``.
+
+    float32 below 2**24, float64 below 2**53, otherwise exact int64.
+    """
+    if bound < FLOAT32_EXACT_LIMIT:
+        return np.dtype(np.float32)
+    if bound < FLOAT64_EXACT_LIMIT:
+        return np.dtype(np.float64)
+    return np.dtype(np.int64)
+
+
+def _max_abs(x: np.ndarray) -> int:
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def _tile_partial_rows(
+    x_tile: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
+) -> np.ndarray:
     """Raw partial-sum rows of one tile: all diagonals, pre-stitching.
 
-    For a tile of ``rt`` input rows the result has ``rt + kh - 1`` rows:
-    the first and last ``kh - 1`` carry partial sums that belong to
-    outputs shared with the neighbouring tiles.
+    ``x_tile`` is [..., cg, rt, w_in] and ``w_mat`` the [cout][cg*kh*kw]
+    weights in the GEMM dtype; leading axes of ``x_tile`` are a batch.  The
+    tile is lowered to im2col columns [cg*kh*kw][positions] and multiplied
+    once.  For ``rt`` input rows the result [..., cout, rt + kh - 1,
+    w_out] has ``rt + kh - 1`` rows: the first and last ``kh - 1`` carry
+    partial sums that belong to outputs shared with the neighbouring tiles.
     """
-    cg, rt, w_in = x_tile.shape
-    kh, kw = wv.shape[2], wv.shape[3]
-    xp = np.zeros((cg, rt + 2 * (kh - 1), w_in), dtype=np.int64)
-    xp[:, kh - 1 : kh - 1 + rt] = x_tile
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return np.einsum("cpxuv,ocuv->opx", windows, wv)
+    *lead, cg, rt, w_in = x_tile.shape
+    xp = np.zeros((*lead, cg, rt + 2 * (kh - 1), w_in), dtype=w_mat.dtype)
+    xp[..., kh - 1 : kh - 1 + rt, :] = x_tile
+    windows = sliding_window_view(xp, (kh, kw), axis=(-2, -1))
+    rows, cols = windows.shape[-4], windows.shape[-3]
+    im2col = np.moveaxis(windows, (-4, -3), (-2, -1)).reshape(
+        *lead, cg * kh * kw, rows * cols
+    )
+    return (w_mat @ im2col).reshape(*lead, -1, rows, cols)
 
 
 def _row_tiles(height: int, rows: int) -> list[tuple[int, int]]:
@@ -152,12 +197,15 @@ def _run_schedule(
     groups: list[tuple[int, int]],
     blocks_per_channel: int,
     tile_fn,
+    gemm_input_max: int,
 ) -> ConvPassResult:
     """Shared pass structure for spiking and encoding convolutions.
 
-    ``tile_fn(x_slice, w_slice) -> raw rows`` computes one group/tile
+    ``tile_fn(x_slice, w_mat, kh, kw) -> raw rows`` computes one group/tile
     contribution; everything else (boundary stitching, group folding,
-    cycle accounting) is common.
+    cycle accounting) is common.  ``gemm_input_max`` bounds the magnitude
+    of the values ``tile_fn`` multiplies; with the largest group it sets
+    the GEMM dtype.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
@@ -167,36 +215,34 @@ def _run_schedule(
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"{kh}x{kw} kernel does not fit {h_in}x{w_in} input")
     cout = weights.out_channels
-    wv = weights.values()
     tiles = _row_tiles(h_in, cfg.array_rows)
+    largest_group = max((csz for _, csz in groups), default=0)
+    dtype = gemm_dtype(gemm_input_max * largest_group * kh * kw)
+    w_all = weights.values(dtype).reshape(cout, -1)
 
     out = np.zeros((cout, h_out, w_out), dtype=np.int64)
     boundary = TileBoundary(param_bytes=cfg.param_bytes)
-    pending: dict[int, np.ndarray] = {}
     n_groups = len(groups)
 
     for gi, (c0, csz) in enumerate(groups):
-        last_group = gi == n_groups - 1
+        w_mat = w_all[:, c0 * kh * kw : (c0 + csz) * kh * kw]
         for si, (base, rt) in enumerate(tiles):
-            raw = tile_fn(x[c0 : c0 + csz, base : base + rt], wv[:, c0 : c0 + csz])
-            for p in range(raw.shape[1]):
-                g = base + p - (kh - 1)
-                if not 0 <= g < h_out:
-                    continue  # edge diagonals outside the output range
-                if g in pending:
-                    pending[g] = pending[g] + raw[:, p]
-                else:
-                    pending[g] = raw[:, p].copy()
-            if last_group:
-                covered = base + rt - 1
-                done = [g for g in pending if g + kh - 1 <= covered]
-                boundary.note_consume(g for g in done)
-                for g in done:
-                    out[:, g] = pending.pop(g)
+            raw = tile_fn(x[c0 : c0 + csz, base : base + rt], w_mat, kh, kw)
+            # raw row p belongs to output row base + p - (kh - 1); rows
+            # outside the output range are edge diagonals and are dropped
+            g0 = max(base - (kh - 1), 0)
+            g1 = min(base + rt, h_out)
+            p0 = g0 - base + kh - 1
+            out[:, g0:g1] += raw[:, p0 : p0 + g1 - g0].astype(np.int64, copy=False)
+            if gi == n_groups - 1:
+                # rows whose receptive field ends in this tile are complete.
+                # The boundary SRAM holds the incomplete rows already touched:
+                # with earlier groups that is every later row, else only the
+                # rows up to this tile's edge.
+                done = max(0, min(base + rt - kh + 1, h_out))
+                boundary.note_consume(range(done))
                 if si < len(tiles) - 1:
-                    boundary.note_deposit(pending.keys())
-    if pending:
-        raise BoundaryLedgerError(f"{len(pending)} output rows never completed")
+                    boundary.note_deposit(range(done, h_out if n_groups > 1 else g1))
     boundary.assert_empty()
 
     warmup_per_pass = kw - 1
@@ -238,7 +284,8 @@ def schedule_conv_layer(
         )
     groups = _channel_groups(x.shape[0], cfg.group_size)
     return _run_schedule(
-        x, weights, cfg, groups, blocks_per_channel=1, tile_fn=_tile_partial_rows
+        x, weights, cfg, groups, blocks_per_channel=1,
+        tile_fn=_tile_partial_rows, gemm_input_max=_max_abs(x),
     )
 
 
@@ -266,17 +313,15 @@ def schedule_encoding_layer(
     if cfg.pe_blocks < 8:
         raise ConfigError("the encoding layer needs 8 PE blocks per channel")
 
-    def bitplane_tile(x_slice, w_slice):
-        total = None
-        for plane in range(8):
-            bits = (x_slice >> plane) & 1
-            contribution = _tile_partial_rows(bits, w_slice) << plane
-            total = contribution if total is None else total + contribution
-        return total
+    def bitplane_tile(x_slice, w_mat, kh, kw):
+        planes = (x_slice >> _BITPLANE_SHIFTS) & 1  # [8][cg][rt][w_in]
+        raw = _tile_partial_rows(planes, w_mat, kh, kw)
+        return (raw.astype(np.int64) << _BITPLANE_SHIFTS).sum(axis=0)
 
     groups = _channel_groups(x.shape[0], cfg.encoding_channels_per_pass)
     return _run_schedule(
-        x, weights, cfg, groups, blocks_per_channel=8, tile_fn=bitplane_tile
+        x, weights, cfg, groups, blocks_per_channel=8,
+        tile_fn=bitplane_tile, gemm_input_max=1,  # bitplanes are 0/1
     )
 
 

@@ -152,9 +152,15 @@ class FusionPlan:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise PlanError(f"cannot read fusion plan: {exc}") from exc
-        if not isinstance(data, list):
+        if not isinstance(data, list) or not all(
+            isinstance(group, list) for group in data
+        ):
             raise PlanError("fusion plan must be a JSON list of index groups")
-        return cls([tuple(int(i) for i in group) for group in data])
+        for group in data:
+            for i in group:
+                if isinstance(i, bool) or not isinstance(i, int):
+                    raise PlanError(f"fusion plan index {i!r} is not an integer")
+        return cls([tuple(group) for group in data])
 
     def to_json(self) -> str:
         return json.dumps([list(group) for group in self.groups])
@@ -361,9 +367,6 @@ class TraceEvent:
 class BufferTrace:
     events: list[TraceEvent]
     buffers: dict[str, BufferModel]
-
-    def events_for(self, buffer: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.buffer == buffer]
 
 
 def pingpong_schedule(

@@ -88,9 +88,6 @@ class NetworkDescription:
     def is_annotated(self) -> bool:
         return all(layer.out_shape is not None for layer in self.layers)
 
-    def summary(self) -> str:
-        return network_to_string(self)
-
 
 _CONV_RE = re.compile(r"^(\d+)Conv(\(encoding\))?$")
 _FC_RE = re.compile(r"^(\d+)fc$")

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arch import CycleReport
 from .memmodel import TrafficLedger
@@ -63,7 +63,6 @@ class RunReport:
     class_counts: list[int]
     oracle_match: bool | None = None  # present only when verification ran
     deterministic: bool = False
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         data = {
@@ -114,7 +113,6 @@ class RunReport:
             data["oracle_match"] = self.oracle_match
         if not self.deterministic:
             data["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        data.update(self.extras)
         return data
 
     def to_json(self) -> str:

@@ -206,3 +206,12 @@ def test_cycle_report_merge():
     assert merged.utilization == 0.5
     with pytest.raises(ConfigError):
         a.merged(CycleReport(5, 0, 10, 50, 20, 1e9))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_cycle_report_scaled_equals_repeated_merge(n):
+    report = CycleReport(10, 1, 50, 100, 10, 1e9)
+    merged = report
+    for _ in range(n - 1):
+        merged = merged.merged(report)
+    assert report.scaled(n) == merged

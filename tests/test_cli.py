@@ -258,6 +258,16 @@ def test_traffic_invalid_plan_file(tmp_path):
     )
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '[["a"]]', "[[0.5]]", "[[true]]", '{"0": 1}'])
+def test_traffic_malformed_plan_json_is_a_validation_error(tmp_path, text):
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    assert (
+        run_cli(["traffic", "--net", "mnist", "--fusion-plan", str(plan)])
+        == cli.EXIT_VALIDATION
+    )
+
+
 def test_bench_reports_peak(tmp_path, capsys):
     assert run_cli(["bench", "--timesteps", "2"]) == 0
     out = capsys.readouterr().out
@@ -291,3 +301,30 @@ def test_bad_config_json(tmp_path):
     assert (
         run_cli(["bench", "--config", str(config)]) == cli.EXIT_VALIDATION
     )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"pe_blocks": "x"},
+        {"group_size": True},
+        {"array_rows": 8.5},
+        {"spike_sram_bytes": None},
+        {"clock_hz": "fast"},
+        {"clock_hz": False},
+        {"clock_hz": float("nan")},
+        {"clock_hz": float("inf")},
+    ],
+)
+def test_wrongly_typed_config_field_is_a_validation_error(tmp_path, fields):
+    config = tmp_path / "hw.json"
+    config.write_text(json.dumps(fields))
+    for command in (["bench"], ["traffic", "--net", "mnist"]):
+        assert run_cli(command + ["--config", str(config)]) == cli.EXIT_VALIDATION
+
+
+def test_integer_clock_is_accepted(tmp_path, capsys):
+    config = tmp_path / "hw.json"
+    config.write_text(json.dumps({"clock_hz": 250000000}))
+    assert run_cli(["bench", "--config", str(config), "--timesteps", "2"]) == 0
+    assert "peak throughput: 1152.0 GOPS" in capsys.readouterr().out

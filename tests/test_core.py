@@ -265,6 +265,33 @@ def test_conv_oracle_matches_brute_force(rng, pad):
         )
 
 
+def test_conv_oracle_exact_beyond_the_float64_bound(rng):
+    # 2**50 * 2 channels * 9 offsets passes 2**53: the oracle must go int64
+    x = rng.integers(-(2**50), 2**50, (2, 5, 5))
+    x[0, 0, 0] = 2**50
+    w = BinaryWeightTensor(rng.integers(0, 2, (2, 2, 3, 3), dtype=np.uint8))
+    assert np.array_equal(conv2d_oracle(x, w), brute_conv2d(x, w.values()))
+
+
+@pytest.mark.parametrize("limit, dtype", [(2**53, np.float64), (1, np.int64)])
+def test_conv_oracle_float_limit_selects_the_path(rng, monkeypatch, limit, dtype):
+    import vecspike.core as core
+
+    seen = []
+    tensordot = np.tensordot
+
+    def spy(a, b, axes):
+        seen.append(b.dtype)
+        return tensordot(a, b, axes)
+
+    monkeypatch.setattr(core, "FLOAT64_EXACT_LIMIT", limit)
+    monkeypatch.setattr(np, "tensordot", spy)
+    x = rng.integers(0, 256, (3, 6, 7))
+    w = BinaryWeightTensor(rng.integers(0, 2, (4, 3, 3, 2), dtype=np.uint8))
+    assert np.array_equal(conv2d_oracle(x, w, padding=1), brute_conv2d(x, w.values(), 1))
+    assert seen and set(seen) == {np.dtype(dtype)}
+
+
 def test_conv_oracle_is_linear_in_input(rng):
     w = BinaryWeightTensor(rng.integers(0, 2, (3, 2, 3, 3), dtype=np.uint8))
     a = rng.integers(-5, 6, (2, 6, 6))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import random_network
+import vecspike.dataflow as dataflow
+from conftest import brute_conv2d, random_network
 from vecspike.arch import HardwareConfig
 from vecspike.core import (
     BinaryWeightTensor,
@@ -14,6 +17,7 @@ from vecspike.core import (
 )
 from vecspike.dataflow import (
     conv_layer_report,
+    gemm_dtype,
     if_unit_process,
     run_network,
     schedule_conv_layer,
@@ -118,6 +122,151 @@ def test_conv_layer_report_matches_schedule(rng):
         result = schedule_conv_layer(x, weights, CFG)
         analytic = conv_layer_report(cin, cout, h, w, 3, 3, CFG)
         assert analytic == result.report
+
+
+def _stitching_ledger(h_in, kh, rows, n_groups):
+    """(deposits, consumes, peak_rows) of row-by-row pending stitching.
+
+    The reference the in-place schedule must reproduce: every row a tile
+    touches joins a pending set; in the last group, rows whose receptive
+    field ends inside the tile complete, and the rest are deposited at
+    each tile edge.
+    """
+    h_out = h_in - kh + 1
+    tiles = [(base, min(rows, h_in - base)) for base in range(0, h_in, rows)]
+    pending, resident = set(), set()
+    deposits = consumes = peak = 0
+    for gi in range(n_groups):
+        for si, (base, rt) in enumerate(tiles):
+            pending |= {
+                base + p - (kh - 1) for p in range(rt + kh - 1)
+            } & set(range(h_out))
+            if gi == n_groups - 1:
+                done = {g for g in pending if g + kh - 1 <= base + rt - 1}
+                consumes += len(done & resident)
+                resident -= done
+                pending -= done
+                if si < len(tiles) - 1:
+                    deposits += len(pending - resident)
+                    resident |= pending
+                    peak = max(peak, len(resident))
+    assert not pending
+    return deposits, consumes, peak
+
+
+@st.composite
+def _geometries(draw):
+    pe_blocks = draw(st.integers(8, 32))
+    cfg = HardwareConfig(
+        pe_blocks=pe_blocks,
+        group_size=draw(st.integers(1, pe_blocks)),
+        array_rows=draw(st.integers(1, 8)),
+    )
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape = (
+        draw(st.integers(1, 70)),
+        draw(st.integers(kh, 20)),
+        draw(st.integers(kw, 7)),
+    )
+    return cfg, shape, (draw(st.integers(1, 4)), kh, kw), draw(st.integers(0, 2**32))
+
+
+@given(_geometries(), st.booleans())
+# one-row tiles under a 3-tall kernel: the first tile completes no row
+@example((HardwareConfig(group_size=4, array_rows=1), (9, 5, 4), (2, 3, 3), 0), False)
+@example((HardwareConfig(array_rows=1), (3, 6, 3), (3, 3, 2), 1), True)
+def test_schedules_equal_oracle_across_geometry(geometry, encoding):
+    cfg, (cin, h, w), (cout, kh, kw), seed = geometry
+    rng = np.random.default_rng(seed)
+    weights = BinaryWeightTensor(rng.integers(0, 2, (cout, cin, kh, kw), dtype=np.uint8))
+    if encoding:
+        x = rng.integers(0, 256, (cin, h, w))
+        result = schedule_encoding_layer(x, weights, cfg)
+        group = cfg.encoding_channels_per_pass
+    else:
+        x = rng.integers(*rng.choice([(0, 2), (-9, 10)]), (cin, h, w))
+        result = schedule_conv_layer(x, weights, cfg)
+        group = cfg.group_size
+    assert np.array_equal(result.output, conv2d_oracle(x, weights))
+    assert result.report == conv_layer_report(
+        cin, cout, h, w, kh, kw, cfg, encoding=encoding
+    )
+    n_groups = -(-cin // group)
+    boundary = result.boundary
+    assert (boundary.deposits, boundary.consumes, boundary.peak_rows) == (
+        _stitching_ledger(h, kh, cfg.array_rows, n_groups)
+    )
+
+
+def test_schedules_reject_batched_input():
+    w = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))
+    with pytest.raises(ShapeError):
+        schedule_conv_layer(np.zeros((2, 1, 3, 3), dtype=np.uint8), w, CFG)
+    with pytest.raises(ShapeError):
+        schedule_encoding_layer(np.zeros((2, 1, 3, 3), dtype=np.uint8), w, CFG)
+
+
+# ---------------------------------------------------------------------------
+# GEMM exactness bound
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "bound, dtype",
+    [
+        (0, np.float32),
+        (2**24 - 1, np.float32),
+        (2**24, np.float64),
+        (2**53 - 1, np.float64),
+        (2**53, np.int64),
+    ],
+)
+def test_gemm_dtype_edges(bound, dtype):
+    assert gemm_dtype(bound) == np.dtype(dtype)
+
+
+def _record_gemm_dtypes(monkeypatch):
+    seen = []
+    kernel = dataflow._tile_partial_rows
+
+    def spy(x_tile, w_mat, kh, kw):
+        seen.append(w_mat.dtype)
+        return kernel(x_tile, w_mat, kh, kw)
+
+    monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "limits, dtype",
+    [((2**24, 2**53), np.float32), ((1, 2**53), np.float64), ((1, 1), np.int64)],
+)
+def test_lowered_limits_run_each_gemm_path_exactly(rng, monkeypatch, limits, dtype):
+    monkeypatch.setattr(dataflow, "FLOAT32_EXACT_LIMIT", limits[0])
+    monkeypatch.setattr(dataflow, "FLOAT64_EXACT_LIMIT", limits[1])
+    seen = _record_gemm_dtypes(monkeypatch)
+    x, weights = _random_case(rng, 40, 11, 6, 3)
+    assert np.array_equal(
+        schedule_conv_layer(x, weights, CFG).output, brute_conv2d(x, weights.values())
+    )
+    pixels = rng.integers(0, 256, (5, 10, 6))
+    enc_weights = BinaryWeightTensor(weights.sign_bits[:, :5])
+    assert np.array_equal(
+        schedule_encoding_layer(pixels, enc_weights, CFG).output,
+        brute_conv2d(pixels, enc_weights.values()),
+    )
+    assert seen and set(seen) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("magnitude, dtype", [(2**20, np.float64), (2**50, np.int64)])
+def test_large_inputs_take_the_wide_path_exactly(rng, monkeypatch, magnitude, dtype):
+    seen = _record_gemm_dtypes(monkeypatch)
+    x = rng.integers(-magnitude, magnitude, (3, 9, 5))
+    x[0, 0, 0] = magnitude
+    weights = BinaryWeightTensor(rng.integers(0, 2, (2, 3, 3, 3), dtype=np.uint8))
+    assert np.array_equal(
+        schedule_conv_layer(x, weights, CFG).output, brute_conv2d(x, weights.values())
+    )
+    assert set(seen) == {np.dtype(dtype)}
 
 
 # ---------------------------------------------------------------------------
