@@ -20,9 +20,9 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .arch import HardwareConfig, peak_gops
+from .arch import CycleReport, HardwareConfig, peak_gops
 from .core import run_network_oracle
-from .dataflow import conv_layer_report, run_network
+from .dataflow import layer_cycle_report, run_network
 from .errors import (
     BundleError,
     CapacityFault,
@@ -124,18 +124,24 @@ def _resolve_network(
     return parse_network(text, time_steps=time_steps), None
 
 
+def _input_shape(args, default: tuple | None) -> tuple | None:
+    """``--input-shape C,H,W`` as three integers, else ``default``."""
+    if not args.input_shape:
+        return default
+    try:
+        c, h, w = (int(v) for v in args.input_shape.split(","))
+    except ValueError as exc:
+        raise _CliError("--input-shape must be C,H,W", EXIT_ARGS) from exc
+    return (c, h, w)
+
+
 def _resolve_input(args, input_shape) -> np.ndarray:
     if args.input:
         try:
             return load_input_tensor(args.input)
         except OSError as exc:
             raise _CliError(f"cannot read input tensor: {exc}", EXIT_ARGS) from exc
-    if args.input_shape:
-        try:
-            c, h, w = (int(v) for v in args.input_shape.split(","))
-        except ValueError as exc:
-            raise _CliError("--input-shape must be C,H,W", EXIT_ARGS) from exc
-        input_shape = (c, h, w)
+    input_shape = _input_shape(args, input_shape)
     if input_shape is None:
         raise _CliError(
             "need --input, --input-shape, or a preset network", EXIT_ARGS
@@ -243,14 +249,10 @@ def cmd_traffic(args) -> int:
     time_steps = _positive_timesteps(args)
     cfg = _load_config(args.config)
     net, preset_shape = _resolve_network(args.net, time_steps)
-    if args.input_shape:
-        try:
-            preset_shape = tuple(int(v) for v in args.input_shape.split(","))
-        except ValueError as exc:
-            raise _CliError("--input-shape must be C,H,W", EXIT_ARGS) from exc
-    if preset_shape is None:
+    input_shape = _input_shape(args, preset_shape)
+    if input_shape is None:
         raise _CliError("need --input-shape or a preset network", EXIT_ARGS)
-    net = validate(net, preset_shape)
+    net = validate(net, input_shape)
     layers = compute_layers(net)
     if args.fusion_plan == "auto":
         plan = plan_fusion(net, cfg)
@@ -301,28 +303,10 @@ def cmd_bench(args) -> int:
         "",
     ]
     for name in sorted(PRESETS):
-        net, input_shape = preset_network(name, time_steps)
-        totals = None
+        net, _ = preset_network(name, time_steps)
+        totals = CycleReport()
         for layer in net.layers:
-            if not layer.has_weights:
-                continue
-            c, h, w = layer.in_shape
-            kh, kw = layer.kernel
-            if layer.kind == "fc":
-                c, h, w = c * h * w, 1, 1
-            report = conv_layer_report(
-                c,
-                layer.out_channels,
-                h + 2 * layer.padding,
-                w + 2 * layer.padding,
-                kh,
-                kw,
-                cfg,
-                encoding=layer.kind == "encoding-conv",
-            )
-            if layer.kind != "encoding-conv":
-                report = report.scaled(time_steps)  # spiking layers run every step
-            totals = report if totals is None else totals.merged(report)
+            totals = totals.merged(layer_cycle_report(layer, cfg, time_steps))
         lines.append(
             f"{name}: {totals.total_cycles} cycles/inference at T={time_steps}, "
             f"utilization {totals.utilization:.3f}, "

@@ -28,10 +28,14 @@ is computed from the input on every call (binary input is never
 assumed); past the float32 limit the GEMM runs in float64, and past the
 float64 limit in exact int64.
 
-Cycle counts and PE activity follow the pass structure: output channels
-outermost, then channel groups, then row tiles, then columns, with the
-pipeline fill charged once per weight-register pass because consecutive
-column streams overlap one pass's drain with the next pass's fill.
+Cycle counts and PE activity depend only on a layer's geometry, the
+config and T, so one function, :func:`conv_layer_report`, computes them;
+the schedulers report its result, and :func:`layer_cycle_report` scales it
+to T steps for ``run_network`` and ``vecspike bench``.  They follow the
+pass structure: output channels outermost, then channel groups, then row
+tiles, then columns, with the pipeline fill charged once per
+weight-register pass because consecutive column streams overlap one
+pass's drain with the next pass's fill.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .netconfig import NetworkDescription
+    from .netconfig import LayerSpec, NetworkDescription
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +168,6 @@ def _tile_partial_rows(
     return (w_mat @ im2col).reshape(*lead, -1, rows, cols)
 
 
-def _row_tiles(height: int, rows: int) -> list[tuple[int, int]]:
-    return [(base, min(rows, height - base)) for base in range(0, height, rows)]
-
-
-def _channel_groups(channels: int, size: int) -> list[tuple[int, int]]:
-    return [(start, min(size, channels - start)) for start in range(0, channels, size)]
-
-
 @dataclass
 class ConvPassResult:
     output: np.ndarray          # [Cout][H_out][W_out] integer conv sums
@@ -190,32 +186,50 @@ def _check_kernel(kh: int, kw: int, cfg: HardwareConfig):
         )
 
 
+def _pass_structure(
+    in_channels: int, h_padded: int, w_padded: int, kh: int, kw: int,
+    cfg: HardwareConfig, encoding: bool,
+):
+    """Channel groups, row tiles and output size of one convolution step.
+
+    Groups and tiles are (start, size) pairs.  Raises for a kernel the
+    arrays cannot hold or the input cannot fit, and for an encoding layer
+    on fewer than 8 PE blocks.
+    """
+    if encoding and cfg.pe_blocks < 8:
+        raise ConfigError("the encoding layer needs 8 PE blocks per channel")
+    _check_kernel(kh, kw, cfg)
+    h_out = h_padded - kh + 1
+    w_out = w_padded - kw + 1
+    if h_out < 1 or w_out < 1:
+        raise ShapeError(f"{kh}x{kw} kernel does not fit {h_padded}x{w_padded} input")
+    size = cfg.encoding_channels_per_pass if encoding else cfg.group_size
+    rows = cfg.array_rows
+    groups = [(c, min(size, in_channels - c)) for c in range(0, in_channels, size)]
+    tiles = [(r, min(rows, h_padded - r)) for r in range(0, h_padded, rows)]
+    return groups, tiles, h_out, w_out
+
+
 def _run_schedule(
     x: np.ndarray,
     weights: BinaryWeightTensor,
     cfg: HardwareConfig,
-    groups: list[tuple[int, int]],
-    blocks_per_channel: int,
+    encoding: bool,
     tile_fn,
     gemm_input_max: int,
 ) -> ConvPassResult:
     """Shared pass structure for spiking and encoding convolutions.
 
     ``tile_fn(x_slice, w_mat, kh, kw) -> raw rows`` computes one group/tile
-    contribution; everything else (boundary stitching, group folding,
-    cycle accounting) is common.  ``gemm_input_max`` bounds the magnitude
-    of the values ``tile_fn`` multiplies; with the largest group it sets
-    the GEMM dtype.
+    contribution; boundary stitching and group folding are common, and the
+    cycle report comes from :func:`conv_layer_report`.  ``gemm_input_max``
+    bounds the magnitude of the values ``tile_fn`` multiplies; with the
+    largest group it sets the GEMM dtype.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
-    _check_kernel(kh, kw, cfg)
-    h_out = h_in - kh + 1
-    w_out = w_in - kw + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"{kh}x{kw} kernel does not fit {h_in}x{w_in} input")
     cout = weights.out_channels
-    tiles = _row_tiles(h_in, cfg.array_rows)
+    groups, tiles, h_out, w_out = _pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
     largest_group = max((csz for _, csz in groups), default=0)
     dtype = gemm_dtype(gemm_input_max * largest_group * kh * kw)
     w_all = weights.values(dtype).reshape(cout, -1)
@@ -244,24 +258,19 @@ def _run_schedule(
                 if si < len(tiles) - 1:
                     boundary.note_deposit(range(done, h_out if n_groups > 1 else g1))
     boundary.assert_empty()
-
-    warmup_per_pass = kw - 1
-    n_tiles = len(tiles)
-    total = cout * n_groups * (warmup_per_pass + n_tiles * w_out)
-    warmup = cout * n_groups * warmup_per_pass
-    active = 0
-    for _, csz in groups:
-        for _, rt in tiles:
-            active += cout * w_out * (csz * blocks_per_channel) * kw * rt * kh
-    report = CycleReport(
-        total_cycles=total,
-        warmup_cycles=warmup,
-        active_pe_cycles=active,
-        total_pe_cycles=total * cfg.pe_count,
-        pe_count=cfg.pe_count,
-        clock_hz=cfg.clock_hz,
-    ).validate()
+    report = conv_layer_report(cin, cout, h_in, w_in, kh, kw, cfg, encoding=encoding)
     return ConvPassResult(out, report, boundary)
+
+
+def _step_input(x, weights: BinaryWeightTensor) -> np.ndarray:
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim != 3:
+        raise ShapeError(f"input must be [C][H][W], got {x.shape}")
+    if x.shape[0] != weights.in_channels:
+        raise ShapeError(
+            f"input has {x.shape[0]} channels, weights expect {weights.in_channels}"
+        )
+    return x
 
 
 def schedule_conv_layer(
@@ -275,16 +284,9 @@ def schedule_conv_layer(
     padded (padding is materialized by the network config, never inside
     the schedule).  Output equals the dense reference convolution exactly.
     """
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim != 3:
-        raise ShapeError(f"input must be [C][H][W], got {x.shape}")
-    if x.shape[0] != weights.in_channels:
-        raise ShapeError(
-            f"input has {x.shape[0]} channels, weights expect {weights.in_channels}"
-        )
-    groups = _channel_groups(x.shape[0], cfg.group_size)
+    x = _step_input(x, weights)
     return _run_schedule(
-        x, weights, cfg, groups, blocks_per_channel=1,
+        x, weights, cfg, encoding=False,
         tile_fn=_tile_partial_rows, gemm_input_max=_max_abs(x),
     )
 
@@ -301,26 +303,17 @@ def schedule_encoding_layer(
     sums by its bitplane index before the cross-block tree, so the result
     equals the integer convolution of the 8-bit input exactly.
     """
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim != 3:
-        raise ShapeError(f"input must be [C][H][W], got {x.shape}")
-    if x.shape[0] != weights.in_channels:
-        raise ShapeError(
-            f"input has {x.shape[0]} channels, weights expect {weights.in_channels}"
-        )
+    x = _step_input(x, weights)
     if x.size and (x.min() < 0 or x.max() > 255):
         raise InvalidParameterError("encoding input values must be in [0, 255]")
-    if cfg.pe_blocks < 8:
-        raise ConfigError("the encoding layer needs 8 PE blocks per channel")
 
     def bitplane_tile(x_slice, w_mat, kh, kw):
         planes = (x_slice >> _BITPLANE_SHIFTS) & 1  # [8][cg][rt][w_in]
         raw = _tile_partial_rows(planes, w_mat, kh, kw)
         return (raw.astype(np.int64) << _BITPLANE_SHIFTS).sum(axis=0)
 
-    groups = _channel_groups(x.shape[0], cfg.encoding_channels_per_pass)
     return _run_schedule(
-        x, weights, cfg, groups, blocks_per_channel=8,
+        x, weights, cfg, encoding=True,
         tile_fn=bitplane_tile, gemm_input_max=1,  # bitplanes are 0/1
     )
 
@@ -519,13 +512,11 @@ def run_network(
     layer_runs: list[LayerRun] = []
     current: np.ndarray | None = None
     for idx, layer in enumerate(net.layers):
-        report = CycleReport()
         boundary: TileBoundary | None = None
         if layer.kind == "encoding-conv":
             result = schedule_encoding_layer(
                 _pad_step(img, layer.padding), weights[idx], cfg
             )
-            report = result.report
             boundary = result.boundary
             params = folded[idx].scaled_by_pow2(ENCODING_SHIFT)
             membrane = MembraneState.zeros(result.output.shape, fmt)
@@ -546,7 +537,6 @@ def run_network(
                 result = schedule_conv_layer(
                     _pad_step(step, layer.padding), weights[idx], cfg
                 )
-                report = report.merged(result.report)
                 boundary = result.boundary
                 if membrane is None:
                     membrane = MembraneState.zeros(result.output.shape, fmt)
@@ -568,9 +558,8 @@ def run_network(
             )
         train = SpikeTrain(current)
         trains.append(train)
-        layer_runs.append(
-            LayerRun(idx, layer.kind, report, boundary, train.spike_count())
-        )
+        report = layer_cycle_report(layer, cfg, time_steps)
+        layer_runs.append(LayerRun(idx, layer.kind, report, boundary, train.spike_count()))
 
     counts = trains[-1].data.sum(axis=(0, 2, 3)).astype(np.int64)
     return EngineRun(trains, counts, layer_runs)
@@ -587,37 +576,54 @@ def conv_layer_report(
     *,
     encoding: bool = False,
 ) -> CycleReport:
-    """Cycle accounting of one convolution step from shapes alone.
+    """Cycle accounting of one convolution step from its geometry alone.
 
-    Used by throughput reporting; matches the reports produced by the
-    schedulers bit for bit (the counts depend only on geometry).
+    The only place that turns geometry and config into a
+    :class:`CycleReport`: the schedulers, :func:`layer_cycle_report` and
+    ``vecspike bench`` all take their reports from it.  Each (output
+    channel, channel group) pass fills the pipeline once (``kw - 1``
+    cycles) and then streams every row tile's output columns.  Every
+    padded input row of every channel (eight bitplane blocks per channel
+    for the encoding layer) meets each kernel tap once per output column.
     """
-    _check_kernel(kh, kw, cfg)
-    h_out = h_padded - kh + 1
-    w_out = w_padded - kw + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"{kh}x{kw} kernel does not fit {h_padded}x{w_padded} input")
-    if encoding:
-        if cfg.pe_blocks < 8:
-            raise ConfigError("the encoding layer needs 8 PE blocks per channel")
-        groups = _channel_groups(in_channels, cfg.encoding_channels_per_pass)
-        blocks_per_channel = 8
-    else:
-        groups = _channel_groups(in_channels, cfg.group_size)
-        blocks_per_channel = 1
-    tiles = _row_tiles(h_padded, cfg.array_rows)
-    warmup_per_pass = kw - 1
-    total = out_channels * len(groups) * (warmup_per_pass + len(tiles) * w_out)
-    warmup = out_channels * len(groups) * warmup_per_pass
-    active = 0
-    for _, csz in groups:
-        for _, rt in tiles:
-            active += out_channels * w_out * (csz * blocks_per_channel) * kw * rt * kh
+    groups, tiles, _, w_out = _pass_structure(
+        in_channels, h_padded, w_padded, kh, kw, cfg, encoding
+    )
+    passes = out_channels * len(groups)
+    blocks_per_channel = 8 if encoding else 1
+    total = passes * (kw - 1 + len(tiles) * w_out)
     return CycleReport(
         total_cycles=total,
-        warmup_cycles=warmup,
-        active_pe_cycles=active,
+        warmup_cycles=passes * (kw - 1),
+        active_pe_cycles=(
+            out_channels * w_out * in_channels * blocks_per_channel
+            * kw * h_padded * kh
+        ),
         total_pe_cycles=total * cfg.pe_count,
         pe_count=cfg.pe_count,
         clock_hz=cfg.clock_hz,
     ).validate()
+
+
+def layer_cycle_report(
+    layer: "LayerSpec", cfg: HardwareConfig, time_steps: int
+) -> CycleReport:
+    """Cycle accounting of a validated layer over ``time_steps`` steps.
+
+    fc layers run as 1x1 convolutions over the flattened features, inputs
+    are zero padded, the encoding convolution runs once (its result is
+    iterated) and spiking layers run once per step.  Layers without
+    weights take no datapath cycles.
+    """
+    if not layer.has_weights:
+        return CycleReport()
+    channels = layer.in_channels  # flattened features for fc
+    h, w = (1, 1) if layer.kind == "fc" else layer.in_shape[1:]
+    kh, kw = layer.kernel
+    pad = 2 * layer.padding
+    encoding = layer.kind == "encoding-conv"
+    report = conv_layer_report(
+        channels, layer.out_channels, h + pad, w + pad, kh, kw, cfg,
+        encoding=encoding,
+    )
+    return report if encoding else report.scaled(time_steps)

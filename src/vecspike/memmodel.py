@@ -47,10 +47,6 @@ def weight_bytes(
     return signs + out_channels * 2 * param_bytes
 
 
-def sign_weight_bytes(out_channels: int, in_channels: int, kh: int, kw: int) -> int:
-    return math.ceil(out_channels * in_channels * kh * kw / 8)
-
-
 # ---------------------------------------------------------------------------
 # compute-layer view (pooling absorbed)
 # ---------------------------------------------------------------------------
@@ -72,7 +68,7 @@ class ComputeLayer:
         return weight_bytes(o, i, kh, kw, param_bytes)
 
     def sign_bytes(self) -> int:
-        return sign_weight_bytes(*self.weight_shape)
+        return weight_bytes(*self.weight_shape, param_bytes=0)
 
     def out_map_bytes(self, time_steps: int) -> int:
         return spike_map_bytes(*self.out_shape, time_steps)
@@ -349,7 +345,7 @@ class BufferModel:
         self.peak = max(self.peak, self.occupancy)
         self.writes += 1
 
-    def read(self, nbytes: int):
+    def read(self):
         self.reads += 1
 
 
@@ -431,7 +427,7 @@ def pingpong_schedule(
                 in_bytes = spike_map_bytes(*first.in_shape, 1)
                 spike_buf.write(in_bytes)
                 emit(step, group[0], spike_buf.name, "write", in_bytes, in_tag)
-                spike_buf.read(in_bytes)
+                spike_buf.read()
                 emit(step, group[0], spike_buf.name, "read", in_bytes, in_tag)
             elif step == 0:
                 # static 8-bit image: staged once, then the encoding layer
@@ -440,7 +436,7 @@ def pingpong_schedule(
                 in_bytes = first.in_shape[0] * first.in_shape[1] * first.in_shape[2]
                 spike_buf.write(in_bytes)
                 emit(step, group[0], spike_buf.name, "write", in_bytes, in_tag)
-                spike_buf.read(in_bytes)
+                spike_buf.read()
                 emit(step, group[0], spike_buf.name, "read", in_bytes, in_tag)
             else:
                 in_bytes = 0
@@ -452,10 +448,10 @@ def pingpong_schedule(
                 strip = min(cfg.array_rows, out_h) * out_w * param
                 residue = buffers["membrane1" if slot else "membrane0"]
                 residue.write(strip)
-                residue.read(strip)
+                residue.read()
                 if layer.kind == "encoding-conv":
                     buffers["membrane1"].write(strip)
-                    buffers["membrane1"].read(strip)
+                    buffers["membrane1"].read()
                 if layer.kind != "fc":
                     o, i, kh, kw = layer.weight_shape
                     rows_padded = layer.in_shape[1] + 2 * layer.padding
@@ -463,7 +459,7 @@ def pingpong_schedule(
                     if rows_padded > cfg.array_rows and kh > 1:
                         boundary_strip = (kh - 1) * cols_out * param
                         buffers["boundary"].write(boundary_strip)
-                        buffers["boundary"].read(boundary_strip)
+                        buffers["boundary"].read()
                 out_map = spike_map_bytes(*layer.out_shape, 1)
                 out_tag = ("input", pos, step)
                 if slot == 0 and len(group) == 2:
@@ -471,7 +467,7 @@ def pingpong_schedule(
                     # temp SRAM and feeds the second layer directly
                     buffers["temp"].write(out_map)
                     emit(step, pos, "temp", "write", out_map, out_tag)
-                    buffers["temp"].read(out_map)
+                    buffers["temp"].read()
                     emit(step, pos, "temp", "read", out_map, out_tag)
                     continue
                 if slot == 1:
@@ -479,13 +475,13 @@ def pingpong_schedule(
                     # first layer's input buffer on its way off chip
                     spike_buf.write(max(in_bytes, out_map))
                     emit(step, pos, spike_buf.name, "write", out_map, out_tag)
-                    spike_buf.read(out_map)
+                    spike_buf.read()
                     emit(step, pos, spike_buf.name, "read", out_map, out_tag)
                 else:
                     # standalone output streams through temp a column at a time
                     column = max(1, math.ceil(out_c * out_h / 8))
                     buffers["temp"].write(column)
-                    buffers["temp"].read(column)
+                    buffers["temp"].read()
                 emit(step, pos, "dram", "write", out_map, out_tag)
                 written_to_dram.add(out_tag)
     return BufferTrace(events, buffers)

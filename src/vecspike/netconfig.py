@@ -14,6 +14,7 @@ CRC-32 of the content.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 import zlib
@@ -322,7 +323,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 class _Cursor:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)  # slices share the file's bytes
         self.pos = 0
 
     def take(self, count: int) -> bytes:
@@ -354,7 +355,6 @@ def load_bundle(path) -> ModelBundle:
     version, _, frac_bits, total_bits, time_steps, n_layers = cur.unpack("<HHIIII")
     if version != BUNDLE_VERSION:
         raise BadMagicError(f"unsupported bundle version {version}")
-    fmt = FixedPointFormat(total_bits=total_bits, frac_bits=frac_bits)
 
     table = []
     for _ in range(n_layers):
@@ -364,24 +364,20 @@ def load_bundle(path) -> ModelBundle:
         table.append((LAYER_KINDS[kind_code], kh, kw, padding, out_c, in_c, v_th, weighted))
 
     layers: list[LayerSpec] = []
-    weights: list[BinaryWeightTensor | None] = []
-    params: list[FoldedNeuronParams | None] = []
+    arrays: list[tuple | None] = []  # unvalidated, signs still packed
     for kind, kh, kw, padding, out_c, in_c, v_th, weighted in table:
         layers.append(
             LayerSpec(kind, out_channels=out_c, kernel=(kh, kw), padding=padding, v_th=v_th)
         )
         if not weighted:
-            weights.append(None)
-            params.append(None)
+            arrays.append(None)
             continue
-        n_bits = out_c * in_c * kh * kw
-        packed = np.frombuffer(cur.take((n_bits + 7) // 8), dtype=np.uint8)
-        bits = np.unpackbits(packed)[:n_bits].reshape(out_c, in_c, kh, kw)
-        weights.append(BinaryWeightTensor(bits))
+        shape = (out_c, in_c, kh, kw)
+        packed = np.frombuffer(cur.take((math.prod(shape) + 7) // 8), dtype=np.uint8)
         bias = np.frombuffer(cur.take(4 * out_c), dtype="<i4").astype(np.int64)
         thr = np.frombuffer(cur.take(4 * out_c), dtype="<i4").astype(np.int64)
         flipped = np.frombuffer(cur.take(out_c), dtype=np.uint8).astype(bool)
-        params.append(FoldedNeuronParams(bias, thr, flipped, fmt))
+        arrays.append((shape, packed, bias, thr, flipped))
     if cur.pos != len(payload):
         raise ChecksumError(f"{len(payload) - cur.pos} unexpected trailing bytes")
 
@@ -389,6 +385,20 @@ def load_bundle(path) -> ModelBundle:
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumError("bundle checksum does not match its content")
 
+    # validating constructors run only on checked content, so a corrupted
+    # field surfaces as a BundleError, never as a parameter error
+    fmt = FixedPointFormat(total_bits=total_bits, frac_bits=frac_bits)
+    weights: list[BinaryWeightTensor | None] = []
+    params: list[FoldedNeuronParams | None] = []
+    for entry in arrays:
+        if entry is None:
+            weights.append(None)
+            params.append(None)
+            continue
+        shape, packed, bias, thr, flipped = entry
+        bits = np.unpackbits(packed, count=math.prod(shape)).reshape(shape)
+        weights.append(BinaryWeightTensor(bits))
+        params.append(FoldedNeuronParams(bias, thr, flipped, fmt))
     net = NetworkDescription(layers, time_steps=time_steps)
     return ModelBundle(net, weights, params, fmt)
 

@@ -258,6 +258,15 @@ def test_traffic_invalid_plan_file(tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["run", "traffic"])
+@pytest.mark.parametrize("shape", ["1,28", "1,28,28,4", "1,x,28"])
+def test_malformed_input_shape_is_an_argument_error(command, shape):
+    assert (
+        run_cli([command, "--net", SMALL_NET, "--input-shape", shape])
+        == cli.EXIT_ARGS
+    )
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '[["a"]]', "[[0.5]]", "[[true]]", '{"0": 1}'])
 def test_traffic_malformed_plan_json_is_a_validation_error(tmp_path, text):
     plan = tmp_path / "plan.json"

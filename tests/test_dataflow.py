@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import vecspike.dataflow as dataflow
 from conftest import brute_conv2d, random_network
-from vecspike.arch import HardwareConfig
+from vecspike.arch import CycleReport, HardwareConfig
 from vecspike.core import (
     BinaryWeightTensor,
     BNParams,
@@ -449,6 +449,37 @@ def test_engine_matches_oracle_with_negative_gamma(rng):
     oracle = run_network_oracle(net, bundle.weights, params, image, 8)
     engine = run_network(net, bundle.weights, params, image, 8, CFG)
     assert all(a == b for a, b in zip(oracle.layer_trains, engine.layer_trains))
+
+
+def test_engine_layer_reports_equal_the_merged_step_reports(rng, monkeypatch):
+    # LayerRun.report is computed from geometry; it must equal the merge of
+    # the reports of the schedule calls run_network makes, one per step
+    calls = []
+
+    def recording(schedule):
+        def wrapper(x, weights, cfg):
+            result = schedule(x, weights, cfg)
+            calls.append((weights, result.report))
+            return result
+        return wrapper
+
+    for name in ("schedule_conv_layer", "schedule_encoding_layer"):
+        monkeypatch.setattr(dataflow, name, recording(getattr(dataflow, name)))
+    for case in range(6):
+        net, input_shape = random_network(rng, max_dim=12, max_channels=40)
+        bundle = generate_random_bundle(net, seed=case)
+        image = rng.integers(0, 256, input_shape, dtype=np.uint8)
+        steps = int(rng.integers(1, 6))
+        calls.clear()
+        engine = run_network(net, bundle.weights, bundle.params, image, steps, CFG)
+        for run, weights in zip(engine.layers, bundle.weights):
+            merged = CycleReport()
+            for w, report in calls:
+                if w is weights:
+                    merged = merged.merged(report)
+            assert run.report == merged
+        n_spiking = sum(layer.kind in ("conv", "fc") for layer in net.layers)
+        assert len(calls) == 1 + n_spiking * steps
 
 
 def test_engine_reports_time_step_scaling(rng):

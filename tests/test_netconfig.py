@@ -3,6 +3,7 @@ import pytest
 
 from vecspike.errors import (
     BadMagicError,
+    BundleError,
     ChecksumError,
     NetworkParseError,
     TruncatedBundleError,
@@ -178,6 +179,28 @@ def test_bundle_truncation_error(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(TruncatedBundleError):
         load_bundle(path)
+
+
+def test_every_single_bit_flip_raises_a_bundle_error(tmp_path):
+    # header, layer table, weights, parameters and CRC: a flip anywhere
+    # (the fixed-point format fields included) must surface as a BundleError
+    net = validate(parse_network("2Conv(encoding)-MP2-2Conv-2fc"), (1, 4, 4))
+    path = tmp_path / "model.vsa"
+    save_bundle(generate_random_bundle(net, seed=3), path)
+    data = path.read_bytes()
+    escapes = []
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            load_bundle(path)
+            escapes.append((bit, "loaded"))
+        except BundleError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - collect every escape
+            escapes.append((bit, type(exc).__name__))
+    assert escapes == []
 
 
 def test_generate_requires_validated_net():
