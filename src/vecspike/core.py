@@ -54,7 +54,7 @@ class SpikeTrain:
         arr = np.asarray(data)
         if arr.ndim != 4:
             raise ShapeError(f"spike train must be 4-D [T][C][H][W], got {arr.shape}")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise InvalidParameterError("spike train elements must be 0 or 1")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)
@@ -97,7 +97,7 @@ class BinaryWeightTensor:
         arr = np.asarray(sign_bits)
         if arr.ndim != 4:
             raise ShapeError(f"weights must be 4-D [O][I][kh][kw], got {arr.shape}")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise InvalidParameterError("sign bits must be 0 or 1")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)
@@ -320,8 +320,7 @@ def spikes_eq3_oracle(
 def conv2d_oracle(
     inputs,
     weights: BinaryWeightTensor,
-    stride: int = 1,
-    padding: int | str = "valid",
+    padding: int = 0,
 ) -> np.ndarray:
     """Dense reference convolution with weights in {-1,+1}.
 
@@ -329,13 +328,10 @@ def conv2d_oracle(
     [C][H][W]; returns exact integer outputs [O][H'][W'].  Accumulation is
     a plain sum over receptive-field offsets.
     """
-    if stride != 1:
-        raise InvalidParameterError("only stride 1 is supported")
     x = np.asarray(inputs, dtype=np.int64)
     if x.ndim != 3:
         raise ShapeError(f"input must be [C][H][W], got {x.shape}")
-    pad = 0 if padding == "valid" else int(padding)
-    if pad < 0:
+    if padding < 0:
         raise InvalidParameterError("padding must be >= 0")
     c, h, w = x.shape
     if c != weights.in_channels:
@@ -343,7 +339,7 @@ def conv2d_oracle(
             f"input has {c} channels, weights expect {weights.in_channels}"
         )
     kh, kw = weights.kernel
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     h_out = xp.shape[1] - kh + 1
     w_out = xp.shape[2] - kw + 1
     if h_out < 1 or w_out < 1:

@@ -5,7 +5,7 @@ arrays hold the kernel columns of the active output channel, products
 reduce along array diagonals, and after a (kw-1)-cycle pipeline fill one
 output column completes per cycle.  Input heights taller than the array
 are split into row tiles whose edge partial sums are stitched through a
-boundary ledger; input channels beyond the group size are folded across
+boundary SRAM; input channels beyond the group size are folded across
 sequential group passes in the accumulator's last stage.  The encoding
 layer maps each of the eight input bitplanes to its own block and
 recombines them with a shift-add in the first accumulator stage.
@@ -18,8 +18,9 @@ to im2col: the zero-padded tile's kh x kw windows become columns
 weights [cout][cg*kh*kw] yields every diagonal partial sum of the tile.
 The encoding layer stacks its eight bitplanes on a leading batch axis, so
 each tile is still one GEMM call, then shift-adds the planes in int64.
-Partial rows are accumulated in place into the int64 output, and the
-boundary ledger tracks the rows that a tile edge leaves pending.
+Partial rows are accumulated in place into the int64 output.  The rows a
+tile edge leaves pending, and so the boundary SRAM's use, follow from the
+row tiles alone and are computed once per call by :func:`_tile_boundary`.
 
 The GEMM runs in float32 or float64, which is exact only while every
 partial sum stays below 2**24 or 2**53 in magnitude.  With +-1 weights a
@@ -41,7 +42,7 @@ pass's drain with the next pass's fill.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -64,56 +65,27 @@ from .core import (
     SpikeTrain,
     maxpool2_oracle,
 )
-from .errors import (
-    BoundaryLedgerError,
-    ConfigError,
-    InvalidParameterError,
-    ShapeError,
-)
+from .errors import ConfigError, InvalidParameterError, ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .netconfig import LayerSpec, NetworkDescription
 
 
 # ---------------------------------------------------------------------------
-# tile boundary ledger
+# tile boundary SRAM
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TileBoundary:
-    """Ledger of cross-tile partial-sum rows (the boundary SRAM model).
+    """Boundary-SRAM use of one convolution step, for one output channel.
 
-    Output rows whose receptive field straddles a tile edge stay pending
-    until the adjacent tile contributes its share; each pending row is
-    deposited once and consumed exactly once.  Occupancy is reported for
-    one output channel at a time, matching the sequential channel order of
-    the schedule.
+    ``deposits`` counts the output rows a tile edge leaves incomplete (each
+    stored once), ``peak_rows`` the most rows stored at one time.  Computed
+    from geometry by :func:`_tile_boundary`.
     """
 
-    param_bytes: int = 3
-    deposits: int = 0
-    consumes: int = 0
-    peak_rows: int = 0
-    _resident: set = field(default_factory=set)
-
-    def note_deposit(self, rows):
-        for g in rows:
-            if g not in self._resident:
-                self._resident.add(g)
-                self.deposits += 1
-        self.peak_rows = max(self.peak_rows, len(self._resident))
-
-    def note_consume(self, rows):
-        for g in rows:
-            if g in self._resident:
-                self._resident.discard(g)
-                self.consumes += 1
-
-    def assert_empty(self):
-        if self._resident:
-            raise BoundaryLedgerError(
-                f"{len(self._resident)} boundary rows left unconsumed"
-            )
+    deposits: int
+    peak_rows: int
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +193,11 @@ def _run_schedule(
     """Shared pass structure for spiking and encoding convolutions.
 
     ``tile_fn(x_slice, w_mat, kh, kw) -> raw rows`` computes one group/tile
-    contribution; boundary stitching and group folding are common, and the
-    cycle report comes from :func:`conv_layer_report`.  ``gemm_input_max``
-    bounds the magnitude of the values ``tile_fn`` multiplies; with the
-    largest group it sets the GEMM dtype.
+    contribution; boundary stitching and group folding are common.  The
+    cycle report comes from :func:`conv_layer_report` and the boundary-SRAM
+    use from :func:`_tile_boundary`.  ``gemm_input_max`` bounds the
+    magnitude of the values ``tile_fn`` multiplies; with the largest group
+    it sets the GEMM dtype.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
@@ -235,12 +208,9 @@ def _run_schedule(
     w_all = weights.values(dtype).reshape(cout, -1)
 
     out = np.zeros((cout, h_out, w_out), dtype=np.int64)
-    boundary = TileBoundary(param_bytes=cfg.param_bytes)
-    n_groups = len(groups)
-
-    for gi, (c0, csz) in enumerate(groups):
+    for c0, csz in groups:
         w_mat = w_all[:, c0 * kh * kw : (c0 + csz) * kh * kw]
-        for si, (base, rt) in enumerate(tiles):
+        for base, rt in tiles:
             raw = tile_fn(x[c0 : c0 + csz, base : base + rt], w_mat, kh, kw)
             # raw row p belongs to output row base + p - (kh - 1); rows
             # outside the output range are edge diagonals and are dropped
@@ -248,17 +218,8 @@ def _run_schedule(
             g1 = min(base + rt, h_out)
             p0 = g0 - base + kh - 1
             out[:, g0:g1] += raw[:, p0 : p0 + g1 - g0].astype(np.int64, copy=False)
-            if gi == n_groups - 1:
-                # rows whose receptive field ends in this tile are complete.
-                # The boundary SRAM holds the incomplete rows already touched:
-                # with earlier groups that is every later row, else only the
-                # rows up to this tile's edge.
-                done = max(0, min(base + rt - kh + 1, h_out))
-                boundary.note_consume(range(done))
-                if si < len(tiles) - 1:
-                    boundary.note_deposit(range(done, h_out if n_groups > 1 else g1))
-    boundary.assert_empty()
     report = conv_layer_report(cin, cout, h_in, w_in, kh, kw, cfg, encoding=encoding)
+    boundary = _tile_boundary(tiles, h_out, kh, len(groups))
     return ConvPassResult(out, report, boundary)
 
 
@@ -422,16 +383,13 @@ def if_unit_process(
     conv_out,
     params: FoldedNeuronParams,
     membrane: MembraneState,
-    mode: str = "spiking",
 ) -> tuple[np.ndarray, MembraneState]:
     """Subtract the folded bias, accumulate, compare, fire and reset.
 
-    In ``encoding-iterate`` mode the caller re-presents the same integer
-    convolution every step (it is parked in the second membrane SRAM on
-    chip); the arithmetic here is identical, only the data source differs.
+    The encoding layer re-presents the same integer convolution every step
+    (it is parked in the second membrane SRAM on chip); the arithmetic is
+    the same as for a spiking layer, only the data source differs.
     """
-    if mode not in ("spiking", "encoding-iterate"):
-        raise ConfigError(f"unknown IF mode {mode!r}")
     x = np.asarray(conv_out, dtype=np.int64)
     if x.shape != membrane.potentials.shape:
         raise ShapeError(
@@ -522,9 +480,7 @@ def run_network(
             membrane = MembraneState.zeros(result.output.shape, fmt)
             steps = []
             for _ in range(time_steps):
-                spikes, membrane = if_unit_process(
-                    result.output, params, membrane, mode="encoding-iterate"
-                )
+                spikes, membrane = if_unit_process(result.output, params, membrane)
                 steps.append(spikes)
             current = np.stack(steps)
         elif layer.kind in ("conv", "fc"):
@@ -540,9 +496,7 @@ def run_network(
                 boundary = result.boundary
                 if membrane is None:
                     membrane = MembraneState.zeros(result.output.shape, fmt)
-                spikes, membrane = if_unit_process(
-                    result.output, folded[idx], membrane, mode="spiking"
-                )
+                spikes, membrane = if_unit_process(result.output, folded[idx], membrane)
                 steps.append(spikes)
             current = np.stack(steps)
         elif layer.kind == "maxpool2":
@@ -563,6 +517,26 @@ def run_network(
 
     counts = trains[-1].data.sum(axis=(0, 2, 3)).astype(np.int64)
     return EngineRun(trains, counts, layer_runs)
+
+
+def _tile_boundary(tiles, h_out: int, kh: int, n_groups: int) -> TileBoundary:
+    """Boundary-SRAM use of one convolution step from its row tiles alone.
+
+    During the last channel group, after each row tile but the last, the
+    rows from the first incomplete one (``done``) up to ``end`` wait in the
+    boundary SRAM: with earlier groups every later row is already touched,
+    else only the rows up to the tile's edge.  Both bounds only grow, so
+    the stored rows are exactly ``[done, end)`` and the rows below the
+    previous ``end`` were deposited before.
+    """
+    deposits = peak_rows = stored_end = 0
+    for base, rt in tiles[:-1]:
+        done = max(0, min(base + rt - kh + 1, h_out))
+        end = h_out if n_groups > 1 else min(base + rt, h_out)
+        deposits += max(0, end - max(done, stored_end))
+        stored_end = max(stored_end, end)
+        peak_rows = max(peak_rows, end - done)
+    return TileBoundary(deposits, peak_rows)
 
 
 def conv_layer_report(

@@ -53,10 +53,6 @@ class ScheduleFault(SimulatorError, RuntimeError):
     accumulation finalized before its last group)."""
 
 
-class BoundaryLedgerError(SimulatorError, RuntimeError):
-    """The tile-boundary ledger is nonempty after the last tile."""
-
-
 class CapacityFault(SimulatorError, RuntimeError):
     """An on-chip buffer was asked to hold more bytes than its capacity."""
 

@@ -327,17 +327,13 @@ class BufferModel:
 
     name: str
     capacity: int
-    role: str = ""
     occupancy: int = 0
     peak: int = 0
     reads: int = 0
     writes: int = 0
 
-    def write(self, nbytes: int, replace: bool = True):
-        if replace:
-            self.occupancy = nbytes
-        else:
-            self.occupancy += nbytes
+    def write(self, nbytes: int):
+        self.occupancy = nbytes
         if self.occupancy > self.capacity:
             raise CapacityFault(
                 f"{self.name}: {self.occupancy} bytes exceed capacity {self.capacity}"
@@ -388,19 +384,16 @@ def pingpong_schedule(
             f"plan covers {plan.layer_count} layers, network has {len(layers)}"
         )
 
-    buffers = {
-        "spike0": BufferModel("spike0", cfg.spike_sram_bytes, "spike ping-pong A"),
-        "spike1": BufferModel("spike1", cfg.spike_sram_bytes, "spike ping-pong B"),
-        "weight": BufferModel(
-            "weight", 2 * cfg.weight_sram_bytes, "weight ping-pong pair"
-        ),
-        "membrane0": BufferModel("membrane0", cfg.membrane_sram_bytes, "membrane"),
-        "membrane1": BufferModel(
-            "membrane1", cfg.membrane_sram_bytes, "second membrane"
-        ),
-        "temp": BufferModel("temp", cfg.temp_sram_bytes, "output staging"),
-        "boundary": BufferModel("boundary", cfg.boundary_sram_bytes, "tile boundary"),
+    capacities = {
+        "spike0": cfg.spike_sram_bytes,  # spike ping-pong pair
+        "spike1": cfg.spike_sram_bytes,
+        "weight": 2 * cfg.weight_sram_bytes,  # weight ping-pong pair
+        "membrane0": cfg.membrane_sram_bytes,
+        "membrane1": cfg.membrane_sram_bytes,  # second membrane
+        "temp": cfg.temp_sram_bytes,  # output staging
+        "boundary": cfg.boundary_sram_bytes,  # tile boundary
     }
+    buffers = {name: BufferModel(name, size) for name, size in capacities.items()}
     events: list[TraceEvent] = []
     written_to_dram: set[tuple] = set()
     param = cfg.param_bytes

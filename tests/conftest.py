@@ -38,6 +38,36 @@ def brute_conv2d(x, weight_values, pad=0):
     return out
 
 
+def stitching_ledger(h_in, kh, rows, n_groups):
+    """(deposits, consumes, peak_rows) of row-by-row pending stitching.
+
+    The tests' own boundary-SRAM reference: every row a tile touches joins
+    a pending set; in the last group, rows whose receptive field ends
+    inside the tile complete, and the rest are deposited at each tile edge.
+    No row may stay pending after the last tile.
+    """
+    h_out = h_in - kh + 1
+    tiles = [(base, min(rows, h_in - base)) for base in range(0, h_in, rows)]
+    pending, resident = set(), set()
+    deposits = consumes = peak = 0
+    for gi in range(n_groups):
+        for si, (base, rt) in enumerate(tiles):
+            pending |= {
+                base + p - (kh - 1) for p in range(rt + kh - 1)
+            } & set(range(h_out))
+            if gi == n_groups - 1:
+                done = {g for g in pending if g + kh - 1 <= base + rt - 1}
+                consumes += len(done & resident)
+                resident -= done
+                pending -= done
+                if si < len(tiles) - 1:
+                    deposits += len(pending - resident)
+                    resident |= pending
+                    peak = max(peak, len(resident))
+    assert not pending
+    return deposits, consumes, peak
+
+
 def random_network(rng, *, max_layers=4, max_dim=16, max_channels=64):
     """A random validated network within the acceptance envelope."""
     c = int(rng.choice([1, 3]))

@@ -42,8 +42,11 @@ def test_spike_train_validates_and_freezes():
     assert train.shape == (2, 1, 2, 2)
     with pytest.raises(ValueError):
         train.data[0, 0, 0, 0] = 1
-    with pytest.raises(InvalidParameterError):
-        SpikeTrain(np.full((1, 1, 1, 1), 2))
+    for bad in (2, -1, 0.5, np.nan):
+        with pytest.raises(InvalidParameterError):
+            SpikeTrain(np.full((1, 1, 1, 1), bad))
+        with pytest.raises(InvalidParameterError):
+            BinaryWeightTensor(np.full((1, 1, 1, 1), bad))
     with pytest.raises(ShapeError):
         SpikeTrain(np.zeros((1, 1, 1)))
 

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import vecspike.dataflow as dataflow
-from conftest import brute_conv2d, random_network
+from conftest import brute_conv2d, random_network, stitching_ledger
 from vecspike.arch import CycleReport, HardwareConfig
 from vecspike.core import (
     BinaryWeightTensor,
@@ -73,7 +73,11 @@ def test_schedule_tiling_matches_untiled_oracle(rng):
         x, weights = _random_case(rng, 3, h, 6, 4)
         result = schedule_conv_layer(x, weights, CFG)
         assert np.array_equal(result.output, conv2d_oracle(x, weights))
-        assert result.boundary.deposits == result.boundary.consumes
+        deposits, consumes, peak_rows = stitching_ledger(h, 3, CFG.array_rows, 1)
+        assert deposits == consumes
+        assert (result.boundary.deposits, result.boundary.peak_rows) == (
+            deposits, peak_rows
+        )
         assert result.boundary.deposits > 0
 
 
@@ -124,36 +128,6 @@ def test_conv_layer_report_matches_schedule(rng):
         assert analytic == result.report
 
 
-def _stitching_ledger(h_in, kh, rows, n_groups):
-    """(deposits, consumes, peak_rows) of row-by-row pending stitching.
-
-    The reference the in-place schedule must reproduce: every row a tile
-    touches joins a pending set; in the last group, rows whose receptive
-    field ends inside the tile complete, and the rest are deposited at
-    each tile edge.
-    """
-    h_out = h_in - kh + 1
-    tiles = [(base, min(rows, h_in - base)) for base in range(0, h_in, rows)]
-    pending, resident = set(), set()
-    deposits = consumes = peak = 0
-    for gi in range(n_groups):
-        for si, (base, rt) in enumerate(tiles):
-            pending |= {
-                base + p - (kh - 1) for p in range(rt + kh - 1)
-            } & set(range(h_out))
-            if gi == n_groups - 1:
-                done = {g for g in pending if g + kh - 1 <= base + rt - 1}
-                consumes += len(done & resident)
-                resident -= done
-                pending -= done
-                if si < len(tiles) - 1:
-                    deposits += len(pending - resident)
-                    resident |= pending
-                    peak = max(peak, len(resident))
-    assert not pending
-    return deposits, consumes, peak
-
-
 @st.composite
 def _geometries(draw):
     pe_blocks = draw(st.integers(8, 32))
@@ -192,10 +166,30 @@ def test_schedules_equal_oracle_across_geometry(geometry, encoding):
         cin, cout, h, w, kh, kw, cfg, encoding=encoding
     )
     n_groups = -(-cin // group)
-    boundary = result.boundary
-    assert (boundary.deposits, boundary.consumes, boundary.peak_rows) == (
-        _stitching_ledger(h, kh, cfg.array_rows, n_groups)
-    )
+    deposits, consumes, peak_rows = stitching_ledger(h, kh, cfg.array_rows, n_groups)
+    assert deposits == consumes
+    assert (result.boundary.deposits, result.boundary.peak_rows) == (deposits, peak_rows)
+
+
+def test_tile_boundary_closed_form_equals_stitching_ledger():
+    # every geometry with h <= 24, kh <= 5, up to 9 array rows, 1-2 groups
+    cases = 0
+    for rows in range(1, 10):
+        for kh in range(1, 6):
+            cfg = HardwareConfig(array_rows=rows, array_cols=kh, group_size=1)
+            for h in range(kh, 25):
+                for n_groups in (1, 2):
+                    groups, tiles, h_out, _ = dataflow._pass_structure(
+                        n_groups, h, 1, kh, 1, cfg, encoding=False
+                    )
+                    assert len(groups) == n_groups
+                    boundary = dataflow._tile_boundary(tiles, h_out, kh, n_groups)
+                    deposits, _, peak_rows = stitching_ledger(h, kh, rows, n_groups)
+                    assert (boundary.deposits, boundary.peak_rows) == (
+                        deposits, peak_rows
+                    ), (h, kh, rows, n_groups)
+                    cases += 1
+    assert cases == 1980
 
 
 def test_schedules_reject_batched_input():
@@ -385,7 +379,7 @@ def test_if_unit_encoding_iterate_period_two():
     x = np.array([[[1]]], dtype=np.int64)
     pattern = []
     for _ in range(4):
-        spikes, membrane = if_unit_process(x, params, membrane, mode="encoding-iterate")
+        spikes, membrane = if_unit_process(x, params, membrane)
         pattern.append(int(spikes[0, 0, 0]))
     assert pattern == [0, 1, 0, 1]
 
