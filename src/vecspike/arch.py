@@ -8,6 +8,7 @@ processes one input channel per cycle; one array holds one kernel column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -39,6 +40,14 @@ class HardwareConfig:
     boundary_sram_bytes: int = 2368       # 2.3125 KiB
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if (isinstance(value, bool) or not isinstance(value, (int, kind))
+                    or not math.isfinite(value)):
+                raise ConfigError(
+                    f"config field {f.name!r} must be a finite {kind.__name__},"
+                    f" got {value!r}"
+                )
         for name in ("pe_blocks", "arrays_per_block", "array_rows", "array_cols",
                      "group_size"):
             if getattr(self, name) < 1:

@@ -12,22 +12,24 @@ recombines them with a shift-add in the first accumulator stage.
 
 Functional outputs are produced by a GEMM-lowered equivalent of the
 column-by-column pipeline (integer addition is associative, so the
-reassociation is exact).  Each (channel group, row tile) pass is lowered
-to im2col: the zero-padded tile's kh x kw windows become columns
-[cg*kh*kw][positions], and one matrix product with the group's +-1
-weights [cout][cg*kh*kw] yields every diagonal partial sum of the tile.
-The encoding layer stacks its eight bitplanes on a leading batch axis, so
-each tile is still one GEMM call, then shift-adds the planes in int64.
-Partial rows are accumulated in place into the int64 output.  The rows a
-tile edge leaves pending, and so the boundary SRAM's use, follow from the
-row tiles alone and are computed once per call by :func:`_tile_boundary`.
+reassociation is exact).  Channel groups are a leading batch axis
+[n_groups][cg], and the encoding layer's bitplanes a second one, so each
+row tile is one GEMM: the tile's kh x kw windows become im2col columns
+[cg*kh*kw][positions] per group and plane, and one batched product with
+the +-1 weights [n_groups][cout][cg*kh*kw] yields every diagonal partial
+sum.  The bitplane shift-add and the group fold are int64 sums over the
+batch axes; the partial rows accumulate in place into the output.  The
+rows a tile edge leaves pending, and so the boundary SRAM's use, follow
+from the row tiles alone and are computed once per call by
+:func:`_tile_boundary`.
 
 The GEMM runs in float32 or float64, which is exact only while every
 partial sum stays below 2**24 or 2**53 in magnitude.  With +-1 weights a
 tile's partial sums are bounded by ``max|x| * cg * kh * kw``.  That bound
-is computed from the input on every call (binary input is never
-assumed); past the float32 limit the GEMM runs in float64, and past the
-float64 limit in exact int64.
+is computed on every call from the values multiplied, the bitplanes for
+the encoding layer (binary input is never assumed); past the float32
+limit the GEMM runs in float64, and past the float64 limit in exact
+int64.
 
 Cycle counts and PE activity depend only on a layer's geometry, the
 config and T, so one function, :func:`conv_layer_report`, computes them;
@@ -98,7 +100,7 @@ class TileBoundary:
 FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
 
-_BITPLANE_SHIFTS = np.arange(8).reshape(8, 1, 1, 1)
+_BITPLANE_SHIFTS = np.arange(8).reshape(8, 1, 1, 1, 1)
 
 
 def gemm_dtype(bound: int) -> np.dtype:
@@ -113,21 +115,18 @@ def gemm_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _max_abs(x: np.ndarray) -> int:
-    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
-
-
 def _tile_partial_rows(
     x_tile: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
 ) -> np.ndarray:
     """Raw partial-sum rows of one tile: all diagonals, pre-stitching.
 
-    ``x_tile`` is [..., cg, rt, w_in] and ``w_mat`` the [cout][cg*kh*kw]
-    weights in the GEMM dtype; leading axes of ``x_tile`` are a batch.  The
-    tile is lowered to im2col columns [cg*kh*kw][positions] and multiplied
-    once.  For ``rt`` input rows the result [..., cout, rt + kh - 1,
-    w_out] has ``rt + kh - 1`` rows: the first and last ``kh - 1`` carry
-    partial sums that belong to outputs shared with the neighbouring tiles.
+    ``x_tile`` is [..., cg, rt, w_in] and ``w_mat`` the [..., cout,
+    cg*kh*kw] weights in the GEMM dtype; their leading axes are batch axes
+    and broadcast.  The tile is lowered to im2col columns
+    [..., cg*kh*kw, positions] and multiplied once.  For ``rt`` input rows
+    the result [..., cout, rt + kh - 1, w_out] has ``rt + kh - 1`` rows:
+    the first and last ``kh - 1`` carry partial sums that belong to outputs
+    shared with the neighbouring tiles.
     """
     *lead, cg, rt, w_in = x_tile.shape
     xp = np.zeros((*lead, cg, rt + 2 * (kh - 1), w_in), dtype=w_mat.dtype)
@@ -137,7 +136,8 @@ def _tile_partial_rows(
     im2col = np.moveaxis(windows, (-4, -3), (-2, -1)).reshape(
         *lead, cg * kh * kw, rows * cols
     )
-    return (w_mat @ im2col).reshape(*lead, -1, rows, cols)
+    sums = w_mat @ im2col
+    return sums.reshape(*sums.shape[:-1], rows, cols)
 
 
 @dataclass
@@ -187,44 +187,55 @@ def _run_schedule(
     weights: BinaryWeightTensor,
     cfg: HardwareConfig,
     encoding: bool,
-    tile_fn,
-    gemm_input_max: int,
 ) -> ConvPassResult:
     """Shared pass structure for spiking and encoding convolutions.
 
-    ``tile_fn(x_slice, w_mat, kh, kw) -> raw rows`` computes one group/tile
-    contribution; boundary stitching and group folding are common.  The
-    cycle report comes from :func:`conv_layer_report` and the boundary-SRAM
-    use from :func:`_tile_boundary`.  ``gemm_input_max`` bounds the
-    magnitude of the values ``tile_fn`` multiplies; with the largest group
-    it sets the GEMM dtype.
+    Channel groups are a batch axis [n_groups][width] (a partial last group
+    is zero filled: its idle PE blocks), with the encoding layer's eight
+    bitplanes on a second axis in front, so each row tile is one
+    :func:`_tile_partial_rows` call.  Each group's partial sums are folded
+    in int64 and each tile's rows stitched into the output.  The cycle
+    report comes from :func:`conv_layer_report` and the boundary-SRAM use
+    from :func:`_tile_boundary`.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
     cout = weights.out_channels
     groups, tiles, h_out, w_out = _pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
-    largest_group = max((csz for _, csz in groups), default=0)
-    dtype = gemm_dtype(gemm_input_max * largest_group * kh * kw)
-    w_all = weights.values(dtype).reshape(cout, -1)
+    n_groups = len(groups)
+    width = max((csz for _, csz in groups), default=0)
+    batch = np.zeros((n_groups * width, h_in, w_in), dtype=np.int64)
+    batch[:cin] = x
+    batch = batch.reshape(n_groups, width, h_in, w_in)
+    if encoding:
+        batch = (batch >> _BITPLANE_SHIFTS) & 1  # [8][n_groups][width][h][w]
+    peak = max(int(batch.max(initial=0)), -int(batch.min(initial=0)))
+    dtype = gemm_dtype(peak * width * kh * kw)
+    w_all = weights.values(dtype)
+    if n_groups * width > cin:
+        w_all = np.pad(w_all, ((0, 0), (0, n_groups * width - cin), (0, 0), (0, 0)))
+    w_mat = w_all.reshape(cout, n_groups, width * kh * kw).swapaxes(0, 1)
 
     out = np.zeros((cout, h_out, w_out), dtype=np.int64)
-    for c0, csz in groups:
-        w_mat = w_all[:, c0 * kh * kw : (c0 + csz) * kh * kw]
-        for base, rt in tiles:
-            raw = tile_fn(x[c0 : c0 + csz, base : base + rt], w_mat, kh, kw)
-            # raw row p belongs to output row base + p - (kh - 1); rows
-            # outside the output range are edge diagonals and are dropped
-            g0 = max(base - (kh - 1), 0)
-            g1 = min(base + rt, h_out)
-            p0 = g0 - base + kh - 1
-            out[:, g0:g1] += raw[:, p0 : p0 + g1 - g0].astype(np.int64, copy=False)
+    for base, rt in tiles:
+        raw = _tile_partial_rows(batch[..., base : base + rt, :], w_mat, kh, kw)
+        raw = raw.astype(np.int64)
+        if encoding:
+            raw = (raw << _BITPLANE_SHIFTS).sum(axis=0)  # first-stage shift-add
+        raw = raw.sum(axis=0)  # last-stage group fold
+        # raw row p belongs to output row base + p - (kh - 1); rows
+        # outside the output range are edge diagonals and are dropped
+        g0 = max(base - (kh - 1), 0)
+        g1 = min(base + rt, h_out)
+        p0 = g0 - base + kh - 1
+        out[:, g0:g1] += raw[:, p0 : p0 + g1 - g0]
     report = conv_layer_report(cin, cout, h_in, w_in, kh, kw, cfg, encoding=encoding)
-    boundary = _tile_boundary(tiles, h_out, kh, len(groups))
+    boundary = _tile_boundary(tiles, h_out, kh, n_groups)
     return ConvPassResult(out, report, boundary)
 
 
 def _step_input(x, weights: BinaryWeightTensor) -> np.ndarray:
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"input must be [C][H][W], got {x.shape}")
     if x.shape[0] != weights.in_channels:
@@ -245,11 +256,7 @@ def schedule_conv_layer(
     padded (padding is materialized by the network config, never inside
     the schedule).  Output equals the dense reference convolution exactly.
     """
-    x = _step_input(x, weights)
-    return _run_schedule(
-        x, weights, cfg, encoding=False,
-        tile_fn=_tile_partial_rows, gemm_input_max=_max_abs(x),
-    )
+    return _run_schedule(_step_input(x, weights), weights, cfg, encoding=False)
 
 
 def schedule_encoding_layer(
@@ -267,16 +274,7 @@ def schedule_encoding_layer(
     x = _step_input(x, weights)
     if x.size and (x.min() < 0 or x.max() > 255):
         raise InvalidParameterError("encoding input values must be in [0, 255]")
-
-    def bitplane_tile(x_slice, w_mat, kh, kw):
-        planes = (x_slice >> _BITPLANE_SHIFTS) & 1  # [8][cg][rt][w_in]
-        raw = _tile_partial_rows(planes, w_mat, kh, kw)
-        return (raw.astype(np.int64) << _BITPLANE_SHIFTS).sum(axis=0)
-
-    return _run_schedule(
-        x, weights, cfg, encoding=True,
-        tile_fn=bitplane_tile, gemm_input_max=1,  # bitplanes are 0/1
-    )
+    return _run_schedule(x, weights, cfg, encoding=True)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def simulate_traffic(
     net: "NetworkDescription",
     plan: FusionPlan,
     time_steps: int,
-    cfg: HardwareConfig | None = None,
+    cfg: HardwareConfig,
     tick_batching: bool = True,
 ) -> TrafficLedger:
     """DRAM byte counts per layer under a fusion plan.
@@ -267,7 +267,6 @@ def simulate_traffic(
     bit-packed spike maps for all T steps.  Intermediates of fused pairs
     contribute neither a write nor a read.
     """
-    cfg = cfg or HardwareConfig()
     layers = compute_layers(net)
     if plan.layer_count != len(layers):
         raise PlanError(
@@ -364,7 +363,7 @@ class BufferTrace:
 def pingpong_schedule(
     net: "NetworkDescription",
     time_steps: int,
-    cfg: HardwareConfig | None = None,
+    cfg: HardwareConfig,
     plan: FusionPlan | None = None,
 ) -> BufferTrace:
     """Trace buffer traffic and assert capacities and write-before-read.
@@ -375,7 +374,6 @@ def pingpong_schedule(
     to the next layer; membranes live in per-pass working slices and are
     never traced to DRAM.  Any violation raises a fault.
     """
-    cfg = cfg or HardwareConfig()
     layers = compute_layers(net)
     if plan is None:
         plan = FusionPlan.unfused(len(layers))

@@ -41,6 +41,21 @@ def test_config_validation():
         HardwareConfig().replace(nonsense=1)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"group_size": 2.5},
+        {"clock_hz": float("nan")},
+        {"clock_hz": float("inf")},
+        {"array_rows": True},
+        {"pe_blocks": "32"},
+    ],
+)
+def test_config_rejects_wrongly_typed_fields(fields):
+    with pytest.raises(ConfigError):
+        HardwareConfig(**fields)
+
+
 def test_peak_gops_values():
     assert peak_gops(HardwareConfig()) == 2304.0
     one_pe = HardwareConfig(

@@ -7,8 +7,10 @@ import pytest
 
 from vecspike import cli
 from vecspike.core import SpikeTrain
+from vecspike.fixedpoint import FixedPointFormat
 from vecspike.netconfig import (
     parse_network,
+    preset_network,
     random_input,
     save_input_tensor,
     validate,
@@ -170,6 +172,44 @@ def test_run_matching_bundle_file_accepted(tmp_path):
         ]
     )
     assert code == 0
+
+
+def _mnist_bundle(tmp_path, fmt=FixedPointFormat()):
+    net, _ = preset_network("mnist")
+    bundle_path = tmp_path / "mnist.vsa"
+    save_bundle(generate_random_bundle(net, 0, fmt), bundle_path)
+    return bundle_path
+
+
+def test_run_bundle_with_another_fixed_point_format(tmp_path):
+    bundle_path = _mnist_bundle(tmp_path, FixedPointFormat(24, 4))
+    args = [
+        "run", "--net", "mnist", "--bundle", str(bundle_path), "--timesteps", "2",
+        "--verify", "--out", str(tmp_path / "r.txt"),
+    ]
+    assert run_cli(args) == cli.EXIT_VALIDATION
+    config = tmp_path / "hw.json"
+    config.write_text(json.dumps({"frac_bits": 4}))
+    assert run_cli(args + ["--config", str(config)]) == 0
+    assert "oracle match: exact" in (tmp_path / "r.txt").read_text()
+
+
+def test_run_bundle_for_another_input_size_stops_before_the_engine(
+    tmp_path, monkeypatch
+):
+    bundle_path = _mnist_bundle(tmp_path)
+
+    def engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(cli, "run_network", engine)
+    code = run_cli(
+        [
+            "run", "--net", "mnist", "--bundle", str(bundle_path),
+            "--input-shape", "1,32,32", "--timesteps", "2",
+        ]
+    )
+    assert code == cli.EXIT_VALIDATION
 
 
 def test_run_reads_input_tensor_file(tmp_path):

@@ -149,6 +149,11 @@ def _geometries(draw):
 # one-row tiles under a 3-tall kernel: the first tile completes no row
 @example((HardwareConfig(group_size=4, array_rows=1), (9, 5, 4), (2, 3, 3), 0), False)
 @example((HardwareConfig(array_rows=1), (3, 6, 3), (3, 3, 2), 1), True)
+# a partial last channel group (8 + 8 + 3, or 4 + 1 encoding) over 4 row tiles
+@example(
+    (HardwareConfig(group_size=8, array_rows=3), (19, 10, 5), (2, 3, 3), 2), False
+)
+@example((HardwareConfig(array_rows=3), (5, 10, 4), (2, 3, 2), 3), True)
 def test_schedules_equal_oracle_across_geometry(geometry, encoding):
     cfg, (cin, h, w), (cout, kh, kw), seed = geometry
     rng = np.random.default_rng(seed)
@@ -190,6 +195,28 @@ def test_tile_boundary_closed_form_equals_stitching_ledger():
                     ), (h, kh, rows, n_groups)
                     cases += 1
     assert cases == 1980
+
+
+@pytest.mark.parametrize(
+    "schedule, cin, high",
+    [(schedule_conv_layer, 70, 2), (schedule_encoding_layer, 6, 256)],
+)
+def test_one_tile_kernel_call_per_row_tile(rng, monkeypatch, schedule, cin, high):
+    # 3 conv groups of 32, or 2 encoding groups of 4, over 3 row tiles
+    seen = _record_gemm_dtypes(monkeypatch)
+    x = rng.integers(0, high, (cin, 17, 5))
+    weights = BinaryWeightTensor(rng.integers(0, 2, (4, cin, 3, 3), dtype=np.uint8))
+    assert np.array_equal(schedule(x, weights, CFG).output, conv2d_oracle(x, weights))
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("schedule", [schedule_conv_layer, schedule_encoding_layer])
+def test_zero_input_channels_give_zero_sums(schedule):
+    x = np.zeros((0, 9, 5), dtype=np.uint8)
+    weights = BinaryWeightTensor(np.zeros((3, 0, 3, 3), dtype=np.uint8))
+    result = schedule(x, weights, CFG)
+    assert result.output.shape == (3, 7, 3)
+    assert np.array_equal(result.output, conv2d_oracle(x, weights))
 
 
 def test_schedules_reject_batched_input():
