@@ -8,7 +8,6 @@ processes one input channel per cycle; one array holds one kernel column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -42,11 +41,12 @@ class HardwareConfig:
     def __post_init__(self):
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
+            # NaN, infinities and integers past int64 all fail the bound
             if (isinstance(value, bool) or not isinstance(value, (int, kind))
-                    or not math.isfinite(value)):
+                    or not abs(value) < 2**63):
                 raise ConfigError(
-                    f"config field {f.name!r} must be a finite {kind.__name__},"
-                    f" got {value!r}"
+                    f"config field {f.name!r} must be a {kind.__name__} of"
+                    f" magnitude below 2**63, got {value!r}"
                 )
         for name in ("pe_blocks", "arrays_per_block", "array_rows", "array_cols",
                      "group_size"):
@@ -192,7 +192,8 @@ def accumulate_stage1(
     mode: str = "spiking",
     bitplane_index: int = 0,
 ) -> np.ndarray:
-    """Stage 1: element-wise sum of the block's three array outputs.
+    """Stage 1: element-wise sum of the outputs of a block's ``kw`` active
+    arrays, one per kernel column; the block's idle arrays add nothing.
 
     In encoding mode the block's sum is additionally shifted left by its
     bitplane index before it enters the cross-block tree.
@@ -337,6 +338,4 @@ class CycleReport:
     def validate(self):
         if not 0.0 <= self.utilization <= 1.0:
             raise ConfigError(f"utilization {self.utilization} out of [0, 1]")
-        if self.achieved_ops != 2 * self.active_pe_cycles:
-            raise ConfigError("achieved_ops must equal 2 * active_pe_cycles")
         return self

@@ -72,9 +72,6 @@ class SpikeTrain:
     def shape(self) -> tuple[int, int, int, int]:
         return self._data.shape
 
-    def step(self, t: int) -> np.ndarray:
-        return self._data[t]
-
     def spike_count(self) -> int:
         return int(self._data.sum())
 

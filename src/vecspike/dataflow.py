@@ -293,7 +293,6 @@ class ColumnEmission:
 class ColumnStreamResult:
     emissions: list[ColumnEmission]
     output: np.ndarray
-    cycles_per_pass: int
     warmup_cycles: int
     steady_cycles: int
 
@@ -355,9 +354,7 @@ def stream_conv_columns(
             block_sums = []
             for c in range(cin):
                 aligned = [history[c][a][-(kw - a)] for a in range(kw)]
-                while len(aligned) < 3:
-                    aligned.append(np.zeros(r + k - 1, dtype=np.int64))
-                block_sums.append(accumulate_stage1(aligned[:3], mode="spiking"))
+                block_sums.append(accumulate_stage1(aligned, mode="spiking"))
             acc = GroupAccumulator(expected_groups=1)
             column = accumulate_tree(
                 block_sums, acc, is_last_group=True, max_blocks=cfg.pe_blocks
@@ -367,7 +364,6 @@ def stream_conv_columns(
     return ColumnStreamResult(
         emissions=emissions,
         output=output,
-        cycles_per_pass=w,
         warmup_cycles=kw - 1,
         steady_cycles=w_out,
     )
@@ -469,33 +465,29 @@ def run_network(
     current: np.ndarray | None = None
     for idx, layer in enumerate(net.layers):
         boundary: TileBoundary | None = None
-        if layer.kind == "encoding-conv":
-            result = schedule_encoding_layer(
-                _pad_step(img, layer.padding), weights[idx], cfg
-            )
-            boundary = result.boundary
-            params = folded[idx].scaled_by_pow2(ENCODING_SHIFT)
-            membrane = MembraneState.zeros(result.output.shape, fmt)
-            steps = []
-            for _ in range(time_steps):
-                spikes, membrane = if_unit_process(result.output, params, membrane)
-                steps.append(spikes)
-            current = np.stack(steps)
-        elif layer.kind in ("conv", "fc"):
+        if layer.kind in ("encoding-conv", "conv", "fc"):
+            params = folded[idx]
+            if layer.kind == "encoding-conv":
+                # scheduled once; every step re-presents the parked result
+                result = schedule_encoding_layer(
+                    _pad_step(img, layer.padding), weights[idx], cfg
+                )
+                params = params.scaled_by_pow2(ENCODING_SHIFT)
             membrane = None
             steps = []
             for t in range(time_steps):
-                step = current[t]
-                if layer.kind == "fc":
-                    step = step.reshape(-1, 1, 1)
-                result = schedule_conv_layer(
-                    _pad_step(step, layer.padding), weights[idx], cfg
-                )
-                boundary = result.boundary
+                if layer.kind != "encoding-conv":
+                    step = current[t]
+                    if layer.kind == "fc":
+                        step = step.reshape(-1, 1, 1)
+                    result = schedule_conv_layer(
+                        _pad_step(step, layer.padding), weights[idx], cfg
+                    )
                 if membrane is None:
                     membrane = MembraneState.zeros(result.output.shape, fmt)
-                spikes, membrane = if_unit_process(result.output, folded[idx], membrane)
+                spikes, membrane = if_unit_process(result.output, params, membrane)
                 steps.append(spikes)
+            boundary = result.boundary
             current = np.stack(steps)
         elif layer.kind == "maxpool2":
             current = np.stack(

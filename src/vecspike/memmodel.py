@@ -371,8 +371,11 @@ def pingpong_schedule(
     Spike buffers alternate across time steps, weight buffers across layer
     visits (a single layer may span both halves; a fused pair must).  The
     temp SRAM stages output columns on their way to DRAM or, when fused,
-    to the next layer; membranes live in per-pass working slices and are
-    never traced to DRAM.  Any violation raises a fault.
+    to the next layer.  Every buffer use except the weight load is one
+    ``stage``: a write, held until the buffer's next write, and a read.
+    Maps staged in the spike and temp buffers are traced as a write and a
+    read event; membrane and boundary slices are counted, not traced.  A
+    DRAM write is an event only.  Any violation raises a fault.
     """
     layers = compute_layers(net)
     if plan is None:
@@ -396,19 +399,28 @@ def pingpong_schedule(
     written_to_dram: set[tuple] = set()
     param = cfg.param_bytes
 
-    def emit(step, layer_pos, buffer, op, nbytes, tag):
-        events.append(TraceEvent(step, layer_pos, buffer, op, nbytes, tag))
+    def stage(name, nbytes, step=0, pos=0, tag=None, traced=None):
+        """A write of ``nbytes`` and a read; when tagged, both are traced
+        as ``traced`` bytes (default ``nbytes``)."""
+        buf = buffers[name]
+        buf.write(nbytes)
+        buf.read()
+        if tag is not None:
+            shown = nbytes if traced is None else traced
+            events.append(TraceEvent(step, pos, name, "write", shown, tag))
+            events.append(TraceEvent(step, pos, name, "read", shown, tag))
 
     for group in plan.groups:
         group_layers = [layers[pos] for pos in group]
-        sign_total = sum(l.sign_bytes() for l in group_layers)
-        buffers["weight"].write(sign_total)
+        buffers["weight"].write(sum(l.sign_bytes() for l in group_layers))
         for pos in group:
-            emit(-1, pos, "weight", "write", layers[pos].sign_bytes(), ("weights", pos))
+            events.append(TraceEvent(
+                -1, pos, "weight", "write", layers[pos].sign_bytes(), ("weights", pos)
+            ))
 
+        first = group_layers[0]
         for step in range(time_steps):
-            spike_buf = buffers[f"spike{step % 2}"]
-            first = group_layers[0]
+            spike = f"spike{step % 2}"
             if group[0]:
                 in_tag = ("input", group[0] - 1, step)
                 if in_tag not in written_to_dram:
@@ -416,63 +428,41 @@ def pingpong_schedule(
                         f"layer {first.index} reads step {step} before it was produced"
                     )
                 in_bytes = spike_map_bytes(*first.in_shape, 1)
-                spike_buf.write(in_bytes)
-                emit(step, group[0], spike_buf.name, "write", in_bytes, in_tag)
-                spike_buf.read()
-                emit(step, group[0], spike_buf.name, "read", in_bytes, in_tag)
-            elif step == 0:
+            else:
                 # static 8-bit image: staged once, then the encoding layer
                 # iterates its parked convolution from the second membrane
                 in_tag = ("image",)
-                in_bytes = first.in_shape[0] * first.in_shape[1] * first.in_shape[2]
-                spike_buf.write(in_bytes)
-                emit(step, group[0], spike_buf.name, "write", in_bytes, in_tag)
-                spike_buf.read()
-                emit(step, group[0], spike_buf.name, "read", in_bytes, in_tag)
-            else:
-                in_bytes = 0
+                in_bytes = math.prod(first.in_shape) if step == 0 else 0
+            if in_bytes:
+                stage(spike, in_bytes, step, group[0], in_tag)
 
             for slot, (pos, layer) in enumerate(zip(group, group_layers)):
                 # membranes hold one output strip per pass; the encoding
                 # layer parks its conv-result strip in the second buffer
                 out_c, out_h, out_w = layer.out_shape
                 strip = min(cfg.array_rows, out_h) * out_w * param
-                residue = buffers["membrane1" if slot else "membrane0"]
-                residue.write(strip)
-                residue.read()
+                stage("membrane1" if slot else "membrane0", strip)
                 if layer.kind == "encoding-conv":
-                    buffers["membrane1"].write(strip)
-                    buffers["membrane1"].read()
-                if layer.kind != "fc":
-                    o, i, kh, kw = layer.weight_shape
-                    rows_padded = layer.in_shape[1] + 2 * layer.padding
+                    stage("membrane1", strip)
+                _, _, kh, kw = layer.weight_shape
+                rows_padded = layer.in_shape[1] + 2 * layer.padding
+                if layer.kind != "fc" and rows_padded > cfg.array_rows and kh > 1:
                     cols_out = layer.in_shape[2] + 2 * layer.padding - kw + 1
-                    if rows_padded > cfg.array_rows and kh > 1:
-                        boundary_strip = (kh - 1) * cols_out * param
-                        buffers["boundary"].write(boundary_strip)
-                        buffers["boundary"].read()
+                    stage("boundary", (kh - 1) * cols_out * param)
                 out_map = spike_map_bytes(*layer.out_shape, 1)
                 out_tag = ("input", pos, step)
                 if slot == 0 and len(group) == 2:
                     # fused intermediate: the whole per-step map parks in
                     # temp SRAM and feeds the second layer directly
-                    buffers["temp"].write(out_map)
-                    emit(step, pos, "temp", "write", out_map, out_tag)
-                    buffers["temp"].read()
-                    emit(step, pos, "temp", "read", out_map, out_tag)
+                    stage("temp", out_map, step, pos, out_tag)
                     continue
                 if slot == 1:
                     # the pair's output replaces the consumed entries of the
                     # first layer's input buffer on its way off chip
-                    spike_buf.write(max(in_bytes, out_map))
-                    emit(step, pos, spike_buf.name, "write", out_map, out_tag)
-                    spike_buf.read()
-                    emit(step, pos, spike_buf.name, "read", out_map, out_tag)
+                    stage(spike, max(in_bytes, out_map), step, pos, out_tag, out_map)
                 else:
                     # standalone output streams through temp a column at a time
-                    column = max(1, math.ceil(out_c * out_h / 8))
-                    buffers["temp"].write(column)
-                    buffers["temp"].read()
-                emit(step, pos, "dram", "write", out_map, out_tag)
+                    stage("temp", max(1, math.ceil(out_c * out_h / 8)))
+                events.append(TraceEvent(step, pos, "dram", "write", out_map, out_tag))
                 written_to_dram.add(out_tag)
     return BufferTrace(events, buffers)

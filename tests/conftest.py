@@ -128,3 +128,35 @@ def _conv_out(h, w, pad, k=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# The traffic sweep's plan and network generators (perfbench/workloads.py),
+# copied so that the tests do not import the benchmark.
+
+def fusion_plans(n):
+    """Every plan of singletons and adjacent pairs over n compute layers."""
+    if n == 0:
+        return [()]
+    plans = [((0,),) + tuple(tuple(i + 1 for i in g) for g in rest)
+             for rest in fusion_plans(n - 1)]
+    if n >= 2:
+        plans += [((0, 1),) + tuple(tuple(i + 2 for i in g) for g in rest)
+                  for rest in fusion_plans(n - 2)]
+    return plans
+
+
+def random_network_text(rng):
+    """A valid network of eight compute layers: encoding, 5 convs, 2 fc."""
+    channels = (16, 32, 64, 128, 192, 256)
+    size = rng.choice((16, 32))
+    shape = (rng.choice((1, 3)), size, size)
+    tokens = [f"{rng.choice(channels)}Conv(encoding)"]
+    for _ in range(5):
+        if size % 2 == 0 and size >= 4 and rng.random() < 0.4:
+            tokens.append("MP2")
+            size //= 2
+        tokens.append(f"{rng.choice(channels)}Conv")
+    if size % 2 == 0 and size >= 4 and rng.random() < 0.5:
+        tokens.append("MP2")
+    tokens += [f"{rng.choice((64, 128, 256))}fc", "10fc"]
+    return "-".join(tokens), shape

@@ -49,6 +49,8 @@ def test_config_validation():
         {"clock_hz": float("inf")},
         {"array_rows": True},
         {"pe_blocks": "32"},
+        {"pe_blocks": 10**400},
+        {"clock_hz": 1e300},
     ],
 )
 def test_config_rejects_wrongly_typed_fields(fields):

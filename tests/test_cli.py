@@ -1,11 +1,16 @@
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from conftest import fusion_plans
 from vecspike import cli
+from vecspike.arch import HardwareConfig
 from vecspike.core import SpikeTrain
 from vecspike.fixedpoint import FixedPointFormat
 from vecspike.netconfig import (
@@ -377,3 +382,49 @@ def test_integer_clock_is_accepted(tmp_path, capsys):
     config.write_text(json.dumps({"clock_hz": 250000000}))
     assert run_cli(["bench", "--config", str(config), "--timesteps", "2"]) == 0
     assert "peak throughput: 1152.0 GOPS" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under random config and plan JSON
+# ---------------------------------------------------------------------------
+
+CONTRACT_CODES = {0, 2, 3, 4, 5}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+config_fields = st.sampled_from([f.name for f in dataclasses.fields(HardwareConfig)])
+config_objects = st.dictionaries(
+    config_fields,
+    st.integers(1, 64) | st.integers(-2, 2**64) | st.floats() | json_values,
+    max_size=4,
+) | st.dictionaries(config_fields | st.text(max_size=6), json_values, max_size=3)
+plan_documents = (
+    st.sampled_from([[list(g) for g in plan] for plan in fusion_plans(4)])
+    | st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=5)
+    | json_values
+)
+
+
+def _exit_code(tmp_path_factory, command, flag, document):
+    path = tmp_path_factory.mktemp("contract") / "doc.json"
+    path.write_text(json.dumps(document))
+    return run_cli(command + [flag, str(path), "--out", str(path.with_suffix(".out"))])
+
+
+@given(config=config_objects)
+@example(config={"pe_blocks": 10**400})
+@example(config={"clock_hz": 10**400})
+def test_random_config_keeps_the_exit_contract(tmp_path_factory, config):
+    for command in (["bench", "--timesteps", "2"], ["traffic", "--net", "mnist"]):
+        code = _exit_code(tmp_path_factory, command, "--config", config)
+        assert code in CONTRACT_CODES
+
+
+@given(plan=plan_documents)
+def test_random_fusion_plan_keeps_the_exit_contract(tmp_path_factory, plan):
+    command = ["traffic", "--net", "mnist"]
+    assert _exit_code(tmp_path_factory, command, "--fusion-plan", plan) in CONTRACT_CODES

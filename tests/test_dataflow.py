@@ -363,6 +363,18 @@ def test_column_stream_matches_schedule_and_oracle(rng):
         assert np.array_equal(stream.output, conv2d_oracle(x, weights))
 
 
+@pytest.mark.parametrize("arrays", [1, 2, 3, 4, 5])
+def test_column_stream_uses_every_kernel_column(rng, arrays):
+    cfg = HardwareConfig(arrays_per_block=arrays)
+    for kw in range(1, arrays + 1):
+        x = rng.integers(0, 2, (2, cfg.array_rows, kw + 4), dtype=np.uint8)
+        weights = BinaryWeightTensor(
+            rng.integers(0, 2, (2, 2, cfg.array_cols, kw), dtype=np.uint8)
+        )
+        stream = stream_conv_columns(x, weights, cfg)
+        assert np.array_equal(stream.output, conv2d_oracle(x, weights))
+
+
 def test_column_stream_constraints():
     x = np.zeros((1, 9, 5), dtype=np.uint8)
     w = BinaryWeightTensor(np.zeros((1, 1, 3, 3), dtype=np.uint8))

@@ -1,8 +1,12 @@
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import fusion_plans, random_network_text
 from vecspike.arch import HardwareConfig
 from vecspike.errors import CapacityFault, PlanError
 from vecspike.memmodel import (
@@ -221,3 +225,49 @@ def test_pingpong_capacity_fault_on_small_weight_sram():
     net, _ = preset_network("mnist")
     with pytest.raises(CapacityFault):
         pingpong_schedule(net, 8, CFG.replace(weight_sram_bytes=1024))
+
+
+# ---------------------------------------------------------------------------
+# the trace's DRAM bytes against the ledger, over random networks
+# ---------------------------------------------------------------------------
+
+SRAM_FIELDS = (
+    "spike_sram_bytes",
+    "weight_sram_bytes",
+    "membrane_sram_bytes",
+    "temp_sram_bytes",
+    "boundary_sram_bytes",
+)
+
+
+@given(
+    net_seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((0.5, 1.0, 2.0)),
+    time_steps=st.sampled_from((1, 4, 8)),
+)
+def test_pingpong_dram_bytes_equal_the_ledger(net_seed, scale, time_steps):
+    text, shape = random_network_text(random.Random(net_seed))
+    net = validate(parse_network(text, time_steps), shape)
+    cfg = CFG.replace(**{f: int(getattr(CFG, f) * scale) for f in SRAM_FIELDS})
+    layers = compute_layers(net)
+    for groups in fusion_plans(len(layers)):
+        plan = FusionPlan(list(groups))
+        ledger = simulate_traffic(net, plan, time_steps, cfg)
+        try:
+            events = pingpong_schedule(net, time_steps, cfg, plan).events
+        except CapacityFault:
+            continue
+        for pos, (layer, rec) in enumerate(zip(layers, ledger.records)):
+            mine = [e for e in events if e.layer_index == pos]
+            assert sum(
+                e.nbytes for e in mine if e.buffer == "dram"
+            ) == rec.output_spike_bytes_written
+            assert sum(
+                e.nbytes for e in mine
+                if e.buffer.startswith("spike") and e.op == "write"
+                and (e.tag == ("image",) or e.tag[:2] == ("input", pos - 1))
+            ) == rec.input_spike_bytes_read
+            params = 2 * layer.weight_shape[0] * cfg.param_bytes
+            assert sum(
+                e.nbytes for e in mine if e.buffer == "weight"
+            ) == rec.weight_bytes_read - params
