@@ -52,6 +52,10 @@ class HardwareConfig:
                      "group_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for f in fields(self):
+            # zero is legal: a buffer the plan never uses may be absent
+            if f.name.endswith("_sram_bytes") and getattr(self, f.name) < 0:
+                raise ConfigError(f"{f.name} must be >= 0")
         if self.group_size > self.pe_blocks:
             raise ConfigError("group_size must not exceed pe_blocks")
         if self.clock_hz <= 0:
@@ -139,15 +143,11 @@ class PEArrayState:
 
     rows: int
     cols: int
-    weight_col: np.ndarray = field(init=False)
-    input_col: np.ndarray = field(init=False)
     partial: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigError("array must have at least 1 row and 1 column")
-        self.weight_col = np.zeros(self.cols, dtype=np.uint8)
-        self.input_col = np.zeros(self.rows, dtype=np.uint8)
         self.partial = np.zeros(self.rows + self.cols - 1, dtype=np.int64)
 
     def clear_partial(self):
@@ -161,8 +161,8 @@ def pe_array_cycle(
 ) -> np.ndarray:
     """One array cycle: partial[r + k] += product(input[r], weight[k]).
 
-    Loads the column registers and accumulates every PE's product into its
-    diagonal register.  Returns the register file (a view); the added
+    Accumulates every PE's product of the two columns into its diagonal
+    register.  Returns the register file (a view); the added
     contribution is the full 1-D convolution of the input column with the
     weight column as stored, so loading kernel columns reversed makes the
     diagonals line up with correlation-style output rows.
@@ -173,8 +173,6 @@ def pe_array_cycle(
         raise ShapeError(f"input column must have {state.rows} bits, got {inp.shape}")
     if wgt.shape != (state.cols,):
         raise ShapeError(f"weight column must have {state.cols} bits, got {wgt.shape}")
-    state.input_col = inp
-    state.weight_col = wgt
     for r in range(state.rows):
         if not inp[r]:
             continue

@@ -465,7 +465,7 @@ def run_network(
     current: np.ndarray | None = None
     for idx, layer in enumerate(net.layers):
         boundary: TileBoundary | None = None
-        if layer.kind in ("encoding-conv", "conv", "fc"):
+        if layer.has_weights:
             params = folded[idx]
             if layer.kind == "encoding-conv":
                 # scheduled once; every step re-presents the parked result
@@ -477,9 +477,7 @@ def run_network(
             steps = []
             for t in range(time_steps):
                 if layer.kind != "encoding-conv":
-                    step = current[t]
-                    if layer.kind == "fc":
-                        step = step.reshape(-1, 1, 1)
+                    step = current[t].reshape(layer.in_shape)
                     result = schedule_conv_layer(
                         _pad_step(step, layer.padding), weights[idx], cfg
                     )
@@ -495,10 +493,9 @@ def run_network(
             )
         else:
             raise InvalidParameterError(f"unknown layer kind {layer.kind!r}")
-        expected = layer.out_shape
-        if expected is not None and current.shape[1:] != tuple(expected):
+        if current.shape[1:] != layer.out_shape:
             raise ShapeError(
-                f"layer {idx} produced {current.shape[1:]}, expected {tuple(expected)}"
+                f"layer {idx} produced {current.shape[1:]}, expected {layer.out_shape}"
             )
         train = SpikeTrain(current)
         trains.append(train)
@@ -574,15 +571,14 @@ def layer_cycle_report(
 ) -> CycleReport:
     """Cycle accounting of a validated layer over ``time_steps`` steps.
 
-    fc layers run as 1x1 convolutions over the flattened features, inputs
-    are zero padded, the encoding convolution runs once (its result is
-    iterated) and spiking layers run once per step.  Layers without
-    weights take no datapath cycles.
+    Geometry comes from the annotated ``in_shape`` alone (an fc layer's is
+    its flattened input map), inputs are zero padded, the encoding
+    convolution runs once (its result is iterated) and spiking layers run
+    once per step.  Layers without weights take no datapath cycles.
     """
     if not layer.has_weights:
         return CycleReport()
-    channels = layer.in_channels  # flattened features for fc
-    h, w = (1, 1) if layer.kind == "fc" else layer.in_shape[1:]
+    channels, h, w = layer.in_shape
     kh, kw = layer.kernel
     pad = 2 * layer.padding
     encoding = layer.kind == "encoding-conv"

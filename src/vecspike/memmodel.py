@@ -36,11 +36,7 @@ def spike_map_bytes(channels: int, height: int, width: int, time_steps: int) -> 
 
 
 def weight_bytes(
-    out_channels: int,
-    in_channels: int,
-    kh: int,
-    kw: int,
-    param_bytes: int = 3,
+    out_channels: int, in_channels: int, kh: int, kw: int, param_bytes: int
 ) -> int:
     """Sign bits packed to bytes plus per-channel folded bias and threshold."""
     signs = math.ceil(out_channels * in_channels * kh * kw / 8)
@@ -218,7 +214,6 @@ class LayerTraffic:
 @dataclass
 class TrafficLedger:
     records: list[LayerTraffic]
-    tick_batching: bool
     layer_fusion: bool
 
     @property
@@ -257,15 +252,14 @@ def simulate_traffic(
     plan: FusionPlan,
     time_steps: int,
     cfg: HardwareConfig,
-    tick_batching: bool = True,
 ) -> TrafficLedger:
     """DRAM byte counts per layer under a fusion plan.
 
-    Weights cross once per layer visit (once in total with tick batching,
-    once per time step without).  The first layer reads the static 8-bit
-    image once at full byte width; every other non-fused boundary moves
-    bit-packed spike maps for all T steps.  Intermediates of fused pairs
-    contribute neither a write nor a read.
+    Tick batching is the only mode: all T steps of a layer run in one
+    visit, so its weights cross DRAM once whatever T is.  The first layer
+    reads the static 8-bit image once at full byte width; every other
+    non-fused boundary moves bit-packed spike maps for all T steps.
+    Intermediates of fused pairs contribute neither a write nor a read.
     """
     layers = compute_layers(net)
     if plan.layer_count != len(layers):
@@ -273,10 +267,8 @@ def simulate_traffic(
             f"plan covers {plan.layer_count} layers, network has {len(layers)}"
         )
     on_chip = set(plan.fused_intermediates())
-    visits = 1 if tick_batching else time_steps
     records = []
     for pos, layer in enumerate(layers):
-        wbytes = layer.weight_traffic_bytes(cfg.param_bytes) * visits
         if pos == 0:
             c, h, w = layer.in_shape
             in_bytes = c * h * w  # 8-bit image, read once
@@ -297,12 +289,12 @@ def simulate_traffic(
                 layer.index,
                 layer.kind + ("+pool" if layer.pooled else ""),
                 note,
-                wbytes,
+                layer.weight_traffic_bytes(cfg.param_bytes),
                 in_bytes,
                 out_bytes,
             )
         )
-    return TrafficLedger(records, tick_batching, layer_fusion=bool(on_chip))
+    return TrafficLedger(records, layer_fusion=bool(on_chip))
 
 
 def fusion_savings(
@@ -446,7 +438,7 @@ def pingpong_schedule(
                     stage("membrane1", strip)
                 _, _, kh, kw = layer.weight_shape
                 rows_padded = layer.in_shape[1] + 2 * layer.padding
-                if layer.kind != "fc" and rows_padded > cfg.array_rows and kh > 1:
+                if rows_padded > cfg.array_rows and kh > 1:
                     cols_out = layer.in_shape[2] + 2 * layer.padding - kw + 1
                     stage("boundary", (kh - 1) * cols_out * param)
                 out_map = spike_map_bytes(*layer.out_shape, 1)

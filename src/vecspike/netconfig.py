@@ -61,12 +61,10 @@ class LayerSpec:
 
     @property
     def in_channels(self) -> int:
-        """Channels seen by the weights (flattened features for fc)."""
+        """Channels seen by the weights: ``in_shape[0]`` for every kind
+        (an fc layer's ``in_shape`` is its flattened input map)."""
         if self.in_shape is None:
             raise ValidationError("layer is not shape-annotated yet")
-        if self.kind == "fc":
-            c, h, w = self.in_shape
-            return c * h * w
         return self.in_shape[0]
 
     @property
@@ -173,8 +171,11 @@ def network_to_string(net: NetworkDescription) -> str:
 def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
     """Propagate shapes through the network and annotate every layer.
 
-    Returns a new, annotated description; the first mismatching layer is
-    reported with its index.
+    The only place that lowers an fc layer: it must have a 1x1 kernel and
+    no padding, and its ``in_shape`` is the flattened input map
+    ``(C*H*W, 1, 1)``, so every later stage treats it as a 1x1
+    convolution.  Returns a new, annotated description; the first
+    mismatching layer is reported with its index.
     """
     c, h, w = (int(v) for v in input_shape)
     if min(c, h, w) < 1:
@@ -200,6 +201,9 @@ def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
                 )
             shape = (layer.out_channels, ph, pw)
         elif layer.kind == "fc":
+            if layer.kernel != (1, 1) or layer.padding:
+                raise ValidationError("fc layers take a 1x1 kernel, unpadded", idx)
+            new.in_shape = (math.prod(shape), 1, 1)
             shape = (layer.out_channels, 1, 1)
         elif layer.kind == "maxpool2":
             if shape[1] % 2 or shape[2] % 2:

@@ -97,7 +97,7 @@ class RunReport:
                 "achieved_ops": self.totals.achieved_ops,
             },
             "traffic": {
-                "tick_batching": self.traffic.tick_batching,
+                "tick_batching": True,  # the ledger's only mode
                 "layer_fusion": self.traffic.layer_fusion,
                 "records": self.traffic.itemized(),
                 "weight_total": self.traffic.weight_total,

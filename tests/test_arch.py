@@ -58,6 +58,18 @@ def test_config_rejects_wrongly_typed_fields(fields):
         HardwareConfig(**fields)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["spike_sram_bytes", "weight_sram_bytes", "membrane_sram_bytes",
+     "temp_sram_bytes", "boundary_sram_bytes"],
+)
+def test_config_rejects_negative_sram_capacities(name):
+    with pytest.raises(ConfigError):
+        HardwareConfig(**{name: -1})
+    # an absent buffer is legal; using it faults as modeled
+    assert getattr(HardwareConfig(**{name: 0}), name) == 0
+
+
 def test_peak_gops_values():
     assert peak_gops(HardwareConfig()) == 2304.0
     one_pe = HardwareConfig(

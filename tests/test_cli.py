@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -377,6 +379,18 @@ def test_wrongly_typed_config_field_is_a_validation_error(tmp_path, fields):
         assert run_cli(command + ["--config", str(config)]) == cli.EXIT_VALIDATION
 
 
+def test_negative_sram_capacity_is_a_validation_error(tmp_path):
+    config = tmp_path / "hw.json"
+    config.write_text(json.dumps({"spike_sram_bytes": -5, "weight_sram_bytes": -1}))
+    for command in (
+        ["bench", "--timesteps", "2"],
+        ["traffic", "--net", "mnist"],
+        ["run", "--net", "mnist", "--timesteps", "2"],
+    ):
+        code = run_cli(command + ["--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_VALIDATION
+
+
 def test_integer_clock_is_accepted(tmp_path, capsys):
     config = tmp_path / "hw.json"
     config.write_text(json.dumps({"clock_hz": 250000000}))
@@ -428,3 +442,50 @@ def test_random_config_keeps_the_exit_contract(tmp_path_factory, config):
 def test_random_fusion_plan_keeps_the_exit_contract(tmp_path_factory, plan):
     command = ["traffic", "--net", "mnist"]
     assert _exit_code(tmp_path_factory, command, "--fusion-plan", plan) in CONTRACT_CODES
+
+
+# Bundle layout after the 4-byte magic: one header struct, then one table
+# entry per layer.  Each field is (byte offset in the file, struct code).
+_HEADER, _ENTRY = "<HHIIII", "<BBBBIIdI"
+
+
+def _struct_fields(base, fmt):
+    return [
+        (base + struct.calcsize("<" + fmt[1:i + 1]), code)
+        for i, code in enumerate(fmt[1:])
+    ]
+
+
+def _bundle_fields(n_layers):
+    fields = _struct_fields(4, _HEADER)
+    first = 4 + struct.calcsize(_HEADER)
+    for layer in range(n_layers):
+        fields += _struct_fields(first + layer * struct.calcsize(_ENTRY), _ENTRY)
+    return fields
+
+
+def _field_values(code):
+    if code == "d":
+        return st.floats() | st.sampled_from([0.0, -1.0, 1.5])
+    top = 2 ** (8 * struct.calcsize(code)) - 1
+    return st.sampled_from([0, 1, 2, 3, 8, 24, top // 2 + 1, top]) | st.integers(0, top)
+
+
+@given(data=st.data())
+def test_edited_bundle_field_keeps_the_run_exit_contract(tmp_path_factory, data):
+    # one header or layer-table field set to an edge or random value under a
+    # fresh CRC, so the edit gets past the checksum to the field checks
+    net = validate(parse_network(SMALL_NET), (1, 8, 8))
+    offset, code = data.draw(st.sampled_from(_bundle_fields(len(net.layers))))
+    value = data.draw(_field_values(code))
+    path = tmp_path_factory.mktemp("bundle") / "model.vsa"
+    save_bundle(generate_random_bundle(net, 5), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<" + code, blob, offset, value)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[4:-4]))
+    path.write_bytes(bytes(blob))
+    exit_code = run_cli([
+        "run", "--net", SMALL_NET, "--input-shape", "1,8,8", "--timesteps", "2",
+        "--bundle", str(path), "--verify", "--out", str(path.with_suffix(".out")),
+    ])
+    assert exit_code in CONTRACT_CODES

@@ -19,6 +19,7 @@ from vecspike.dataflow import (
     conv_layer_report,
     gemm_dtype,
     if_unit_process,
+    layer_cycle_report,
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
@@ -529,3 +530,11 @@ def test_engine_reports_time_step_scaling(rng):
         run4.layers[1].report.total_cycles
         == 4 * run1.layers[1].report.total_cycles
     )
+
+
+@pytest.mark.parametrize("steps", [1, 3, 8])
+def test_fc_after_pooling_reports_as_a_flattened_1x1_convolution(steps):
+    net = validate(parse_network("4Conv(encoding)-MP2-6Conv-MP2-5fc"), (1, 8, 8))
+    assert layer_cycle_report(net.layers[-1], CFG, steps) == conv_layer_report(
+        6 * 2 * 2, 5, 1, 1, 1, 1, CFG
+    ).scaled(steps)

@@ -137,9 +137,6 @@ def test_weight_bytes_counted_once_regardless_of_t():
     for steps in (1, 4, 8):
         ledger = simulate_traffic(net, plan, steps, CFG)
         assert ledger.weight_total == simulate_traffic(net, plan, 1, CFG).weight_total
-    # without tick batching the weights are re-read every step
-    ledger = simulate_traffic(net, plan, 8, CFG, tick_batching=False)
-    assert ledger.weight_total == 8 * simulate_traffic(net, plan, 1, CFG).weight_total
 
 
 def test_traffic_monotonic_in_t():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from vecspike.errors import (
     BadMagicError,
@@ -98,6 +100,26 @@ def test_validate_cifar_shape_chain():
     net = validate(parse_network(CIFAR), (3, 32, 32))
     assert net.layers[-1].out_shape == (10, 1, 1)
     assert net.layers[-2].in_channels == 256 * 4 * 4
+
+
+def test_validate_lowers_fc_to_its_flattened_input_map():
+    net, _ = preset_network("mnist")
+    fc128, fc10 = net.layers[4], net.layers[5]
+    assert (fc128.in_shape, fc128.in_channels) == ((3136, 1, 1), 3136)
+    assert (fc10.in_shape, fc10.in_channels) == ((128, 1, 1), 128)
+
+
+@pytest.mark.parametrize("kernel, padding", [((3, 3), 0), ((1, 1), 1)])
+def test_validate_rejects_an_fc_layer_that_is_not_1x1(kernel, padding):
+    from vecspike.netconfig import LayerSpec, NetworkDescription
+
+    net = NetworkDescription([
+        LayerSpec("encoding-conv", out_channels=4),
+        LayerSpec("fc", out_channels=3, kernel=kernel, padding=padding),
+    ])
+    with pytest.raises(ValidationError) as err:
+        validate(net, (1, 4, 4))
+    assert err.value.layer_index == 1
 
 
 def test_validate_rejects_odd_pooling():
@@ -201,6 +223,42 @@ def test_every_single_bit_flip_raises_a_bundle_error(tmp_path):
         except Exception as exc:  # noqa: BLE001 - collect every escape
             escapes.append((bit, type(exc).__name__))
     assert escapes == []
+
+
+def _tiny_bundle_bytes(tmp_path):
+    net = validate(parse_network("2Conv(encoding)-MP2-2Conv-2fc"), (1, 4, 4))
+    path = tmp_path / "model.vsa"
+    save_bundle(generate_random_bundle(net, seed=3), path)
+    return path, path.read_bytes()
+
+
+def _corrupt(data, op, pos, run):
+    pos %= len(data) + 1
+    if op == "overwrite":
+        return data[:pos] + run + data[pos + len(run):]
+    if op == "insert":
+        return data[:pos] + run + data[pos:]
+    if op == "delete":
+        return data[:pos] + data[pos + len(run):]
+    if op == "truncate":
+        return data[:pos]
+    return data + run  # append
+
+
+@given(
+    op=st.sampled_from(["overwrite", "insert", "delete", "truncate", "append"]),
+    pos=st.integers(0, 2**16),
+    run=st.binary(min_size=1, max_size=16),
+)
+def test_every_byte_run_corruption_raises_a_bundle_error(
+    tmp_path_factory, op, pos, run
+):
+    path, data = _tiny_bundle_bytes(tmp_path_factory.mktemp("bundle"))
+    corrupted = _corrupt(data, op, pos, run)
+    assume(corrupted != data)
+    path.write_bytes(corrupted)
+    with pytest.raises(BundleError):
+        load_bundle(path)
 
 
 def test_generate_requires_validated_net():
