@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .arch import CycleReport, HardwareConfig, peak_gops
 from .core import run_network_oracle
-from .dataflow import layer_cycle_report, run_network
+from .dataflow import layer_accounting, run_network
 from .errors import (
     BundleError,
     CapacityFault,
@@ -209,8 +209,8 @@ def cmd_run(args) -> int:
                 weight_bytes_read=rec.weight_bytes_read if rec else 0,
                 input_spike_bytes_read=rec.input_spike_bytes_read if rec else 0,
                 output_spike_bytes_written=rec.output_spike_bytes_written if rec else 0,
-                boundary_rows_peak=run.boundary.peak_rows if run.boundary else 0,
-                boundary_deposits=run.boundary.deposits if run.boundary else 0,
+                boundary_rows_peak=run.boundary.peak_rows,
+                boundary_deposits=run.boundary.deposits,
             )
         )
     report = RunReport(
@@ -296,7 +296,7 @@ def cmd_bench(args) -> int:
         net, _ = preset_network(name, time_steps)
         totals = CycleReport()
         for layer in net.layers:
-            totals = totals.merged(layer_cycle_report(layer, cfg, time_steps))
+            totals = totals.merged(layer_accounting(layer, cfg, time_steps)[0])
         lines.append(
             f"{name}: {totals.total_cycles} cycles/inference at T={time_steps}, "
             f"utilization {totals.utilization:.3f}, "

@@ -192,12 +192,6 @@ class FoldedNeuronParams:
         self.fmt.check_raw(thr, "scaled threshold")
         return FoldedNeuronParams(bias, thr, self.flipped.copy(), self.fmt)
 
-    def bias_real(self) -> np.ndarray:
-        return self.fmt.to_real(self.bias_raw)
-
-    def threshold_real(self) -> np.ndarray:
-        return self.fmt.to_real(self.threshold_raw)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FoldedNeuronParams):
             return NotImplemented

@@ -19,9 +19,7 @@ row tile is one GEMM: the tile's kh x kw windows become im2col columns
 the +-1 weights [n_groups][cout][cg*kh*kw] yields every diagonal partial
 sum.  The bitplane shift-add and the group fold are int64 sums over the
 batch axes; the partial rows accumulate in place into the output.  The
-rows a tile edge leaves pending, and so the boundary SRAM's use, follow
-from the row tiles alone and are computed once per call by
-:func:`_tile_boundary`.
+schedulers return these sums only.
 
 The GEMM runs in float32 or float64, which is exact only while every
 partial sum stays below 2**24 or 2**53 in magnitude.  With +-1 weights a
@@ -31,12 +29,13 @@ the encoding layer (binary input is never assumed); past the float32
 limit the GEMM runs in float64, and past the float64 limit in exact
 int64.
 
-Cycle counts and PE activity depend only on a layer's geometry, the
-config and T, so one function, :func:`conv_layer_report`, computes them;
-the schedulers report its result, and :func:`layer_cycle_report` scales it
-to T steps for ``run_network`` and ``vecspike bench``.  They follow the
-pass structure: output channels outermost, then channel groups, then row
-tiles, then columns, with the pipeline fill charged once per
+Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
+geometry, the config and T, so each is computed in one place:
+:func:`conv_layer_report` for the cycles and :func:`_tile_boundary` for the
+rows a tile edge leaves pending.  :func:`layer_accounting` calls both once
+per layer, for ``run_network`` and ``vecspike bench``.  The cycles follow
+the pass structure: output channels outermost, then channel groups, then
+row tiles, then columns, with the pipeline fill charged once per
 weight-register pass because consecutive column streams overlap one
 pass's drain with the next pass's fill.
 """
@@ -140,13 +139,6 @@ def _tile_partial_rows(
     return sums.reshape(*sums.shape[:-1], rows, cols)
 
 
-@dataclass
-class ConvPassResult:
-    output: np.ndarray          # [Cout][H_out][W_out] integer conv sums
-    report: CycleReport
-    boundary: TileBoundary
-
-
 def _check_kernel(kh: int, kw: int, cfg: HardwareConfig):
     if kw > cfg.arrays_per_block:
         raise ConfigError(
@@ -187,16 +179,14 @@ def _run_schedule(
     weights: BinaryWeightTensor,
     cfg: HardwareConfig,
     encoding: bool,
-) -> ConvPassResult:
+) -> np.ndarray:
     """Shared pass structure for spiking and encoding convolutions.
 
     Channel groups are a batch axis [n_groups][width] (a partial last group
     is zero filled: its idle PE blocks), with the encoding layer's eight
     bitplanes on a second axis in front, so each row tile is one
     :func:`_tile_partial_rows` call.  Each group's partial sums are folded
-    in int64 and each tile's rows stitched into the output.  The cycle
-    report comes from :func:`conv_layer_report` and the boundary-SRAM use
-    from :func:`_tile_boundary`.
+    in int64 and each tile's rows stitched into the output.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
@@ -229,9 +219,7 @@ def _run_schedule(
         g1 = min(base + rt, h_out)
         p0 = g0 - base + kh - 1
         out[:, g0:g1] += raw[:, p0 : p0 + g1 - g0]
-    report = conv_layer_report(cin, cout, h_in, w_in, kh, kw, cfg, encoding=encoding)
-    boundary = _tile_boundary(tiles, h_out, kh, n_groups)
-    return ConvPassResult(out, report, boundary)
+    return out
 
 
 def _step_input(x, weights: BinaryWeightTensor) -> np.ndarray:
@@ -249,12 +237,13 @@ def schedule_conv_layer(
     x,
     weights: BinaryWeightTensor,
     cfg: HardwareConfig,
-) -> ConvPassResult:
+) -> np.ndarray:
     """Run one spiking-layer convolution step through the datapath model.
 
     ``x`` is a single time step's spike map [Cin][H][W], already zero
     padded (padding is materialized by the network config, never inside
-    the schedule).  Output equals the dense reference convolution exactly.
+    the schedule).  Returns the int64 [Cout][H_out][W_out] sums, equal to
+    the dense reference convolution; cycles come from :func:`layer_accounting`.
     """
     return _run_schedule(_step_input(x, weights), weights, cfg, encoding=False)
 
@@ -263,13 +252,14 @@ def schedule_encoding_layer(
     x,
     weights: BinaryWeightTensor,
     cfg: HardwareConfig,
-) -> ConvPassResult:
+) -> np.ndarray:
     """Run the multi-bit encoding convolution through the datapath model.
 
     Each input channel splits into eight 1-bit planes on eight PE blocks
     sharing one weight; the first accumulator stage shifts each block's
-    sums by its bitplane index before the cross-block tree, so the result
-    equals the integer convolution of the 8-bit input exactly.
+    sums by its bitplane index before the cross-block tree, so the
+    returned int64 [Cout][H_out][W_out] sums equal the integer convolution
+    of the 8-bit input exactly.
     """
     x = _step_input(x, weights)
     if x.size and (x.min() < 0 or x.max() > 255):
@@ -413,7 +403,7 @@ class LayerRun:
     index: int
     kind: str
     report: CycleReport
-    boundary: TileBoundary | None
+    boundary: TileBoundary
     spike_count: int
 
 
@@ -464,28 +454,24 @@ def run_network(
     layer_runs: list[LayerRun] = []
     current: np.ndarray | None = None
     for idx, layer in enumerate(net.layers):
-        boundary: TileBoundary | None = None
         if layer.has_weights:
             params = folded[idx]
             if layer.kind == "encoding-conv":
                 # scheduled once; every step re-presents the parked result
-                result = schedule_encoding_layer(
+                sums = schedule_encoding_layer(
                     _pad_step(img, layer.padding), weights[idx], cfg
                 )
                 params = params.scaled_by_pow2(ENCODING_SHIFT)
-            membrane = None
+            membrane = MembraneState.zeros(layer.out_shape, fmt)
             steps = []
             for t in range(time_steps):
                 if layer.kind != "encoding-conv":
                     step = current[t].reshape(layer.in_shape)
-                    result = schedule_conv_layer(
+                    sums = schedule_conv_layer(
                         _pad_step(step, layer.padding), weights[idx], cfg
                     )
-                if membrane is None:
-                    membrane = MembraneState.zeros(result.output.shape, fmt)
-                spikes, membrane = if_unit_process(result.output, params, membrane)
+                spikes, membrane = if_unit_process(sums, params, membrane)
                 steps.append(spikes)
-            boundary = result.boundary
             current = np.stack(steps)
         elif layer.kind == "maxpool2":
             current = np.stack(
@@ -499,7 +485,7 @@ def run_network(
             )
         train = SpikeTrain(current)
         trains.append(train)
-        report = layer_cycle_report(layer, cfg, time_steps)
+        report, boundary = layer_accounting(layer, cfg, time_steps)
         layer_runs.append(LayerRun(idx, layer.kind, report, boundary, train.spike_count()))
 
     counts = trains[-1].data.sum(axis=(0, 2, 3)).astype(np.int64)
@@ -540,8 +526,8 @@ def conv_layer_report(
     """Cycle accounting of one convolution step from its geometry alone.
 
     The only place that turns geometry and config into a
-    :class:`CycleReport`: the schedulers, :func:`layer_cycle_report` and
-    ``vecspike bench`` all take their reports from it.  Each (output
+    :class:`CycleReport`: ``run_network`` and ``vecspike bench`` take their
+    reports from it through :func:`layer_accounting`.  Each (output
     channel, channel group) pass fills the pipeline once (``kw - 1``
     cycles) and then streams every row tile's output columns.  Every
     padded input row of every channel (eight bitplane blocks per channel
@@ -566,24 +552,27 @@ def conv_layer_report(
     ).validate()
 
 
-def layer_cycle_report(
+def layer_accounting(
     layer: "LayerSpec", cfg: HardwareConfig, time_steps: int
-) -> CycleReport:
-    """Cycle accounting of a validated layer over ``time_steps`` steps.
+) -> tuple[CycleReport, TileBoundary]:
+    """Cycles over ``time_steps`` steps and boundary use of a validated layer.
 
     Geometry comes from the annotated ``in_shape`` alone (an fc layer's is
     its flattened input map), inputs are zero padded, the encoding
     convolution runs once (its result is iterated) and spiking layers run
-    once per step.  Layers without weights take no datapath cycles.
+    once per step.  Every step of a layer has the same geometry, so the
+    boundary use is one step's.  Layers without weights take no datapath
+    cycles and no boundary SRAM.
     """
     if not layer.has_weights:
-        return CycleReport()
+        return CycleReport(), TileBoundary(0, 0)
     channels, h, w = layer.in_shape
     kh, kw = layer.kernel
-    pad = 2 * layer.padding
+    h, w = h + 2 * layer.padding, w + 2 * layer.padding
     encoding = layer.kind == "encoding-conv"
+    groups, tiles, h_out, _ = _pass_structure(channels, h, w, kh, kw, cfg, encoding)
     report = conv_layer_report(
-        channels, layer.out_channels, h + pad, w + pad, kh, kw, cfg,
-        encoding=encoding,
+        channels, layer.out_channels, h, w, kh, kw, cfg, encoding=encoding
     )
-    return report if encoding else report.scaled(time_steps)
+    boundary = _tile_boundary(tiles, h_out, kh, len(groups))
+    return (report if encoding else report.scaled(time_steps)), boundary

@@ -25,6 +25,7 @@ import numpy as np
 from .core import BinaryWeightTensor, BNParams, FoldedNeuronParams, fold_bn
 from .errors import (
     BadMagicError,
+    BundleError,
     ChecksumError,
     InvalidParameterError,
     NetworkParseError,
@@ -403,8 +404,17 @@ def load_bundle(path) -> ModelBundle:
         bits = np.unpackbits(packed, count=math.prod(shape)).reshape(shape)
         weights.append(BinaryWeightTensor(bits))
         params.append(FoldedNeuronParams(bias, thr, flipped, fmt))
+    if time_steps < 1:
+        raise BundleError(f"bundle declares {time_steps} time steps")
     net = NetworkDescription(layers, time_steps=time_steps)
-    return ModelBundle(net, weights, params, fmt)
+    bundle = ModelBundle(net, weights, params, fmt)
+    # Every field must be what save_bundle writes: the reserved field zero,
+    # weighted 0 or 1, in_channels 0 on a layer without weights, and the
+    # pad bits of the packed signs clear.  A pooling layer's out_channels
+    # is written back as read and stays accepted: validate() recomputes it.
+    if _bundle_payload(bundle) != payload:
+        raise BundleError("bundle fields are not in canonical form")
+    return bundle
 
 
 def generate_random_bundle(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from vecspike import dataflow
 from vecspike.netconfig import LayerSpec, NetworkDescription, validate
 
 settings.register_profile(
@@ -66,6 +67,14 @@ def stitching_ledger(h_in, kh, rows, n_groups):
                     peak = max(peak, len(resident))
     assert not pending
     return deposits, consumes, peak
+
+
+def step_boundary(cin, h, w, kh, kw, cfg, encoding=False):
+    """(deposits, peak_rows) the engine charges one convolution step: its
+    closed form over the row tiles and groups of the step's pass structure."""
+    groups, tiles, h_out, _ = dataflow._pass_structure(cin, h, w, kh, kw, cfg, encoding)
+    boundary = dataflow._tile_boundary(tiles, h_out, kh, len(groups))
+    return boundary.deposits, boundary.peak_rows
 
 
 def random_network(rng, *, max_layers=4, max_dim=16, max_channels=64):

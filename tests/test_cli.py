@@ -471,21 +471,39 @@ def _field_values(code):
     return st.sampled_from([0, 1, 2, 3, 8, 24, top // 2 + 1, top]) | st.integers(0, top)
 
 
-@given(data=st.data())
-def test_edited_bundle_field_keeps_the_run_exit_contract(tmp_path_factory, data):
-    # one header or layer-table field set to an edge or random value under a
-    # fresh CRC, so the edit gets past the checksum to the field checks
+def _run_edited_bundle(path, field, value):
+    """Save a SMALL_NET bundle, set one field under a fresh CRC, so the edit
+    gets past the checksum to the field checks, and run it; the exit code."""
     net = validate(parse_network(SMALL_NET), (1, 8, 8))
-    offset, code = data.draw(st.sampled_from(_bundle_fields(len(net.layers))))
-    value = data.draw(_field_values(code))
-    path = tmp_path_factory.mktemp("bundle") / "model.vsa"
+    offset, code = field
     save_bundle(generate_random_bundle(net, 5), path)
     blob = bytearray(path.read_bytes())
     struct.pack_into("<" + code, blob, offset, value)
     struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[4:-4]))
     path.write_bytes(bytes(blob))
-    exit_code = run_cli([
+    return run_cli([
         "run", "--net", SMALL_NET, "--input-shape", "1,8,8", "--timesteps", "2",
         "--bundle", str(path), "--verify", "--out", str(path.with_suffix(".out")),
     ])
-    assert exit_code in CONTRACT_CODES
+
+
+@given(data=st.data())
+def test_edited_bundle_field_keeps_the_run_exit_contract(tmp_path_factory, data):
+    # one header or layer-table field set to an edge or random value
+    field = data.draw(st.sampled_from(_bundle_fields(4)))
+    value = data.draw(_field_values(field[1]))
+    path = tmp_path_factory.mktemp("bundle") / "model.vsa"
+    assert _run_edited_bundle(path, field, value) in CONTRACT_CODES
+
+
+# Index into _bundle_fields(4): the header's 6 fields, then 8 per layer;
+# SMALL_NET's layer 1 is the pooling layer and layer 2 a convolution.
+@pytest.mark.parametrize("index, value", [
+    (1, 1),  # the reserved u16
+    (4, 0),  # the header's time_steps
+    (6 + 8 * 1 + 5, 1),  # in_channels of the pooling layer
+    (6 + 8 * 2 + 7, 2),  # weighted of the convolution
+], ids=["reserved", "time_steps", "pooling_in_channels", "weighted"])
+def test_non_canonical_bundle_field_is_a_validation_error(tmp_path, index, value):
+    field = _bundle_fields(4)[index]
+    assert _run_edited_bundle(tmp_path / "model.vsa", field, value) == cli.EXIT_VALIDATION

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import vecspike.dataflow as dataflow
-from conftest import brute_conv2d, random_network, stitching_ledger
+from conftest import brute_conv2d, random_network, step_boundary, stitching_ledger
 from vecspike.arch import CycleReport, HardwareConfig
 from vecspike.core import (
     BinaryWeightTensor,
@@ -19,7 +19,7 @@ from vecspike.dataflow import (
     conv_layer_report,
     gemm_dtype,
     if_unit_process,
-    layer_cycle_report,
+    layer_accounting,
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
@@ -32,7 +32,13 @@ from vecspike.errors import (
     ShapeError,
 )
 from vecspike.fixedpoint import DEFAULT_FORMAT
-from vecspike.netconfig import generate_random_bundle, parse_network, validate
+from vecspike.netconfig import (
+    generate_random_bundle,
+    parse_network,
+    preset_network,
+    random_input,
+    validate,
+)
 
 FMT = DEFAULT_FORMAT
 Q = FMT.quantize
@@ -52,10 +58,10 @@ def _random_case(rng, cin, h, w, cout, k=3):
 def test_single_pe_single_cycle():
     x = np.ones((1, 1, 1), dtype=np.uint8)
     w = BinaryWeightTensor(np.ones((1, 1, 1, 1), dtype=np.uint8))  # weight -1
-    result = schedule_conv_layer(x, w, CFG)
-    assert result.output.tolist() == [[[-1]]]
-    assert result.report.total_cycles == 1
-    assert result.report.warmup_cycles == 0
+    assert schedule_conv_layer(x, w, CFG).tolist() == [[[-1]]]
+    report = conv_layer_report(1, 1, 1, 1, 1, 1, CFG)
+    assert report.total_cycles == 1
+    assert report.warmup_cycles == 0
 
 
 def test_schedule_matches_oracle_basic(rng):
@@ -64,38 +70,35 @@ def test_schedule_matches_oracle_basic(rng):
         cout = int(rng.integers(1, 8))
         h, w = int(rng.integers(3, 10)), int(rng.integers(3, 10))
         x, weights = _random_case(rng, cin, h, w, cout)
-        result = schedule_conv_layer(x, weights, CFG)
-        assert np.array_equal(result.output, conv2d_oracle(x, weights))
+        out = schedule_conv_layer(x, weights, CFG)
+        assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
 def test_schedule_tiling_matches_untiled_oracle(rng):
     # heights beyond the 8-row array force multi-tile stitching
     for h in (9, 16, 17, 24, 32):
         x, weights = _random_case(rng, 3, h, 6, 4)
-        result = schedule_conv_layer(x, weights, CFG)
-        assert np.array_equal(result.output, conv2d_oracle(x, weights))
+        out = schedule_conv_layer(x, weights, CFG)
+        assert np.array_equal(out, conv2d_oracle(x, weights))
         deposits, consumes, peak_rows = stitching_ledger(h, 3, CFG.array_rows, 1)
         assert deposits == consumes
-        assert (result.boundary.deposits, result.boundary.peak_rows) == (
-            deposits, peak_rows
-        )
-        assert result.boundary.deposits > 0
+        assert step_boundary(3, h, 6, 3, 3, CFG) == (deposits, peak_rows)
+        assert deposits > 0
 
 
 def test_schedule_grouping_matches_ungrouped_oracle(rng):
     # channel counts beyond the 32-wide group force sequential group passes
     for cin in (33, 64, 100, 128):
         x, weights = _random_case(rng, cin, 6, 6, 3)
-        result = schedule_conv_layer(x, weights, CFG)
-        assert np.array_equal(result.output, conv2d_oracle(x, weights))
+        out = schedule_conv_layer(x, weights, CFG)
+        assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
-def test_schedule_boundary_rows_count(rng):
+def test_schedule_boundary_rows_count():
     # each tile transition leaves kernel-height-minus-one pending rows
-    x, weights = _random_case(rng, 1, 16, 5, 1)
-    result = schedule_conv_layer(x, weights, CFG)
-    assert result.boundary.peak_rows == 2
-    assert result.boundary.deposits == 2  # one transition, two rows
+    deposits, peak_rows = step_boundary(1, 16, 5, 3, 3, CFG)
+    assert peak_rows == 2
+    assert deposits == 2  # one transition, two rows
 
 
 def test_schedule_rejects_oversized_kernels():
@@ -108,25 +111,13 @@ def test_schedule_rejects_oversized_kernels():
         schedule_conv_layer(x, tall, CFG)
 
 
-def test_schedule_cycle_formula(rng):
-    # 32x32 valid conv, 128 channels each way: 4 groups x 4 tiles
-    x, weights = _random_case(rng, 128, 32, 32, 2)
-    result = schedule_conv_layer(x, weights, CFG)
+def test_schedule_cycle_formula():
+    # 32x32 valid conv, 128 input and 2 output channels: 4 groups x 4 tiles
+    report = conv_layer_report(128, 2, 32, 32, 3, 3, CFG)
     w_out = 30
     expected_total = 2 * 4 * (2 + 4 * w_out)
-    assert result.report.total_cycles == expected_total
-    assert result.report.steady_state_utilization == 1.0
-
-
-def test_conv_layer_report_matches_schedule(rng):
-    for _ in range(8):
-        cin = int(rng.integers(1, 40))
-        cout = int(rng.integers(1, 6))
-        h, w = int(rng.integers(3, 20)), int(rng.integers(3, 12))
-        x, weights = _random_case(rng, cin, h, w, cout)
-        result = schedule_conv_layer(x, weights, CFG)
-        analytic = conv_layer_report(cin, cout, h, w, 3, 3, CFG)
-        assert analytic == result.report
+    assert report.total_cycles == expected_total
+    assert report.steady_state_utilization == 1.0
 
 
 @st.composite
@@ -161,20 +152,17 @@ def test_schedules_equal_oracle_across_geometry(geometry, encoding):
     weights = BinaryWeightTensor(rng.integers(0, 2, (cout, cin, kh, kw), dtype=np.uint8))
     if encoding:
         x = rng.integers(0, 256, (cin, h, w))
-        result = schedule_encoding_layer(x, weights, cfg)
+        out = schedule_encoding_layer(x, weights, cfg)
         group = cfg.encoding_channels_per_pass
     else:
         x = rng.integers(*rng.choice([(0, 2), (-9, 10)]), (cin, h, w))
-        result = schedule_conv_layer(x, weights, cfg)
+        out = schedule_conv_layer(x, weights, cfg)
         group = cfg.group_size
-    assert np.array_equal(result.output, conv2d_oracle(x, weights))
-    assert result.report == conv_layer_report(
-        cin, cout, h, w, kh, kw, cfg, encoding=encoding
-    )
+    assert np.array_equal(out, conv2d_oracle(x, weights))
     n_groups = -(-cin // group)
     deposits, consumes, peak_rows = stitching_ledger(h, kh, cfg.array_rows, n_groups)
     assert deposits == consumes
-    assert (result.boundary.deposits, result.boundary.peak_rows) == (deposits, peak_rows)
+    assert step_boundary(cin, h, w, kh, kw, cfg, encoding) == (deposits, peak_rows)
 
 
 def test_tile_boundary_closed_form_equals_stitching_ledger():
@@ -207,7 +195,7 @@ def test_one_tile_kernel_call_per_row_tile(rng, monkeypatch, schedule, cin, high
     seen = _record_gemm_dtypes(monkeypatch)
     x = rng.integers(0, high, (cin, 17, 5))
     weights = BinaryWeightTensor(rng.integers(0, 2, (4, cin, 3, 3), dtype=np.uint8))
-    assert np.array_equal(schedule(x, weights, CFG).output, conv2d_oracle(x, weights))
+    assert np.array_equal(schedule(x, weights, CFG), conv2d_oracle(x, weights))
     assert len(seen) == 3
 
 
@@ -215,9 +203,9 @@ def test_one_tile_kernel_call_per_row_tile(rng, monkeypatch, schedule, cin, high
 def test_zero_input_channels_give_zero_sums(schedule):
     x = np.zeros((0, 9, 5), dtype=np.uint8)
     weights = BinaryWeightTensor(np.zeros((3, 0, 3, 3), dtype=np.uint8))
-    result = schedule(x, weights, CFG)
-    assert result.output.shape == (3, 7, 3)
-    assert np.array_equal(result.output, conv2d_oracle(x, weights))
+    out = schedule(x, weights, CFG)
+    assert out.shape == (3, 7, 3)
+    assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
 def test_schedules_reject_batched_input():
@@ -268,12 +256,12 @@ def test_lowered_limits_run_each_gemm_path_exactly(rng, monkeypatch, limits, dty
     seen = _record_gemm_dtypes(monkeypatch)
     x, weights = _random_case(rng, 40, 11, 6, 3)
     assert np.array_equal(
-        schedule_conv_layer(x, weights, CFG).output, brute_conv2d(x, weights.values())
+        schedule_conv_layer(x, weights, CFG), brute_conv2d(x, weights.values())
     )
     pixels = rng.integers(0, 256, (5, 10, 6))
     enc_weights = BinaryWeightTensor(weights.sign_bits[:, :5])
     assert np.array_equal(
-        schedule_encoding_layer(pixels, enc_weights, CFG).output,
+        schedule_encoding_layer(pixels, enc_weights, CFG),
         brute_conv2d(pixels, enc_weights.values()),
     )
     assert seen and set(seen) == {np.dtype(dtype)}
@@ -286,7 +274,7 @@ def test_large_inputs_take_the_wide_path_exactly(rng, monkeypatch, magnitude, dt
     x[0, 0, 0] = magnitude
     weights = BinaryWeightTensor(rng.integers(0, 2, (2, 3, 3, 3), dtype=np.uint8))
     assert np.array_equal(
-        schedule_conv_layer(x, weights, CFG).output, brute_conv2d(x, weights.values())
+        schedule_conv_layer(x, weights, CFG), brute_conv2d(x, weights.values())
     )
     assert set(seen) == {np.dtype(dtype)}
 
@@ -297,16 +285,15 @@ def test_large_inputs_take_the_wide_path_exactly(rng, monkeypatch, magnitude, dt
 
 def test_encoding_zero_input():
     w = BinaryWeightTensor(np.zeros((2, 1, 3, 3), dtype=np.uint8))
-    result = schedule_encoding_layer(np.zeros((1, 5, 5), dtype=np.uint8), w, CFG)
-    assert not result.output.any()
+    out = schedule_encoding_layer(np.zeros((1, 5, 5), dtype=np.uint8), w, CFG)
+    assert not out.any()
 
 
 def test_encoding_bitplane_recomposition():
     # pixel value 5 = bits 0 and 2, +1 weight: shift-add recovers 5
     w = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))
     x = np.array([[[5]]], dtype=np.uint8)
-    result = schedule_encoding_layer(x, w, CFG)
-    assert result.output.tolist() == [[[5]]]
+    assert schedule_encoding_layer(x, w, CFG).tolist() == [[[5]]]
 
 
 def test_encoding_matches_integer_oracle(rng):
@@ -314,19 +301,16 @@ def test_encoding_matches_integer_oracle(rng):
         h, w = int(rng.integers(3, 12)), int(rng.integers(3, 12))
         x = rng.integers(0, 256, (3, h, w), dtype=np.uint8)
         weights = BinaryWeightTensor(rng.integers(0, 2, (4, 3, 3, 3), dtype=np.uint8))
-        result = schedule_encoding_layer(x, weights, CFG)
-        assert np.array_equal(result.output, conv2d_oracle(x, weights))
+        out = schedule_encoding_layer(x, weights, CFG)
+        assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
 def test_encoding_grouping_beyond_block_budget(rng):
     # more than pe_blocks/8 input channels forces grouped passes
     x = rng.integers(0, 256, (6, 5, 5), dtype=np.int64)
     weights = BinaryWeightTensor(rng.integers(0, 2, (2, 6, 3, 3), dtype=np.uint8))
-    result = schedule_encoding_layer(x, weights, CFG)
-    assert np.array_equal(result.output, conv2d_oracle(x, weights))
-    assert result.report.total_cycles == conv_layer_report(
-        6, 2, 5, 5, 3, 3, CFG, encoding=True
-    ).total_cycles
+    out = schedule_encoding_layer(x, weights, CFG)
+    assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
 def test_encoding_rejects_out_of_range_values():
@@ -360,7 +344,7 @@ def test_column_stream_matches_schedule_and_oracle(rng):
         x, weights = _random_case(rng, cin, h, w, cout)
         stream = stream_conv_columns(x, weights, CFG)
         sched = schedule_conv_layer(x, weights, CFG)
-        assert np.array_equal(stream.output, sched.output)
+        assert np.array_equal(stream.output, sched)
         assert np.array_equal(stream.output, conv2d_oracle(x, weights))
 
 
@@ -486,19 +470,25 @@ def test_engine_matches_oracle_with_negative_gamma(rng):
 
 
 def test_engine_layer_reports_equal_the_merged_step_reports(rng, monkeypatch):
-    # LayerRun.report is computed from geometry; it must equal the merge of
-    # the reports of the schedule calls run_network makes, one per step
+    # LayerRun.report is computed once per layer; it must equal the merge of
+    # the reports of the schedule calls run_network makes, one per step,
+    # each taken from the geometry of the call
     calls = []
 
-    def recording(schedule):
+    def recording(schedule, encoding):
         def wrapper(x, weights, cfg):
-            result = schedule(x, weights, cfg)
-            calls.append((weights, result.report))
-            return result
+            cout, cin, kh, kw = weights.sign_bits.shape
+            report = conv_layer_report(
+                cin, cout, *x.shape[1:], kh, kw, cfg, encoding=encoding
+            )
+            calls.append((weights, report))
+            return schedule(x, weights, cfg)
         return wrapper
 
-    for name in ("schedule_conv_layer", "schedule_encoding_layer"):
-        monkeypatch.setattr(dataflow, name, recording(getattr(dataflow, name)))
+    for name, encoding in (
+        ("schedule_conv_layer", False), ("schedule_encoding_layer", True)
+    ):
+        monkeypatch.setattr(dataflow, name, recording(getattr(dataflow, name), encoding))
     for case in range(6):
         net, input_shape = random_network(rng, max_dim=12, max_channels=40)
         bundle = generate_random_bundle(net, seed=case)
@@ -535,6 +525,29 @@ def test_engine_reports_time_step_scaling(rng):
 @pytest.mark.parametrize("steps", [1, 3, 8])
 def test_fc_after_pooling_reports_as_a_flattened_1x1_convolution(steps):
     net = validate(parse_network("4Conv(encoding)-MP2-6Conv-MP2-5fc"), (1, 8, 8))
-    assert layer_cycle_report(net.layers[-1], CFG, steps) == conv_layer_report(
-        6 * 2 * 2, 5, 1, 1, 1, 1, CFG
-    ).scaled(steps)
+    report, _ = layer_accounting(net.layers[-1], CFG, steps)
+    assert report == conv_layer_report(6 * 2 * 2, 5, 1, 1, 1, 1, CFG).scaled(steps)
+
+
+@pytest.mark.parametrize("preset, weighted", [("mnist", 4), ("cifar10", 13)])
+def test_run_network_accounts_each_weighted_layer_once(monkeypatch, preset, weighted):
+    # cycles and boundary use are fixed by a layer's geometry, so they are
+    # computed once per layer, not once per time step
+    calls = {"conv_layer_report": 0, "_tile_boundary": 0}
+
+    def counting(name):
+        original = getattr(dataflow, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dataflow, name, counting(name))
+    net, shape = preset_network(preset, 8)
+    bundle = generate_random_bundle(net, seed=0)
+    image = random_input(shape, 0)
+    run_network(net, bundle.weights, bundle.params, image, 8, CFG)
+    assert sum(layer.has_weights for layer in net.layers) == weighted
+    assert calls == {"conv_layer_report": weighted, "_tile_boundary": weighted}
