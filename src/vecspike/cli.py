@@ -171,6 +171,11 @@ def cmd_run(args) -> int:
             raise _CliError(
                 f"bundle uses {bundle.fmt}, the config {cfg.fmt}", EXIT_VALIDATION
             )
+        if bundle.net.time_steps != time_steps:
+            raise _CliError(
+                f"bundle declares {bundle.net.time_steps} time steps, "
+                f"--timesteps is {time_steps}", EXIT_VALIDATION,
+            )
         net = bundle_net
     else:
         bundle = generate_random_bundle(net, args.seed, cfg.fmt)

@@ -4,8 +4,9 @@ This module is the functional oracle for the dataflow engine: a direct
 integer/fixed-point implementation of integrate-and-fire dynamics, folded
 batch normalization, dense binary convolution, OR-pooling and whole-network
 execution.  Everything favours clarity over speed, with one exception:
-the dense convolution sums one BLAS product per kernel offset, in float64
-when ``max|x| * C * kh * kw`` stays below 2**53 and in int64 otherwise.
+the dense convolution sums one BLAS product per kernel offset, in float32
+when ``max|x| * C * kh * kw`` stays below 2**24, in float64 when it stays
+below 2**53 and in int64 otherwise.
 The engine in ``vecspike.dataflow`` must reproduce these results bit for
 bit; it shares no convolution code with this module, so the comparison
 stays an independent check.
@@ -40,7 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ENCODING_INPUT_SCALE = 256  # 8-bit inputs represent u/256 of the (0,1) range
 ENCODING_SHIFT = 8  # log2 of the scale; folded params shift left by this
-FLOAT64_EXACT_LIMIT = 2**53  # integers below this magnitude are exact in float64
+# integers below these magnitudes are exact in float32 / float64
+FLOAT32_EXACT_LIMIT = 2**24
+FLOAT64_EXACT_LIMIT = 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +338,11 @@ def conv2d_oracle(
     w_out = xp.shape[2] - kw + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"{kh}x{kw} kernel does not fit {xp.shape[1]}x{xp.shape[2]} input")
-    # float64 is exact while no |partial sum| reaches 2**53; the bound covers
-    # the running sum over every offset, not only one offset's product
-    x_max = max(int(xp.max(initial=0)), -int(xp.min(initial=0)))
-    exact_in_float = x_max * c * kh * kw < FLOAT64_EXACT_LIMIT
-    dtype = np.float64 if exact_in_float else np.int64
+    # a float is exact while no |partial sum| reaches its limit; the bound
+    # covers the running sum over every offset, not only one offset's product
+    bound = max(int(xp.max(initial=0)), -int(xp.min(initial=0))) * c * kh * kw
+    dtype = (np.float32 if bound < FLOAT32_EXACT_LIMIT
+             else np.float64 if bound < FLOAT64_EXACT_LIMIT else np.int64)
     xp = xp.astype(dtype)
     wv = weights.values(dtype)
     out = np.zeros((weights.out_channels, h_out, w_out), dtype=dtype)

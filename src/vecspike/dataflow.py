@@ -17,17 +17,20 @@ reassociation is exact).  Channel groups are a leading batch axis
 row tile is one GEMM: the tile's kh x kw windows become im2col columns
 [cg*kh*kw][positions] per group and plane, and one batched product with
 the +-1 weights [n_groups][cout][cg*kh*kw] yields every diagonal partial
-sum.  The bitplane shift-add and the group fold are int64 sums over the
-batch axes; the partial rows accumulate in place into the output.  The
-schedulers return these sums only.
+sum.  The bitplane shift-add and the group fold are sums over the batch
+axes; the partial rows accumulate in place into the output, and the
+schedulers return these sums only, cast to int64 once per call.
 
-The GEMM runs in float32 or float64, which is exact only while every
-partial sum stays below 2**24 or 2**53 in magnitude.  With +-1 weights a
-tile's partial sums are bounded by ``max|x| * cg * kh * kw``.  That bound
-is computed on every call from the values multiplied, the bitplanes for
-the encoding layer (binary input is never assumed); past the float32
-limit the GEMM runs in float64, and past the float64 limit in exact
-int64.
+The GEMM, the fold and the stitching run in float32 or float64, which is
+exact only while every partial sum stays below 2**24 or 2**53 in
+magnitude.  With +-1 weights every sum over a subset of the layer's
+channels, bitplanes and kernel rows is bounded by the whole layer's
+``max|x| * cin * kh * kw``, where ``x`` is the 8-bit pixels for the
+encoding layer (a sum over some of a pixel's shifted bitplanes, ``x &
+mask``, is never larger than the pixel).  That bound
+is computed on every call (binary input is never assumed); past the
+float32 limit the arithmetic runs in float64, and past the float64 limit
+in exact int64.
 
 Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
 geometry, the config and T, so each is computed in one place:
@@ -94,12 +97,10 @@ class TileBoundary:
 # ---------------------------------------------------------------------------
 
 # Every integer of magnitude below these limits is exact in float32/float64.
-# With +-1 weights no partial sum of a tile's dot products exceeds
-# max|x| * cg * kh * kw, so a GEMM whose bound stays below a limit is exact.
+# With +-1 weights no partial sum of a layer's dot products exceeds
+# max|x| * cin * kh * kw, so arithmetic whose bound stays below a limit is exact.
 FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
-
-_BITPLANE_SHIFTS = np.arange(8).reshape(8, 1, 1, 1, 1)
 
 
 def gemm_dtype(bound: int) -> np.dtype:
@@ -185,33 +186,36 @@ def _run_schedule(
     Channel groups are a batch axis [n_groups][width] (a partial last group
     is zero filled: its idle PE blocks), with the encoding layer's eight
     bitplanes on a second axis in front, so each row tile is one
-    :func:`_tile_partial_rows` call.  Each group's partial sums are folded
-    in int64 and each tile's rows stitched into the output.
+    :func:`_tile_partial_rows` call.  Each tile's bitplanes and groups are
+    folded and its rows stitched into the output in the GEMM dtype, chosen
+    from the layer bound ``max|x| * cin * kh * kw``; the result is cast to
+    int64 once.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
     cout = weights.out_channels
     groups, tiles, h_out, w_out = _pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
+    peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    dtype = gemm_dtype(peak * cin * kh * kw)
     n_groups = len(groups)
     width = max((csz for _, csz in groups), default=0)
     batch = np.zeros((n_groups * width, h_in, w_in), dtype=np.int64)
     batch[:cin] = x
     batch = batch.reshape(n_groups, width, h_in, w_in)
     if encoding:
-        batch = (batch >> _BITPLANE_SHIFTS) & 1  # [8][n_groups][width][h][w]
-    peak = max(int(batch.max(initial=0)), -int(batch.min(initial=0)))
-    dtype = gemm_dtype(peak * width * kh * kw)
+        # [8][n_groups][width][h][w]: plane k holds bit k of every pixel
+        batch = np.unpackbits(batch.astype(np.uint8)[None], axis=0, bitorder="little")
+        plane_values = np.exp2(np.arange(8)).astype(dtype)
     w_all = weights.values(dtype)
     if n_groups * width > cin:
         w_all = np.pad(w_all, ((0, 0), (0, n_groups * width - cin), (0, 0), (0, 0)))
     w_mat = w_all.reshape(cout, n_groups, width * kh * kw).swapaxes(0, 1)
 
-    out = np.zeros((cout, h_out, w_out), dtype=np.int64)
+    out = np.zeros((cout, h_out, w_out), dtype=dtype)
     for base, rt in tiles:
         raw = _tile_partial_rows(batch[..., base : base + rt, :], w_mat, kh, kw)
-        raw = raw.astype(np.int64)
         if encoding:
-            raw = (raw << _BITPLANE_SHIFTS).sum(axis=0)  # first-stage shift-add
+            raw = np.tensordot(plane_values, raw, axes=1)  # first-stage shift-add
         raw = raw.sum(axis=0)  # last-stage group fold
         # raw row p belongs to output row base + p - (kh - 1); rows
         # outside the output range are edge diagonals and are dropped
@@ -219,7 +223,7 @@ def _run_schedule(
         g1 = min(base + rt, h_out)
         p0 = g0 - base + kh - 1
         out[:, g0:g1] += raw[:, p0 : p0 + g1 - g0]
-    return out
+    return out.astype(np.int64)
 
 
 def _step_input(x, weights: BinaryWeightTensor) -> np.ndarray:

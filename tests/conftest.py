@@ -39,6 +39,20 @@ def brute_conv2d(x, weight_values, pad=0):
     return out
 
 
+def record_tensordot_dtypes(monkeypatch):
+    """Patch ``np.tensordot`` to record the dtype of each call's second
+    operand (the oracle's input slice); returns the growing list."""
+    seen = []
+    tensordot = np.tensordot
+
+    def spy(a, b, axes):
+        seen.append(b.dtype)
+        return tensordot(a, b, axes)
+
+    monkeypatch.setattr(np, "tensordot", spy)
+    return seen
+
+
 def stitching_ledger(h_in, kh, rows, n_groups):
     """(deposits, consumes, peak_rows) of row-by-row pending stitching.
 

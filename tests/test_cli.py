@@ -168,7 +168,7 @@ def test_run_reads_network_from_file(tmp_path):
 
 
 def test_run_matching_bundle_file_accepted(tmp_path):
-    net = validate(parse_network(SMALL_NET), (1, 8, 8))
+    net = validate(parse_network(SMALL_NET, time_steps=4), (1, 8, 8))
     bundle_path = tmp_path / "model.vsa"
     save_bundle(generate_random_bundle(net, 12), bundle_path)
     code = run_cli(
@@ -181,8 +181,21 @@ def test_run_matching_bundle_file_accepted(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("bundle_steps, code", [(9, cli.EXIT_VALIDATION), (2, 0)])
+def test_run_bundle_time_steps_must_equal_timesteps(tmp_path, capsys, bundle_steps, code):
+    net = validate(parse_network(SMALL_NET, time_steps=bundle_steps), (1, 8, 8))
+    bundle_path = tmp_path / "model.vsa"
+    save_bundle(generate_random_bundle(net, 3), bundle_path)
+    assert run_cli([
+        "run", "--net", SMALL_NET, "--input-shape", "1,8,8", "--timesteps", "2",
+        "--bundle", str(bundle_path), "--verify", "--out", str(tmp_path / "r.txt"),
+    ]) == code
+    if code:
+        assert "9 time steps, --timesteps is 2" in capsys.readouterr().err
+
+
 def _mnist_bundle(tmp_path, fmt=FixedPointFormat()):
-    net, _ = preset_network("mnist")
+    net, _ = preset_network("mnist", 2)
     bundle_path = tmp_path / "mnist.vsa"
     save_bundle(generate_random_bundle(net, 0, fmt), bundle_path)
     return bundle_path
@@ -474,7 +487,7 @@ def _field_values(code):
 def _run_edited_bundle(path, field, value):
     """Save a SMALL_NET bundle, set one field under a fresh CRC, so the edit
     gets past the checksum to the field checks, and run it; the exit code."""
-    net = validate(parse_network(SMALL_NET), (1, 8, 8))
+    net = validate(parse_network(SMALL_NET, time_steps=2), (1, 8, 8))
     offset, code = field
     save_bundle(generate_random_bundle(net, 5), path)
     blob = bytearray(path.read_bytes())

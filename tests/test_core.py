@@ -1,9 +1,11 @@
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_conv2d
+from conftest import brute_conv2d, record_tensordot_dtypes
 from vecspike.core import (
     BinaryWeightTensor,
     BNParams,
@@ -276,23 +278,56 @@ def test_conv_oracle_exact_beyond_the_float64_bound(rng):
     assert np.array_equal(conv2d_oracle(x, w), brute_conv2d(x, w.values()))
 
 
-@pytest.mark.parametrize("limit, dtype", [(2**53, np.float64), (1, np.int64)])
-def test_conv_oracle_float_limit_selects_the_path(rng, monkeypatch, limit, dtype):
+@pytest.mark.parametrize(
+    "limits, dtype",
+    [((2**24, 2**53), np.float32), ((1, 2**53), np.float64), ((1, 1), np.int64)],
+)
+def test_conv_oracle_float_limit_selects_the_path(rng, monkeypatch, limits, dtype):
     import vecspike.core as core
 
-    seen = []
-    tensordot = np.tensordot
-
-    def spy(a, b, axes):
-        seen.append(b.dtype)
-        return tensordot(a, b, axes)
-
-    monkeypatch.setattr(core, "FLOAT64_EXACT_LIMIT", limit)
-    monkeypatch.setattr(np, "tensordot", spy)
+    monkeypatch.setattr(core, "FLOAT32_EXACT_LIMIT", limits[0])
+    monkeypatch.setattr(core, "FLOAT64_EXACT_LIMIT", limits[1])
+    seen = record_tensordot_dtypes(monkeypatch)
     x = rng.integers(0, 256, (3, 6, 7))
     w = BinaryWeightTensor(rng.integers(0, 2, (4, 3, 3, 2), dtype=np.uint8))
     assert np.array_equal(conv2d_oracle(x, w, padding=1), brute_conv2d(x, w.values(), 1))
-    assert seen and set(seen) == {np.dtype(dtype)}
+    assert len(seen) == 6 and set(seen) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize(
+    "x_max, k, dtype",
+    [(1_864_135, 3, np.float32), (2**20, 4, np.float64)],
+    ids=["2**24-1", "2**24"],
+)
+def test_conv_oracle_float32_limit_boundary(rng, monkeypatch, x_max, k, dtype):
+    # one channel, so the bound x_max * k * k is 2**24 - 1, then 2**24; the
+    # first window and an all +1 output channel reach it, the other is random
+    assert x_max * k * k in (2**24 - 1, 2**24)
+    seen = record_tensordot_dtypes(monkeypatch)
+    x = rng.integers(x_max - 9, x_max + 1, (1, k + 2, k + 1))
+    x[:, :k, :k] = x_max
+    signs = rng.integers(0, 2, (2, 1, k, k), dtype=np.uint8)
+    signs[0] = 0
+    w = BinaryWeightTensor(signs)
+    out = conv2d_oracle(x, w)
+    assert out[0, 0, 0] == x_max * k * k
+    assert np.array_equal(out, brute_conv2d(x, w.values()))
+    assert set(seen) == {np.dtype(dtype)}
+
+
+def test_core_imports_nothing_from_dataflow():
+    import vecspike.core as core
+
+    with open(core.__file__) as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("dataflow" in name for name in imported)
 
 
 def test_conv_oracle_is_linear_in_input(rng):

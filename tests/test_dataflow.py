@@ -4,7 +4,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import vecspike.dataflow as dataflow
-from conftest import brute_conv2d, random_network, step_boundary, stitching_ledger
+from conftest import (
+    brute_conv2d,
+    random_network,
+    record_tensordot_dtypes,
+    step_boundary,
+    stitching_ledger,
+)
 from vecspike.arch import CycleReport, HardwareConfig
 from vecspike.core import (
     BinaryWeightTensor,
@@ -277,6 +283,48 @@ def test_large_inputs_take_the_wide_path_exactly(rng, monkeypatch, magnitude, dt
         schedule_conv_layer(x, weights, CFG), brute_conv2d(x, weights.values())
     )
     assert set(seen) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize(
+    "schedule, cin, x_max",
+    [(schedule_conv_layer, 64, 40_000), (schedule_encoding_layer, 8_000, 255)],
+    ids=["conv", "encoding"],
+)
+def test_layer_bound_not_group_bound_picks_the_gemm_dtype(
+    rng, monkeypatch, schedule, cin, x_max
+):
+    # one group's bound is below 2**24 (conv: 40000 * 32 * 9; encoding: one
+    # bitplane, 1 * 4 * 9) but the layer's, x_max * cin * 9, is not: the
+    # folded sum of the all +1 channel is odd and above 2**24, which float32
+    # cannot hold, so the GEMM and the fold must run in float64
+    assert x_max * cin * 9 >= 2**24
+    seen = _record_gemm_dtypes(monkeypatch)
+    x = rng.integers(x_max // 2, x_max + 1, (cin, 3, 4))
+    x[:, :, :3] = x_max
+    x[0, 0, 0] -= 1
+    signs = rng.integers(0, 2, (2, cin, 3, 3), dtype=np.uint8)
+    signs[0] = 0
+    weights = BinaryWeightTensor(signs)
+    out = schedule(x, weights, CFG)
+    assert out[0, 0, 0] == x_max * cin * 9 - 1 > 2**24
+    assert np.array_equal(out, brute_conv2d(x, weights.values()))
+    assert set(seen) == {np.dtype(np.float64)}
+
+
+def test_mnist_runs_every_gemm_in_float32(monkeypatch):
+    # the fast path: a silent fallback to float64 fails here, not only in
+    # the benchmark; the engine's tile kernel and the oracle's per-offset
+    # tensordot are recorded separately
+    net, shape = preset_network("mnist", 8)
+    bundle = generate_random_bundle(net, seed=0)
+    image = random_input(shape, 0)
+    engine_dtypes = _record_gemm_dtypes(monkeypatch)
+    engine = run_network(net, bundle.weights, bundle.params, image, 8, CFG)
+    oracle_dtypes = record_tensordot_dtypes(monkeypatch)
+    oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 8)
+    assert len(engine_dtypes) == 36 and set(engine_dtypes) == {np.dtype(np.float32)}
+    assert oracle_dtypes and set(oracle_dtypes) == {np.dtype(np.float32)}
+    assert all(e == o for e, o in zip(engine.layer_trains, oracle.layer_trains))
 
 
 # ---------------------------------------------------------------------------
