@@ -4,9 +4,10 @@ This module is the functional oracle for the dataflow engine: a direct
 integer/fixed-point implementation of integrate-and-fire dynamics, folded
 batch normalization, dense binary convolution, OR-pooling and whole-network
 execution.  Everything favours clarity over speed, with one exception:
-the dense convolution sums one BLAS product per kernel offset, in float32
-when ``max|x| * C * kh * kw`` stays below 2**24, in float64 when it stays
-below 2**53 and in int64 otherwise.
+the dense convolution sums one BLAS product per kernel offset, each on a
+view of the padded input (no copy per offset), in float32 when
+``max|x| * C * kh * kw`` stays below 2**24, in float64 when it stays below
+2**53 and in int64 otherwise.
 The engine in ``vecspike.dataflow`` must reproduce these results bit for
 bit; it shares no convolution code with this module, so the comparison
 stays an independent check.
@@ -320,7 +321,11 @@ def conv2d_oracle(
 
     Accepts a single-step spike map or an unsigned 8-bit tensor shaped
     [C][H][W]; returns exact integer outputs [O][H'][W'].  Accumulation is
-    a plain sum over receptive-field offsets.
+    a plain sum over receptive-field offsets.  The padded input, plus one
+    spare zero row, is written once and flattened to [C][(hp+1)*wp]; offset
+    (u, v) multiplies its [O][C] weights with the view from ``u*wp + v``,
+    ``h_out*wp`` long.  Each output row carries ``wp - w_out`` wrapped
+    columns, dropped once at the end.
     """
     x = np.asarray(inputs, dtype=np.int64)
     if x.ndim != 3:
@@ -333,25 +338,27 @@ def conv2d_oracle(
             f"input has {c} channels, weights expect {weights.in_channels}"
         )
     kh, kw = weights.kernel
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    h_out = xp.shape[1] - kh + 1
-    w_out = xp.shape[2] - kw + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    h_out = hp - kh + 1
+    w_out = wp - kw + 1
     if h_out < 1 or w_out < 1:
-        raise ShapeError(f"{kh}x{kw} kernel does not fit {xp.shape[1]}x{xp.shape[2]} input")
+        raise ShapeError(f"{kh}x{kw} kernel does not fit {hp}x{wp} input")
     # a float is exact while no |partial sum| reaches its limit; the bound
     # covers the running sum over every offset, not only one offset's product
-    bound = max(int(xp.max(initial=0)), -int(xp.min(initial=0))) * c * kh * kw
+    bound = max(int(x.max(initial=0)), -int(x.min(initial=0))) * c * kh * kw
     dtype = (np.float32 if bound < FLOAT32_EXACT_LIMIT
              else np.float64 if bound < FLOAT64_EXACT_LIMIT else np.int64)
-    xp = xp.astype(dtype)
-    wv = weights.values(dtype)
-    out = np.zeros((weights.out_channels, h_out, w_out), dtype=dtype)
+    xp = np.zeros((c, hp + 1, wp), dtype=dtype)
+    xp[:, padding : padding + h, padding : padding + w] = x
+    flat = xp.reshape(c, (hp + 1) * wp)
+    signs = weights.sign_bits.transpose(2, 3, 0, 1)  # [kh][kw][O][C]
+    wv = np.subtract(1, 2 * signs, dtype=dtype, order="C")
+    out = np.zeros((weights.out_channels, h_out * wp), dtype=dtype)
     for u in range(kh):
         for v in range(kw):
-            out += np.tensordot(
-                wv[:, :, u, v], xp[:, u : u + h_out, v : v + w_out], axes=1
-            )
-    return out.astype(np.int64)
+            start = u * wp + v
+            out += np.matmul(wv[u, v], flat[:, start : start + h_out * wp])
+    return out.reshape(-1, h_out, wp)[:, :, :w_out].astype(np.int64)
 
 
 def maxpool2_oracle(spikes) -> np.ndarray:
@@ -362,7 +369,10 @@ def maxpool2_oracle(spikes) -> np.ndarray:
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    return x.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4)).astype(x.dtype)
+    return np.maximum(
+        np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+        np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ from .core import (
     FoldedNeuronParams,
     MembraneState,
     SpikeTrain,
-    maxpool2_oracle,
 )
 from .errors import ConfigError, InvalidParameterError, ShapeError
 
@@ -431,6 +430,12 @@ def _pad_step(step: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(step, ((0, 0), (pad, pad), (pad, pad)))
 
 
+def _or_pool2(train: np.ndarray) -> np.ndarray:
+    """2x2 OR pooling of a [T][C][H][W] train: strided slices, rows then columns."""
+    rows = train[:, :, 0::2] | train[:, :, 1::2]
+    return rows[..., 0::2] | rows[..., 1::2]
+
+
 def run_network(
     net: "NetworkDescription",
     weights: Sequence[BinaryWeightTensor | None],
@@ -443,8 +448,8 @@ def run_network(
 
     Layer by layer, all time steps of one layer run before the next so
     membrane potentials never leave the chip.  The encoding convolution is
-    computed once and iterated against the residue potential; pooling is
-    applied as post-processing on each step's output map.  Spike trains
+    computed once and iterated against the residue potential; pooling ORs
+    strided slices of the whole train (:func:`_or_pool2`).  Spike trains
     are bit-identical to :func:`vecspike.core.run_network_oracle`.
     """
     img = np.asarray(image)
@@ -478,9 +483,7 @@ def run_network(
                 steps.append(spikes)
             current = np.stack(steps)
         elif layer.kind == "maxpool2":
-            current = np.stack(
-                [maxpool2_oracle(current[t]) for t in range(time_steps)]
-            )
+            current = _or_pool2(current)
         else:
             raise InvalidParameterError(f"unknown layer kind {layer.kind!r}")
         if current.shape[1:] != layer.out_shape:

@@ -39,17 +39,22 @@ def brute_conv2d(x, weight_values, pad=0):
     return out
 
 
-def record_tensordot_dtypes(monkeypatch):
-    """Patch ``np.tensordot`` to record the dtype of each call's second
-    operand (the oracle's input slice); returns the growing list."""
+def record_matmul_dtypes(monkeypatch):
+    """Patch ``np.matmul`` to record the dtype of each call's second operand
+    (the oracle's input for one kernel offset); returns the growing list.
+
+    Each operand must be a 2-D view with unit-stride rows, not a copy.  The
+    ``@`` operator does not look ``np.matmul`` up, so the engine's tile
+    products are not recorded."""
     seen = []
-    tensordot = np.tensordot
+    matmul = np.matmul
 
-    def spy(a, b, axes):
+    def spy(a, b, *args, **kwargs):
+        assert b.ndim == 2 and b.strides[-1] == b.itemsize and b.base is not None
         seen.append(b.dtype)
-        return tensordot(a, b, axes)
+        return matmul(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(np, "tensordot", spy)
+    monkeypatch.setattr(np, "matmul", spy)
     return seen
 
 

@@ -2,10 +2,10 @@ import ast
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import brute_conv2d, record_tensordot_dtypes
+from conftest import brute_conv2d, record_matmul_dtypes
 from vecspike.core import (
     BinaryWeightTensor,
     BNParams,
@@ -287,7 +287,7 @@ def test_conv_oracle_float_limit_selects_the_path(rng, monkeypatch, limits, dtyp
 
     monkeypatch.setattr(core, "FLOAT32_EXACT_LIMIT", limits[0])
     monkeypatch.setattr(core, "FLOAT64_EXACT_LIMIT", limits[1])
-    seen = record_tensordot_dtypes(monkeypatch)
+    seen = record_matmul_dtypes(monkeypatch)
     x = rng.integers(0, 256, (3, 6, 7))
     w = BinaryWeightTensor(rng.integers(0, 2, (4, 3, 3, 2), dtype=np.uint8))
     assert np.array_equal(conv2d_oracle(x, w, padding=1), brute_conv2d(x, w.values(), 1))
@@ -303,7 +303,7 @@ def test_conv_oracle_float32_limit_boundary(rng, monkeypatch, x_max, k, dtype):
     # one channel, so the bound x_max * k * k is 2**24 - 1, then 2**24; the
     # first window and an all +1 output channel reach it, the other is random
     assert x_max * k * k in (2**24 - 1, 2**24)
-    seen = record_tensordot_dtypes(monkeypatch)
+    seen = record_matmul_dtypes(monkeypatch)
     x = rng.integers(x_max - 9, x_max + 1, (1, k + 2, k + 1))
     x[:, :k, :k] = x_max
     signs = rng.integers(0, 2, (2, 1, k, k), dtype=np.uint8)
@@ -347,6 +347,51 @@ def test_conv_oracle_dimension_mismatch():
         conv2d_oracle(np.zeros((2, 2, 2)), w)  # kernel does not fit
 
 
+# limits that force each arithmetic path, zero bound included
+_DTYPE_PATHS = {
+    np.float32: (2**24, 2**53),
+    np.float64: (0, 2**53),
+    np.int64: (0, 0),
+}
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 5),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.sampled_from(list(_DTYPE_PATHS)),
+    st.integers(0, 2**32 - 1),
+)
+@example(4, 4, 0, 3, 0, 0, np.float32, 0)
+@example(1, 4, 2, 0, 0, 0, np.float64, 1)
+@example(4, 1, 1, 5, 0, 1, np.int64, 2)
+def test_conv_oracle_matches_brute_force_on_any_geometry(
+    kh, kw, pad, cin, extra_h, extra_w, dtype, seed
+):
+    # H and W reach down to the kernel (h_out = w_out = 1), where the
+    # wrapped columns and the spare row matter most
+    import vecspike.core as core
+
+    rng = np.random.default_rng(seed)
+    h = max(1, kh - 2 * pad) + extra_h
+    w = max(1, kw - 2 * pad) + extra_w
+    x = rng.integers(-255, 256, (cin, h, w))
+    weights = BinaryWeightTensor(
+        rng.integers(0, 2, (int(rng.integers(1, 4)), cin, kh, kw), dtype=np.uint8)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "FLOAT32_EXACT_LIMIT", _DTYPE_PATHS[dtype][0])
+        mp.setattr(core, "FLOAT64_EXACT_LIMIT", _DTYPE_PATHS[dtype][1])
+        seen = record_matmul_dtypes(mp)
+        out = conv2d_oracle(x, weights, padding=pad)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, brute_conv2d(x, weights.values(), pad))
+    assert len(seen) == kh * kw and set(seen) == {np.dtype(dtype)}
+
+
 def test_maxpool_oracle():
     assert not maxpool2_oracle(np.zeros((1, 4, 4), dtype=np.uint8)).any()
     x = np.zeros((1, 2, 2), dtype=np.uint8)
@@ -359,6 +404,7 @@ def test_maxpool_oracle():
 def test_maxpool_oracle_matches_window_max(rng):
     x = rng.integers(0, 2, (3, 4, 4), dtype=np.uint8)
     pooled = maxpool2_oracle(x)
+    assert pooled.dtype == x.dtype
     for c in range(3):
         for i in range(2):
             for j in range(2):

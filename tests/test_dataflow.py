@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -7,7 +9,7 @@ import vecspike.dataflow as dataflow
 from conftest import (
     brute_conv2d,
     random_network,
-    record_tensordot_dtypes,
+    record_matmul_dtypes,
     step_boundary,
     stitching_ledger,
 )
@@ -19,6 +21,7 @@ from vecspike.core import (
     MembraneState,
     conv2d_oracle,
     fold_bn,
+    maxpool2_oracle,
     run_network_oracle,
 )
 from vecspike.dataflow import (
@@ -314,13 +317,13 @@ def test_layer_bound_not_group_bound_picks_the_gemm_dtype(
 def test_mnist_runs_every_gemm_in_float32(monkeypatch):
     # the fast path: a silent fallback to float64 fails here, not only in
     # the benchmark; the engine's tile kernel and the oracle's per-offset
-    # tensordot are recorded separately
+    # matmul are recorded separately
     net, shape = preset_network("mnist", 8)
     bundle = generate_random_bundle(net, seed=0)
     image = random_input(shape, 0)
     engine_dtypes = _record_gemm_dtypes(monkeypatch)
     engine = run_network(net, bundle.weights, bundle.params, image, 8, CFG)
-    oracle_dtypes = record_tensordot_dtypes(monkeypatch)
+    oracle_dtypes = record_matmul_dtypes(monkeypatch)
     oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 8)
     assert len(engine_dtypes) == 36 and set(engine_dtypes) == {np.dtype(np.float32)}
     assert oracle_dtypes and set(oracle_dtypes) == {np.dtype(np.float32)}
@@ -568,6 +571,36 @@ def test_engine_reports_time_step_scaling(rng):
         run4.layers[1].report.total_cycles
         == 4 * run1.layers[1].report.total_cycles
     )
+
+
+def test_dataflow_imports_no_oracle_from_core():
+    # the engine's results are checked against the oracle, so it must not
+    # compute any of them with oracle code
+    with open(dataflow.__file__) as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("core"):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any(name.endswith("_oracle") for name in imported)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 1, 1, 0)
+def test_engine_pooling_matches_oracle_per_step(steps, channels, half_h, half_w, seed):
+    train = np.random.default_rng(seed).integers(
+        0, 2, (steps, channels, 2 * half_h, 2 * half_w), dtype=np.uint8
+    )
+    pooled = dataflow._or_pool2(train)
+    expected = np.stack([maxpool2_oracle(step) for step in train])
+    assert pooled.dtype == expected.dtype == np.uint8
+    assert np.array_equal(pooled, expected)
 
 
 @pytest.mark.parametrize("steps", [1, 3, 8])
