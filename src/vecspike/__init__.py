@@ -15,7 +15,6 @@ from .core import (
     BinaryWeightTensor,
     BNParams,
     FoldedNeuronParams,
-    MembraneState,
     SpikeTrain,
     conv2d_oracle,
     fold_bn,
@@ -60,7 +59,6 @@ __all__ = [
     "FoldedNeuronParams",
     "FusionPlan",
     "HardwareConfig",
-    "MembraneState",
     "ModelBundle",
     "NetworkDescription",
     "SpikeTrain",

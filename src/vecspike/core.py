@@ -1,9 +1,10 @@
 """Bit-exact reference model of binary-weight spiking inference.
 
-This module is the functional oracle for the dataflow engine: a direct
-integer/fixed-point implementation of integrate-and-fire dynamics, folded
-batch normalization, dense binary convolution, OR-pooling and whole-network
-execution.  Everything favours clarity over speed, with one exception:
+This module holds the data types the engine shares and the functional
+oracle that checks it: a direct integer/fixed-point implementation of
+integrate-and-fire dynamics, folded batch normalization, dense binary
+convolution, OR-pooling and whole-network execution.  Everything favours
+clarity over speed, with one exception:
 the dense convolution sums one BLAS product per kernel offset, each on a
 view of the padded input (no copy per offset), in float32 when
 ``max|x| * C * kh * kw`` stays below 2**24, in float64 when it stays below
@@ -20,7 +21,8 @@ Conventions
 * The IF recurrence is ``V[t+1] = V[t]*(1 - o[t]) + in[t+1]`` with a spike
   whenever the updated potential reaches the threshold (hard reset to zero,
   ties fire).  With a negative normalization gain the comparison direction
-  flips to ``<=``.
+  flips to ``<=``.  The oracle resets lazily, on the next step; the
+  engine writes zero back when a neuron fires.
 * The first (encoding) layer consumes an 8-bit image, computes its integer
   convolution once, and re-accumulates that constant result every time step.
   Its folded bias/threshold are pre-scaled by 256 so that the u/256 input
@@ -190,8 +192,8 @@ class FoldedNeuronParams:
 
     def scaled_by_pow2(self, shift: int) -> "FoldedNeuronParams":
         """Exactly scale bias and threshold by 2**shift (raw left shift)."""
-        bias = self.bias_raw << shift
-        thr = self.threshold_raw << shift
+        bias = self.fmt.shift_left(self.bias_raw, shift, "scaled bias")
+        thr = self.fmt.shift_left(self.threshold_raw, shift, "scaled threshold")
         self.fmt.check_raw(bias, "scaled bias")
         self.fmt.check_raw(thr, "scaled threshold")
         return FoldedNeuronParams(bias, thr, self.flipped.copy(), self.fmt)
@@ -204,28 +206,6 @@ class FoldedNeuronParams:
             and np.array_equal(self.bias_raw, other.bias_raw)
             and np.array_equal(self.threshold_raw, other.threshold_raw)
             and np.array_equal(self.flipped, other.flipped)
-        )
-
-
-@dataclass
-class MembraneState:
-    """Membrane potentials of one layer plus the last emitted spikes.
-
-    The reset term of the recurrence is applied lazily: ``last_output``
-    remembers which positions fired so the next update can zero them
-    before accumulating new input.
-    """
-
-    potentials: np.ndarray
-    last_output: np.ndarray
-    fmt: FixedPointFormat = field(default_factory=lambda: DEFAULT_FORMAT)
-
-    @classmethod
-    def zeros(cls, shape, fmt: FixedPointFormat = DEFAULT_FORMAT) -> "MembraneState":
-        return cls(
-            np.zeros(shape, dtype=np.int64),
-            np.zeros(shape, dtype=np.uint8),
-            fmt,
         )
 
 
@@ -392,7 +372,7 @@ def _if_run(
     o = np.zeros(step_inputs[0].shape, dtype=bool)
     spikes = []
     for x in step_inputs:
-        weighted = (x.astype(np.int64) << fmt.frac_bits) - bias
+        weighted = fmt.shift_left(x, fmt.frac_bits, "convolution sum") - bias
         v = np.where(o, 0, v) + weighted
         fmt.check_raw(v, "membrane potential")
         o = np.where(flip, v <= threshold, v >= threshold)

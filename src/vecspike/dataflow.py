@@ -65,10 +65,10 @@ from .core import (
     ENCODING_SHIFT,
     BinaryWeightTensor,
     FoldedNeuronParams,
-    MembraneState,
     SpikeTrain,
 )
 from .errors import ConfigError, InvalidParameterError, ShapeError
+from .fixedpoint import FixedPointFormat
 
 if TYPE_CHECKING:  # pragma: no cover
     from .netconfig import LayerSpec, NetworkDescription
@@ -369,32 +369,33 @@ def stream_conv_columns(
 def if_unit_process(
     conv_out,
     params: FoldedNeuronParams,
-    membrane: MembraneState,
-) -> tuple[np.ndarray, MembraneState]:
-    """Subtract the folded bias, accumulate, compare, fire and reset.
+    potentials: np.ndarray,
+    fmt: FixedPointFormat,
+) -> np.ndarray:
+    """Subtract the folded bias, accumulate, compare, fire and write back.
 
-    The encoding layer re-presents the same integer convolution every step
-    (it is parked in the second membrane SRAM on chip); the arithmetic is
-    the same as for a spiking layer, only the data source differs.
+    Updates the layer's int64 membrane ``potentials`` in place to the sum,
+    or zero where the neuron fired, and returns the uint8 spikes.  The
+    encoding layer re-presents the same integer convolution every step (it
+    is parked in the second membrane SRAM on chip).
     """
     x = np.asarray(conv_out, dtype=np.int64)
-    if x.shape != membrane.potentials.shape:
+    if x.shape != potentials.shape or potentials.dtype != np.int64:
         raise ShapeError(
-            f"conv output {x.shape} does not match membrane {membrane.potentials.shape}"
+            f"conv output {x.shape} does not match int64 membrane {potentials.shape}"
         )
     if params.channels != x.shape[0]:
         raise ShapeError(
             f"{params.channels} parameter channels for {x.shape[0]} output channels"
         )
-    fmt = membrane.fmt
-    weighted = (x << fmt.frac_bits) - params.bias_raw[:, None, None]
-    fired = membrane.last_output.astype(bool)
-    v = np.where(fired, 0, membrane.potentials) + weighted
-    fmt.check_raw(v, "membrane potential")
+    potentials += fmt.shift_left(x, fmt.frac_bits, "convolution sum")
+    potentials -= params.bias_raw[:, None, None]
+    fmt.check_raw(potentials, "membrane potential")
     thr = params.threshold_raw[:, None, None]
     flip = params.flipped[:, None, None]
-    spikes = np.where(flip, v <= thr, v >= thr).astype(np.uint8)
-    return spikes, MembraneState(v, spikes, fmt)
+    fired = np.where(flip, potentials <= thr, potentials >= thr)
+    potentials *= ~fired
+    return fired.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +448,8 @@ def run_network(
     """Execute a validated network on the datapath model.
 
     Layer by layer, all time steps of one layer run before the next so
-    membrane potentials never leave the chip.  The encoding convolution is
+    membrane potentials never leave the chip; each weighted layer's int64
+    membrane is updated in place.  The encoding convolution is
     computed once and iterated against the residue potential; pooling ORs
     strided slices of the whole train (:func:`_or_pool2`).  Spike trains
     are bit-identical to :func:`vecspike.core.run_network_oracle`.
@@ -471,7 +473,7 @@ def run_network(
                     _pad_step(img, layer.padding), weights[idx], cfg
                 )
                 params = params.scaled_by_pow2(ENCODING_SHIFT)
-            membrane = MembraneState.zeros(layer.out_shape, fmt)
+            potentials = np.zeros(layer.out_shape, dtype=np.int64)
             steps = []
             for t in range(time_steps):
                 if layer.kind != "encoding-conv":
@@ -479,8 +481,7 @@ def run_network(
                     sums = schedule_conv_layer(
                         _pad_step(step, layer.padding), weights[idx], cfg
                     )
-                spikes, membrane = if_unit_process(sums, params, membrane)
-                steps.append(spikes)
+                steps.append(if_unit_process(sums, params, potentials, fmt))
             current = np.stack(steps)
         elif layer.kind == "maxpool2":
             current = _or_pool2(current)

@@ -3,8 +3,8 @@
 Membrane potentials, folded biases and thresholds are all stored as plain
 integers scaled by 2**frac_bits.  The default format is signed 24-bit with
 8 fractional bits, which leaves headroom above the worst-case integer
-convolution magnitudes of the supported layer shapes.  Overflow is a
-reported fault, never a silent wraparound.
+convolution magnitudes of the supported layer shapes.  Overflow, of a
+sum or of a left shift, is a reported fault, never a silent wraparound.
 """
 
 from __future__ import annotations
@@ -52,6 +52,20 @@ class FixedPointFormat:
                 f"for {self.total_bits}-bit format"
             )
         return raw
+
+    def shift_left(self, raw, shift: int, context: str = "value") -> np.ndarray:
+        """``raw << shift`` in int64; raises where the shift would wrap.
+
+        The result may still lie outside the format: ``check_raw`` of it, or
+        of its sum with in-format values (which can only wrap out of the
+        format), catches that.
+        """
+        arr = np.asarray(raw, dtype=np.int64)
+        limit = 1 << (63 - shift)
+        if arr.size and (arr.min() < -limit or arr.max() >= limit):
+            bad = int(arr.min()) if arr.min() < -limit else int(arr.max())
+            raise FixedPointOverflowError(f"{context}: raw {bad} << {shift} overflows int64")
+        return arr << shift
 
     def quantize(self, value):
         """Round real value(s) to the fixed-point grid (half to even).

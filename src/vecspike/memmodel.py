@@ -247,6 +247,14 @@ class TrafficLedger:
         ]
 
 
+def _plan_layers(net: "NetworkDescription", plan: FusionPlan) -> list[ComputeLayer]:
+    """The network's compute layers; raises unless ``plan`` covers each one."""
+    layers = compute_layers(net)
+    if plan.layer_count != len(layers):
+        raise PlanError(f"plan covers {plan.layer_count} layers, network has {len(layers)}")
+    return layers
+
+
 def simulate_traffic(
     net: "NetworkDescription",
     plan: FusionPlan,
@@ -261,11 +269,7 @@ def simulate_traffic(
     non-fused boundary moves bit-packed spike maps for all T steps.
     Intermediates of fused pairs contribute neither a write nor a read.
     """
-    layers = compute_layers(net)
-    if plan.layer_count != len(layers):
-        raise PlanError(
-            f"plan covers {plan.layer_count} layers, network has {len(layers)}"
-        )
+    layers = _plan_layers(net, plan)
     on_chip = set(plan.fused_intermediates())
     records = []
     for pos, layer in enumerate(layers):
@@ -301,7 +305,7 @@ def fusion_savings(
     net: "NetworkDescription", plan: FusionPlan, time_steps: int
 ) -> int:
     """The identity value: sum of 2 x (intermediate map bytes) over pairs."""
-    layers = compute_layers(net)
+    layers = _plan_layers(net, plan)
     return sum(
         2 * layers[pos].out_map_bytes(time_steps)
         for pos in plan.fused_intermediates()
@@ -369,13 +373,9 @@ def pingpong_schedule(
     read event; membrane and boundary slices are counted, not traced.  A
     DRAM write is an event only.  Any violation raises a fault.
     """
-    layers = compute_layers(net)
     if plan is None:
-        plan = FusionPlan.unfused(len(layers))
-    if plan.layer_count != len(layers):
-        raise PlanError(
-            f"plan covers {plan.layer_count} layers, network has {len(layers)}"
-        )
+        plan = FusionPlan.unfused(len(compute_layers(net)))
+    layers = _plan_layers(net, plan)
 
     capacities = {
         "spike0": cfg.spike_sram_bytes,  # spike ping-pong pair

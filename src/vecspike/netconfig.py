@@ -311,8 +311,11 @@ def _bundle_payload(bundle: ModelBundle) -> bytes:
         wgt = bundle.weights[idx]
         par = bundle.params[idx]
         parts.append(np.packbits(wgt.sign_bits.ravel()).tobytes())
-        parts.append(par.bias_raw.astype("<i4").tobytes())
-        parts.append(par.threshold_raw.astype("<i4").tobytes())
+        for name, raw in (("bias", par.bias_raw), ("threshold", par.threshold_raw)):
+            field32 = raw.astype("<i4")
+            if not np.array_equal(field32, raw):
+                raise BundleError(f"layer {idx}: raw {name} does not fit its 32-bit field")
+            parts.append(field32.tobytes())
         parts.append(par.flipped.astype(np.uint8).tobytes())
     return b"".join(parts)
 

@@ -11,6 +11,7 @@ from vecspike.core import (
     BNParams,
     FoldedNeuronParams,
     SpikeTrain,
+    _if_run,
     conv2d_oracle,
     fold_bn,
     if_step,
@@ -23,7 +24,7 @@ from vecspike.errors import (
     InvalidParameterError,
     ShapeError,
 )
-from vecspike.fixedpoint import DEFAULT_FORMAT
+from vecspike.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from vecspike.netconfig import (
     NetworkDescription,
     generate_random_bundle,
@@ -126,6 +127,25 @@ def test_firing_decision_is_scale_invariant(x, threshold, c):
 def test_if_step_overflow_is_reported():
     with pytest.raises(FixedPointOverflowError):
         if_step(FMT.raw_max, 0, 1, 0)
+
+
+WIDE = FixedPointFormat(62, 56)
+
+
+@pytest.mark.parametrize("conv_sum", [256, 257, -257])
+def test_oracle_if_refuses_a_wrapping_left_shift(conv_sum):
+    # conv_sum << 56 leaves int64: 256 wrapped to 0 (no spike, no fault)
+    # and 257 to 1.0, which fired
+    params = FoldedNeuronParams([0], [WIDE.quantize(1.0)], [False], WIDE)
+    with pytest.raises(FixedPointOverflowError, match="convolution sum"):
+        _if_run([np.full((1, 1, 1), conv_sum)], params, WIDE)
+
+
+def test_scaled_params_refuse_a_wrapping_left_shift():
+    # 2**56 << 8 wrapped to 0
+    params = FoldedNeuronParams([2**56], [1], [False], WIDE)
+    with pytest.raises(FixedPointOverflowError, match="scaled bias"):
+        params.scaled_by_pow2(8)
 
 
 # ---------------------------------------------------------------------------

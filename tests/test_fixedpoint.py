@@ -59,3 +59,14 @@ def test_invalid_formats_rejected():
         FixedPointFormat(total_bits=8, frac_bits=0)
     with pytest.raises(InvalidParameterError):
         FixedPointFormat(total_bits=64, frac_bits=8)
+
+
+@pytest.mark.parametrize("shift", [4, 8, 56])
+def test_shift_left_faults_exactly_where_int64_would_wrap(shift):
+    fmt = FixedPointFormat(62, 56)
+    limit = 2 ** (63 - shift)
+    edges = np.array([-limit, -1, 0, limit - 1])
+    assert fmt.shift_left(edges, shift).tolist() == [v * 2**shift for v in edges.tolist()]
+    for bad in (limit, -limit - 1):
+        with pytest.raises(FixedPointOverflowError, match=f"raw {bad} << {shift}"):
+            fmt.shift_left(np.array([0, bad]), shift)

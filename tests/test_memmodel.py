@@ -155,9 +155,25 @@ def test_traffic_monotonic_in_t():
 
 
 def test_plan_network_mismatch():
+    # mnist has 4 compute layers; each plan covers fewer or more, and every
+    # function that walks a plan refuses it with the same message
     net, _ = preset_network("mnist")
-    with pytest.raises(PlanError):
-        simulate_traffic(net, FusionPlan.unfused(2), 8, CFG)
+    plans = [
+        FusionPlan.unfused(2),
+        FusionPlan([(0, 1)]),
+        FusionPlan([(0,), (1,), (2,), (3, 4)]),
+        FusionPlan([(0,), (1,), (2,), (3,), (4, 5)]),
+    ]
+    walks = [
+        lambda plan: simulate_traffic(net, plan, 8, CFG),
+        lambda plan: pingpong_schedule(net, 8, CFG, plan),
+        lambda plan: fusion_savings(net, plan, 8),
+    ]
+    for plan in plans:
+        message = f"plan covers {plan.layer_count} layers, network has 4"
+        for walk in walks:
+            with pytest.raises(PlanError, match=message):
+                walk(plan)
 
 
 # ---------------------------------------------------------------------------

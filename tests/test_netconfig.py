@@ -11,6 +11,7 @@ from vecspike.errors import (
     TruncatedBundleError,
     ValidationError,
 )
+from vecspike.fixedpoint import FixedPointFormat
 from vecspike.netconfig import (
     PRESETS,
     generate_random_bundle,
@@ -161,6 +162,17 @@ def test_bundle_round_trip(tmp_path):
     loaded = load_bundle(path)
     assert loaded == bundle
     assert loaded.checksum() == bundle.checksum()
+
+
+def test_save_bundle_refuses_parameters_its_32_bit_fields_cannot_hold(tmp_path):
+    # at 36 fractional bits the folded biases lie near +-2**35; written as
+    # int32 they came back as other values, with no error
+    net = validate(parse_network("2Conv(encoding)-2fc"), (1, 4, 4))
+    bundle = generate_random_bundle(net, seed=3, fmt=FixedPointFormat(48, 36))
+    assert bundle.params[0].bias_raw.tolist() == [-41261146566, 38124110346]
+    with pytest.raises(BundleError, match="layer 0: raw bias"):
+        save_bundle(bundle, tmp_path / "model.vsa")
+    assert not (tmp_path / "model.vsa").exists()
 
 
 def test_bundle_determinism():
