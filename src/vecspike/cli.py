@@ -113,6 +113,8 @@ def _input_shape(args, default: tuple | None) -> tuple | None:
         c, h, w = (int(v) for v in args.input_shape.split(","))
     except ValueError as exc:
         raise _CliError("--input-shape must be C,H,W", EXIT_ARGS) from exc
+    if min(c, h, w) < 1:
+        raise _CliError(f"--input-shape {c},{h},{w} must be positive", EXIT_VALIDATION)
     return (c, h, w)
 
 
@@ -150,6 +152,8 @@ def _write_output(text: str, path: str | None):
 
 def cmd_run(args) -> int:
     time_steps = _positive_timesteps(args)
+    if args.seed < 0:
+        raise _CliError("--seed must be >= 0", EXIT_ARGS)
     cfg = _load_config(args.config)
     net, preset_shape = _resolve_network(args.net, time_steps)
     image = _resolve_input(args, preset_shape)
@@ -159,9 +163,7 @@ def cmd_run(args) -> int:
         bundle = load_bundle(args.bundle)
         bundle_net = validate(bundle.net, image.shape)
         if bundle_net.layers != net.layers or any(
-            w is not None
-            and w.sign_bits.shape
-            != (layer.out_channels, layer.in_channels, *layer.kernel)
+            w is not None and w.sign_bits.shape != layer.weight_shape
             for layer, w in zip(bundle_net.layers, bundle.weights)
         ):
             raise _CliError(

@@ -42,8 +42,9 @@ from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 if TYPE_CHECKING:  # pragma: no cover
     from .netconfig import NetworkDescription
 
-ENCODING_INPUT_SCALE = 256  # 8-bit inputs represent u/256 of the (0,1) range
-ENCODING_SHIFT = 8  # log2 of the scale; folded params shift left by this
+# 8-bit inputs represent u/2**8 of the (0,1) range; folded params shift
+# left by this
+ENCODING_SHIFT = 8
 # integers below these magnitudes are exact in float32 / float64
 FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
@@ -185,6 +186,13 @@ class FoldedNeuronParams:
             self.bias_raw.shape == self.threshold_raw.shape == self.flipped.shape
         ):
             raise ShapeError("folded parameter arrays must share one shape")
+        fmt = self.fmt
+        for name, raw in (("bias", self.bias_raw), ("threshold", self.threshold_raw)):
+            if raw.size and (raw.min() < fmt.raw_min or raw.max() > fmt.raw_max):
+                raise InvalidParameterError(
+                    f"{name} raw outside [{fmt.raw_min}, {fmt.raw_max}] "
+                    f"for {fmt.total_bits}-bit format"
+                )
 
     @property
     def channels(self) -> int:

@@ -9,14 +9,16 @@ intermediate map from the ledger.
 
 Pooling is absorbed into its producer's post-processing: a ``MP2`` token
 never breaks fusion adjacency, and the producing layer's DRAM output is
-the pooled map.
+the pooled map.  A compute layer keeps its validated ``LayerSpec``, so the
+shapes before pooling (weights, input, the conv output that the IF unit
+integrates) are read from the spec and only the pooled map is its own.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .arch import HardwareConfig
@@ -49,25 +51,16 @@ def weight_bytes(
 
 @dataclass(frozen=True)
 class ComputeLayer:
-    """A weighted layer with any following pooling folded into its output."""
+    """A validated weighted layer (``spec``, shapes before pooling) and the
+    map it hands on, ``out_shape``, with any following pooling absorbed."""
 
-    index: int                    # index in the original layer list
-    kind: str
-    in_shape: tuple[int, int, int]
-    out_shape: tuple[int, int, int]   # after absorbed pooling
-    weight_shape: tuple[int, int, int, int]
-    pooled: bool
-    padding: int = 0
+    index: int  # index in the original layer list
+    spec: "LayerSpec"
+    out_shape: tuple[int, int, int]
 
-    def weight_traffic_bytes(self, param_bytes: int) -> int:
-        o, i, kh, kw = self.weight_shape
-        return weight_bytes(o, i, kh, kw, param_bytes)
-
-    def sign_bytes(self) -> int:
-        return weight_bytes(*self.weight_shape, param_bytes=0)
-
-    def out_map_bytes(self, time_steps: int) -> int:
-        return spike_map_bytes(*self.out_shape, time_steps)
+    @property
+    def pooled(self) -> bool:
+        return self.out_shape != self.spec.out_shape
 
 
 def compute_layers(net: "NetworkDescription") -> list[ComputeLayer]:
@@ -76,32 +69,12 @@ def compute_layers(net: "NetworkDescription") -> list[ComputeLayer]:
         raise PlanError("network must be validated before planning")
     result: list[ComputeLayer] = []
     for idx, layer in enumerate(net.layers):
-        if layer.kind == "maxpool2":
-            if not result:
-                raise PlanError("pooling cannot precede the first weighted layer")
-            prev = result[-1]
-            result[-1] = ComputeLayer(
-                prev.index,
-                prev.kind,
-                prev.in_shape,
-                layer.out_shape,
-                prev.weight_shape,
-                pooled=True,
-                padding=prev.padding,
-            )
-            continue
-        kh, kw = layer.kernel
-        result.append(
-            ComputeLayer(
-                idx,
-                layer.kind,
-                layer.in_shape,
-                layer.out_shape,
-                (layer.out_channels, layer.in_channels, kh, kw),
-                pooled=False,
-                padding=layer.padding,
-            )
-        )
+        if layer.kind != "maxpool2":
+            result.append(ComputeLayer(idx, layer, layer.out_shape))
+        elif not result:
+            raise PlanError("pooling cannot precede the first weighted layer")
+        else:
+            result[-1] = replace(result[-1], out_shape=layer.out_shape)
     return result
 
 
@@ -173,8 +146,8 @@ def plan_fusion(net: "NetworkDescription", cfg: HardwareConfig) -> FusionPlan:
         if pos + 1 < len(layers):
             first, second = layers[pos], layers[pos + 1]
             weights_fit = (
-                first.weight_traffic_bytes(cfg.param_bytes)
-                + second.weight_traffic_bytes(cfg.param_bytes)
+                weight_bytes(*first.spec.weight_shape, cfg.param_bytes)
+                + weight_bytes(*second.spec.weight_shape, cfg.param_bytes)
                 <= weight_capacity
             )
             intermediate_fit = (
@@ -274,26 +247,25 @@ def simulate_traffic(
     records = []
     for pos, layer in enumerate(layers):
         if pos == 0:
-            c, h, w = layer.in_shape
-            in_bytes = c * h * w  # 8-bit image, read once
+            in_bytes = math.prod(layer.spec.in_shape)  # 8-bit image, read once
             note = "8-bit image input"
         elif (pos - 1) in on_chip:
             in_bytes = 0
             note = "input fused on chip"
         else:
-            in_bytes = spike_map_bytes(*layer.in_shape, time_steps)
+            in_bytes = spike_map_bytes(*layer.spec.in_shape, time_steps)
             note = ""
         if pos in on_chip:
             out_bytes = 0
             note = (note + "; " if note else "") + "output fused on chip"
         else:
-            out_bytes = layer.out_map_bytes(time_steps)
+            out_bytes = spike_map_bytes(*layer.out_shape, time_steps)
         records.append(
             LayerTraffic(
                 layer.index,
-                layer.kind + ("+pool" if layer.pooled else ""),
+                layer.spec.kind + ("+pool" if layer.pooled else ""),
                 note,
-                layer.weight_traffic_bytes(cfg.param_bytes),
+                weight_bytes(*layer.spec.weight_shape, cfg.param_bytes),
                 in_bytes,
                 out_bytes,
             )
@@ -307,7 +279,7 @@ def fusion_savings(
     """The identity value: sum of 2 x (intermediate map bytes) over pairs."""
     layers = _plan_layers(net, plan)
     return sum(
-        2 * layers[pos].out_map_bytes(time_steps)
+        2 * spike_map_bytes(*layers[pos].out_shape, time_steps)
         for pos in plan.fused_intermediates()
     )
 
@@ -367,11 +339,13 @@ def pingpong_schedule(
     Spike buffers alternate across time steps, weight buffers across layer
     visits (a single layer may span both halves; a fused pair must).  The
     temp SRAM stages output columns on their way to DRAM or, when fused,
-    to the next layer.  Every buffer use except the weight load is one
-    ``stage``: a write, held until the buffer's next write, and a read.
-    Maps staged in the spike and temp buffers are traced as a write and a
-    read event; membrane and boundary slices are counted, not traced.  A
-    DRAM write is an event only.  Any violation raises a fault.
+    to the next layer.  Membranes hold one strip of the conv output,
+    before pooling, per pass: ``min(array_rows, H)`` rows of width ``W``.
+    Every buffer use except the weight load is one ``stage``: a write,
+    held until the buffer's next write, and a read.  Maps staged in the
+    spike and temp buffers are traced as a write and a read event;
+    membrane and boundary slices are counted, not traced.  A DRAM write is
+    an event only.  Any violation raises a fault.
     """
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
@@ -404,11 +378,10 @@ def pingpong_schedule(
 
     for group in plan.groups:
         group_layers = [layers[pos] for pos in group]
-        buffers["weight"].write(sum(l.sign_bytes() for l in group_layers))
-        for pos in group:
-            events.append(TraceEvent(
-                -1, pos, "weight", "write", layers[pos].sign_bytes(), ("weights", pos)
-            ))
+        signs = [weight_bytes(*l.spec.weight_shape, param_bytes=0) for l in group_layers]
+        buffers["weight"].write(sum(signs))
+        for pos, nbytes in zip(group, signs):
+            events.append(TraceEvent(-1, pos, "weight", "write", nbytes, ("weights", pos)))
 
         first = group_layers[0]
         for step in range(time_steps):
@@ -419,28 +392,27 @@ def pingpong_schedule(
                     raise ReadBeforeWriteFault(
                         f"layer {first.index} reads step {step} before it was produced"
                     )
-                in_bytes = spike_map_bytes(*first.in_shape, 1)
+                in_bytes = spike_map_bytes(*first.spec.in_shape, 1)
             else:
                 # static 8-bit image: staged once, then the encoding layer
                 # iterates its parked convolution from the second membrane
                 in_tag = ("image",)
-                in_bytes = math.prod(first.in_shape) if step == 0 else 0
+                in_bytes = math.prod(first.spec.in_shape) if step == 0 else 0
             if in_bytes:
                 stage(spike, in_bytes, step, group[0], in_tag)
 
             for slot, (pos, layer) in enumerate(zip(group, group_layers)):
-                # membranes hold one output strip per pass; the encoding
-                # layer parks its conv-result strip in the second buffer
-                out_c, out_h, out_w = layer.out_shape
-                strip = min(cfg.array_rows, out_h) * out_w * param
+                spec = layer.spec
+                # the encoding layer parks its conv-result strip in the
+                # second membrane
+                _, conv_h, conv_w = spec.out_shape
+                strip = min(cfg.array_rows, conv_h) * conv_w * param
                 stage("membrane1" if slot else "membrane0", strip)
-                if layer.kind == "encoding-conv":
+                if spec.kind == "encoding-conv":
                     stage("membrane1", strip)
-                _, _, kh, kw = layer.weight_shape
-                rows_padded = layer.in_shape[1] + 2 * layer.padding
-                if rows_padded > cfg.array_rows and kh > 1:
-                    cols_out = layer.in_shape[2] + 2 * layer.padding - kw + 1
-                    stage("boundary", (kh - 1) * cols_out * param)
+                kh = spec.kernel[0]
+                if spec.in_shape[1] + 2 * spec.padding > cfg.array_rows and kh > 1:
+                    stage("boundary", (kh - 1) * conv_w * param)
                 out_map = spike_map_bytes(*layer.out_shape, 1)
                 out_tag = ("input", pos, step)
                 if slot == 0 and len(group) == 2:
@@ -454,6 +426,7 @@ def pingpong_schedule(
                     stage(spike, max(in_bytes, out_map), step, pos, out_tag, out_map)
                 else:
                     # standalone output streams through temp a column at a time
+                    out_c, out_h, _ = layer.out_shape
                     stage("temp", max(1, math.ceil(out_c * out_h / 8)))
                 events.append(TraceEvent(step, pos, "dram", "write", out_map, out_tag))
                 written_to_dram.add(out_tag)

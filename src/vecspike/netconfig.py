@@ -69,6 +69,12 @@ class LayerSpec:
         return self.in_shape[0]
 
     @property
+    def weight_shape(self) -> tuple[int, int, int, int]:
+        """Sign-bit tensor shape ``(out_channels, in_channels, kh, kw)``;
+        the layer must be shape-annotated (see ``in_channels``)."""
+        return (self.out_channels, self.in_channels, *self.kernel)
+
+    @property
     def has_weights(self) -> bool:
         return self.kind in ("encoding-conv", "conv", "fc")
 
@@ -393,20 +399,23 @@ def load_bundle(path) -> ModelBundle:
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumError("bundle checksum does not match its content")
 
-    # validating constructors run only on checked content, so a corrupted
-    # field surfaces as a BundleError, never as a parameter error
-    fmt = FixedPointFormat(total_bits=total_bits, frac_bits=frac_bits)
+    # validating constructors run only on checked content, and a field they
+    # refuse surfaces as a BundleError, never as a parameter error
     weights: list[BinaryWeightTensor | None] = []
     params: list[FoldedNeuronParams | None] = []
-    for entry in arrays:
-        if entry is None:
-            weights.append(None)
-            params.append(None)
-            continue
-        shape, packed, bias, thr, flipped = entry
-        bits = np.unpackbits(packed, count=math.prod(shape)).reshape(shape)
-        weights.append(BinaryWeightTensor(bits))
-        params.append(FoldedNeuronParams(bias, thr, flipped, fmt))
+    try:
+        fmt = FixedPointFormat(total_bits=total_bits, frac_bits=frac_bits)
+        for entry in arrays:
+            if entry is None:
+                weights.append(None)
+                params.append(None)
+                continue
+            shape, packed, bias, thr, flipped = entry
+            bits = np.unpackbits(packed, count=math.prod(shape)).reshape(shape)
+            weights.append(BinaryWeightTensor(bits))
+            params.append(FoldedNeuronParams(bias, thr, flipped, fmt))
+    except InvalidParameterError as exc:
+        raise BundleError(f"bundle field out of range: {exc}") from exc
     if time_steps < 1:
         raise BundleError(f"bundle declares {time_steps} time steps")
     net = NetworkDescription(layers, time_steps=time_steps)
@@ -442,9 +451,8 @@ def generate_random_bundle(
             weights.append(None)
             params.append(None)
             continue
-        kh, kw = layer.kernel
-        shape = (layer.out_channels, layer.in_channels, kh, kw)
-        weights.append(BinaryWeightTensor(rng.integers(0, 2, shape, dtype=np.uint8)))
+        signs = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
+        weights.append(BinaryWeightTensor(signs))
         c = layer.out_channels
         bn = BNParams(
             gamma=rng.uniform(0.5, 2.0, c),

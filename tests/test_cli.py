@@ -65,6 +65,11 @@ def test_run_zero_timesteps_is_an_argument_error():
     assert run_cli(["run", "--net", "mnist", "--timesteps", "0"]) == cli.EXIT_ARGS
 
 
+def test_run_negative_seed_is_an_argument_error(capsys):
+    assert run_cli(["run", "--net", "mnist", "--seed", "-1"]) == cli.EXIT_ARGS
+    assert "--seed must be >= 0" in capsys.readouterr().err
+
+
 def test_run_unknown_net_is_an_argument_error():
     assert (
         run_cli(["run", "--net", "nonexistent", "--timesteps", "2"]) == cli.EXIT_ARGS
@@ -324,6 +329,15 @@ def test_malformed_input_shape_is_an_argument_error(command, shape):
     assert (
         run_cli([command, "--net", SMALL_NET, "--input-shape", shape])
         == cli.EXIT_ARGS
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "traffic"])
+@pytest.mark.parametrize("shape", ["1,-5,4", "0,4,4", "1,4,0"])
+def test_non_positive_input_shape_is_a_validation_error(command, shape):
+    assert (
+        run_cli([command, "--net", "2Conv(encoding)-2fc", "--input-shape", shape])
+        == cli.EXIT_VALIDATION
     )
 
 

@@ -148,6 +148,16 @@ def test_scaled_params_refuse_a_wrapping_left_shift():
         params.scaled_by_pow2(8)
 
 
+@pytest.mark.parametrize(
+    "bias, threshold", [(-2**63, Q(1.0)), (0, FMT.raw_max + 1)], ids=["bias", "threshold"]
+)
+def test_folded_params_refuse_raws_outside_their_format(bias, threshold):
+    # a bias of -2**63 wrapped a sum of 2**55 - 1 back into the format:
+    # no spike, a membrane of -256 and no fault
+    with pytest.raises(InvalidParameterError, match="outside"):
+        FoldedNeuronParams([bias], [threshold], [False])
+
+
 # ---------------------------------------------------------------------------
 # fold_bn
 # ---------------------------------------------------------------------------

@@ -47,11 +47,11 @@ def test_weight_bytes():
 def test_compute_layers_absorb_pooling():
     net, _ = preset_network("mnist")
     layers = compute_layers(net)
-    assert [l.kind for l in layers] == ["encoding-conv", "conv", "fc", "fc"]
+    assert [l.spec.kind for l in layers] == ["encoding-conv", "conv", "fc", "fc"]
     assert layers[0].pooled and layers[1].pooled
     assert layers[0].out_shape == (64, 14, 14)
     assert layers[1].out_shape == (64, 7, 7)
-    assert layers[2].weight_shape == (128, 64 * 7 * 7, 1, 1)
+    assert layers[2].spec.weight_shape == (128, 64 * 7 * 7, 1, 1)
 
 
 def test_plan_single_layer_net():
@@ -240,6 +240,16 @@ def test_pingpong_capacity_fault_on_small_weight_sram():
         pingpong_schedule(net, 8, CFG.replace(weight_sram_bytes=1024))
 
 
+def test_membranes_hold_a_strip_of_the_conv_output_before_pooling():
+    # the IF unit integrates the 4x8x8 conv output, not the pooled 4x4x4
+    # map: 8 rows x 8 columns x 3 bytes per strip
+    net = validate(parse_network("4Conv(encoding)-MP2-4Conv", 2), (1, 8, 8))
+    buffers = pingpong_schedule(net, 2, CFG).buffers
+    assert buffers["membrane0"].peak == buffers["membrane1"].peak == 192
+    with pytest.raises(CapacityFault, match="membrane0: 192 bytes exceed capacity 100"):
+        pingpong_schedule(net, 2, CFG.replace(membrane_sram_bytes=100))
+
+
 # ---------------------------------------------------------------------------
 # the trace's DRAM bytes against the ledger, over random networks
 # ---------------------------------------------------------------------------
@@ -280,7 +290,7 @@ def test_pingpong_dram_bytes_equal_the_ledger(net_seed, scale, time_steps):
                 if e.buffer.startswith("spike") and e.op == "write"
                 and (e.tag == ("image",) or e.tag[:2] == ("input", pos - 1))
             ) == rec.input_spike_bytes_read
-            params = 2 * layer.weight_shape[0] * cfg.param_bytes
+            params = 2 * layer.spec.out_channels * cfg.param_bytes
             assert sum(
                 e.nbytes for e in mine if e.buffer == "weight"
             ) == rec.weight_bytes_read - params

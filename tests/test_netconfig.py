@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -270,6 +273,33 @@ def test_every_byte_run_corruption_raises_a_bundle_error(
     assume(corrupted != data)
     path.write_bytes(corrupted)
     with pytest.raises(BundleError):
+        load_bundle(path)
+
+
+# A 2Conv(encoding)-2fc bundle's header holds frac_bits at offset 8 and
+# total_bits at 12; layer 0's first bias follows the header, the two table
+# entries and its 18 packed sign bits.
+_FIRST_BIAS = 4 + struct.calcsize("<HHIIII") + 2 * struct.calcsize("<BBBBIIdI") + 3
+
+
+@pytest.mark.parametrize("edits", [
+    [(8, "<I", 0), (12, "<I", 24)],
+    [(8, "<I", 8), (12, "<I", 8)],
+    [(8, "<I", 8), (12, "<I", 63)],
+    [(8, "<I", 8), (12, "<I", 100)],
+    [(_FIRST_BIAS, "<i", 2**30)],  # fits int32, not the 24-bit format
+], ids=["frac_0", "total_8", "total_63", "total_100", "bias_2**30"])
+def test_bundle_field_outside_its_format_is_a_bundle_error(tmp_path, edits):
+    # each edit goes in under a fresh CRC, so it reaches the field checks
+    net = validate(parse_network("2Conv(encoding)-2fc"), (1, 4, 4))
+    path = tmp_path / "model.vsa"
+    save_bundle(generate_random_bundle(net, seed=3), path)
+    blob = bytearray(path.read_bytes())
+    for offset, code, value in edits:
+        struct.pack_into(code, blob, offset, value)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[4:-4]))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(BundleError, match="out of range"):
         load_bundle(path)
 
 
