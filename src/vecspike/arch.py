@@ -93,7 +93,7 @@ class HardwareConfig:
             + self.boundary_sram_bytes
         )
 
-    def replace(self, **updates) -> "HardwareConfig":
+    def replace(self, /, **updates) -> "HardwareConfig":
         current = {f.name: getattr(self, f.name) for f in fields(self)}
         unknown = set(updates) - set(current)
         if unknown:

@@ -22,17 +22,11 @@ from .arch import CycleReport, HardwareConfig, peak_gops
 from .core import run_network_oracle
 from .dataflow import layer_accounting, run_network
 from .errors import (
-    BundleError,
     CapacityFault,
-    ConfigError,
     FixedPointOverflowError,
-    InvalidParameterError,
-    NetworkParseError,
-    PlanError,
     ReadBeforeWriteFault,
-    ShapeError,
+    ScheduleFault,
     SimulatorError,
-    ValidationError,
 )
 from .memmodel import (
     FusionPlan,
@@ -80,10 +74,7 @@ def _load_config(path: str | None) -> HardwareConfig:
         raise _CliError(f"config is not valid JSON: {exc}", EXIT_VALIDATION) from exc
     if not isinstance(data, dict):
         raise _CliError("config must be a JSON object", EXIT_VALIDATION)
-    try:
-        return HardwareConfig().replace(**data)
-    except ConfigError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION) from exc
+    return HardwareConfig().replace(**data)
 
 
 def _resolve_network(
@@ -376,15 +367,12 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (NetworkParseError, ValidationError, BundleError, PlanError,
-            InvalidParameterError, ShapeError, ConfigError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (CapacityFault, ReadBeforeWriteFault, FixedPointOverflowError) as exc:
+    except (CapacityFault, ReadBeforeWriteFault, FixedPointOverflowError,
+            ScheduleFault) as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
     except SimulatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -8,7 +8,8 @@ clarity over speed, with one exception:
 the dense convolution sums one BLAS product per kernel offset, each on a
 view of the padded input (no copy per offset), in float32 when
 ``max|x| * C * kh * kw`` stays below 2**24, in float64 when it stays below
-2**53 and in int64 otherwise.
+2**53 and in int64 when it stays below 2**63; a larger bound, which could
+wrap int64, raises ``FixedPointOverflowError``.
 The engine in ``vecspike.dataflow`` must reproduce these results bit for
 bit; it shares no convolution code with this module, so the comparison
 stays an independent check.
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeError
+from .errors import FixedPointOverflowError, InvalidParameterError, ShapeError
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -334,6 +335,8 @@ def conv2d_oracle(
     # a float is exact while no |partial sum| reaches its limit; the bound
     # covers the running sum over every offset, not only one offset's product
     bound = max(int(x.max(initial=0)), -int(x.min(initial=0))) * c * kh * kw
+    if bound >= 2**63:
+        raise FixedPointOverflowError(f"convolution sum: bound {bound} reaches 2**63")
     dtype = (np.float32 if bound < FLOAT32_EXACT_LIMIT
              else np.float64 if bound < FLOAT64_EXACT_LIMIT else np.int64)
     xp = np.zeros((c, hp + 1, wp), dtype=dtype)

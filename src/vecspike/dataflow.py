@@ -29,8 +29,9 @@ channels, bitplanes and kernel rows is bounded by the whole layer's
 encoding layer (a sum over some of a pixel's shifted bitplanes, ``x &
 mask``, is never larger than the pixel).  That bound
 is computed on every call (binary input is never assumed); past the
-float32 limit the arithmetic runs in float64, and past the float64 limit
-in exact int64.
+float32 limit the arithmetic runs in float64, past the float64 limit in
+exact int64, and from 2**63, where int64 could wrap, a call raises
+``FixedPointOverflowError``.
 
 Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
 geometry, the config and T, so each is computed in one place:
@@ -67,7 +68,7 @@ from .core import (
     FoldedNeuronParams,
     SpikeTrain,
 )
-from .errors import ConfigError, InvalidParameterError, ShapeError
+from .errors import ConfigError, FixedPointOverflowError, InvalidParameterError, ShapeError
 from .fixedpoint import FixedPointFormat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,13 +106,16 @@ FLOAT64_EXACT_LIMIT = 2**53
 def gemm_dtype(bound: int) -> np.dtype:
     """Narrowest GEMM dtype that is exact when no |partial sum| reaches ``bound``.
 
-    float32 below 2**24, float64 below 2**53, otherwise exact int64.
+    float32 below 2**24, float64 below 2**53, exact int64 below 2**63;
+    a larger bound could wrap int64 and raises ``FixedPointOverflowError``.
     """
     if bound < FLOAT32_EXACT_LIMIT:
         return np.dtype(np.float32)
     if bound < FLOAT64_EXACT_LIMIT:
         return np.dtype(np.float64)
-    return np.dtype(np.int64)
+    if bound < 2**63:
+        return np.dtype(np.int64)
+    raise FixedPointOverflowError(f"convolution sum: bound {bound} reaches 2**63")
 
 
 def _tile_partial_rows(

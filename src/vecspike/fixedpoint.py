@@ -70,10 +70,18 @@ class FixedPointFormat:
     def quantize(self, value):
         """Round real value(s) to the fixed-point grid (half to even).
 
-        Scalars come back as int, arrays as int64 ndarrays.
+        Scalars come back as int, arrays as int64 ndarrays.  A value off the
+        format's range, NaN or infinite, raises ``FixedPointOverflowError``.
         """
-        raw = np.rint(np.asarray(value, dtype=np.float64) * self.scale).astype(np.int64)
-        self.check_raw(raw, "quantize")
+        real = np.asarray(value, dtype=np.float64)
+        with np.errstate(over="ignore"):  # inf fails the range test below
+            scaled = np.rint(real * self.scale)
+        # NaN fails both tests; the power-of-two bounds are exact in float64
+        fits = (scaled >= self.raw_min) & (scaled < -self.raw_min)
+        if not fits.all():
+            bad = float(real[~fits].flat[0])
+            raise FixedPointOverflowError(f"quantize: {bad!r} outside {self}")
+        raw = scaled.astype(np.int64)
         if raw.ndim == 0:
             return int(raw)
         return raw

@@ -205,20 +205,6 @@ class TrafficLedger:
     def total_bytes(self) -> int:
         return sum(r.total for r in self.records)
 
-    def itemized(self) -> list[dict]:
-        return [
-            {
-                "layer": r.layer_index,
-                "kind": r.kind,
-                "note": r.note,
-                "weight_bytes_read": r.weight_bytes_read,
-                "input_spike_bytes_read": r.input_spike_bytes_read,
-                "output_spike_bytes_written": r.output_spike_bytes_written,
-                "total": r.total,
-            }
-            for r in self.records
-        ]
-
 
 def _plan_layers(net: "NetworkDescription", plan: FusionPlan) -> list[ComputeLayer]:
     """The network's compute layers; raises unless ``plan`` covers each one."""

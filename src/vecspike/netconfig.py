@@ -97,7 +97,9 @@ class NetworkDescription:
 
 _CONV_RE = re.compile(r"^(\d+)Conv(\(encoding\))?$")
 _FC_RE = re.compile(r"^(\d+)fc$")
-_ATTR_RE = re.compile(r"^\{vth=([-+0-9.eE]+)\}$")
+_ATTR_RE = re.compile(r"^\{vth=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\}$")
+# a dash outside an attribute block; one inside, as in {vth=-0.5}, is a sign
+_LAYER_DASH_RE = re.compile(r"-(?![^{]*\})")
 
 
 def _parse_token(token: str, column: int) -> LayerSpec:
@@ -108,6 +110,8 @@ def _parse_token(token: str, column: int) -> LayerSpec:
         if not match:
             raise NetworkParseError(f"bad attribute block in {token!r}", column)
         attrs["v_th"] = float(match.group(1))
+        if not math.isfinite(attrs["v_th"]):
+            raise NetworkParseError(f"vth must be finite in {token!r}", column)
         token = base
     if token == "MP2":
         if attrs:
@@ -133,7 +137,7 @@ def parse_network(text: str, time_steps: int = 8) -> NetworkDescription:
     layers: list[LayerSpec] = []
     columns: list[int] = []
     column = 1
-    for token in stripped.split("-"):
+    for token in _LAYER_DASH_RE.split(stripped):
         if not token:
             raise NetworkParseError("empty layer token", column)
         columns.append(column)

@@ -4,6 +4,9 @@ Reports serialize to JSON (schema versioned), CSV (one row per layer plus
 a totals row) and plain text.  With deterministic mode on, no timestamps
 or other environment-dependent fields are emitted, so identical inputs
 produce byte-identical reports.
+
+This is the only module that names report keys; a layer's are named once,
+in :meth:`LayerReportRow.as_dict`, for both its JSON entry and its CSV row.
 """
 
 from __future__ import annotations
@@ -50,9 +53,30 @@ class LayerReportRow:
     boundary_rows_peak: int = 0
     boundary_deposits: int = 0
 
+    def as_dict(self) -> dict:
+        """The layer's JSON ``layers`` entry, each key named once; its CSV
+        row takes the ``CSV_HEADER`` cells from it."""
+        return {
+            "layer": self.index,
+            "kind": self.kind,
+            "out_shape": list(self.out_shape),
+            "cycles": self.cycles,
+            "warmup_cycles": self.warmup_cycles,
+            "utilization": self.utilization,
+            "spikes": self.spike_count,
+            "weight_bytes_read": self.weight_bytes_read,
+            "input_spike_bytes_read": self.input_spike_bytes_read,
+            "output_spike_bytes_written": self.output_spike_bytes_written,
+            "boundary_rows_peak": self.boundary_rows_peak,
+            "boundary_deposits": self.boundary_deposits,
+        }
+
 
 @dataclass
 class RunReport:
+    """A run's layer rows, cycle totals, DRAM traffic and class counts;
+    :meth:`render` writes it as JSON, CSV or text."""
+
     network: str
     input_shape: tuple[int, int, int]
     time_steps: int
@@ -70,23 +94,7 @@ class RunReport:
             "network": self.network,
             "input_shape": list(self.input_shape),
             "timesteps": self.time_steps,
-            "layers": [
-                {
-                    "layer": row.index,
-                    "kind": row.kind,
-                    "out_shape": list(row.out_shape),
-                    "cycles": row.cycles,
-                    "warmup_cycles": row.warmup_cycles,
-                    "utilization": row.utilization,
-                    "spikes": row.spike_count,
-                    "weight_bytes_read": row.weight_bytes_read,
-                    "input_spike_bytes_read": row.input_spike_bytes_read,
-                    "output_spike_bytes_written": row.output_spike_bytes_written,
-                    "boundary_rows_peak": row.boundary_rows_peak,
-                    "boundary_deposits": row.boundary_deposits,
-                }
-                for row in self.layers
-            ],
+            "layers": [row.as_dict() for row in self.layers],
             "cycle_totals": {
                 "total_cycles": self.totals.total_cycles,
                 "warmup_cycles": self.totals.warmup_cycles,
@@ -99,7 +107,18 @@ class RunReport:
             "traffic": {
                 "tick_batching": True,  # the ledger's only mode
                 "layer_fusion": self.traffic.layer_fusion,
-                "records": self.traffic.itemized(),
+                "records": [
+                    {
+                        "layer": r.layer_index,
+                        "kind": r.kind,
+                        "note": r.note,
+                        "weight_bytes_read": r.weight_bytes_read,
+                        "input_spike_bytes_read": r.input_spike_bytes_read,
+                        "output_spike_bytes_written": r.output_spike_bytes_written,
+                        "total": r.total,
+                    }
+                    for r in self.traffic.records
+                ],
                 "weight_total": self.traffic.weight_total,
                 "input_total": self.traffic.input_total,
                 "output_total": self.traffic.output_total,
@@ -120,40 +139,24 @@ class RunReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        writer = csv.DictWriter(out, CSV_HEADER, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
         for row in self.layers:
-            writer.writerow(
-                [
-                    row.index,
-                    row.kind,
-                    row.out_shape[0],
-                    row.out_shape[1],
-                    row.out_shape[2],
-                    row.cycles,
-                    row.warmup_cycles,
-                    f"{row.utilization:.6f}",
-                    row.spike_count,
-                    row.weight_bytes_read,
-                    row.input_spike_bytes_read,
-                    row.output_spike_bytes_written,
-                ]
-            )
+            cells = row.as_dict()
+            cells["out_c"], cells["out_h"], cells["out_w"] = row.out_shape
+            cells["utilization"] = f"{row.utilization:.6f}"
+            writer.writerow(cells)
         writer.writerow(
-            [
-                "TOTAL",
-                "",
-                "",
-                "",
-                "",
-                self.totals.total_cycles,
-                self.totals.warmup_cycles,
-                f"{self.totals.utilization:.6f}",
-                sum(r.spike_count for r in self.layers),
-                self.traffic.weight_total,
-                self.traffic.input_total,
-                self.traffic.output_total,
-            ]
+            {
+                "layer": "TOTAL",
+                "cycles": self.totals.total_cycles,
+                "warmup_cycles": self.totals.warmup_cycles,
+                "utilization": f"{self.totals.utilization:.6f}",
+                "spikes": sum(r.spike_count for r in self.layers),
+                "weight_bytes_read": self.traffic.weight_total,
+                "input_spike_bytes_read": self.traffic.input_total,
+                "output_spike_bytes_written": self.traffic.output_total,
+            }
         )
         return out.getvalue()
 

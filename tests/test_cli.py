@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import fusion_plans
-from vecspike import cli
+from vecspike import cli, errors
 from vecspike.arch import HardwareConfig
 from vecspike.core import SpikeTrain
 from vecspike.fixedpoint import FixedPointFormat
@@ -423,6 +425,97 @@ def test_integer_clock_is_accepted(tmp_path, capsys):
     config.write_text(json.dumps({"clock_hz": 250000000}))
     assert run_cli(["bench", "--config", str(config), "--timesteps", "2"]) == 0
     assert "peak throughput: 1152.0 GOPS" in capsys.readouterr().out
+
+
+def test_run_report_without_deterministic_adds_only_a_timestamp(tmp_path):
+    reports = []
+    for flags in ([], ["--deterministic"]):
+        out = tmp_path / "report.json"
+        assert run_cli([
+            "run", "--net", SMALL_NET, "--input-shape", "1,8,8", "--timesteps", "2",
+            "--report", "json", "--out", str(out), *flags,
+        ]) == 0
+        reports.append(json.loads(out.read_text()))
+    stamped, deterministic = reports
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", stamped.pop("generated_at"))
+    assert stamped == deterministic
+
+
+def test_run_net_with_signed_and_exponent_thresholds(tmp_path):
+    text = "4Conv(encoding){vth=-0.5}-2fc{vth=1e-05}"
+    out = tmp_path / "report.json"
+    assert run_cli([
+        "run", "--net", text, "--input-shape", "1,4,4", "--timesteps", "2",
+        "--verify", "--report", "json", "--out", str(out), "--deterministic",
+    ]) == 0
+    data = json.loads(out.read_text())
+    assert data["oracle_match"] is True
+    assert parse_network(data["network"]) == parse_network(text)
+
+
+MNIST_ON_4_BLOCKS = {"pe_blocks": 4, "group_size": 4}
+
+
+@pytest.mark.parametrize("args, config, code, message", [
+    (["bench", "--config", "{tmp}/missing.json"], None, 2, "error: cannot read config"),
+    (["bench"], [1], 3, "error: config must be a JSON object"),
+    (["bench"], {"bogus": 3}, 3, "validation error: unknown config fields"),
+    (["bench"], {"self": 3}, 3, "validation error: unknown config fields"),
+    (["bench"], MNIST_ON_4_BLOCKS, 3, "validation error: the encoding layer needs 8"),
+    (["run", "--net", "mnist", "--timesteps", "2"], MNIST_ON_4_BLOCKS, 3,
+     "validation error: the encoding layer needs 8"),
+    (["run", "--net", "{tmp}"], None, 2, "error: cannot read network file"),
+    (["run", "--net", SMALL_NET, "--input", "{tmp}/missing.bin"], None, 2,
+     "error: cannot read input tensor"),
+    (["run", "--net", SMALL_NET], None, 2, "error: need --input, --input-shape"),
+    (["traffic", "--net", SMALL_NET], None, 2, "error: need --input-shape"),
+    (["run", "--net", "4Conv(encoding){vth=1e999}-2fc", "--input-shape", "1,4,4"],
+     None, 3, "validation error: vth must be finite"),
+    (["run", "--net", "4Conv(encoding){vth=1e}-2fc", "--input-shape", "1,4,4"],
+     None, 3, "validation error: bad attribute block"),
+    (["run", "--net", "4Conv(encoding){vth=1e300}-2fc", "--input-shape", "1,4,4"],
+     None, 4, "fault: quantize: 8.07930038958702e+299 outside"),
+], ids=[
+    "missing_config", "config_list", "unknown_field", "field_self", "bench_4_blocks",
+    "run_4_blocks", "net_directory", "missing_input", "run_no_shape", "traffic_no_shape",
+    "vth_inf", "vth_no_exponent", "vth_off_format",
+])
+def test_cli_input_error_exit_code_and_message(tmp_path, capsys, args, config, code, message):
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    if config is not None:
+        (tmp_path / "hw.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "hw.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast of inf or NaN warns
+        assert run_cli(args + ["--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
+FAULT_FAMILY = (
+    errors.CapacityFault,
+    errors.ReadBeforeWriteFault,
+    errors.FixedPointOverflowError,
+    errors.ScheduleFault,
+)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.SimulatorError)
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_each_simulator_error_exits_with_its_family_code(monkeypatch, capsys, error):
+    def bench(args):
+        raise error("raised")
+
+    monkeypatch.setattr(cli, "cmd_bench", bench)
+    fault = issubclass(error, FAULT_FAMILY)
+    assert run_cli(["bench"]) == (cli.EXIT_FAULT if fault else cli.EXIT_VALIDATION)
+    prefix = "fault" if fault else "validation error"
+    assert capsys.readouterr().err == f"{prefix}: raised\n"
 
 
 # ---------------------------------------------------------------------------

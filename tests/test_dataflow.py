@@ -238,10 +238,24 @@ def test_schedules_reject_batched_input():
         (2**24, np.float64),
         (2**53 - 1, np.float64),
         (2**53, np.int64),
+        (2**63 - 1, np.int64),
     ],
 )
 def test_gemm_dtype_edges(bound, dtype):
     assert gemm_dtype(bound) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize(
+    "conv", [lambda x, w: schedule_conv_layer(x, w, CFG), conv2d_oracle],
+    ids=["engine", "oracle"],
+)
+def test_convolution_refuses_a_bound_int64_cannot_hold(conv):
+    weights = BinaryWeightTensor(np.zeros((1, 2, 1, 1), dtype=np.uint8))  # +1
+    # the largest bound that passes, 2 * (2**62 - 1), is summed exactly
+    assert conv(np.full((2, 1, 1), 2**62 - 1), weights).tolist() == [[[2**63 - 2]]]
+    # 2 * 2**62 would wrap to -2**63
+    with pytest.raises(FixedPointOverflowError, match="^convolution sum: "):
+        conv(np.full((2, 1, 1), 2**62), weights)
 
 
 def _record_gemm_dtypes(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -40,6 +42,15 @@ def test_quantize_round_trips_within_one_lsb(value):
 def test_quantize_overflow_is_a_fault():
     with pytest.raises(FixedPointOverflowError):
         DEFAULT_FORMAT.quantize(40000.0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300])
+def test_quantize_names_a_value_int64_cannot_hold(value):
+    # checked before the int64 cast, whose result would be undefined
+    for form in (value, np.array([0.5, value])):
+        message = re.escape(f"quantize: {value!r} outside")
+        with pytest.raises(FixedPointOverflowError, match=f"^{message}"):
+            DEFAULT_FORMAT.quantize(form)
 
 
 def test_check_raw_bounds():

@@ -86,6 +86,22 @@ def test_parse_print_identity():
     assert parse_network(network_to_string(net)) == net
 
 
+@pytest.mark.parametrize("v_th", [-1.0, 1e-05, 0.5, 2.0])
+def test_vth_round_trips_through_the_layer_grammar(v_th):
+    net = parse_network("8Conv(encoding)-MP2-4fc")
+    net.layers[0].v_th = net.layers[2].v_th = v_th
+    text = network_to_string(net)
+    assert parse_network(text) == net
+    assert network_to_string(parse_network(text)) == text
+
+
+@pytest.mark.parametrize("v_th", ["1e999", "-1e999", "1e", ".", "1-2", "nan"])
+def test_vth_must_be_a_finite_number(v_th):
+    with pytest.raises(NetworkParseError) as err:
+        parse_network(f"8Conv(encoding)-4fc{{vth={v_th}}}")
+    assert err.value.column == 17
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
