@@ -19,7 +19,16 @@ row tile is one GEMM: the tile's kh x kw windows become im2col columns
 the +-1 weights [n_groups][cout][cg*kh*kw] yields every diagonal partial
 sum.  The bitplane shift-add and the group fold are sums over the batch
 axes; the partial rows accumulate in place into the output, and the
-schedulers return these sums only, cast to int64 once per call.
+schedulers return these sums only, cast to int64 once per call.  As the
+weight SRAM keeps a layer's weights for all T steps, ``run_network``
+stages each layer's +-1 operand once (:class:`GemmWeights`) and every
+step's call reuses it; each call copies its input once into a zeroed
+buffer in which every row tile sits between ``kh - 1`` zero rows, so a
+haloed tile is a row slice of it.
+
+The IF unit keeps membranes in int32 when the fixed-point format has at
+most 30 bits (24 by default, as on chip), and falls back to int64 for a
+call whose shifted sums could wrap int32.
 
 The GEMM, the fold and the stitching run in float32 or float64, which is
 exact only while every partial sum stays below 2**24 or 2**53 in
@@ -119,21 +128,20 @@ def gemm_dtype(bound: int) -> np.dtype:
 
 
 def _tile_partial_rows(
-    x_tile: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
+    xp: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
 ) -> np.ndarray:
     """Raw partial-sum rows of one tile: all diagonals, pre-stitching.
 
-    ``x_tile`` is [..., cg, rt, w_in] and ``w_mat`` the [..., cout,
-    cg*kh*kw] weights in the GEMM dtype; their leading axes are batch axes
-    and broadcast.  The tile is lowered to im2col columns
-    [..., cg*kh*kw, positions] and multiplied once.  For ``rt`` input rows
-    the result [..., cout, rt + kh - 1, w_out] has ``rt + kh - 1`` rows:
-    the first and last ``kh - 1`` carry partial sums that belong to outputs
-    shared with the neighbouring tiles.
+    ``xp`` is the haloed tile [..., cg, rt + 2(kh-1), w_in]: its ``rt``
+    input rows between ``kh - 1`` zero rows above and below, in the GEMM
+    dtype; it is read, never written.  ``w_mat`` is the [..., cout, cg*kh*kw]
+    weights in the same dtype; the leading axes of both are batch axes and
+    broadcast.  The tile is lowered to im2col columns [..., cg*kh*kw,
+    positions] and multiplied once.  The result [..., cout, rt + kh - 1,
+    w_out] has ``rt + kh - 1`` rows: the first and last ``kh - 1`` carry
+    partial sums that belong to outputs shared with the neighbouring tiles.
     """
-    *lead, cg, rt, w_in = x_tile.shape
-    xp = np.zeros((*lead, cg, rt + 2 * (kh - 1), w_in), dtype=w_mat.dtype)
-    xp[..., kh - 1 : kh - 1 + rt, :] = x_tile
+    *lead, cg, _, _ = xp.shape
     windows = sliding_window_view(xp, (kh, kw), axis=(-2, -1))
     rows, cols = windows.shape[-4], windows.shape[-3]
     im2col = np.moveaxis(windows, (-4, -3), (-2, -1)).reshape(
@@ -154,6 +162,12 @@ def _check_kernel(kh: int, kw: int, cfg: HardwareConfig):
         )
 
 
+def _channel_groups(in_channels: int, cfg: HardwareConfig, encoding: bool):
+    """(start, size) of each channel group: one pass of the PE blocks."""
+    size = cfg.encoding_channels_per_pass if encoding else cfg.group_size
+    return [(c, min(size, in_channels - c)) for c in range(0, in_channels, size)]
+
+
 def _pass_structure(
     in_channels: int, h_padded: int, w_padded: int, kh: int, kw: int,
     cfg: HardwareConfig, encoding: bool,
@@ -171,16 +185,56 @@ def _pass_structure(
     w_out = w_padded - kw + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"{kh}x{kw} kernel does not fit {h_padded}x{w_padded} input")
-    size = cfg.encoding_channels_per_pass if encoding else cfg.group_size
+    groups = _channel_groups(in_channels, cfg, encoding)
     rows = cfg.array_rows
-    groups = [(c, min(size, in_channels - c)) for c in range(0, in_channels, size)]
     tiles = [(r, min(rows, h_padded - r)) for r in range(0, h_padded, rows)]
     return groups, tiles, h_out, w_out
 
 
+@dataclass(frozen=True, eq=False)
+class GemmWeights:
+    """A weighted layer's weights as the GEMM operand of its channel groups.
+
+    ``matrix`` is the contiguous float32 [n_groups][cout][width*kh*kw] of
+    +-1 values, with the idle PE blocks of a partial last group zero.  The
+    weight SRAM holds a layer's weights for all of its time steps, and so
+    does this: :func:`run_network` stages each weighted layer once and
+    passes the result as the ``weights`` of every step's schedule call.
+    """
+
+    matrix: np.ndarray
+    in_channels: int
+    out_channels: int
+    kernel: tuple[int, int]
+
+    @property
+    def width(self) -> int:
+        """Channels per group: the group size, or all of them if fewer."""
+        return self.matrix.shape[2] // (self.kernel[0] * self.kernel[1])
+
+
+def stage_weights(
+    weights: BinaryWeightTensor, cfg: HardwareConfig, encoding: bool
+) -> GemmWeights:
+    """Lay a layer's sign bits out as :class:`GemmWeights` for ``cfg``'s groups."""
+    cout, cin, kh, kw = weights.sign_bits.shape
+    groups = _channel_groups(cin, cfg, encoding)
+    width = groups[0][1] if groups else 0
+    n_full, rest = divmod(cin, width) if width else (0, 0)
+    signs = weights.sign_bits.reshape(cout, cin, kh * kw)
+    # one strided read per part: the full groups, then a partial last one
+    matrix = np.zeros((len(groups), cout, width * kh * kw), dtype=np.float32)
+    full = signs[:, : n_full * width].reshape(cout, n_full, width * kh * kw)
+    np.subtract(1, 2 * full.transpose(1, 0, 2), out=matrix[:n_full], dtype=np.float32)
+    if rest:
+        part = signs[:, n_full * width :].reshape(cout, rest * kh * kw)
+        np.subtract(1, 2 * part, out=matrix[n_full, :, : rest * kh * kw], dtype=np.float32)
+    return GemmWeights(matrix, cin, cout, (kh, kw))
+
+
 def _run_schedule(
     x: np.ndarray,
-    weights: BinaryWeightTensor,
+    weights: GemmWeights,
     cfg: HardwareConfig,
     encoding: bool,
 ) -> np.ndarray:
@@ -189,47 +243,61 @@ def _run_schedule(
     Channel groups are a batch axis [n_groups][width] (a partial last group
     is zero filled: its idle PE blocks), with the encoding layer's eight
     bitplanes on a second axis in front, so each row tile is one
-    :func:`_tile_partial_rows` call.  Each tile's bitplanes and groups are
-    folded and its rows stitched into the output in the GEMM dtype, chosen
-    from the layer bound ``max|x| * cin * kh * kw``; the result is cast to
-    int64 once.
+    :func:`_tile_partial_rows` call.  The input is copied once into a
+    zeroed buffer that puts ``kh - 1`` zero rows around every row tile, so
+    each haloed tile is a row slice of it.  Each tile's bitplanes and groups
+    are folded and its rows stitched into the output in the GEMM dtype,
+    chosen from the layer bound ``max|x| * cin * kh * kw``; the result is
+    cast to int64 once.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
-    cout = weights.out_channels
     groups, tiles, h_out, w_out = _pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
+    width = groups[0][1] if groups else 0  # the first group is the widest
+    if weights.width != width:
+        raise ConfigError(
+            f"weights staged for groups of {weights.width} channels, "
+            f"this call runs groups of {width}"
+        )
     peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     dtype = gemm_dtype(peak * cin * kh * kw)
-    n_groups = len(groups)
-    width = max((csz for _, csz in groups), default=0)
-    batch = np.zeros((n_groups * width, h_in, w_in), dtype=np.int64)
-    batch[:cin] = x
-    batch = batch.reshape(n_groups, width, h_in, w_in)
+    w_mat = weights.matrix.astype(dtype, copy=False)
+    halo = kh - 1
     if encoding:
-        # [8][n_groups][width][h][w]: plane k holds bit k of every pixel
-        batch = np.unpackbits(batch.astype(np.uint8)[None], axis=0, bitorder="little")
+        # [8][cin][h][w]: plane k holds bit k of every pixel
+        x = np.unpackbits(x.astype(np.uint8)[None], axis=0, bitorder="little")
         plane_values = np.exp2(np.arange(8)).astype(dtype)
-    w_all = weights.values(dtype)
-    if n_groups * width > cin:
-        w_all = np.pad(w_all, ((0, 0), (0, n_groups * width - cin), (0, 0), (0, 0)))
-    w_mat = w_all.reshape(cout, n_groups, width * kh * kw).swapaxes(0, 1)
+    # tiles of R rows, each followed by kh - 1 zero rows and the first led
+    # by as many: tile i's haloed rows are one slice of this zeroed buffer
+    r = cfg.array_rows
+    lead = (*x.shape[:-3], len(groups) * width)
+    buffer = np.zeros((*lead, halo + len(tiles) * (r + halo), w_in), dtype=dtype)
+    cells = buffer[..., halo:, :].reshape(*lead, len(tiles), r + halo, w_in)
+    n_full, rest = divmod(h_in, r)
+    cells[..., :cin, :n_full, :r, :] = x[..., : n_full * r, :].reshape(
+        *x.shape[:-2], n_full, r, w_in
+    )
+    if rest:
+        cells[..., :cin, n_full, :rest, :] = x[..., n_full * r :, :]
+    buffer = buffer.reshape(*lead[:-1], len(groups), width, *buffer.shape[-2:])
 
-    out = np.zeros((cout, h_out, w_out), dtype=dtype)
-    for base, rt in tiles:
-        raw = _tile_partial_rows(batch[..., base : base + rt, :], w_mat, kh, kw)
+    out = np.zeros((weights.out_channels, h_out, w_out), dtype=dtype)
+    for i, (base, rt) in enumerate(tiles):
+        top = i * (r + halo)
+        raw = _tile_partial_rows(buffer[..., top : top + rt + 2 * halo, :], w_mat, kh, kw)
         if encoding:
             raw = np.tensordot(plane_values, raw, axes=1)  # first-stage shift-add
         raw = raw.sum(axis=0)  # last-stage group fold
         # raw row p belongs to output row base + p - (kh - 1); rows
         # outside the output range are edge diagonals and are dropped
-        g0 = max(base - (kh - 1), 0)
+        g0 = max(base - halo, 0)
         g1 = min(base + rt, h_out)
-        p0 = g0 - base + kh - 1
+        p0 = g0 - base + halo
         out[:, g0:g1] += raw[:, p0 : p0 + g1 - g0]
     return out.astype(np.int64)
 
 
-def _step_input(x, weights: BinaryWeightTensor) -> np.ndarray:
+def _step_input(x, weights, cfg: HardwareConfig, encoding: bool):
     x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"input must be [C][H][W], got {x.shape}")
@@ -237,27 +305,32 @@ def _step_input(x, weights: BinaryWeightTensor) -> np.ndarray:
         raise ShapeError(
             f"input has {x.shape[0]} channels, weights expect {weights.in_channels}"
         )
-    return x
+    if isinstance(weights, BinaryWeightTensor):
+        weights = stage_weights(weights, cfg, encoding)
+    return x, weights
 
 
 def schedule_conv_layer(
     x,
-    weights: BinaryWeightTensor,
+    weights: BinaryWeightTensor | GemmWeights,
     cfg: HardwareConfig,
 ) -> np.ndarray:
     """Run one spiking-layer convolution step through the datapath model.
 
     ``x`` is a single time step's spike map [Cin][H][W], already zero
     padded (padding is materialized by the network config, never inside
-    the schedule).  Returns the int64 [Cout][H_out][W_out] sums, equal to
-    the dense reference convolution; cycles come from :func:`layer_accounting`.
+    the schedule).  ``weights`` is the layer's tensor, or the
+    :class:`GemmWeights` staged from it for ``cfg``.  Returns the int64
+    [Cout][H_out][W_out] sums, equal to the dense reference convolution;
+    cycles come from :func:`layer_accounting`.
     """
-    return _run_schedule(_step_input(x, weights), weights, cfg, encoding=False)
+    x, staged = _step_input(x, weights, cfg, encoding=False)
+    return _run_schedule(x, staged, cfg, encoding=False)
 
 
 def schedule_encoding_layer(
     x,
-    weights: BinaryWeightTensor,
+    weights: BinaryWeightTensor | GemmWeights,
     cfg: HardwareConfig,
 ) -> np.ndarray:
     """Run the multi-bit encoding convolution through the datapath model.
@@ -266,12 +339,13 @@ def schedule_encoding_layer(
     sharing one weight; the first accumulator stage shifts each block's
     sums by its bitplane index before the cross-block tree, so the
     returned int64 [Cout][H_out][W_out] sums equal the integer convolution
-    of the 8-bit input exactly.
+    of the 8-bit input exactly.  ``weights`` is as for
+    :func:`schedule_conv_layer`.
     """
-    x = _step_input(x, weights)
+    x, staged = _step_input(x, weights, cfg, encoding=True)
     if x.size and (x.min() < 0 or x.max() > 255):
         raise InvalidParameterError("encoding input values must be in [0, 255]")
-    return _run_schedule(x, weights, cfg, encoding=True)
+    return _run_schedule(x, staged, cfg, encoding=True)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +380,13 @@ def stream_conv_columns(
     sums line up with output rows).  Array ``a``'s sums at cycle ``t``
     belong to output column ``t - a``, so a column completes every cycle
     once ``kw - 1`` fill cycles have passed.  Restricted to a single
-    tile/group (H <= R, Cin <= group size) and full-height kernels.
+    tile/group (H <= R, Cin <= group size) and full-height kernels, on
+    spike inputs: any value other than 0 or 1 raises.
     """
-    x = np.asarray(x, dtype=np.uint8)
+    x = np.asarray(x)
+    if not ((x == 0) | (x == 1)).all():
+        raise InvalidParameterError("column stream inputs must be spikes, 0 or 1")
+    x = x.astype(np.uint8)
     cin, h, w = x.shape
     kh, kw = weights.kernel
     _check_kernel(kh, kw, cfg)
@@ -370,6 +448,13 @@ def stream_conv_columns(
 # IF neuron unit
 # ---------------------------------------------------------------------------
 
+def _membrane_dtypes(fmt: FixedPointFormat) -> tuple[np.dtype, ...]:
+    """Membrane dtypes that hold ``fmt`` with room for one step's update."""
+    if fmt.total_bits <= 30:
+        return (np.dtype(np.int32), np.dtype(np.int64))
+    return (np.dtype(np.int64),)
+
+
 def if_unit_process(
     conv_out,
     params: FoldedNeuronParams,
@@ -378,28 +463,49 @@ def if_unit_process(
 ) -> np.ndarray:
     """Subtract the folded bias, accumulate, compare, fire and write back.
 
-    Updates the layer's int64 membrane ``potentials`` in place to the sum,
-    or zero where the neuron fired, and returns the uint8 spikes.  The
-    encoding layer re-presents the same integer convolution every step (it
-    is parked in the second membrane SRAM on chip).
+    Updates the layer's membrane ``potentials`` in place to the sum, or
+    zero where the neuron fired, and returns the uint8 spikes.  The
+    membrane is int64, or int32 for a format of at most 30 bits; it holds
+    in-format values, as every call that returns leaves it.  An int32
+    update runs in int32 when ``max|conv_out| << frac_bits`` leaves room
+    for the membrane and the bias, so no intermediate can wrap; otherwise
+    that call runs in int64 and writes back the checked result.
+    Faults are raised, and worded, exactly as the oracle's.  The encoding
+    layer re-presents the same integer convolution every step (it is
+    parked in the second membrane SRAM on chip).
     """
-    x = np.asarray(conv_out, dtype=np.int64)
-    if x.shape != potentials.shape or potentials.dtype != np.int64:
+    x = np.asarray(conv_out)
+    if x.dtype.kind not in "iu":
+        raise ShapeError(f"conv output must be integer sums, got {x.dtype}")
+    if x.shape != potentials.shape or potentials.dtype not in _membrane_dtypes(fmt):
         raise ShapeError(
-            f"conv output {x.shape} does not match int64 membrane {potentials.shape}"
+            f"conv output {x.shape} does not match the {potentials.dtype} membrane "
+            f"{potentials.shape} of a {fmt.total_bits}-bit format"
         )
     if params.channels != x.shape[0]:
         raise ShapeError(
             f"{params.channels} parameter channels for {x.shape[0]} output channels"
         )
-    potentials += fmt.shift_left(x, fmt.frac_bits, "convolution sum")
-    potentials -= params.bias_raw[:, None, None]
-    fmt.check_raw(potentials, "membrane potential")
-    thr = params.threshold_raw[:, None, None]
-    flip = params.flipped[:, None, None]
-    fired = np.where(flip, potentials <= thr, potentials >= thr)
-    potentials *= ~fired
-    return fired.astype(np.uint8)
+    peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    # |membrane| <= 2**(total_bits - 1), and so is |bias| in the params' format
+    headroom = 2**31 - 2 ** (fmt.total_bits - 1) - 2 ** (params.fmt.total_bits - 1)
+    if potentials.dtype == np.int32 and peak << fmt.frac_bits < headroom:
+        update = x.astype(np.int32)
+        update <<= fmt.frac_bits
+    else:
+        update = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
+    update -= params.bias_raw.astype(update.dtype)[:, None, None]
+    v = potentials if potentials.dtype == update.dtype else potentials.astype(np.int64)
+    v += update
+    fmt.check_raw(v, "membrane potential")
+    # v <= thr is not v >= thr + 1: one comparison serves both polarities
+    thr = (params.threshold_raw + params.flipped).astype(v.dtype)[:, None, None]
+    fired = v >= thr
+    fired ^= params.flipped[:, None, None]
+    v *= ~fired
+    if v is not potentials:
+        potentials[...] = v
+    return fired.view(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +538,47 @@ class EngineRun:
 def _pad_step(step: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return step
-    return np.pad(step, ((0, 0), (pad, pad), (pad, pad)))
+    c, h, w = step.shape
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=step.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = step
+    return padded
 
 
 def _or_pool2(train: np.ndarray) -> np.ndarray:
     """2x2 OR pooling of a [T][C][H][W] train: strided slices, rows then columns."""
     rows = train[:, :, 0::2] | train[:, :, 1::2]
     return rows[..., 0::2] | rows[..., 1::2]
+
+
+def _run_weighted_layer(
+    layer: "LayerSpec",
+    tensor: BinaryWeightTensor,
+    params: FoldedNeuronParams,
+    source: np.ndarray,
+    time_steps: int,
+    cfg: HardwareConfig,
+) -> np.ndarray:
+    """All time steps of one weighted layer: its [T][C][H][W] spike train.
+
+    ``source`` is the image for the encoding layer, else the previous
+    layer's train.  The weights are staged once here and dropped when the
+    layer ends, so one layer's GEMM operand is alive at a time.
+    """
+    encoding = layer.kind == "encoding-conv"
+    staged = stage_weights(tensor, cfg, encoding)
+    if encoding:
+        # scheduled once; every step re-presents the parked result
+        sums = schedule_encoding_layer(_pad_step(source, layer.padding), staged, cfg)
+        params = params.scaled_by_pow2(ENCODING_SHIFT)
+    # the narrowest membrane the format allows
+    potentials = np.zeros(layer.out_shape, dtype=_membrane_dtypes(cfg.fmt)[0])
+    train = np.empty((time_steps, *layer.out_shape), dtype=np.uint8)
+    for t in range(time_steps):
+        if not encoding:
+            step = source[t].reshape(layer.in_shape)
+            sums = schedule_conv_layer(_pad_step(step, layer.padding), staged, cfg)
+        train[t] = if_unit_process(sums, params, potentials, cfg.fmt)
+    return train
 
 
 def run_network(
@@ -452,8 +592,10 @@ def run_network(
     """Execute a validated network on the datapath model.
 
     Layer by layer, all time steps of one layer run before the next so
-    membrane potentials never leave the chip; each weighted layer's int64
-    membrane is updated in place.  The encoding convolution is
+    membrane potentials never leave the chip.  Each weighted layer's
+    weights are staged once (:func:`stage_weights`) for all of its steps,
+    and its membrane, int32 for a format of at most 30 bits and int64
+    otherwise, is updated in place.  The encoding convolution is
     computed once and iterated against the residue potential; pooling ORs
     strided slices of the whole train (:func:`_or_pool2`).  Spike trains
     are bit-identical to :func:`vecspike.core.run_network_oracle`.
@@ -463,30 +605,16 @@ def run_network(
         raise ShapeError(f"image must be [C][H][W], got {img.shape}")
     if time_steps < 1:
         raise InvalidParameterError("time_steps must be >= 1")
-    fmt = cfg.fmt
 
     trains: list[SpikeTrain] = []
     layer_runs: list[LayerRun] = []
     current: np.ndarray | None = None
     for idx, layer in enumerate(net.layers):
         if layer.has_weights:
-            params = folded[idx]
-            if layer.kind == "encoding-conv":
-                # scheduled once; every step re-presents the parked result
-                sums = schedule_encoding_layer(
-                    _pad_step(img, layer.padding), weights[idx], cfg
-                )
-                params = params.scaled_by_pow2(ENCODING_SHIFT)
-            potentials = np.zeros(layer.out_shape, dtype=np.int64)
-            steps = []
-            for t in range(time_steps):
-                if layer.kind != "encoding-conv":
-                    step = current[t].reshape(layer.in_shape)
-                    sums = schedule_conv_layer(
-                        _pad_step(step, layer.padding), weights[idx], cfg
-                    )
-                steps.append(if_unit_process(sums, params, potentials, fmt))
-            current = np.stack(steps)
+            source = img if layer.kind == "encoding-conv" else current
+            current = _run_weighted_layer(
+                layer, weights[idx], folded[idx], source, time_steps, cfg
+            )
         elif layer.kind == "maxpool2":
             current = _or_pool2(current)
         else:

@@ -58,9 +58,13 @@ class FixedPointFormat:
 
         The result may still lie outside the format: ``check_raw`` of it, or
         of its sum with in-format values (which can only wrap out of the
-        format), catches that.
+        format), catches that.  A non-integer ``raw`` raises: truncating it
+        would hide a fraction.
         """
-        arr = np.asarray(raw, dtype=np.int64)
+        arr = np.asarray(raw)
+        if arr.dtype.kind not in "iu":
+            raise InvalidParameterError(f"{context}: shift of non-integer {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         limit = 1 << (63 - shift)
         if arr.size and (arr.min() < -limit or arr.max() >= limit):
             bad = int(arr.min()) if arr.min() < -limit else int(arr.max())

@@ -169,6 +169,12 @@ def test_schedules_equal_oracle_across_geometry(geometry, encoding):
         out = schedule_conv_layer(x, weights, cfg)
         group = cfg.group_size
     assert np.array_equal(out, conv2d_oracle(x, weights))
+    # weights staged once serve every later call: nothing of one call's
+    # input may reach the next through the tile buffer
+    schedule = schedule_encoding_layer if encoding else schedule_conv_layer
+    staged = dataflow.stage_weights(weights, cfg, encoding)
+    for step in (x[:, ::-1], x):
+        assert np.array_equal(schedule(step, staged, cfg), conv2d_oracle(step, weights))
     n_groups = -(-cin // group)
     deposits, consumes, peak_rows = stitching_ledger(h, kh, cfg.array_rows, n_groups)
     assert deposits == consumes
@@ -216,6 +222,16 @@ def test_zero_input_channels_give_zero_sums(schedule):
     out = schedule(x, weights, CFG)
     assert out.shape == (3, 7, 3)
     assert np.array_equal(out, conv2d_oracle(x, weights))
+
+
+def test_staged_weights_refuse_a_call_with_other_groups(rng):
+    x, weights = _random_case(rng, 40, 9, 5, 2)
+    staged = dataflow.stage_weights(weights, CFG, encoding=False)
+    assert staged.matrix.shape == (2, 2, 32 * 9)
+    assert not staged.matrix[1, :, 8 * 9 :].any()  # idle PE blocks
+    assert np.array_equal(schedule_conv_layer(x, staged, CFG), conv2d_oracle(x, weights))
+    with pytest.raises(ConfigError):
+        schedule_conv_layer(x, staged, HardwareConfig(group_size=8))
 
 
 def test_schedules_reject_batched_input():
@@ -433,6 +449,14 @@ def test_column_stream_constraints():
         stream_conv_columns(x, w, CFG)  # taller than one tile
 
 
+@pytest.mark.parametrize("value", [256, 257, -1])
+def test_column_stream_refuses_inputs_other_than_spikes(value):
+    # a uint8 cast would stream 256 as 0 and 257 as 1
+    w = BinaryWeightTensor(np.zeros((1, 1, 3, 3), dtype=np.uint8))
+    with pytest.raises(InvalidParameterError):
+        stream_conv_columns(np.full((1, 3, 3), value), w, CFG)
+
+
 # ---------------------------------------------------------------------------
 # IF unit
 # ---------------------------------------------------------------------------
@@ -497,6 +521,17 @@ def test_if_unit_shape_mismatch_and_overflow():
         if_unit_process(huge, params, _membrane(1, 1, 1), FMT)
 
 
+@pytest.mark.parametrize("conv_sum", [1.9, 0.9])
+def test_if_unit_and_oracle_refuse_a_fractional_sum(conv_sum):
+    # truncation would fire 1.9 as 1 and integrate 0.9 as 0
+    params = _plain_params(1, 1.0)
+    x = np.array([[[conv_sum]]])
+    with pytest.raises(ShapeError):
+        if_unit_process(x, params, _membrane(1, 1, 1), FMT)
+    with pytest.raises(InvalidParameterError):
+        core._if_run([x], params, FMT)
+
+
 def test_if_unit_writes_back_the_sum_or_zero_where_it_fired():
     params = _plain_params(1, 1.0)
     membrane = _membrane(1, 1, 2)
@@ -505,8 +540,15 @@ def test_if_unit_writes_back_the_sum_or_zero_where_it_fired():
     assert membrane.tolist() == [[[0, 0]]]
     if_unit_process(np.array([[[-3, 2]]]), _plain_params(1, 9.0), membrane, FMT)
     assert membrane.tolist() == [[[Q(-3.0), Q(2.0)]]]
+    for dtype in (np.int16, np.float64):
+        with pytest.raises(ShapeError):
+            if_unit_process(np.zeros((1, 1, 2), dtype=np.int64), params,
+                            membrane.astype(dtype), FMT)
+    wide = FixedPointFormat(62, 56)
+    wide_params = FoldedNeuronParams([0], [wide.quantize(1.0)], [False], wide)
     with pytest.raises(ShapeError):
-        if_unit_process(np.zeros((1, 1, 2)), params, membrane.astype(np.int32), FMT)
+        if_unit_process(np.zeros((1, 1, 2), dtype=np.int64), wide_params,
+                        membrane.astype(np.int32), wide)
 
 
 @pytest.mark.parametrize(
@@ -570,6 +612,66 @@ def test_engine_write_back_equals_the_oracle_lazy_reset(case):
         assert np.array_equal(spikes, expected[-1]), t
 
 
+_PAST_INT32 = 2**23 - 2**16  # << 8 reaches 2**31 - 2**24: the int64 path
+
+
+@given(_if_cases())
+@example((  # the int64 fallback of an int32 membrane
+    np.full((1, 1, 1, 1), _PAST_INT32),
+    FoldedNeuronParams([0], [0], [False], FMT),
+    FMT,
+))
+@example((  # one less stays in int32
+    np.full((1, 1, 1, 1), _PAST_INT32 - 1),
+    FoldedNeuronParams([0], [0], [False], FMT),
+    FMT,
+))
+@example((  # int32 would wrap: 2**23 - 256 in the membrane, then (2**23 - 1) << 8
+    np.array([2**15 - 1, 2**23 - 1]).reshape(2, 1, 1, 1),
+    FoldedNeuronParams([0], [FMT.raw_max], [False], FMT),
+    FMT,
+))
+@example((  # a bias from a wider format leaves no int32 headroom
+    np.ones((1, 1, 1, 1), dtype=np.int64),
+    FoldedNeuronParams([2**32 + 5], [0], [False], FixedPointFormat(40, 8)),
+    FMT,
+))
+@example((  # a spike at step 1, then a sum whose shift by 4 would wrap at step 2
+    np.array([100, 2**59]).reshape(2, 1, 1, 1),
+    FoldedNeuronParams([0], [0], [False], FixedPointFormat(12, 4)),
+    FixedPointFormat(12, 4),
+))
+def test_int32_write_back_equals_the_oracle_lazy_reset(case):
+    # as for int64 membranes: spikes and membranes agree with an int64
+    # engine at every step, or all fault at the same step with the
+    # oracle's text
+    sums, params, fmt = case
+    membrane = np.zeros(sums.shape[1:], dtype=np.int32)
+    wide = np.zeros(sums.shape[1:], dtype=np.int64)
+    for t in range(1, len(sums) + 1):
+        try:
+            expected = core._if_run(list(sums[:t]), params, fmt)
+        except FixedPointOverflowError as exc:
+            with pytest.raises(FixedPointOverflowError) as info:
+                if_unit_process(sums[t - 1], params, membrane, fmt)
+            assert str(info.value) == str(exc)
+            return
+        spikes = if_unit_process(sums[t - 1], params, membrane, fmt)
+        assert np.array_equal(spikes, expected[-1]), t
+        if_unit_process(sums[t - 1], params, wide, fmt)
+        assert np.array_equal(membrane, wide), t
+
+
+def test_if_unit_falls_back_to_int64_without_a_fault():
+    # a bias far outside the 8-bit format leaves no int32 headroom, yet
+    # the membrane ends inside the format: the int64 result is written back
+    fmt = FixedPointFormat(8, 2)
+    params = FoldedNeuronParams([2**40], [2**41], [False], FixedPointFormat(62, 2))
+    membrane = np.zeros((1, 1, 1), dtype=np.int32)
+    spikes = if_unit_process(np.full((1, 1, 1), 2**38 + 10), params, membrane, fmt)
+    assert spikes.tolist() == [[[0]]] and membrane.tolist() == [[[40]]]
+
+
 # ---------------------------------------------------------------------------
 # whole-network engine
 # ---------------------------------------------------------------------------
@@ -616,9 +718,9 @@ def test_engine_layer_reports_equal_the_merged_step_reports(rng, monkeypatch):
 
     def recording(schedule, encoding):
         def wrapper(x, weights, cfg):
-            cout, cin, kh, kw = weights.sign_bits.shape
             report = conv_layer_report(
-                cin, cout, *x.shape[1:], kh, kw, cfg, encoding=encoding
+                weights.in_channels, weights.out_channels, *x.shape[1:],
+                *weights.kernel, cfg, encoding=encoding,
             )
             calls.append((weights, report))
             return schedule(x, weights, cfg)
@@ -635,10 +737,13 @@ def test_engine_layer_reports_equal_the_merged_step_reports(rng, monkeypatch):
         steps = int(rng.integers(1, 6))
         calls.clear()
         engine = run_network(net, bundle.weights, bundle.params, image, steps, CFG)
+        # each weighted layer's calls share the weights staged for it
+        staged = iter(dict.fromkeys(w for w, _ in calls))
         for run, weights in zip(engine.layers, bundle.weights):
+            layer_weights = None if weights is None else next(staged)
             merged = CycleReport()
             for w, report in calls:
-                if w is weights:
+                if w is layer_weights:
                     merged = merged.merged(report)
             assert run.report == merged
         n_spiking = sum(layer.kind in ("conv", "fc") for layer in net.layers)
@@ -724,3 +829,41 @@ def test_run_network_accounts_each_weighted_layer_once(monkeypatch, preset, weig
     run_network(net, bundle.weights, bundle.params, image, 8, CFG)
     assert sum(layer.has_weights for layer in net.layers) == weighted
     assert calls == {"conv_layer_report": weighted, "_tile_boundary": weighted}
+
+
+@pytest.mark.parametrize("preset, weighted, tiles", [("mnist", 4, 36), ("cifar10", 13, 261)])
+def test_run_network_stages_each_weighted_layer_once(monkeypatch, preset, weighted, tiles):
+    staged = []
+    stage = dataflow.stage_weights
+
+    def counting(*args):
+        staged.append(stage(*args))
+        return staged[-1]
+
+    monkeypatch.setattr(dataflow, "stage_weights", counting)
+    seen = _record_gemm_dtypes(monkeypatch)
+    net, shape = preset_network(preset, 8)
+    bundle = generate_random_bundle(net, seed=0)
+    run_network(net, bundle.weights, bundle.params, random_input(shape, 0), 8, CFG)
+    assert len(staged) == weighted
+    assert len(seen) == tiles
+
+
+@pytest.mark.parametrize("total_bits, dtype", [(24, np.int32), (30, np.int32), (31, np.int64)])
+def test_run_network_membranes_are_int32_up_to_30_bits(monkeypatch, total_bits, dtype):
+    cfg = HardwareConfig(total_bits=total_bits)
+    seen = set()
+    process = dataflow.if_unit_process
+
+    def spy(conv_out, params, potentials, fmt):
+        seen.add(potentials.dtype)
+        return process(conv_out, params, potentials, fmt)
+
+    monkeypatch.setattr(dataflow, "if_unit_process", spy)
+    net = validate(parse_network("4Conv(encoding)-MP2-6Conv-5fc"), (1, 6, 6))
+    bundle = generate_random_bundle(net, seed=3, fmt=cfg.fmt)
+    image = random_input((1, 6, 6), 3)
+    engine = run_network(net, bundle.weights, bundle.params, image, 4, cfg)
+    oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 4, cfg.fmt)
+    assert seen == {np.dtype(dtype)}
+    assert all(a == b for a, b in zip(engine.layer_trains, oracle.layer_trains))

@@ -81,3 +81,9 @@ def test_shift_left_faults_exactly_where_int64_would_wrap(shift):
     for bad in (limit, -limit - 1):
         with pytest.raises(FixedPointOverflowError, match=f"raw {bad} << {shift}"):
             fmt.shift_left(np.array([0, bad]), shift)
+
+
+@pytest.mark.parametrize("raw", [np.array([1.9]), 0.9, np.array([True])])
+def test_shift_left_refuses_non_integer_raw(raw):
+    with pytest.raises(InvalidParameterError, match="^sum: "):
+        DEFAULT_FORMAT.shift_left(raw, 8, "sum")
