@@ -309,14 +309,15 @@ def conv2d_oracle(
     """Dense reference convolution with weights in {-1,+1}.
 
     Accepts a single-step spike map or an unsigned 8-bit tensor shaped
-    [C][H][W]; returns exact integer outputs [O][H'][W'].  Accumulation is
+    [C][H][W], of a bool or integer dtype (any other raises
+    ``InvalidParameterError``); returns exact integer outputs [O][H'][W'].  Accumulation is
     a plain sum over receptive-field offsets.  The padded input, plus one
     spare zero row, is written once and flattened to [C][(hp+1)*wp]; offset
     (u, v) multiplies its [O][C] weights with the view from ``u*wp + v``,
     ``h_out*wp`` long.  Each output row carries ``wp - w_out`` wrapped
     columns, dropped once at the end.
     """
-    x = np.asarray(inputs, dtype=np.int64)
+    x = np.asarray(inputs)
     if x.ndim != 3:
         raise ShapeError(f"input must be [C][H][W], got {x.shape}")
     if padding < 0:
@@ -332,6 +333,8 @@ def conv2d_oracle(
     w_out = wp - kw + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"{kh}x{kw} kernel does not fit {hp}x{wp} input")
+    if x.dtype.kind not in "biu":
+        raise InvalidParameterError(f"convolution input must be integers, got {x.dtype}")
     # a float is exact while no |partial sum| reaches its limit; the bound
     # covers the running sum over every offset, not only one offset's product
     bound = max(int(x.max(initial=0)), -int(x.min(initial=0))) * c * kh * kw

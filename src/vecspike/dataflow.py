@@ -12,26 +12,29 @@ recombines them with a shift-add in the first accumulator stage.
 
 Functional outputs are produced by a GEMM-lowered equivalent of the
 column-by-column pipeline (integer addition is associative, so the
-reassociation is exact).  Channel groups are a leading batch axis
-[n_groups][cg], and the encoding layer's bitplanes a second one, so each
-row tile is one GEMM: the tile's kh x kw windows become im2col columns
-[cg*kh*kw][positions] per group and plane, and one batched product with
-the +-1 weights [n_groups][cout][cg*kh*kw] yields every diagonal partial
-sum.  The bitplane shift-add and the group fold are sums over the batch
-axes; the partial rows accumulate in place into the output, and the
-schedulers return these sums only, cast to int64 once per call.  As the
-weight SRAM keeps a layer's weights for all T steps, ``run_network``
-stages each layer's +-1 operand once (:class:`GemmWeights`) and every
-step's call reuses it; each call copies its input once into a zeroed
-buffer in which every row tile sits between ``kh - 1`` zero rows, so a
-haloed tile is a row slice of it.
+reassociation is exact).  Each row tile is one GEMM whose inner dimension
+spans all of the layer's ``cin * kh * kw`` taps: the tile's kh x kw
+windows become im2col columns [cin*kh*kw][positions], and one product with
+the +-1 weights [cout][cin*kh*kw] yields every diagonal partial sum.  The
+channel groups that the hardware folds across sequential passes are one
+more such reassociation, summed inside that inner dimension, so they shape
+the cycle and boundary accounting below and not the product.  The encoding
+layer's bitplanes are a leading batch axis, which keeps every GEMM operand
+a bit, as the AND-gate PEs need, and the shift-add is a sum over that axis.
+The partial rows accumulate in place into the output, and the schedulers
+return these sums only, cast to int64 once per call.  As the weight SRAM
+keeps a layer's weights for all T steps, ``run_network`` stages each
+layer's +-1 operand once (:class:`GemmWeights`, the same for every config)
+and every step's call reuses it; each call copies its input once into a
+zeroed buffer in which every row tile sits between ``kh - 1`` zero rows, so
+a haloed tile is a row slice of it.
 
 The IF unit keeps membranes in int32 when the fixed-point format has at
 most 30 bits (24 by default, as on chip), and falls back to int64 for a
 call whose shifted sums could wrap int32.
 
-The GEMM, the fold and the stitching run in float32 or float64, which is
-exact only while every partial sum stays below 2**24 or 2**53 in
+The GEMM, the shift-add and the stitching run in float32 or float64,
+which is exact only while every partial sum stays below 2**24 or 2**53 in
 magnitude.  With +-1 weights every sum over a subset of the layer's
 channels, bitplanes and kernel rows is bounded by the whole layer's
 ``max|x| * cin * kh * kw``, where ``x`` is the 8-bit pixels for the
@@ -77,7 +80,13 @@ from .core import (
     FoldedNeuronParams,
     SpikeTrain,
 )
-from .errors import ConfigError, FixedPointOverflowError, InvalidParameterError, ShapeError
+from .errors import (
+    ConfigError,
+    FixedPointOverflowError,
+    InvalidParameterError,
+    ShapeError,
+    ValidationError,
+)
 from .fixedpoint import FixedPointFormat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,12 +141,12 @@ def _tile_partial_rows(
 ) -> np.ndarray:
     """Raw partial-sum rows of one tile: all diagonals, pre-stitching.
 
-    ``xp`` is the haloed tile [..., cg, rt + 2(kh-1), w_in]: its ``rt``
+    ``xp`` is the haloed tile [..., cin, rt + 2(kh-1), w_in]: its ``rt``
     input rows between ``kh - 1`` zero rows above and below, in the GEMM
-    dtype; it is read, never written.  ``w_mat`` is the [..., cout, cg*kh*kw]
-    weights in the same dtype; the leading axes of both are batch axes and
-    broadcast.  The tile is lowered to im2col columns [..., cg*kh*kw,
-    positions] and multiplied once.  The result [..., cout, rt + kh - 1,
+    dtype; it is read, never written.  ``w_mat`` is the [cout, cin*kh*kw]
+    weights in the same dtype; the leading axes of ``xp`` are batch axes.
+    The tile is lowered to im2col columns [..., cin*kh*kw, positions] and
+    multiplied once.  The result [..., cout, rt + kh - 1,
     w_out] has ``rt + kh - 1`` rows: the first and last ``kh - 1`` carry
     partial sums that belong to outputs shared with the neighbouring tiles.
     """
@@ -162,21 +171,16 @@ def _check_kernel(kh: int, kw: int, cfg: HardwareConfig):
         )
 
 
-def _channel_groups(in_channels: int, cfg: HardwareConfig, encoding: bool):
-    """(start, size) of each channel group: one pass of the PE blocks."""
-    size = cfg.encoding_channels_per_pass if encoding else cfg.group_size
-    return [(c, min(size, in_channels - c)) for c in range(0, in_channels, size)]
-
-
 def _pass_structure(
     in_channels: int, h_padded: int, w_padded: int, kh: int, kw: int,
     cfg: HardwareConfig, encoding: bool,
 ):
     """Channel groups, row tiles and output size of one convolution step.
 
-    Groups and tiles are (start, size) pairs.  Raises for a kernel the
-    arrays cannot hold or the input cannot fit, and for an encoding layer
-    on fewer than 8 PE blocks.
+    Groups and tiles are (start, size) pairs; a group is one pass of the
+    PE blocks, which the cycle model and the boundary SRAM count.  Raises
+    for a kernel the arrays cannot hold or the input cannot fit, and for an
+    encoding layer on fewer than 8 PE blocks.
     """
     if encoding and cfg.pe_blocks < 8:
         raise ConfigError("the encoding layer needs 8 PE blocks per channel")
@@ -185,7 +189,8 @@ def _pass_structure(
     w_out = w_padded - kw + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"{kh}x{kw} kernel does not fit {h_padded}x{w_padded} input")
-    groups = _channel_groups(in_channels, cfg, encoding)
+    size = cfg.encoding_channels_per_pass if encoding else cfg.group_size
+    groups = [(c, min(size, in_channels - c)) for c in range(0, in_channels, size)]
     rows = cfg.array_rows
     tiles = [(r, min(rows, h_padded - r)) for r in range(0, h_padded, rows)]
     return groups, tiles, h_out, w_out
@@ -193,13 +198,14 @@ def _pass_structure(
 
 @dataclass(frozen=True, eq=False)
 class GemmWeights:
-    """A weighted layer's weights as the GEMM operand of its channel groups.
+    """A weighted layer's weights as the operand of its tile GEMMs.
 
-    ``matrix`` is the contiguous float32 [n_groups][cout][width*kh*kw] of
-    +-1 values, with the idle PE blocks of a partial last group zero.  The
-    weight SRAM holds a layer's weights for all of its time steps, and so
-    does this: :func:`run_network` stages each weighted layer once and
-    passes the result as the ``weights`` of every step's schedule call.
+    ``matrix`` is the contiguous float32 [cout][cin*kh*kw] of +-1 values,
+    the same for every config: channel groups are passes of the cycle
+    model, not of this product.  The weight SRAM holds a layer's weights
+    for all of its time steps, and so does this: :func:`run_network` stages
+    each weighted layer once and passes the result as the ``weights`` of
+    every step's schedule call.
     """
 
     matrix: np.ndarray
@@ -207,28 +213,11 @@ class GemmWeights:
     out_channels: int
     kernel: tuple[int, int]
 
-    @property
-    def width(self) -> int:
-        """Channels per group: the group size, or all of them if fewer."""
-        return self.matrix.shape[2] // (self.kernel[0] * self.kernel[1])
 
-
-def stage_weights(
-    weights: BinaryWeightTensor, cfg: HardwareConfig, encoding: bool
-) -> GemmWeights:
-    """Lay a layer's sign bits out as :class:`GemmWeights` for ``cfg``'s groups."""
+def stage_weights(weights: BinaryWeightTensor) -> GemmWeights:
+    """Lay a layer's sign bits out as its :class:`GemmWeights`."""
     cout, cin, kh, kw = weights.sign_bits.shape
-    groups = _channel_groups(cin, cfg, encoding)
-    width = groups[0][1] if groups else 0
-    n_full, rest = divmod(cin, width) if width else (0, 0)
-    signs = weights.sign_bits.reshape(cout, cin, kh * kw)
-    # one strided read per part: the full groups, then a partial last one
-    matrix = np.zeros((len(groups), cout, width * kh * kw), dtype=np.float32)
-    full = signs[:, : n_full * width].reshape(cout, n_full, width * kh * kw)
-    np.subtract(1, 2 * full.transpose(1, 0, 2), out=matrix[:n_full], dtype=np.float32)
-    if rest:
-        part = signs[:, n_full * width :].reshape(cout, rest * kh * kw)
-        np.subtract(1, 2 * part, out=matrix[n_full, :, : rest * kh * kw], dtype=np.float32)
+    matrix = weights.values(np.float32).reshape(cout, cin * kh * kw)
     return GemmWeights(matrix, cin, cout, (kh, kw))
 
 
@@ -240,25 +229,18 @@ def _run_schedule(
 ) -> np.ndarray:
     """Shared pass structure for spiking and encoding convolutions.
 
-    Channel groups are a batch axis [n_groups][width] (a partial last group
-    is zero filled: its idle PE blocks), with the encoding layer's eight
-    bitplanes on a second axis in front, so each row tile is one
-    :func:`_tile_partial_rows` call.  The input is copied once into a
-    zeroed buffer that puts ``kh - 1`` zero rows around every row tile, so
-    each haloed tile is a row slice of it.  Each tile's bitplanes and groups
-    are folded and its rows stitched into the output in the GEMM dtype,
-    chosen from the layer bound ``max|x| * cin * kh * kw``; the result is
-    cast to int64 once.
+    Each row tile is one :func:`_tile_partial_rows` call whose inner
+    dimension spans all ``cin * kh * kw`` taps, with the encoding layer's
+    eight bitplanes as a batch axis in front.  The input is copied once
+    into a zeroed buffer that puts ``kh - 1`` zero rows around every row
+    tile, so each haloed tile is a row slice of it.  Each tile's bitplanes
+    are shift-added and its rows stitched into the output in the GEMM
+    dtype, chosen from the layer bound ``max|x| * cin * kh * kw``; the
+    result is cast to int64 once.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
-    groups, tiles, h_out, w_out = _pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
-    width = groups[0][1] if groups else 0  # the first group is the widest
-    if weights.width != width:
-        raise ConfigError(
-            f"weights staged for groups of {weights.width} channels, "
-            f"this call runs groups of {width}"
-        )
+    _, tiles, h_out, w_out = _pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
     peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     dtype = gemm_dtype(peak * cin * kh * kw)
     w_mat = weights.matrix.astype(dtype, copy=False)
@@ -270,16 +252,13 @@ def _run_schedule(
     # tiles of R rows, each followed by kh - 1 zero rows and the first led
     # by as many: tile i's haloed rows are one slice of this zeroed buffer
     r = cfg.array_rows
-    lead = (*x.shape[:-3], len(groups) * width)
+    lead = x.shape[:-2]
     buffer = np.zeros((*lead, halo + len(tiles) * (r + halo), w_in), dtype=dtype)
     cells = buffer[..., halo:, :].reshape(*lead, len(tiles), r + halo, w_in)
     n_full, rest = divmod(h_in, r)
-    cells[..., :cin, :n_full, :r, :] = x[..., : n_full * r, :].reshape(
-        *x.shape[:-2], n_full, r, w_in
-    )
+    cells[..., :n_full, :r, :] = x[..., : n_full * r, :].reshape(*lead, n_full, r, w_in)
     if rest:
-        cells[..., :cin, n_full, :rest, :] = x[..., n_full * r :, :]
-    buffer = buffer.reshape(*lead[:-1], len(groups), width, *buffer.shape[-2:])
+        cells[..., n_full, :rest, :] = x[..., n_full * r :, :]
 
     out = np.zeros((weights.out_channels, h_out, w_out), dtype=dtype)
     for i, (base, rt) in enumerate(tiles):
@@ -287,7 +266,6 @@ def _run_schedule(
         raw = _tile_partial_rows(buffer[..., top : top + rt + 2 * halo, :], w_mat, kh, kw)
         if encoding:
             raw = np.tensordot(plane_values, raw, axes=1)  # first-stage shift-add
-        raw = raw.sum(axis=0)  # last-stage group fold
         # raw row p belongs to output row base + p - (kh - 1); rows
         # outside the output range are edge diagonals and are dropped
         g0 = max(base - halo, 0)
@@ -297,7 +275,7 @@ def _run_schedule(
     return out.astype(np.int64)
 
 
-def _step_input(x, weights, cfg: HardwareConfig, encoding: bool):
+def _step_input(x, weights):
     x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"input must be [C][H][W], got {x.shape}")
@@ -305,8 +283,10 @@ def _step_input(x, weights, cfg: HardwareConfig, encoding: bool):
         raise ShapeError(
             f"input has {x.shape[0]} channels, weights expect {weights.in_channels}"
         )
+    if x.dtype.kind not in "biu":
+        raise InvalidParameterError(f"convolution input must be integers, got {x.dtype}")
     if isinstance(weights, BinaryWeightTensor):
-        weights = stage_weights(weights, cfg, encoding)
+        weights = stage_weights(weights)
     return x, weights
 
 
@@ -319,12 +299,13 @@ def schedule_conv_layer(
 
     ``x`` is a single time step's spike map [Cin][H][W], already zero
     padded (padding is materialized by the network config, never inside
-    the schedule).  ``weights`` is the layer's tensor, or the
-    :class:`GemmWeights` staged from it for ``cfg``.  Returns the int64
+    the schedule), of a bool or integer dtype (any other raises
+    ``InvalidParameterError``).  ``weights`` is the layer's tensor, or the
+    :class:`GemmWeights` staged from it.  Returns the int64
     [Cout][H_out][W_out] sums, equal to the dense reference convolution;
     cycles come from :func:`layer_accounting`.
     """
-    x, staged = _step_input(x, weights, cfg, encoding=False)
+    x, staged = _step_input(x, weights)
     return _run_schedule(x, staged, cfg, encoding=False)
 
 
@@ -342,7 +323,7 @@ def schedule_encoding_layer(
     of the 8-bit input exactly.  ``weights`` is as for
     :func:`schedule_conv_layer`.
     """
-    x, staged = _step_input(x, weights, cfg, encoding=True)
+    x, staged = _step_input(x, weights)
     if x.size and (x.min() < 0 or x.max() > 255):
         raise InvalidParameterError("encoding input values must be in [0, 255]")
     return _run_schedule(x, staged, cfg, encoding=True)
@@ -565,7 +546,7 @@ def _run_weighted_layer(
     layer ends, so one layer's GEMM operand is alive at a time.
     """
     encoding = layer.kind == "encoding-conv"
-    staged = stage_weights(tensor, cfg, encoding)
+    staged = stage_weights(tensor)
     if encoding:
         # scheduled once; every step re-presents the parked result
         sums = schedule_encoding_layer(_pad_step(source, layer.padding), staged, cfg)
@@ -591,18 +572,30 @@ def run_network(
 ) -> EngineRun:
     """Execute a validated network on the datapath model.
 
-    Layer by layer, all time steps of one layer run before the next so
-    membrane potentials never leave the chip.  Each weighted layer's
-    weights are staged once (:func:`stage_weights`) for all of its steps,
-    and its membrane, int32 for a format of at most 30 bits and int64
-    otherwise, is updated in place.  The encoding convolution is
-    computed once and iterated against the residue potential; pooling ORs
-    strided slices of the whole train (:func:`_or_pool2`).  Spike trains
-    are bit-identical to :func:`vecspike.core.run_network_oracle`.
+    ``net`` must be validated, with one weight and one parameter entry
+    per layer and an image of the first layer's ``in_shape``; otherwise
+    this raises ``ValidationError`` or ``ShapeError`` before any layer
+    runs.  Layer by layer, all time steps of one layer run before the next
+    so membrane potentials never leave the chip.  Each weighted layer's
+    weights are staged once (:func:`stage_weights`, one config-free
+    operand) for all of its steps, and its membrane, int32 for a format of
+    at most 30 bits and int64 otherwise, is updated in place.  The
+    encoding convolution is computed once and iterated against the residue
+    potential; pooling ORs strided slices of the whole train
+    (:func:`_or_pool2`).  Spike trains are bit-identical to
+    :func:`vecspike.core.run_network_oracle`.
     """
+    if not (net.layers and net.is_annotated):
+        raise ValidationError("run_network needs a validated network")
+    for name, entries in (("weight", weights), ("parameter", folded)):
+        if len(entries) != len(net.layers):
+            raise ShapeError(f"{len(entries)} {name} entries for {len(net.layers)} layers")
     img = np.asarray(image)
-    if img.ndim != 3:
-        raise ShapeError(f"image must be [C][H][W], got {img.shape}")
+    if img.shape != net.layers[0].in_shape:
+        raise ShapeError(
+            f"image shape {img.shape} does not match the network input "
+            f"{net.layers[0].in_shape}"
+        )
     if time_steps < 1:
         raise InvalidParameterError("time_steps must be >= 1")
 

@@ -40,6 +40,7 @@ from vecspike.errors import (
     FixedPointOverflowError,
     InvalidParameterError,
     ShapeError,
+    ValidationError,
 )
 from vecspike.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from vecspike.netconfig import (
@@ -169,12 +170,15 @@ def test_schedules_equal_oracle_across_geometry(geometry, encoding):
         out = schedule_conv_layer(x, weights, cfg)
         group = cfg.group_size
     assert np.array_equal(out, conv2d_oracle(x, weights))
-    # weights staged once serve every later call: nothing of one call's
-    # input may reach the next through the tile buffer
+    # weights staged once serve every later call, under any config: nothing
+    # of one call's input may reach the next through the tile buffer
     schedule = schedule_encoding_layer if encoding else schedule_conv_layer
-    staged = dataflow.stage_weights(weights, cfg, encoding)
+    staged = dataflow.stage_weights(weights)
     for step in (x[:, ::-1], x):
-        assert np.array_equal(schedule(step, staged, cfg), conv2d_oracle(step, weights))
+        for step_cfg in (cfg, HardwareConfig()):
+            assert np.array_equal(
+                schedule(step, staged, step_cfg), conv2d_oracle(step, weights)
+            )
     n_groups = -(-cin // group)
     deposits, consumes, peak_rows = stitching_ledger(h, kh, cfg.array_rows, n_groups)
     assert deposits == consumes
@@ -224,16 +228,6 @@ def test_zero_input_channels_give_zero_sums(schedule):
     assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
-def test_staged_weights_refuse_a_call_with_other_groups(rng):
-    x, weights = _random_case(rng, 40, 9, 5, 2)
-    staged = dataflow.stage_weights(weights, CFG, encoding=False)
-    assert staged.matrix.shape == (2, 2, 32 * 9)
-    assert not staged.matrix[1, :, 8 * 9 :].any()  # idle PE blocks
-    assert np.array_equal(schedule_conv_layer(x, staged, CFG), conv2d_oracle(x, weights))
-    with pytest.raises(ConfigError):
-        schedule_conv_layer(x, staged, HardwareConfig(group_size=8))
-
-
 def test_schedules_reject_batched_input():
     w = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))
     with pytest.raises(ShapeError):
@@ -272,6 +266,24 @@ def test_convolution_refuses_a_bound_int64_cannot_hold(conv):
     # 2 * 2**62 would wrap to -2**63
     with pytest.raises(FixedPointOverflowError, match="^convolution sum: "):
         conv(np.full((2, 1, 1), 2**62), weights)
+
+
+@pytest.mark.parametrize(
+    "conv",
+    [
+        lambda x, w: schedule_conv_layer(x, w, CFG),
+        lambda x, w: schedule_encoding_layer(x, w, CFG),
+        conv2d_oracle,
+    ],
+    ids=["conv", "encoding", "oracle"],
+)
+def test_convolutions_refuse_inputs_that_are_not_integers(conv):
+    weights = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))  # +1
+    # a float is refused, an integral one too, rather than truncated
+    for value in (1.5, 255.9, 1.0):
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            conv(np.full((1, 1, 1), value), weights)
+    assert conv(np.ones((1, 1, 1), dtype=bool), weights).tolist() == [[[1]]]
 
 
 def _record_gemm_dtypes(monkeypatch):
@@ -750,6 +762,32 @@ def test_engine_layer_reports_equal_the_merged_step_reports(rng, monkeypatch):
         assert len(calls) == 1 + n_spiking * steps
 
 
+def test_run_network_refuses_a_network_that_is_not_validated():
+    text = "4Conv(encoding)-4Conv"
+    bundle = generate_random_bundle(validate(parse_network(text), (1, 4, 4)), seed=0)
+    image = random_input((1, 4, 4), 0)
+    with pytest.raises(ValidationError, match="needs a validated network"):
+        run_network(parse_network(text), bundle.weights, bundle.params, image, 2, CFG)
+
+
+@pytest.mark.parametrize("short", ["weights", "params"])
+def test_run_network_refuses_lists_shorter_than_the_layers(short):
+    net = validate(parse_network("4Conv(encoding)-MP2-4Conv"), (1, 4, 4))
+    bundle = generate_random_bundle(net, seed=0)
+    weights, params = list(bundle.weights), list(bundle.params)
+    (weights if short == "weights" else params).pop()
+    with pytest.raises(ShapeError, match="entries for 3 layers"):
+        run_network(net, weights, params, random_input((1, 4, 4), 0), 2, CFG)
+
+
+def test_run_network_names_an_image_of_the_wrong_shape():
+    net = validate(parse_network("4Conv(encoding)-4Conv"), (1, 4, 4))
+    bundle = generate_random_bundle(net, seed=0)
+    image = random_input((1, 6, 6), 0)
+    with pytest.raises(ShapeError, match=r"image shape \(1, 6, 6\) .* \(1, 4, 4\)"):
+        run_network(net, bundle.weights, bundle.params, image, 2, CFG)
+
+
 def test_engine_reports_time_step_scaling(rng):
     # spiking convolutions run per step; the encoding conv runs once
     net = validate(parse_network("4Conv(encoding)-4Conv"), (1, 6, 6))
@@ -847,6 +885,24 @@ def test_run_network_stages_each_weighted_layer_once(monkeypatch, preset, weight
     run_network(net, bundle.weights, bundle.params, random_input(shape, 0), 8, CFG)
     assert len(staged) == weighted
     assert len(seen) == tiles
+
+
+def test_every_gemm_operand_of_the_engine_is_a_bit(rng, monkeypatch):
+    # the PEs are AND gates: every haloed tile, the encoding layer's
+    # bitplanes included, holds only 0 and 1, never pixels
+    tiles = []
+    kernel = dataflow._tile_partial_rows
+
+    def spy(x_tile, w_mat, kh, kw):
+        tiles.append((x_tile.ndim, bool(np.isin(x_tile, (0, 1)).all())))
+        return kernel(x_tile, w_mat, kh, kw)
+
+    monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
+    for net, shape in (preset_network("mnist", 8), random_network(rng, max_channels=40)):
+        bundle = generate_random_bundle(net, seed=0)
+        run_network(net, bundle.weights, bundle.params, random_input(shape, 0), 2, CFG)
+    assert any(ndim == 4 for ndim, _ in tiles)  # the encoding bitplanes
+    assert all(bits for _, bits in tiles)
 
 
 @pytest.mark.parametrize("total_bits, dtype", [(24, np.int32), (30, np.int32), (31, np.int64)])
