@@ -4,12 +4,14 @@ This module holds the data types the engine shares and the functional
 oracle that checks it: a direct integer/fixed-point implementation of
 integrate-and-fire dynamics, folded batch normalization, dense binary
 convolution, OR-pooling and whole-network execution.  Everything favours
-clarity over speed, with one exception:
-the dense convolution sums one BLAS product per kernel offset, each on a
-view of the padded input (no copy per offset), in float32 when
-``max|x| * C * kh * kw`` stays below 2**24, in float64 when it stays below
-2**53 and in int64 when it stays below 2**63; a larger bound, which could
-wrap int64, raises ``FixedPointOverflowError``.
+clarity over speed, with two exceptions.  The dense convolution sums one
+BLAS product per kernel offset, each on a view of the padded input (no
+copy per offset), in float32 when ``max|x| * C * kh * kw`` stays below
+2**24, in float64 when it stays below 2**53 and in int64 when it stays
+below 2**63; a larger bound, which could wrap int64, raises
+``FixedPointOverflowError``.  The whole-network run lays out each weighted
+layer's +-1 weights, one [O][C] matrix per offset, once for all of its
+time steps, and writes each step's spikes into one [T] array.
 The engine in ``vecspike.dataflow`` must reproduce these results bit for
 bit; it shares no convolution code with this module, so the comparison
 stays an independent check.
@@ -37,7 +39,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import FixedPointOverflowError, InvalidParameterError, ShapeError
+from .errors import (
+    FixedPointOverflowError,
+    InvalidParameterError,
+    ShapeError,
+    ValidationError,
+)
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -301,33 +308,53 @@ def spikes_eq3_oracle(
 # layer oracles
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class OffsetWeights:
+    """A layer's weights laid out for :func:`conv2d_oracle`'s offset products.
+
+    ``values`` is the contiguous float32 [kh][kw][O][C] of +-1 values, one
+    [O][C] matrix per kernel offset.  :func:`run_network_oracle` lays out
+    each weighted layer once and passes it to every step's call.
+    """
+
+    values: np.ndarray
+
+
+def lay_out_offsets(weights: BinaryWeightTensor) -> OffsetWeights:
+    """Lay a layer's sign bits out as its :class:`OffsetWeights`."""
+    signs = weights.sign_bits.transpose(2, 3, 0, 1)  # [kh][kw][O][C]
+    return OffsetWeights(np.subtract(1, 2 * signs, dtype=np.float32, order="C"))
+
+
 def conv2d_oracle(
     inputs,
-    weights: BinaryWeightTensor,
+    weights: BinaryWeightTensor | OffsetWeights,
     padding: int = 0,
 ) -> np.ndarray:
     """Dense reference convolution with weights in {-1,+1}.
 
     Accepts a single-step spike map or an unsigned 8-bit tensor shaped
     [C][H][W], of a bool or integer dtype (any other raises
-    ``InvalidParameterError``); returns exact integer outputs [O][H'][W'].  Accumulation is
-    a plain sum over receptive-field offsets.  The padded input, plus one
-    spare zero row, is written once and flattened to [C][(hp+1)*wp]; offset
-    (u, v) multiplies its [O][C] weights with the view from ``u*wp + v``,
-    ``h_out*wp`` long.  Each output row carries ``wp - w_out`` wrapped
-    columns, dropped once at the end.
+    ``InvalidParameterError``); returns exact integer outputs [O][H'][W'].
+    ``weights`` is the layer's tensor, or the :class:`OffsetWeights` laid
+    out from it.  Accumulation is a plain sum over receptive-field
+    offsets.  The padded input, plus one spare zero row, is written once
+    and flattened to [C][(hp+1)*wp]; offset (u, v) multiplies its [O][C]
+    weights with the view from ``u*wp + v``, ``h_out*wp`` long.  Each
+    output row carries ``wp - w_out`` wrapped columns, dropped once at the
+    end.
     """
+    if isinstance(weights, BinaryWeightTensor):
+        weights = lay_out_offsets(weights)
+    kh, kw, out_channels, in_channels = weights.values.shape
     x = np.asarray(inputs)
     if x.ndim != 3:
         raise ShapeError(f"input must be [C][H][W], got {x.shape}")
     if padding < 0:
         raise InvalidParameterError("padding must be >= 0")
     c, h, w = x.shape
-    if c != weights.in_channels:
-        raise ShapeError(
-            f"input has {c} channels, weights expect {weights.in_channels}"
-        )
-    kh, kw = weights.kernel
+    if c != in_channels:
+        raise ShapeError(f"input has {c} channels, weights expect {in_channels}")
     hp, wp = h + 2 * padding, w + 2 * padding
     h_out = hp - kh + 1
     w_out = wp - kw + 1
@@ -342,12 +369,11 @@ def conv2d_oracle(
         raise FixedPointOverflowError(f"convolution sum: bound {bound} reaches 2**63")
     dtype = (np.float32 if bound < FLOAT32_EXACT_LIMIT
              else np.float64 if bound < FLOAT64_EXACT_LIMIT else np.int64)
+    wv = weights.values.astype(dtype, copy=False)
     xp = np.zeros((c, hp + 1, wp), dtype=dtype)
     xp[:, padding : padding + h, padding : padding + w] = x
     flat = xp.reshape(c, (hp + 1) * wp)
-    signs = weights.sign_bits.transpose(2, 3, 0, 1)  # [kh][kw][O][C]
-    wv = np.subtract(1, 2 * signs, dtype=dtype, order="C")
-    out = np.zeros((weights.out_channels, h_out * wp), dtype=dtype)
+    out = np.zeros((out_channels, h_out * wp), dtype=dtype)
     for u in range(kh):
         for v in range(kw):
             start = u * wp + v
@@ -378,20 +404,29 @@ def _if_run(
     params: FoldedNeuronParams,
     fmt: FixedPointFormat,
 ) -> np.ndarray:
-    """Drive the IF recurrence over integer conv outputs, one per step."""
+    """Drive the IF recurrence over integer conv outputs, one per step.
+
+    The int64 potential resets lazily, ``V = V*(1 - o) + in`` with ``o``
+    the previous step's spikes, and each step's spikes are written into
+    one [T][C][H][W] array.
+    """
     bias = params.bias_raw[:, None, None]
     threshold = params.threshold_raw[:, None, None]
-    flip = params.flipped[:, None, None]
+    flip = params.flipped
     v = np.zeros(step_inputs[0].shape, dtype=np.int64)
-    o = np.zeros(step_inputs[0].shape, dtype=bool)
-    spikes = []
-    for x in step_inputs:
-        weighted = fmt.shift_left(x, fmt.frac_bits, "convolution sum") - bias
-        v = np.where(o, 0, v) + weighted
+    spikes = np.zeros((len(step_inputs), *v.shape), dtype=np.uint8)
+    for t, x in enumerate(step_inputs):
+        weighted = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
+        weighted -= bias
+        if t:
+            v *= 1 - spikes[t - 1]
+        v += weighted
         fmt.check_raw(v, "membrane potential")
-        o = np.where(flip, v <= threshold, v >= threshold)
-        spikes.append(o.astype(np.uint8))
-    return np.stack(spikes)
+        fired = spikes[t].view(bool)
+        np.greater_equal(v, threshold, out=fired)
+        if flip.any():  # a negative gain flips the comparison to <=
+            fired[flip] = v[flip] <= threshold[flip]
+    return spikes
 
 
 @dataclass
@@ -416,11 +451,25 @@ def run_network_oracle(
     image and re-accumulates the constant result every step; spiking conv
     layers convolve per step; fc layers run as 1x1 convolutions over the
     flattened feature vector; pooling is an OR reduction of each step's
-    output map.  Deterministic and reproducible bit for bit.
+    output map.  Each weighted layer's operand is laid out once
+    (:func:`lay_out_offsets`) for all of its steps.  Deterministic and
+    reproducible bit for bit.
+
+    ``net`` must be validated, with one weight and one parameter entry per
+    layer and an image of the first layer's ``in_shape``; otherwise this
+    raises ``ValidationError`` or ``ShapeError`` before any layer runs.
     """
+    if not (net.layers and net.is_annotated):
+        raise ValidationError("run_network_oracle needs a validated network")
+    for name, entries in (("weight", weights), ("parameter", folded)):
+        if len(entries) != len(net.layers):
+            raise ShapeError(f"{len(entries)} {name} entries for {len(net.layers)} layers")
     img = np.asarray(image)
-    if img.ndim != 3:
-        raise ShapeError(f"image must be [C][H][W], got {img.shape}")
+    if img.shape != net.layers[0].in_shape:
+        raise ShapeError(
+            f"image shape {img.shape} does not match the network input "
+            f"{net.layers[0].in_shape}"
+        )
     if img.min() < 0 or img.max() > 255:
         raise InvalidParameterError("encoding input values must be in [0, 255]")
     if time_steps < 1:
@@ -433,16 +482,12 @@ def run_network_oracle(
             conv = conv2d_oracle(img, weights[idx], padding=layer.padding)
             scaled = folded[idx].scaled_by_pow2(ENCODING_SHIFT)
             current = _if_run([conv] * time_steps, scaled, fmt)
-        elif layer.kind == "conv":
+        elif layer.kind in ("conv", "fc"):
+            offsets = lay_out_offsets(weights[idx])
+            # an fc layer is a 1x1 convolution of the flattened map
+            maps = current.reshape(time_steps, *layer.in_shape)
             steps = [
-                conv2d_oracle(current[t], weights[idx], padding=layer.padding)
-                for t in range(time_steps)
-            ]
-            current = _if_run(steps, folded[idx], fmt)
-        elif layer.kind == "fc":
-            flat = current.reshape(time_steps, -1, 1, 1)
-            steps = [
-                conv2d_oracle(flat[t], weights[idx], padding=0)
+                conv2d_oracle(maps[t], offsets, padding=layer.padding)
                 for t in range(time_steps)
             ]
             current = _if_run(steps, folded[idx], fmt)
@@ -452,10 +497,9 @@ def run_network_oracle(
             )
         else:
             raise InvalidParameterError(f"unknown layer kind {layer.kind!r}")
-        expected = layer.out_shape
-        if expected is not None and current.shape[1:] != tuple(expected):
+        if current.shape[1:] != layer.out_shape:
             raise ShapeError(
-                f"layer {idx} produced {current.shape[1:]}, expected {tuple(expected)}"
+                f"layer {idx} produced {current.shape[1:]}, expected {layer.out_shape}"
             )
         trains.append(SpikeTrain(current))
 

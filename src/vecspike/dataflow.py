@@ -12,22 +12,24 @@ recombines them with a shift-add in the first accumulator stage.
 
 Functional outputs are produced by a GEMM-lowered equivalent of the
 column-by-column pipeline (integer addition is associative, so the
-reassociation is exact).  Each row tile is one GEMM whose inner dimension
-spans all of the layer's ``cin * kh * kw`` taps: the tile's kh x kw
-windows become im2col columns [cin*kh*kw][positions], and one product with
-the +-1 weights [cout][cin*kh*kw] yields every diagonal partial sum.  The
-channel groups that the hardware folds across sequential passes are one
-more such reassociation, summed inside that inner dimension, so they shape
-the cycle and boundary accounting below and not the product.  The encoding
+reassociation is exact).  Each row tile is one GEMM of its own input rows,
+with no halo: the +-1 weights staged as [kh*cout][kw*cin] against a
+width-only im2col [kw*cin][rt*w_out] of the tile.  It yields the product
+of every kernel row ``u`` with every input row ``r`` of the tile, summed
+over the kernel columns and all input channels, and that product belongs
+to output row ``base + r - u``.  The stitch adds each product straight into
+the output: that is the PE arrays' diagonal adder, and it also does the
+tile-edge stitching, so no zero row ever enters a GEMM.  The channel groups
+that the hardware folds across sequential passes are one more such
+reassociation, summed inside the GEMM's inner dimension, so they shape the
+cycle and boundary accounting below and not the product.  The encoding
 layer's bitplanes are a leading batch axis, which keeps every GEMM operand
-a bit, as the AND-gate PEs need, and the shift-add is a sum over that axis.
-The partial rows accumulate in place into the output, and the schedulers
-return these sums only, cast to int64 once per call.  As the weight SRAM
-keeps a layer's weights for all T steps, ``run_network`` stages each
+a bit, as the AND-gate PEs need; the shift-add is a sum over that axis,
+taken on each tile's products before the diagonal stitch.  The schedulers
+return the stitched sums only, cast to int64 once per call.  As the weight
+SRAM keeps a layer's weights for all T steps, ``run_network`` stages each
 layer's +-1 operand once (:class:`GemmWeights`, the same for every config)
-and every step's call reuses it; each call copies its input once into a
-zeroed buffer in which every row tile sits between ``kh - 1`` zero rows, so
-a haloed tile is a row slice of it.
+and every step's call reuses it.
 
 The IF unit keeps membranes in int32 when the fixed-point format has at
 most 30 bits (24 by default, as on chip), and falls back to int64 for a
@@ -35,15 +37,16 @@ call whose shifted sums could wrap int32.
 
 The GEMM, the shift-add and the stitching run in float32 or float64,
 which is exact only while every partial sum stays below 2**24 or 2**53 in
-magnitude.  With +-1 weights every sum over a subset of the layer's
-channels, bitplanes and kernel rows is bounded by the whole layer's
-``max|x| * cin * kh * kw``, where ``x`` is the 8-bit pixels for the
-encoding layer (a sum over some of a pixel's shifted bitplanes, ``x &
-mask``, is never larger than the pixel).  That bound
-is computed on every call (binary input is never assumed); past the
-float32 limit the arithmetic runs in float64, past the float64 limit in
-exact int64, and from 2**63, where int64 could wrap, a call raises
-``FixedPointOverflowError``.
+magnitude.  Every partial sum, from one kernel row's product to an output
+row part way through the stitch, is a sum over a subset of the layer's
+taps (and, for the encoding layer, of a pixel's bitplanes).  With +-1
+weights each is bounded by the whole layer's ``max|x| * cin * kh * kw``,
+where ``x`` is the 8-bit pixels for the encoding layer (a sum over some
+of a pixel's shifted bitplanes, ``x & mask``, is never larger than the
+pixel).  That bound is computed on every call (binary input is never
+assumed); past the float32 limit the arithmetic runs in float64, past the
+float64 limit in exact int64, and from 2**63, where int64 could wrap, a
+call raises ``FixedPointOverflowError``.
 
 Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
 geometry, the config and T, so each is computed in one place:
@@ -63,7 +66,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .arch import (
     CycleReport,
@@ -137,27 +139,27 @@ def gemm_dtype(bound: int) -> np.dtype:
 
 
 def _tile_partial_rows(
-    xp: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
+    x_tile: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
 ) -> np.ndarray:
-    """Raw partial-sum rows of one tile: all diagonals, pre-stitching.
+    """Kernel-row products of one row tile, before the diagonal stitch.
 
-    ``xp`` is the haloed tile [..., cin, rt + 2(kh-1), w_in]: its ``rt``
-    input rows between ``kh - 1`` zero rows above and below, in the GEMM
-    dtype; it is read, never written.  ``w_mat`` is the [cout, cin*kh*kw]
-    weights in the same dtype; the leading axes of ``xp`` are batch axes.
-    The tile is lowered to im2col columns [..., cin*kh*kw, positions] and
-    multiplied once.  The result [..., cout, rt + kh - 1,
-    w_out] has ``rt + kh - 1`` rows: the first and last ``kh - 1`` carry
-    partial sums that belong to outputs shared with the neighbouring tiles.
+    ``x_tile`` is the tile's own ``rt`` input rows [..., cin, rt, w_in],
+    with no halo row; it is read, never written.  ``w_mat`` is the
+    [kh*cout, kw*cin] weights (:class:`GemmWeights`) in the GEMM dtype; the
+    leading axes of ``x_tile`` are batch axes.  The rows are lowered, in
+    that dtype, to width-only im2col columns [..., kw*cin, rt*w_out] and
+    multiplied once.  The result [..., kh, cout, rt, w_out] holds at ``[u,
+    :, r]`` kernel row ``u``'s products with input row ``r`` of the tile,
+    which belong to output row ``base + r - u`` for a tile from row
+    ``base``.
     """
-    *lead, cg, _, _ = xp.shape
-    windows = sliding_window_view(xp, (kh, kw), axis=(-2, -1))
-    rows, cols = windows.shape[-4], windows.shape[-3]
-    im2col = np.moveaxis(windows, (-4, -3), (-2, -1)).reshape(
-        *lead, cg * kh * kw, rows * cols
-    )
-    sums = w_mat @ im2col
-    return sums.reshape(*sums.shape[:-1], rows, cols)
+    *lead, cin, rt, w_in = x_tile.shape
+    w_out = w_in - kw + 1
+    im2col = np.empty((*lead, kw, cin, rt, w_out), dtype=w_mat.dtype)
+    for v in range(kw):  # kernel column v sees columns v .. v + w_out - 1
+        im2col[..., v, :, :, :] = x_tile[..., v : v + w_out]
+    sums = w_mat @ im2col.reshape(*lead, kw * cin, rt * w_out)
+    return sums.reshape(*lead, kh, w_mat.shape[0] // kh, rt, w_out)
 
 
 def _check_kernel(kh: int, kw: int, cfg: HardwareConfig):
@@ -200,7 +202,9 @@ def _pass_structure(
 class GemmWeights:
     """A weighted layer's weights as the operand of its tile GEMMs.
 
-    ``matrix`` is the contiguous float32 [cout][cin*kh*kw] of +-1 values,
+    ``matrix`` is the contiguous float32 [kh*cout][kw*cin] of +-1 values:
+    rows ``u*cout`` to ``(u+1)*cout`` hold kernel row ``u`` of every output
+    channel, columns run over kernel columns, then input channels.  It is
     the same for every config: channel groups are passes of the cycle
     model, not of this product.  The weight SRAM holds a layer's weights
     for all of its time steps, and so does this: :func:`run_network` stages
@@ -217,8 +221,10 @@ class GemmWeights:
 def stage_weights(weights: BinaryWeightTensor) -> GemmWeights:
     """Lay a layer's sign bits out as its :class:`GemmWeights`."""
     cout, cin, kh, kw = weights.sign_bits.shape
-    matrix = weights.values(np.float32).reshape(cout, cin * kh * kw)
-    return GemmWeights(matrix, cin, cout, (kh, kw))
+    # [kh][cout][kw][cin]; copying runs of cin is faster than runs of kw
+    signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 0, 3, 1))
+    matrix = np.subtract(1, 2 * signs, dtype=np.float32)
+    return GemmWeights(matrix.reshape(kh * cout, kw * cin), cin, cout, (kh, kw))
 
 
 def _run_schedule(
@@ -229,14 +235,14 @@ def _run_schedule(
 ) -> np.ndarray:
     """Shared pass structure for spiking and encoding convolutions.
 
-    Each row tile is one :func:`_tile_partial_rows` call whose inner
-    dimension spans all ``cin * kh * kw`` taps, with the encoding layer's
-    eight bitplanes as a batch axis in front.  The input is copied once
-    into a zeroed buffer that puts ``kh - 1`` zero rows around every row
-    tile, so each haloed tile is a row slice of it.  Each tile's bitplanes
-    are shift-added and its rows stitched into the output in the GEMM
-    dtype, chosen from the layer bound ``max|x| * cin * kh * kw``; the
-    result is cast to int64 once.
+    The row tiles partition the input rows, and each is one
+    :func:`_tile_partial_rows` call on a row slice of the input, with the
+    encoding layer's eight bitplanes as a batch axis in front.  Each tile's
+    bitplane products are shift-added, then the diagonal stitch adds
+    kernel row ``u``'s products with tile row ``r`` into output row ``base
+    + r - u``, dropping those that fall outside the output.  All of it runs
+    in the GEMM dtype, chosen from the layer bound ``max|x| * cin * kh *
+    kw``; the result is cast to int64 once.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
@@ -244,34 +250,24 @@ def _run_schedule(
     peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     dtype = gemm_dtype(peak * cin * kh * kw)
     w_mat = weights.matrix.astype(dtype, copy=False)
-    halo = kh - 1
     if encoding:
         # [8][cin][h][w]: plane k holds bit k of every pixel
         x = np.unpackbits(x.astype(np.uint8)[None], axis=0, bitorder="little")
         plane_values = np.exp2(np.arange(8)).astype(dtype)
-    # tiles of R rows, each followed by kh - 1 zero rows and the first led
-    # by as many: tile i's haloed rows are one slice of this zeroed buffer
-    r = cfg.array_rows
-    lead = x.shape[:-2]
-    buffer = np.zeros((*lead, halo + len(tiles) * (r + halo), w_in), dtype=dtype)
-    cells = buffer[..., halo:, :].reshape(*lead, len(tiles), r + halo, w_in)
-    n_full, rest = divmod(h_in, r)
-    cells[..., :n_full, :r, :] = x[..., : n_full * r, :].reshape(*lead, n_full, r, w_in)
-    if rest:
-        cells[..., n_full, :rest, :] = x[..., n_full * r :, :]
 
     out = np.zeros((weights.out_channels, h_out, w_out), dtype=dtype)
-    for i, (base, rt) in enumerate(tiles):
-        top = i * (r + halo)
-        raw = _tile_partial_rows(buffer[..., top : top + rt + 2 * halo, :], w_mat, kh, kw)
-        if encoding:
-            raw = np.tensordot(plane_values, raw, axes=1)  # first-stage shift-add
-        # raw row p belongs to output row base + p - (kh - 1); rows
-        # outside the output range are edge diagonals and are dropped
-        g0 = max(base - halo, 0)
-        g1 = min(base + rt, h_out)
-        p0 = g0 - base + halo
-        out[:, g0:g1] += raw[:, p0 : p0 + g1 - g0]
+    for base, rt in tiles:
+        products = _tile_partial_rows(x[..., base : base + rt, :], w_mat, kh, kw)
+        if encoding:  # first-stage shift-add of the bitplanes
+            shifted = plane_values @ products.reshape(8, -1)
+            products = shifted.reshape(products.shape[1:])
+        # diagonal stitch: products[u, :, r] belongs to output row
+        # base + r - u; rows that land outside the output are dropped
+        for u in range(kh):
+            r0 = max(u - base, 0)
+            r1 = min(rt, h_out + u - base)
+            if r0 < r1:
+                out[:, base + r0 - u : base + r1 - u] += products[u, :, r0:r1]
     return out.astype(np.int64)
 
 

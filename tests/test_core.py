@@ -23,12 +23,15 @@ from vecspike.errors import (
     FixedPointOverflowError,
     InvalidParameterError,
     ShapeError,
+    ValidationError,
 )
 from vecspike.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from vecspike.netconfig import (
     NetworkDescription,
     generate_random_bundle,
     parse_network,
+    preset_network,
+    random_input,
     validate,
 )
 
@@ -516,3 +519,69 @@ def test_network_oracle_rejects_bad_input():
         run_network_oracle(
             net, bundle.weights, bundle.params, np.zeros((1, 4, 4)), 0
         )
+
+
+def _no_layer_runs(monkeypatch):
+    import vecspike.core as core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layer ran before the entry checks")
+
+    monkeypatch.setattr(core, "conv2d_oracle", refuse)
+
+
+def test_network_oracle_refuses_a_network_that_is_not_validated(monkeypatch):
+    text = "4Conv(encoding)-MP2-4Conv"
+    bundle = generate_random_bundle(validate(parse_network(text), (1, 4, 4)), seed=0)
+    _no_layer_runs(monkeypatch)
+    with pytest.raises(ValidationError, match="needs a validated network"):
+        run_network_oracle(
+            parse_network(text), bundle.weights, bundle.params, random_input((1, 4, 4), 0), 2
+        )
+
+
+@pytest.mark.parametrize("short", ["weights", "params"])
+def test_network_oracle_refuses_lists_shorter_than_the_layers(monkeypatch, short):
+    net = validate(parse_network("4Conv(encoding)-MP2-4Conv"), (1, 4, 4))
+    bundle = generate_random_bundle(net, seed=0)
+    weights, params = list(bundle.weights), list(bundle.params)
+    (weights if short == "weights" else params).pop()
+    _no_layer_runs(monkeypatch)
+    with pytest.raises(ShapeError, match="entries for 3 layers"):
+        run_network_oracle(net, weights, params, random_input((1, 4, 4), 0), 2)
+
+
+def test_network_oracle_names_an_image_of_the_wrong_shape(monkeypatch):
+    net = validate(parse_network("4Conv(encoding)-MP2-4Conv"), (1, 4, 4))
+    bundle = generate_random_bundle(net, seed=0)
+    _no_layer_runs(monkeypatch)
+    with pytest.raises(ShapeError, match=r"image shape \(1, 6, 6\) .* \(1, 4, 4\)"):
+        run_network_oracle(net, bundle.weights, bundle.params, random_input((1, 6, 6), 0), 2)
+
+
+@pytest.mark.parametrize(
+    "preset, weighted, convolutions", [("mnist", 4, 25), ("cifar10", 13, 97)]
+)
+def test_network_oracle_lays_out_each_weighted_layer_once(
+    monkeypatch, preset, weighted, convolutions
+):
+    # the weights are laid out once per layer, not once per time step; the
+    # encoding layer convolves once, every other weighted layer once a step
+    import vecspike.core as core
+
+    calls = {"lay_out_offsets": 0, "conv2d_oracle": 0}
+
+    def counting(name):
+        original = getattr(core, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(core, name, counting(name))
+    net, shape = preset_network(preset, 8)
+    bundle = generate_random_bundle(net, seed=0)
+    run_network_oracle(net, bundle.weights, bundle.params, random_input(shape, 0), 8)
+    assert calls == {"lay_out_offsets": weighted, "conv2d_oracle": convolutions}

@@ -888,7 +888,7 @@ def test_run_network_stages_each_weighted_layer_once(monkeypatch, preset, weight
 
 
 def test_every_gemm_operand_of_the_engine_is_a_bit(rng, monkeypatch):
-    # the PEs are AND gates: every haloed tile, the encoding layer's
+    # the PEs are AND gates: every tile, the encoding layer's
     # bitplanes included, holds only 0 and 1, never pixels
     tiles = []
     kernel = dataflow._tile_partial_rows
@@ -903,6 +903,46 @@ def test_every_gemm_operand_of_the_engine_is_a_bit(rng, monkeypatch):
         run_network(net, bundle.weights, bundle.params, random_input(shape, 0), 2, CFG)
     assert any(ndim == 4 for ndim, _ in tiles)  # the encoding bitplanes
     assert all(bits for _, bits in tiles)
+
+
+@pytest.mark.parametrize(
+    "schedule, cin, h, w, kernel, high",
+    [
+        (schedule_conv_layer, 5, 19, 7, (3, 3), 2),
+        (schedule_conv_layer, 40, 17, 6, (2, 3), 2),
+        (schedule_encoding_layer, 3, 17, 6, (3, 3), 256),
+    ],
+    ids=["conv", "conv-2x3", "encoding"],
+)
+def test_no_gemm_operand_holds_a_halo_row(
+    rng, monkeypatch, schedule, cin, h, w, kernel, high
+):
+    # each row tile multiplies only its own input rows: the tiles partition
+    # the padded input, and the GEMMs do 2*kh*kw*cout*cin*h*w_out flops
+    # (times 8 bitplanes for the encoding layer), none on a zero halo row
+    tiles, flops = [], 0
+    kernel_fn = dataflow._tile_partial_rows
+
+    def spy(x_tile, w_mat, kh, kw):
+        nonlocal flops
+        tiles.append(np.array(x_tile))
+        m, k = w_mat.shape
+        n = x_tile.shape[-2] * (x_tile.shape[-1] - kw + 1)
+        flops += 2 * m * k * n * int(np.prod(x_tile.shape[:-3]))
+        return kernel_fn(x_tile, w_mat, kh, kw)
+
+    monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
+    x = rng.integers(0, high, (cin, h, w))
+    cout, (kh, kw) = 4, kernel
+    weights = BinaryWeightTensor(rng.integers(0, 2, (cout, cin, kh, kw), dtype=np.uint8))
+    assert np.array_equal(schedule(x, weights, CFG), conv2d_oracle(x, weights))
+    assert len(tiles) == 3
+    rows = np.concatenate(tiles, axis=-2)
+    if schedule is schedule_encoding_layer:
+        rows = np.tensordot(2 ** np.arange(8), rows, axes=1)
+    assert np.array_equal(rows, x)
+    planes = 8 if schedule is schedule_encoding_layer else 1
+    assert flops == 2 * kh * kw * cout * cin * h * (w - kw + 1) * planes
 
 
 @pytest.mark.parametrize("total_bits, dtype", [(24, np.int32), (30, np.int32), (31, np.int64)])
