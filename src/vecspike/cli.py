@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .arch import CycleReport, HardwareConfig, peak_gops
 from .core import run_network_oracle
-from .dataflow import layer_accounting, run_network
+from .dataflow import run_network
 from .errors import (
     CapacityFault,
     FixedPointOverflowError,
@@ -28,6 +28,7 @@ from .errors import (
     ScheduleFault,
     SimulatorError,
 )
+from .geometry import layer_accounting
 from .memmodel import (
     FusionPlan,
     compute_layers,
@@ -154,7 +155,8 @@ def cmd_run(args) -> int:
         bundle = load_bundle(args.bundle)
         bundle_net = validate(bundle.net, image.shape)
         if bundle_net.layers != net.layers or any(
-            w is not None and w.sign_bits.shape != layer.weight_shape
+            (w is not None) != layer.has_weights
+            or (w is not None and w.sign_bits.shape != layer.weight_shape)
             for layer, w in zip(bundle_net.layers, bundle.weights)
         ):
             raise _CliError(

@@ -22,10 +22,11 @@ the output: that is the PE arrays' diagonal adder, and it also does the
 tile-edge stitching, so no zero row ever enters a GEMM.  The channel groups
 that the hardware folds across sequential passes are one more such
 reassociation, summed inside the GEMM's inner dimension, so they shape the
-cycle and boundary accounting below and not the product.  The encoding
-layer's bitplanes are a leading batch axis, which keeps every GEMM operand
-a bit, as the AND-gate PEs need; the shift-add is a sum over that axis,
-taken on each tile's products before the diagonal stitch.  The schedulers
+cycle and boundary accounting (:mod:`vecspike.geometry`) and not the
+product.  The encoding layer's bitplanes are a leading batch axis, which
+keeps every GEMM operand a bit, as the AND-gate PEs need; the shift-add is
+a sum over that axis, taken on each tile's products before the diagonal
+stitch.  The schedulers
 return the stitched sums only, cast to int64 once per call.  As the weight
 SRAM keeps a layer's weights for all T steps, ``run_network`` stages each
 layer's +-1 operand once (:class:`GemmWeights`, the same for every config)
@@ -49,14 +50,8 @@ float64 limit in exact int64, and from 2**63, where int64 could wrap, a
 call raises ``FixedPointOverflowError``.
 
 Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
-geometry, the config and T, so each is computed in one place:
-:func:`conv_layer_report` for the cycles and :func:`_tile_boundary` for the
-rows a tile edge leaves pending.  :func:`layer_accounting` calls both once
-per layer, for ``run_network`` and ``vecspike bench``.  The cycles follow
-the pass structure: output channels outermost, then channel groups, then
-row tiles, then columns, with the pipeline fill charged once per
-weight-register pass because consecutive column streams overlap one
-pass's drain with the next pass's fill.
+geometry, the config and T; :func:`vecspike.geometry.layer_accounting`
+gives them once per layer, and the schedulers return sums only.
 """
 
 from __future__ import annotations
@@ -90,26 +85,10 @@ from .errors import (
     ValidationError,
 )
 from .fixedpoint import FixedPointFormat
+from .geometry import TileBoundary, check_kernel, layer_accounting, pass_structure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .netconfig import LayerSpec, NetworkDescription
-
-
-# ---------------------------------------------------------------------------
-# tile boundary SRAM
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TileBoundary:
-    """Boundary-SRAM use of one convolution step, for one output channel.
-
-    ``deposits`` counts the output rows a tile edge leaves incomplete (each
-    stored once), ``peak_rows`` the most rows stored at one time.  Computed
-    from geometry by :func:`_tile_boundary`.
-    """
-
-    deposits: int
-    peak_rows: int
 
 
 # ---------------------------------------------------------------------------
@@ -162,42 +141,6 @@ def _tile_partial_rows(
     return sums.reshape(*lead, kh, w_mat.shape[0] // kh, rt, w_out)
 
 
-def _check_kernel(kh: int, kw: int, cfg: HardwareConfig):
-    if kw > cfg.arrays_per_block:
-        raise ConfigError(
-            f"kernel width {kw} exceeds the {cfg.arrays_per_block} arrays per block"
-        )
-    if kh > cfg.array_cols:
-        raise ConfigError(
-            f"kernel height {kh} exceeds the {cfg.array_cols}-tall weight column"
-        )
-
-
-def _pass_structure(
-    in_channels: int, h_padded: int, w_padded: int, kh: int, kw: int,
-    cfg: HardwareConfig, encoding: bool,
-):
-    """Channel groups, row tiles and output size of one convolution step.
-
-    Groups and tiles are (start, size) pairs; a group is one pass of the
-    PE blocks, which the cycle model and the boundary SRAM count.  Raises
-    for a kernel the arrays cannot hold or the input cannot fit, and for an
-    encoding layer on fewer than 8 PE blocks.
-    """
-    if encoding and cfg.pe_blocks < 8:
-        raise ConfigError("the encoding layer needs 8 PE blocks per channel")
-    _check_kernel(kh, kw, cfg)
-    h_out = h_padded - kh + 1
-    w_out = w_padded - kw + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"{kh}x{kw} kernel does not fit {h_padded}x{w_padded} input")
-    size = cfg.encoding_channels_per_pass if encoding else cfg.group_size
-    groups = [(c, min(size, in_channels - c)) for c in range(0, in_channels, size)]
-    rows = cfg.array_rows
-    tiles = [(r, min(rows, h_padded - r)) for r in range(0, h_padded, rows)]
-    return groups, tiles, h_out, w_out
-
-
 @dataclass(frozen=True, eq=False)
 class GemmWeights:
     """A weighted layer's weights as the operand of its tile GEMMs.
@@ -246,7 +189,7 @@ def _run_schedule(
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
-    _, tiles, h_out, w_out = _pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
+    _, tiles, h_out, w_out = pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
     peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     dtype = gemm_dtype(peak * cin * kh * kw)
     w_mat = weights.matrix.astype(dtype, copy=False)
@@ -299,7 +242,7 @@ def schedule_conv_layer(
     ``InvalidParameterError``).  ``weights`` is the layer's tensor, or the
     :class:`GemmWeights` staged from it.  Returns the int64
     [Cout][H_out][W_out] sums, equal to the dense reference convolution;
-    cycles come from :func:`layer_accounting`.
+    cycles come from :func:`vecspike.geometry.layer_accounting`.
     """
     x, staged = _step_input(x, weights)
     return _run_schedule(x, staged, cfg, encoding=False)
@@ -366,7 +309,7 @@ def stream_conv_columns(
     x = x.astype(np.uint8)
     cin, h, w = x.shape
     kh, kw = weights.kernel
-    _check_kernel(kh, kw, cfg)
+    check_kernel(kh, kw, cfg)
     if kh != cfg.array_cols:
         raise ConfigError("column stream requires kernel height == array_cols")
     if h > cfg.array_rows:
@@ -619,89 +562,3 @@ def run_network(
 
     counts = trains[-1].data.sum(axis=(0, 2, 3)).astype(np.int64)
     return EngineRun(trains, counts, layer_runs)
-
-
-def _tile_boundary(tiles, h_out: int, kh: int, n_groups: int) -> TileBoundary:
-    """Boundary-SRAM use of one convolution step from its row tiles alone.
-
-    During the last channel group, after each row tile but the last, the
-    rows from the first incomplete one (``done``) up to ``end`` wait in the
-    boundary SRAM: with earlier groups every later row is already touched,
-    else only the rows up to the tile's edge.  Both bounds only grow, so
-    the stored rows are exactly ``[done, end)`` and the rows below the
-    previous ``end`` were deposited before.
-    """
-    deposits = peak_rows = stored_end = 0
-    for base, rt in tiles[:-1]:
-        done = max(0, min(base + rt - kh + 1, h_out))
-        end = h_out if n_groups > 1 else min(base + rt, h_out)
-        deposits += max(0, end - max(done, stored_end))
-        stored_end = max(stored_end, end)
-        peak_rows = max(peak_rows, end - done)
-    return TileBoundary(deposits, peak_rows)
-
-
-def conv_layer_report(
-    in_channels: int,
-    out_channels: int,
-    h_padded: int,
-    w_padded: int,
-    kh: int,
-    kw: int,
-    cfg: HardwareConfig,
-    *,
-    encoding: bool = False,
-) -> CycleReport:
-    """Cycle accounting of one convolution step from its geometry alone.
-
-    The only place that turns geometry and config into a
-    :class:`CycleReport`: ``run_network`` and ``vecspike bench`` take their
-    reports from it through :func:`layer_accounting`.  Each (output
-    channel, channel group) pass fills the pipeline once (``kw - 1``
-    cycles) and then streams every row tile's output columns.  Every
-    padded input row of every channel (eight bitplane blocks per channel
-    for the encoding layer) meets each kernel tap once per output column.
-    """
-    groups, tiles, _, w_out = _pass_structure(
-        in_channels, h_padded, w_padded, kh, kw, cfg, encoding
-    )
-    passes = out_channels * len(groups)
-    blocks_per_channel = 8 if encoding else 1
-    total = passes * (kw - 1 + len(tiles) * w_out)
-    return CycleReport(
-        total_cycles=total,
-        warmup_cycles=passes * (kw - 1),
-        active_pe_cycles=(
-            out_channels * w_out * in_channels * blocks_per_channel
-            * kw * h_padded * kh
-        ),
-        total_pe_cycles=total * cfg.pe_count,
-        pe_count=cfg.pe_count,
-        clock_hz=cfg.clock_hz,
-    ).validate()
-
-
-def layer_accounting(
-    layer: "LayerSpec", cfg: HardwareConfig, time_steps: int
-) -> tuple[CycleReport, TileBoundary]:
-    """Cycles over ``time_steps`` steps and boundary use of a validated layer.
-
-    Geometry comes from the annotated ``in_shape`` alone (an fc layer's is
-    its flattened input map), inputs are zero padded, the encoding
-    convolution runs once (its result is iterated) and spiking layers run
-    once per step.  Every step of a layer has the same geometry, so the
-    boundary use is one step's.  Layers without weights take no datapath
-    cycles and no boundary SRAM.
-    """
-    if not layer.has_weights:
-        return CycleReport(), TileBoundary(0, 0)
-    channels, h, w = layer.in_shape
-    kh, kw = layer.kernel
-    h, w = h + 2 * layer.padding, w + 2 * layer.padding
-    encoding = layer.kind == "encoding-conv"
-    groups, tiles, h_out, _ = _pass_structure(channels, h, w, kh, kw, cfg, encoding)
-    report = conv_layer_report(
-        channels, layer.out_channels, h, w, kh, kw, cfg, encoding=encoding
-    )
-    boundary = _tile_boundary(tiles, h_out, kh, len(groups))
-    return (report if encoding else report.scaled(time_steps)), boundary

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from .arch import HardwareConfig
 from .errors import CapacityFault, PlanError, ReadBeforeWriteFault
+from .geometry import step_buffers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .netconfig import LayerSpec, NetworkDescription
@@ -325,10 +326,10 @@ def pingpong_schedule(
     Spike buffers alternate across time steps, weight buffers across layer
     visits (a single layer may span both halves; a fused pair must).  The
     temp SRAM stages output columns on their way to DRAM or, when fused,
-    to the next layer.  Membranes hold one strip of the conv output,
-    before pooling, per pass: ``min(array_rows, H)`` rows of width ``W``.
-    Every buffer use except the weight load is one ``stage``: a write,
-    held until the buffer's next write, and a read.  Maps staged in the
+    to the next layer.  A layer step's membrane and boundary charges are
+    its :func:`vecspike.geometry.step_buffers`, read once per visit.  Every
+    buffer use except the weight load is one ``stage``: a write, held until
+    the buffer's next write, and a read.  Maps staged in the
     spike and temp buffers are traced as a write and a read event;
     membrane and boundary slices are counted, not traced.  A DRAM write is
     an event only.  Any violation raises a fault.
@@ -349,7 +350,6 @@ def pingpong_schedule(
     buffers = {name: BufferModel(name, size) for name, size in capacities.items()}
     events: list[TraceEvent] = []
     written_to_dram: set[tuple] = set()
-    param = cfg.param_bytes
 
     def stage(name, nbytes, step=0, pos=0, tag=None, traced=None):
         """A write of ``nbytes`` and a read; when tagged, both are traced
@@ -369,6 +369,7 @@ def pingpong_schedule(
         for pos, nbytes in zip(group, signs):
             events.append(TraceEvent(-1, pos, "weight", "write", nbytes, ("weights", pos)))
 
+        charges = [step_buffers(l.spec, cfg) for l in group_layers]
         first = group_layers[0]
         for step in range(time_steps):
             spike = f"spike{step % 2}"
@@ -387,18 +388,14 @@ def pingpong_schedule(
             if in_bytes:
                 stage(spike, in_bytes, step, group[0], in_tag)
 
-            for slot, (pos, layer) in enumerate(zip(group, group_layers)):
-                spec = layer.spec
-                # the encoding layer parks its conv-result strip in the
-                # second membrane
-                _, conv_h, conv_w = spec.out_shape
-                strip = min(cfg.array_rows, conv_h) * conv_w * param
-                stage("membrane1" if slot else "membrane0", strip)
-                if spec.kind == "encoding-conv":
-                    stage("membrane1", strip)
-                kh = spec.kernel[0]
-                if spec.in_shape[1] + 2 * spec.padding > cfg.array_rows and kh > 1:
-                    stage("boundary", (kh - 1) * conv_w * param)
+            for slot, (pos, layer, charge) in enumerate(zip(group, group_layers, charges)):
+                stage("membrane1" if slot else "membrane0", charge["membrane"])
+                if layer.spec.kind == "encoding-conv":
+                    # the encoding layer parks its conv-result strip in the
+                    # second membrane
+                    stage("membrane1", charge["membrane"])
+                if charge["boundary"]:
+                    stage("boundary", charge["boundary"])
                 out_map = spike_map_bytes(*layer.out_shape, 1)
                 out_tag = ("input", pos, step)
                 if slot == 0 and len(group) == 2:

@@ -485,6 +485,8 @@ def save_input_tensor(arr, path) -> None:
 
 
 def load_input_tensor(path) -> np.ndarray:
+    """Read a tensor written by :func:`save_input_tensor`; a body shorter or
+    longer than its C,H,W header declares raises a ``BundleError``."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < 12:
@@ -496,7 +498,12 @@ def load_input_tensor(path) -> np.ndarray:
         raise TruncatedBundleError(
             f"input tensor declares {expected} bytes, file has {len(body)}"
         )
-    return np.frombuffer(body[:expected], dtype=np.uint8).reshape(c, h, w).copy()
+    if len(body) > expected:
+        raise BundleError(
+            f"input tensor declares {expected} bytes, file has "
+            f"{len(body) - expected} unexpected trailing bytes"
+        )
+    return np.frombuffer(body, dtype=np.uint8).reshape(c, h, w).copy()
 
 
 def random_input(shape, seed: int) -> np.ndarray:

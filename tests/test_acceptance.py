@@ -23,13 +23,13 @@ from vecspike.core import (
     spikes_eq3_oracle,
 )
 from vecspike.dataflow import (
-    conv_layer_report,
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
     stream_conv_columns,
 )
 from vecspike.fixedpoint import DEFAULT_FORMAT
+from vecspike.geometry import conv_layer_report
 from vecspike.memmodel import (
     FusionPlan,
     compute_layers,

@@ -17,7 +17,7 @@ import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from vecspike import dataflow  # noqa: E402
+from vecspike import geometry  # noqa: E402
 
 
 @pytest.mark.parametrize("name", ["cifar10_verify", "mnist_batch", "traffic_sweep"])
@@ -48,7 +48,7 @@ def _expected_schedule_counts(net, time_steps, cfg):
         encoding = layer.kind == "encoding-conv"
         channels, h, w = layer.in_shape
         pad = 2 * layer.padding
-        groups, tiles, _, _ = dataflow._pass_structure(
+        groups, tiles, _, _ = geometry.pass_structure(
             channels, h + pad, w + pad, *layer.kernel, cfg, encoding
         )
         steps = 1 if encoding else time_steps

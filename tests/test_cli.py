@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import fusion_plans
 from vecspike import cli, errors
 from vecspike.arch import HardwareConfig
-from vecspike.core import SpikeTrain
+from vecspike.core import BinaryWeightTensor, SpikeTrain
 from vecspike.fixedpoint import FixedPointFormat
 from vecspike.netconfig import (
     parse_network,
@@ -237,6 +237,54 @@ def test_run_bundle_for_another_input_size_stops_before_the_engine(
         ]
     )
     assert code == cli.EXIT_VALIDATION
+
+
+def _small_bundle_with_layer(tmp_path, index, weights, params):
+    """A CRC-valid bundle for SMALL_NET on (1,4,4), T=2, whose layer
+    ``index`` carries ``weights`` and ``params`` instead of its own."""
+    net = validate(parse_network(SMALL_NET, time_steps=2), (1, 4, 4))
+    bundle = generate_random_bundle(net, 0)
+    bundle.weights[index], bundle.params[index] = weights, params
+    bundle_path = tmp_path / "model.vsa"
+    save_bundle(bundle, bundle_path)
+    return bundle_path
+
+
+def _run_small_bundle(tmp_path, bundle_path):
+    return run_cli([
+        "run", "--net", SMALL_NET, "--input-shape", "1,4,4", "--timesteps", "2",
+        "--bundle", str(bundle_path), "--out", str(tmp_path / "r.txt"),
+    ])
+
+
+def test_run_bundle_without_a_weighted_layers_weights_is_refused(tmp_path, capsys):
+    bundle_path = _small_bundle_with_layer(tmp_path, 2, None, None)
+    assert _run_small_bundle(tmp_path, bundle_path) == cli.EXIT_VALIDATION
+    assert "bundle was built for a different network" in capsys.readouterr().err
+
+
+def test_run_bundle_with_weights_on_a_pooling_layer_is_refused(tmp_path, capsys):
+    net = validate(parse_network(SMALL_NET, time_steps=2), (1, 4, 4))
+    signs = np.zeros(net.layers[1].weight_shape, dtype=np.uint8)
+    params = generate_random_bundle(net, 0).params[0]
+    bundle_path = _small_bundle_with_layer(
+        tmp_path, 1, BinaryWeightTensor(signs), params
+    )
+    assert _run_small_bundle(tmp_path, bundle_path) == cli.EXIT_VALIDATION
+    assert "bundle was built for a different network" in capsys.readouterr().err
+
+
+def test_run_input_tensor_with_trailing_bytes_is_refused(tmp_path, capsys):
+    input_path = tmp_path / "input.bin"
+    save_input_tensor(random_input((1, 8, 8), seed=3), input_path)
+    with open(input_path, "ab") as handle:
+        handle.write(b"\0\0\0")
+    code = run_cli([
+        "run", "--net", SMALL_NET, "--input", str(input_path),
+        "--timesteps", "2", "--out", str(tmp_path / "r.txt"),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert "3 unexpected trailing bytes" in capsys.readouterr().err
 
 
 def test_run_reads_input_tensor_file(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import vecspike.core as core
 import vecspike.dataflow as dataflow
+import vecspike.geometry as geometry
 from conftest import (
     brute_conv2d,
     random_network,
@@ -26,10 +27,8 @@ from vecspike.core import (
     run_network_oracle,
 )
 from vecspike.dataflow import (
-    conv_layer_report,
     gemm_dtype,
     if_unit_process,
-    layer_accounting,
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
@@ -43,6 +42,7 @@ from vecspike.errors import (
     ValidationError,
 )
 from vecspike.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
+from vecspike.geometry import conv_layer_report, layer_accounting
 from vecspike.netconfig import (
     generate_random_bundle,
     parse_network,
@@ -193,11 +193,11 @@ def test_tile_boundary_closed_form_equals_stitching_ledger():
             cfg = HardwareConfig(array_rows=rows, array_cols=kh, group_size=1)
             for h in range(kh, 25):
                 for n_groups in (1, 2):
-                    groups, tiles, h_out, _ = dataflow._pass_structure(
+                    groups, tiles, h_out, _ = geometry.pass_structure(
                         n_groups, h, 1, kh, 1, cfg, encoding=False
                     )
                     assert len(groups) == n_groups
-                    boundary = dataflow._tile_boundary(tiles, h_out, kh, n_groups)
+                    boundary = geometry._tile_boundary(tiles, h_out, kh, n_groups)
                     deposits, _, peak_rows = stitching_ledger(h, kh, rows, n_groups)
                     assert (boundary.deposits, boundary.peak_rows) == (
                         deposits, peak_rows
@@ -852,7 +852,7 @@ def test_run_network_accounts_each_weighted_layer_once(monkeypatch, preset, weig
     calls = {"conv_layer_report": 0, "_tile_boundary": 0}
 
     def counting(name):
-        original = getattr(dataflow, name)
+        original = getattr(geometry, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -860,7 +860,7 @@ def test_run_network_accounts_each_weighted_layer_once(monkeypatch, preset, weig
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(dataflow, name, counting(name))
+        monkeypatch.setattr(geometry, name, counting(name))
     net, shape = preset_network(preset, 8)
     bundle = generate_random_bundle(net, seed=0)
     image = random_input(shape, 0)

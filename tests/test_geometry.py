@@ -1,0 +1,75 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import vecspike
+from vecspike.arch import HardwareConfig
+from vecspike.errors import ConfigError
+from vecspike.geometry import layer_accounting, step_buffers
+from vecspike.memmodel import pingpong_schedule
+from vecspike.netconfig import (
+    LayerSpec,
+    NetworkDescription,
+    parse_network,
+    preset_network,
+    validate,
+)
+
+CFG = HardwareConfig()
+PACKAGE = Path(vecspike.__file__).parent
+
+
+def _imported_modules(path):
+    tree = ast.parse(path.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_geometry_imports_no_engine_oracle_or_memory_model():
+    imported = _imported_modules(PACKAGE / "geometry.py")
+    assert {"arch", "errors"} <= imported
+    for module in ("dataflow", "core", "memmodel"):
+        assert not any(module in name for name in imported), module
+
+
+@pytest.mark.parametrize("module", ["memmodel.py", "cli.py"])
+def test_array_geometry_is_read_only_through_geometry(module):
+    assert "array_rows" not in (PACKAGE / module).read_text()
+
+
+def test_step_buffers_charge_a_strip_and_the_pending_kernel_rows():
+    net, _ = preset_network("cifar10", 1)
+    # a 32x32 conv, padded to 34 rows, on 8-row arrays: 3-byte parameters
+    assert step_buffers(net.layers[1], CFG) == {"membrane": 8 * 32 * 3,
+                                                "boundary": 2 * 32 * 3}
+    # the fc layer's 1x1 map fits one tile: no boundary
+    assert step_buffers(net.layers[-1], CFG) == {"membrane": 3, "boundary": 0}
+
+
+def test_step_buffers_charge_no_boundary_for_a_single_tile_or_row_kernel():
+    net = validate(parse_network("4Conv(encoding)"), (1, 6, 6))
+    assert step_buffers(net.layers[0], CFG)["boundary"] == 0  # 8 padded rows
+    layers = [LayerSpec("encoding-conv", 4), LayerSpec("conv", 4, kernel=(1, 3))]
+    tall = validate(NetworkDescription(layers), (1, 12, 12))
+    assert step_buffers(tall.layers[0], CFG)["boundary"] == 2 * 12 * 3
+    assert step_buffers(tall.layers[1], CFG) == {"membrane": 8 * 12 * 3, "boundary": 0}
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG.replace(pe_blocks=4, group_size=4), CFG.replace(array_cols=2)]
+)
+def test_step_buffers_run_where_the_pass_structure_refuses(cfg):
+    # the buffer trace models any config; only the datapath needs the
+    # kernel to fit the arrays and the encoding layer its eight blocks
+    net, _ = preset_network("mnist", 2)
+    with pytest.raises(ConfigError):
+        layer_accounting(net.layers[0], cfg, 2)
+    assert step_buffers(net.layers[0], cfg) == step_buffers(net.layers[0], CFG)
+    pingpong_schedule(net, 2, cfg)

@@ -61,3 +61,24 @@ def test_golden_pingpong_trace():
         pingpong_schedule(net, 8, cfg.replace(spike_sram_bytes=64))
     digest.update(str(fault.value).encode())
     assert digest.hexdigest() == TRACE_SHA256
+
+
+# sha256 over each buffer's (name, peak, reads, writes, occupancy) after the
+# ping-pong schedule, for the same presets, plans and T as TRACE_SHA256:
+# the staged sizes that the trace hash leaves out.
+BUFFER_STATS_SHA256 = "b1715c6cc5bee5f623ae96f10bcf62602eb2a731d35989b0d7728841003ed4f1"
+
+
+def test_golden_pingpong_buffer_statistics():
+    cfg = HardwareConfig()
+    digest = hashlib.sha256()
+    for name in ("mnist", "cifar10"):
+        for steps in (1, 8):
+            net, _ = preset_network(name, steps)
+            unfused = FusionPlan.unfused(len(compute_layers(net)))
+            for plan in (unfused, plan_fusion(net, cfg)):
+                buffers = pingpong_schedule(net, steps, cfg, plan).buffers
+                for b in buffers.values():
+                    fields = (b.name, b.peak, b.reads, b.writes, b.occupancy)
+                    digest.update(repr(fields).encode())
+    assert digest.hexdigest() == BUFFER_STATS_SHA256

@@ -344,5 +344,13 @@ def test_input_tensor_truncation(tmp_path):
         load_input_tensor(path)
 
 
+def test_input_tensor_trailing_bytes(tmp_path):
+    path = tmp_path / "input.bin"
+    save_input_tensor(random_input((3, 5, 4), seed=9), path)
+    path.write_bytes(path.read_bytes() + b"\x01")
+    with pytest.raises(BundleError, match="1 unexpected trailing bytes"):
+        load_input_tensor(path)
+
+
 def test_random_input_deterministic():
     assert np.array_equal(random_input((2, 3, 3), 4), random_input((2, 3, 3), 4))
