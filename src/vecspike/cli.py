@@ -24,7 +24,6 @@ from .dataflow import run_network
 from .errors import (
     CapacityFault,
     FixedPointOverflowError,
-    ReadBeforeWriteFault,
     ScheduleFault,
     SimulatorError,
 )
@@ -369,8 +368,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (CapacityFault, ReadBeforeWriteFault, FixedPointOverflowError,
-            ScheduleFault) as exc:
+    except (CapacityFault, FixedPointOverflowError, ScheduleFault) as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
     except SimulatorError as exc:

@@ -43,7 +43,6 @@ from .errors import (
     FixedPointOverflowError,
     InvalidParameterError,
     ShapeError,
-    ValidationError,
 )
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 
@@ -455,25 +454,11 @@ def run_network_oracle(
     (:func:`lay_out_offsets`) for all of its steps.  Deterministic and
     reproducible bit for bit.
 
-    ``net`` must be validated, with one weight and one parameter entry per
-    layer and an image of the first layer's ``in_shape``; otherwise this
-    raises ``ValidationError`` or ``ShapeError`` before any layer runs.
+    The inputs pass ``net.check_run_inputs`` before any layer runs.
     """
-    if not (net.layers and net.is_annotated):
-        raise ValidationError("run_network_oracle needs a validated network")
-    for name, entries in (("weight", weights), ("parameter", folded)):
-        if len(entries) != len(net.layers):
-            raise ShapeError(f"{len(entries)} {name} entries for {len(net.layers)} layers")
-    img = np.asarray(image)
-    if img.shape != net.layers[0].in_shape:
-        raise ShapeError(
-            f"image shape {img.shape} does not match the network input "
-            f"{net.layers[0].in_shape}"
-        )
+    img = net.check_run_inputs("run_network_oracle", weights, folded, image, time_steps)
     if img.min() < 0 or img.max() > 255:
         raise InvalidParameterError("encoding input values must be in [0, 255]")
-    if time_steps < 1:
-        raise InvalidParameterError("time_steps must be >= 1")
 
     trains: list[SpikeTrain] = []
     current: np.ndarray | None = None  # [T][C][H][W] spikes

@@ -82,7 +82,6 @@ from .errors import (
     FixedPointOverflowError,
     InvalidParameterError,
     ShapeError,
-    ValidationError,
 )
 from .fixedpoint import FixedPointFormat
 from .geometry import TileBoundary, check_kernel, layer_accounting, pass_structure
@@ -511,10 +510,8 @@ def run_network(
 ) -> EngineRun:
     """Execute a validated network on the datapath model.
 
-    ``net`` must be validated, with one weight and one parameter entry
-    per layer and an image of the first layer's ``in_shape``; otherwise
-    this raises ``ValidationError`` or ``ShapeError`` before any layer
-    runs.  Layer by layer, all time steps of one layer run before the next
+    The inputs pass ``net.check_run_inputs`` before any layer runs.
+    Layer by layer, all time steps of one layer run before the next
     so membrane potentials never leave the chip.  Each weighted layer's
     weights are staged once (:func:`stage_weights`, one config-free
     operand) for all of its steps, and its membrane, int32 for a format of
@@ -524,19 +521,7 @@ def run_network(
     (:func:`_or_pool2`).  Spike trains are bit-identical to
     :func:`vecspike.core.run_network_oracle`.
     """
-    if not (net.layers and net.is_annotated):
-        raise ValidationError("run_network needs a validated network")
-    for name, entries in (("weight", weights), ("parameter", folded)):
-        if len(entries) != len(net.layers):
-            raise ShapeError(f"{len(entries)} {name} entries for {len(net.layers)} layers")
-    img = np.asarray(image)
-    if img.shape != net.layers[0].in_shape:
-        raise ShapeError(
-            f"image shape {img.shape} does not match the network input "
-            f"{net.layers[0].in_shape}"
-        )
-    if time_steps < 1:
-        raise InvalidParameterError("time_steps must be >= 1")
+    img = net.check_run_inputs("run_network", weights, folded, image, time_steps)
 
     trains: list[SpikeTrain] = []
     layer_runs: list[LayerRun] = []

@@ -57,10 +57,6 @@ class CapacityFault(SimulatorError, RuntimeError):
     """An on-chip buffer was asked to hold more bytes than its capacity."""
 
 
-class ReadBeforeWriteFault(SimulatorError, RuntimeError):
-    """A buffer or DRAM location was read before anything wrote it."""
-
-
 class PlanError(SimulatorError, ValueError):
     """A fusion plan does not cover the network it is applied to."""
 

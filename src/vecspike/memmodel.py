@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .arch import HardwareConfig
-from .errors import CapacityFault, PlanError, ReadBeforeWriteFault
+from .errors import CapacityFault, InvalidParameterError, PlanError
 from .geometry import step_buffers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -207,12 +207,32 @@ class TrafficLedger:
         return sum(r.total for r in self.records)
 
 
-def _plan_layers(net: "NetworkDescription", plan: FusionPlan) -> list[ComputeLayer]:
-    """The network's compute layers; raises unless ``plan`` covers each one."""
+def _plan_layers(
+    net: "NetworkDescription", plan: FusionPlan, time_steps: int
+) -> list[ComputeLayer]:
+    """The network's compute layers; raises unless T >= 1 and ``plan`` covers each."""
+    if time_steps < 1:
+        raise InvalidParameterError("time_steps must be >= 1")
     layers = compute_layers(net)
     if plan.layer_count != len(layers):
         raise PlanError(f"plan covers {plan.layer_count} layers, network has {len(layers)}")
     return layers
+
+
+def _dram_rows(layers: list[ComputeLayer], plan: FusionPlan) -> list[tuple[int, int, int]]:
+    """Per compute layer, ``(image, in_map, out_map)``: the bytes of the
+    8-bit image, read once by the first layer at full byte width, and of
+    the bit-packed maps it reads and writes per time step.  A layer reads
+    the map its predecessor wrote; a fused pair's intermediate stays on
+    chip and moves 0 bytes."""
+    on_chip = set(plan.fused_intermediates())
+    rows = []
+    in_map = 0
+    for pos, layer in enumerate(layers):
+        out_map = 0 if pos in on_chip else spike_map_bytes(*layer.out_shape, 1)
+        rows.append((0 if pos else math.prod(layer.spec.in_shape), in_map, out_map))
+        in_map = out_map
+    return rows
 
 
 def simulate_traffic(
@@ -224,47 +244,34 @@ def simulate_traffic(
     """DRAM byte counts per layer under a fusion plan.
 
     Tick batching is the only mode: all T steps of a layer run in one
-    visit, so its weights cross DRAM once whatever T is.  The first layer
-    reads the static 8-bit image once at full byte width; every other
-    non-fused boundary moves bit-packed spike maps for all T steps.
-    Intermediates of fused pairs contribute neither a write nor a read.
+    visit, so its weights cross DRAM once whatever T is.  The image
+    crosses once and each map T times, as :func:`_dram_rows` states.
     """
-    layers = _plan_layers(net, plan)
-    on_chip = set(plan.fused_intermediates())
+    layers = _plan_layers(net, plan, time_steps)
+    rows = _dram_rows(layers, plan)
     records = []
-    for pos, layer in enumerate(layers):
-        if pos == 0:
-            in_bytes = math.prod(layer.spec.in_shape)  # 8-bit image, read once
-            note = "8-bit image input"
-        elif (pos - 1) in on_chip:
-            in_bytes = 0
-            note = "input fused on chip"
-        else:
-            in_bytes = spike_map_bytes(*layer.spec.in_shape, time_steps)
-            note = ""
-        if pos in on_chip:
-            out_bytes = 0
+    for layer, (image, in_map, out_map) in zip(layers, rows):
+        note = "8-bit image input" if image else "" if in_map else "input fused on chip"
+        if not out_map:
             note = (note + "; " if note else "") + "output fused on chip"
-        else:
-            out_bytes = spike_map_bytes(*layer.out_shape, time_steps)
         records.append(
             LayerTraffic(
                 layer.index,
                 layer.spec.kind + ("+pool" if layer.pooled else ""),
                 note,
                 weight_bytes(*layer.spec.weight_shape, cfg.param_bytes),
-                in_bytes,
-                out_bytes,
+                image + in_map * time_steps,
+                out_map * time_steps,
             )
         )
-    return TrafficLedger(records, layer_fusion=bool(on_chip))
+    return TrafficLedger(records, layer_fusion=any(not row[2] for row in rows))
 
 
 def fusion_savings(
     net: "NetworkDescription", plan: FusionPlan, time_steps: int
 ) -> int:
     """The identity value: sum of 2 x (intermediate map bytes) over pairs."""
-    layers = _plan_layers(net, plan)
+    layers = _plan_layers(net, plan, time_steps)
     return sum(
         2 * spike_map_bytes(*layers[pos].out_shape, time_steps)
         for pos in plan.fused_intermediates()
@@ -321,22 +328,26 @@ def pingpong_schedule(
     cfg: HardwareConfig,
     plan: FusionPlan | None = None,
 ) -> BufferTrace:
-    """Trace buffer traffic and assert capacities and write-before-read.
+    """Trace buffer traffic and assert capacities.
 
     Spike buffers alternate across time steps, weight buffers across layer
     visits (a single layer may span both halves; a fused pair must).  The
     temp SRAM stages output columns on their way to DRAM or, when fused,
-    to the next layer.  A layer step's membrane and boundary charges are
-    its :func:`vecspike.geometry.step_buffers`, read once per visit.  Every
-    buffer use except the weight load is one ``stage``: a write, held until
-    the buffer's next write, and a read.  Maps staged in the
-    spike and temp buffers are traced as a write and a read event;
+    to the next layer.  What crosses DRAM is the plan's :func:`_dram_rows`,
+    as in :func:`simulate_traffic`.  A layer step's membrane and boundary
+    charges are its :func:`vecspike.geometry.step_buffers`, read once per
+    visit.  Every buffer use except the weight load is one ``stage``: a
+    write, held until the buffer's next write, and a read.  Maps staged in
+    the spike and temp buffers are traced as a write and a read event;
     membrane and boundary slices are counted, not traced.  A DRAM write is
-    an event only.  Any violation raises a fault.
+    an event only.  A capacity violation raises a fault.  No map is read
+    before its DRAM write: :class:`FusionPlan` admits only in-order groups
+    of one or two layers, so each group's predecessor wrote its map.
     """
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
-    layers = _plan_layers(net, plan)
+    layers = _plan_layers(net, plan, time_steps)
+    rows = _dram_rows(layers, plan)
 
     capacities = {
         "spike0": cfg.spike_sram_bytes,  # spike ping-pong pair
@@ -349,7 +360,6 @@ def pingpong_schedule(
     }
     buffers = {name: BufferModel(name, size) for name, size in capacities.items()}
     events: list[TraceEvent] = []
-    written_to_dram: set[tuple] = set()
 
     def stage(name, nbytes, step=0, pos=0, tag=None, traced=None):
         """A write of ``nbytes`` and a read; when tagged, both are traced
@@ -370,25 +380,19 @@ def pingpong_schedule(
             events.append(TraceEvent(-1, pos, "weight", "write", nbytes, ("weights", pos)))
 
         charges = [step_buffers(l.spec, cfg) for l in group_layers]
-        first = group_layers[0]
+        image, in_map, _ = rows[group[0]]
+        out_maps = [rows[pos][2] for pos in group]
         for step in range(time_steps):
             spike = f"spike{step % 2}"
-            if group[0]:
-                in_tag = ("input", group[0] - 1, step)
-                if in_tag not in written_to_dram:
-                    raise ReadBeforeWriteFault(
-                        f"layer {first.index} reads step {step} before it was produced"
-                    )
-                in_bytes = spike_map_bytes(*first.spec.in_shape, 1)
-            else:
-                # static 8-bit image: staged once, then the encoding layer
-                # iterates its parked convolution from the second membrane
-                in_tag = ("image",)
-                in_bytes = math.prod(first.spec.in_shape) if step == 0 else 0
+            # the static 8-bit image is staged once; the encoding layer then
+            # iterates its parked convolution from the second membrane
+            in_bytes = in_map + (0 if step else image)
+            in_tag = ("image",) if image else ("input", group[0] - 1, step)
             if in_bytes:
                 stage(spike, in_bytes, step, group[0], in_tag)
 
-            for slot, (pos, layer, charge) in enumerate(zip(group, group_layers, charges)):
+            layer_steps = zip(group, group_layers, charges, out_maps)
+            for slot, (pos, layer, charge, out_map) in enumerate(layer_steps):
                 stage("membrane1" if slot else "membrane0", charge["membrane"])
                 if layer.spec.kind == "encoding-conv":
                     # the encoding layer parks its conv-result strip in the
@@ -396,12 +400,11 @@ def pingpong_schedule(
                     stage("membrane1", charge["membrane"])
                 if charge["boundary"]:
                     stage("boundary", charge["boundary"])
-                out_map = spike_map_bytes(*layer.out_shape, 1)
                 out_tag = ("input", pos, step)
-                if slot == 0 and len(group) == 2:
+                if not out_map:
                     # fused intermediate: the whole per-step map parks in
                     # temp SRAM and feeds the second layer directly
-                    stage("temp", out_map, step, pos, out_tag)
+                    stage("temp", spike_map_bytes(*layer.out_shape, 1), step, pos, out_tag)
                     continue
                 if slot == 1:
                     # the pair's output replaces the consumed entries of the
@@ -412,5 +415,4 @@ def pingpong_schedule(
                     out_c, out_h, _ = layer.out_shape
                     stage("temp", max(1, math.ceil(out_c * out_h / 8)))
                 events.append(TraceEvent(step, pos, "dram", "write", out_map, out_tag))
-                written_to_dram.add(out_tag)
     return BufferTrace(events, buffers)

@@ -94,6 +94,32 @@ class NetworkDescription:
     def is_annotated(self) -> bool:
         return all(layer.out_shape is not None for layer in self.layers)
 
+    def check_run_inputs(self, caller: str, weights, folded, image, time_steps: int) -> np.ndarray:
+        """The entry check that the engine's and the oracle's runs share,
+        naming ``caller``; returns the image as an array.
+
+        The network must be validated, with one weight and one parameter
+        entry per layer, neither ``None`` for a weighted layer, an image of
+        the first layer's ``in_shape`` and ``time_steps >= 1``.
+        """
+        if not (self.layers and self.is_annotated):
+            raise ValidationError(f"{caller} needs a validated network")
+        for name, entries in (("weight", weights), ("parameter", folded)):
+            if len(entries) != len(self.layers):
+                raise ShapeError(f"{len(entries)} {name} entries for {len(self.layers)} layers")
+            for idx, layer in enumerate(self.layers):
+                if layer.has_weights and entries[idx] is None:
+                    raise ShapeError(f"layer {idx} ({layer.kind}) has no {name} entry")
+        img = np.asarray(image)
+        if img.shape != self.layers[0].in_shape:
+            raise ShapeError(
+                f"image shape {img.shape} does not match the network input "
+                f"{self.layers[0].in_shape}"
+            )
+        if time_steps < 1:
+            raise InvalidParameterError("time_steps must be >= 1")
+        return img
+
 
 _CONV_RE = re.compile(r"^(\d+)Conv(\(encoding\))?$")
 _FC_RE = re.compile(r"^(\d+)fc$")

@@ -541,7 +541,6 @@ def test_cli_input_error_exit_code_and_message(tmp_path, capsys, args, config, c
 
 FAULT_FAMILY = (
     errors.CapacityFault,
-    errors.ReadBeforeWriteFault,
     errors.FixedPointOverflowError,
     errors.ScheduleFault,
 )

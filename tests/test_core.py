@@ -540,14 +540,20 @@ def test_network_oracle_refuses_a_network_that_is_not_validated(monkeypatch):
         )
 
 
-@pytest.mark.parametrize("short", ["weights", "params"])
-def test_network_oracle_refuses_lists_shorter_than_the_layers(monkeypatch, short):
+@pytest.mark.parametrize("defect", ["weights", "params", "null_weight"])
+def test_network_oracle_refuses_lists_shorter_than_the_layers(monkeypatch, defect):
+    # a list one entry short, or a weighted layer's weight entry None
     net = validate(parse_network("4Conv(encoding)-MP2-4Conv"), (1, 4, 4))
     bundle = generate_random_bundle(net, seed=0)
     weights, params = list(bundle.weights), list(bundle.params)
-    (weights if short == "weights" else params).pop()
+    if defect == "null_weight":
+        weights[2] = None
+        message = r"layer 2 \(conv\) has no weight entry"
+    else:
+        (weights if defect == "weights" else params).pop()
+        message = "entries for 3 layers"
     _no_layer_runs(monkeypatch)
-    with pytest.raises(ShapeError, match="entries for 3 layers"):
+    with pytest.raises(ShapeError, match=message):
         run_network_oracle(net, weights, params, random_input((1, 4, 4), 0), 2)
 
 

@@ -770,13 +770,19 @@ def test_run_network_refuses_a_network_that_is_not_validated():
         run_network(parse_network(text), bundle.weights, bundle.params, image, 2, CFG)
 
 
-@pytest.mark.parametrize("short", ["weights", "params"])
-def test_run_network_refuses_lists_shorter_than_the_layers(short):
+@pytest.mark.parametrize("defect", ["weights", "params", "null_weight"])
+def test_run_network_refuses_lists_shorter_than_the_layers(defect):
+    # a list one entry short, or a weighted layer's weight entry None
     net = validate(parse_network("4Conv(encoding)-MP2-4Conv"), (1, 4, 4))
     bundle = generate_random_bundle(net, seed=0)
     weights, params = list(bundle.weights), list(bundle.params)
-    (weights if short == "weights" else params).pop()
-    with pytest.raises(ShapeError, match="entries for 3 layers"):
+    if defect == "null_weight":
+        weights[2] = None
+        message = r"layer 2 \(conv\) has no weight entry"
+    else:
+        (weights if defect == "weights" else params).pop()
+        message = "entries for 3 layers"
+    with pytest.raises(ShapeError, match=message):
         run_network(net, weights, params, random_input((1, 4, 4), 0), 2, CFG)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import fusion_plans, random_network_text
 from vecspike.arch import HardwareConfig
-from vecspike.errors import CapacityFault, PlanError
+from vecspike.errors import CapacityFault, InvalidParameterError, PlanError
 from vecspike.memmodel import (
     BufferModel,
     FusionPlan,
@@ -176,6 +176,21 @@ def test_plan_network_mismatch():
                 walk(plan)
 
 
+@pytest.mark.parametrize("time_steps", [0, -2])
+def test_walks_refuse_time_steps_below_one(time_steps):
+    # every function that walks a plan refuses T < 1 with the same message
+    net, _ = preset_network("mnist")
+    plan = plan_fusion(net, CFG)
+    walks = [
+        lambda: simulate_traffic(net, plan, time_steps, CFG),
+        lambda: pingpong_schedule(net, time_steps, CFG, plan),
+        lambda: fusion_savings(net, plan, time_steps),
+    ]
+    for walk in walks:
+        with pytest.raises(InvalidParameterError, match="time_steps must be >= 1"):
+            walk()
+
+
 # ---------------------------------------------------------------------------
 # buffers and ping-pong schedule
 # ---------------------------------------------------------------------------
@@ -294,3 +309,11 @@ def test_pingpong_dram_bytes_equal_the_ledger(net_seed, scale, time_steps):
             assert sum(
                 e.nbytes for e in mine if e.buffer == "weight"
             ) == rec.weight_bytes_read - params
+        # a later layer stages an earlier layer's map only after its DRAM write
+        in_dram = set()
+        for e in events:
+            if e.buffer == "dram":
+                in_dram.add(e.tag)
+            elif (e.buffer.startswith("spike") and e.op == "write"
+                  and e.tag[0] == "input" and e.layer_index > e.tag[1]):
+                assert e.tag in in_dram
