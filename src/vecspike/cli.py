@@ -154,8 +154,7 @@ def cmd_run(args) -> int:
         bundle = load_bundle(args.bundle)
         bundle_net = validate(bundle.net, image.shape)
         if bundle_net.layers != net.layers or any(
-            (w is not None) != layer.has_weights
-            or (w is not None and w.sign_bits.shape != layer.weight_shape)
+            w is not None and w.sign_bits.shape != layer.weight_shape
             for layer, w in zip(bundle_net.layers, bundle.weights)
         ):
             raise _CliError(

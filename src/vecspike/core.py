@@ -4,14 +4,22 @@ This module holds the data types the engine shares and the functional
 oracle that checks it: a direct integer/fixed-point implementation of
 integrate-and-fire dynamics, folded batch normalization, dense binary
 convolution, OR-pooling and whole-network execution.  Everything favours
-clarity over speed, with two exceptions.  The dense convolution sums one
+clarity over speed, with three exceptions.  The dense convolution sums one
 BLAS product per kernel offset, each on a view of the padded input (no
 copy per offset), in float32 when ``max|x| * C * kh * kw`` stays below
 2**24, in float64 when it stays below 2**53 and in int64 when it stays
 below 2**63; a larger bound, which could wrap int64, raises
 ``FixedPointOverflowError``.  The whole-network run lays out each weighted
 layer's +-1 weights, one [O][C] matrix per offset, once for all of its
-time steps, and writes each step's spikes into one [T] array.
+time steps, and writes each step's spikes into one [T] array.  And it
+convolves two time steps in one product: with ``taps = C*kh*kw*max|x|``
+each step's sum lies in [-taps, taps], so the map ``x[t] + base*x[t+1]``,
+``base = 2*taps + 1``, convolves to ``s[t] + base*s[t+1]``, which decodes
+exactly as ``s[t+1] = floor((s + taps) / base)`` and
+``s[t] = s - base*s[t+1]``.  Steps pair only while the packed bound
+``(base + 1)*taps`` stays below 2**24, so the product stays float32 under
+the convolution's own check; the decoded steps stream into the IF loop
+one pair at a time.
 The engine in ``vecspike.dataflow`` must reproduce these results bit for
 bit; it shares no convolution code with this module, so the comparison
 stays an independent check.
@@ -35,7 +43,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -398,28 +406,61 @@ def maxpool2_oracle(spikes) -> np.ndarray:
 # network oracle
 # ---------------------------------------------------------------------------
 
+def _step_sums(
+    maps: np.ndarray, offsets: OffsetWeights, padding: int
+) -> Iterator[np.ndarray]:
+    """Yield :func:`conv2d_oracle` of each step of ``maps`` [T][C][H][W], in
+    step order, two steps per product while the packed bound
+    ``(base + 1)*taps`` stays below 2**24 (see the module docstring); past
+    it, and for an odd last step, a step convolves alone.  The decode is
+    exact: ``|s| < 2**24``, and the float64 quotient ``(s + taps) / base``,
+    whose exact fraction is a multiple of ``1/base``, floors to ``s[t+1]``.
+    """
+    kh, kw, _, channels = offsets.values.shape
+    taps = channels * kh * kw * max(int(maps.max(initial=0)), -int(maps.min(initial=0)))
+    base = 2 * taps + 1
+    paired = (base + 1) * taps < FLOAT32_EXACT_LIMIT
+    for t in range(0, len(maps), 2 if paired else 1):
+        if not paired or t + 1 == len(maps):
+            yield conv2d_oracle(maps[t], offsets, padding=padding)
+            continue
+        packed = maps[t + 1].astype(np.int32) * base
+        packed += maps[t]
+        low = conv2d_oracle(packed, offsets, padding=padding)
+        high = np.floor((low + taps) / base).astype(np.int64)
+        low -= base * high
+        yield low
+        yield high
+
+
 def _if_run(
-    step_inputs: Sequence[np.ndarray],
+    step_inputs: Iterable[np.ndarray],
     params: FoldedNeuronParams,
     fmt: FixedPointFormat,
+    time_steps: int | None = None,
 ) -> np.ndarray:
     """Drive the IF recurrence over integer conv outputs, one per step.
 
-    The int64 potential resets lazily, ``V = V*(1 - o) + in`` with ``o``
-    the previous step's spikes, and each step's spikes are written into
-    one [T][C][H][W] array.
+    ``step_inputs`` may be a generator of ``time_steps`` steps (a sequence
+    gives its own length); each step is taken only when the previous one
+    has been integrated.  The int64 potential resets lazily,
+    ``V = V*(1 - o) + in`` with ``o`` the previous step's spikes, and each
+    step's spikes are written into one [T][C][H][W] array.
     """
+    if time_steps is None:
+        time_steps = len(step_inputs)
     bias = params.bias_raw[:, None, None]
     threshold = params.threshold_raw[:, None, None]
     flip = params.flipped
-    v = np.zeros(step_inputs[0].shape, dtype=np.int64)
-    spikes = np.zeros((len(step_inputs), *v.shape), dtype=np.uint8)
     for t, x in enumerate(step_inputs):
         weighted = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
         weighted -= bias
         if t:
             v *= 1 - spikes[t - 1]
-        v += weighted
+            v += weighted
+        else:
+            v = weighted
+            spikes = np.zeros((time_steps, *v.shape), dtype=np.uint8)
         fmt.check_raw(v, "membrane potential")
         fired = spikes[t].view(bool)
         np.greater_equal(v, threshold, out=fired)
@@ -448,9 +489,10 @@ def run_network_oracle(
 
     The encoding layer computes its convolution once on the static 8-bit
     image and re-accumulates the constant result every step; spiking conv
-    layers convolve per step; fc layers run as 1x1 convolutions over the
-    flattened feature vector; pooling is an OR reduction of each step's
-    output map.  Each weighted layer's operand is laid out once
+    layers convolve two steps per product where that stays float32
+    (:func:`_step_sums`), otherwise one; fc layers run as 1x1 convolutions
+    over the flattened feature vector; pooling is an OR reduction of each
+    step's output map.  Each weighted layer's operand is laid out once
     (:func:`lay_out_offsets`) for all of its steps.  Deterministic and
     reproducible bit for bit.
 
@@ -471,11 +513,8 @@ def run_network_oracle(
             offsets = lay_out_offsets(weights[idx])
             # an fc layer is a 1x1 convolution of the flattened map
             maps = current.reshape(time_steps, *layer.in_shape)
-            steps = [
-                conv2d_oracle(maps[t], offsets, padding=layer.padding)
-                for t in range(time_steps)
-            ]
-            current = _if_run(steps, folded[idx], fmt)
+            steps = _step_sums(maps, offsets, layer.padding)
+            current = _if_run(steps, folded[idx], fmt, time_steps)
         elif layer.kind == "maxpool2":
             current = np.stack(
                 [maxpool2_oracle(current[t]) for t in range(time_steps)]

@@ -66,6 +66,8 @@ class ComputeLayer:
 
 def compute_layers(net: "NetworkDescription") -> list[ComputeLayer]:
     """Collapse the layer list to weighted layers with pooling absorbed."""
+    if not net.layers:
+        raise PlanError("network has no layers")
     if not net.is_annotated:
         raise PlanError("network must be validated before planning")
     result: list[ComputeLayer] = []

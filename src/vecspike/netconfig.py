@@ -428,6 +428,12 @@ def load_bundle(path) -> ModelBundle:
     (stored_crc,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumError("bundle checksum does not match its content")
+    for idx, (layer, entry) in enumerate(zip(layers, arrays)):
+        if layer.has_weights != (entry is not None):
+            raise BundleError(
+                f"layer {idx} ({layer.kind}) is saved "
+                f"{'without' if layer.has_weights else 'with'} weights"
+            )
 
     # validating constructors run only on checked content, and a field they
     # refuse surfaces as a BundleError, never as a parameter error

@@ -12,9 +12,11 @@ from vecspike.core import (
     FoldedNeuronParams,
     SpikeTrain,
     _if_run,
+    _step_sums,
     conv2d_oracle,
     fold_bn,
     if_step,
+    lay_out_offsets,
     maxpool2_oracle,
     run_network_oracle,
     spikes_eq3_oracle,
@@ -566,13 +568,14 @@ def test_network_oracle_names_an_image_of_the_wrong_shape(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "preset, weighted, convolutions", [("mnist", 4, 25), ("cifar10", 13, 97)]
+    "preset, weighted, convolutions", [("mnist", 4, 17), ("cifar10", 13, 53)]
 )
 def test_network_oracle_lays_out_each_weighted_layer_once(
     monkeypatch, preset, weighted, convolutions
 ):
     # the weights are laid out once per layer, not once per time step; the
-    # encoding layer convolves once, every other weighted layer once a step
+    # encoding layer convolves once, every other weighted layer once per
+    # pair of steps, or once a step where the pair would leave float32
     import vecspike.core as core
 
     calls = {"lay_out_offsets": 0, "conv2d_oracle": 0}
@@ -591,3 +594,128 @@ def test_network_oracle_lays_out_each_weighted_layer_once(
     bundle = generate_random_bundle(net, seed=0)
     run_network_oracle(net, bundle.weights, bundle.params, random_input(shape, 0), 8)
     assert calls == {"lay_out_offsets": weighted, "conv2d_oracle": convolutions}
+
+
+# the largest C*kh*kw*max|x| whose packed pair, bound (2*taps + 2)*taps,
+# stays below 2**24
+_PAIR_TAPS = max(t for t in range(4096) if (2 * t + 2) * t < 2**24)
+
+
+@st.composite
+def _pair_cases(draw):
+    """Two steps of a map, weights and padding.  ``peak``, the map's max|x|,
+    is 1 for spikes, 0 for an all-zero map, or any value up to one past
+    the pairing limit; each step is random, all ``peak`` or all zero."""
+    kh, kw, pad, cin = (draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+                        draw(st.integers(0, 2)), draw(st.integers(1, 4)))
+    h = max(1, kh - 2 * pad) + draw(st.integers(0, 3))
+    w = max(1, kw - 2 * pad) + draw(st.integers(0, 3))
+    limit = _PAIR_TAPS // (cin * kh * kw)
+    peak = draw(st.sampled_from([0, 1, 2, limit, limit + 1]) | st.integers(2, limit + 1))
+    signed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = np.zeros((2, cin, h, w), dtype=np.int64)
+    for t in range(2):
+        fill = draw(st.sampled_from(["random", "peak", "zero"]))
+        if fill == "random":
+            maps[t] = rng.integers(-peak if signed else 0, peak + 1, (cin, h, w))
+        elif fill == "peak":
+            maps[t] = peak
+    maps[1, 0, 0, 0] = -peak if signed else peak  # max|x| is peak
+    signs = draw(st.sampled_from(["random", "plus", "minus"]))
+    out_c = draw(st.integers(1, 3))
+    bits = {"random": rng.integers(0, 2, (out_c, cin, kh, kw)),
+            "plus": np.zeros((out_c, cin, kh, kw)),
+            "minus": np.ones((out_c, cin, kh, kw))}[signs]
+    return maps, BinaryWeightTensor(bits.astype(np.uint8)), pad, peak <= limit
+
+
+@given(_pair_cases())
+@example((np.full((2, 1, 3, 3), _PAIR_TAPS), BinaryWeightTensor(np.ones((1, 1, 1, 1))), 0, True))
+@example((np.full((2, 1, 3, 3), _PAIR_TAPS), BinaryWeightTensor(np.zeros((1, 1, 1, 1))), 0, True))
+@example((np.full((2, 1, 3, 3), _PAIR_TAPS + 1), BinaryWeightTensor(np.ones((1, 1, 1, 1))), 1, False))
+@example((np.full((2, 2, 4, 4), -7), BinaryWeightTensor(np.ones((2, 2, 3, 3))), 1, True))
+def test_a_decoded_pair_equals_two_step_convolutions(case):
+    # one float32 product of x[0] + base*x[1] decodes to both steps' sums,
+    # at the extremes -taps and +taps too; past the limit each step
+    # convolves alone
+    import vecspike.core as core
+
+    maps, weights, pad, paired = case
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        conv = core.conv2d_oracle
+        mp.setattr(core, "conv2d_oracle", lambda *a, **k: calls.append(1) or conv(*a, **k))
+        seen = record_matmul_dtypes(mp)
+        decoded = list(_step_sums(maps, lay_out_offsets(weights), pad))
+    assert len(decoded) == 2
+    for t in range(2):
+        expected = conv2d_oracle(maps[t], weights, padding=pad)
+        assert decoded[t].dtype == np.int64 and np.array_equal(decoded[t], expected), t
+    assert len(calls) == (1 if paired else 2)
+    if paired:
+        assert set(seen) == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("steps, calls", [(1, 1), (2, 1), (3, 2), (8, 4)])
+def test_step_sums_pair_the_steps_in_order_and_an_odd_last_one_alone(
+    monkeypatch, rng, steps, calls
+):
+    import vecspike.core as core
+
+    maps = rng.integers(0, 2, (steps, 3, 5, 5), dtype=np.uint8)
+    weights = BinaryWeightTensor(rng.integers(0, 2, (2, 3, 3, 3), dtype=np.uint8))
+    count = []
+    conv = core.conv2d_oracle
+    monkeypatch.setattr(core, "conv2d_oracle", lambda *a, **k: count.append(1) or conv(*a, **k))
+    decoded = list(_step_sums(maps, lay_out_offsets(weights), 1))
+    assert len(count) == calls
+    assert len(decoded) == steps
+    for t in range(steps):
+        assert np.array_equal(decoded[t], conv(maps[t], weights, padding=1)), t
+
+
+@pytest.mark.parametrize("preset", ["mnist", "cifar10"])
+def test_network_oracle_convolves_below_the_float32_limit(monkeypatch, preset):
+    # every product, paired or not, has max|x|*C*kh*kw below 2**24
+    import vecspike.core as core
+
+    bounds = []
+    conv = core.conv2d_oracle
+
+    def spy(inputs, weights, padding=0):
+        x = np.asarray(inputs)
+        kh, kw = (weights.kernel if isinstance(weights, BinaryWeightTensor)
+                  else weights.values.shape[:2])
+        bounds.append(max(int(x.max()), -int(x.min())) * x.shape[0] * kh * kw)
+        return conv(inputs, weights, padding)
+
+    monkeypatch.setattr(core, "conv2d_oracle", spy)
+    seen = record_matmul_dtypes(monkeypatch)
+    net, shape = preset_network(preset, 8)
+    bundle = generate_random_bundle(net, seed=0)
+    run_network_oracle(net, bundle.weights, bundle.params, random_input(shape, 0), 8)
+    assert bounds and max(bounds) < 2**24
+    assert set(seen) == {np.dtype(np.float32)}
+
+
+def test_network_oracle_integrates_each_pair_before_convolving_the_next(monkeypatch):
+    # the decoded steps stream into the IF loop: pair k is integrated
+    # before pair k + 1 is convolved, and an odd last step runs alone
+    import vecspike.core as core
+
+    events = []
+    conv, shift = core.conv2d_oracle, FixedPointFormat.shift_left
+
+    def shift_spy(self, raw, shift_by, context="value"):
+        if context == "convolution sum":
+            events.append("if")
+        return shift(self, raw, shift_by, context)
+
+    monkeypatch.setattr(core, "conv2d_oracle",
+                        lambda *a, **k: events.append("conv") or conv(*a, **k))
+    monkeypatch.setattr(FixedPointFormat, "shift_left", shift_spy)
+    net = validate(parse_network("4Conv(encoding)-4Conv"), (1, 6, 6))
+    bundle = generate_random_bundle(net, seed=0)
+    run_network_oracle(net, bundle.weights, bundle.params, random_input((1, 6, 6), 0), 5)
+    assert events == ["conv"] + ["if"] * 5 + ["conv", "if", "if"] * 2 + ["conv", "if"]

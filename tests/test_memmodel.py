@@ -20,7 +20,7 @@ from vecspike.memmodel import (
     spike_map_bytes,
     weight_bytes,
 )
-from vecspike.netconfig import parse_network, preset_network, validate
+from vecspike.netconfig import NetworkDescription, parse_network, preset_network, validate
 
 CFG = HardwareConfig()
 
@@ -174,6 +174,24 @@ def test_plan_network_mismatch():
         for walk in walks:
             with pytest.raises(PlanError, match=message):
                 walk(plan)
+
+
+def test_walks_refuse_a_network_with_no_layers():
+    # an empty layer list passed is_annotated, and simulate_traffic
+    # returned an empty ledger; validate() refuses the same network
+    net = NetworkDescription([], 8)
+    plan = FusionPlan([])
+    walks = [
+        lambda: compute_layers(net),
+        lambda: plan_fusion(net, CFG),
+        lambda: simulate_traffic(net, plan, 2, CFG),
+        lambda: pingpong_schedule(net, 2, CFG, plan),
+        lambda: pingpong_schedule(net, 2, CFG),
+        lambda: fusion_savings(net, plan, 2),
+    ]
+    for walk in walks:
+        with pytest.raises(PlanError, match="network has no layers"):
+            walk()
 
 
 @pytest.mark.parametrize("time_steps", [0, -2])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from vecspike.core import BinaryWeightTensor
 from vecspike.errors import (
     BadMagicError,
     BundleError,
@@ -181,6 +182,29 @@ def test_bundle_round_trip(tmp_path):
     loaded = load_bundle(path)
     assert loaded == bundle
     assert loaded.checksum() == bundle.checksum()
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [(2, r"layer 2 \(conv\) is saved without weights"),
+     (1, r"layer 1 \(maxpool2\) is saved with weights")],
+    ids=["conv_without", "pooling_with"],
+)
+def test_bundle_whose_weighted_flag_contradicts_the_layer_kind(tmp_path, index, message):
+    # CRC-valid and canonical, yet a conv layer loaded with no weights
+    # (weights[2] None) or a pooling layer with some
+    net = validate(parse_network("4Conv(encoding)-MP2-4Conv"), (1, 4, 4))
+    bundle = generate_random_bundle(net, seed=0)
+    if net.layers[index].has_weights:
+        bundle.weights[index] = bundle.params[index] = None
+    else:
+        signs = np.zeros(net.layers[index].weight_shape, dtype=np.uint8)
+        bundle.weights[index] = BinaryWeightTensor(signs)
+        bundle.params[index] = bundle.params[0]
+    path = tmp_path / "model.vsa"
+    save_bundle(bundle, path)
+    with pytest.raises(BundleError, match=message):
+        load_bundle(path)
 
 
 def test_save_bundle_refuses_parameters_its_32_bit_fields_cannot_hold(tmp_path):
