@@ -23,31 +23,48 @@ tile-edge stitching, so no zero row ever enters a GEMM.  The channel groups
 that the hardware folds across sequential passes are one more such
 reassociation, summed inside the GEMM's inner dimension, so they shape the
 cycle and boundary accounting (:mod:`vecspike.geometry`) and not the
-product.  The encoding layer's bitplanes are a leading batch axis, which
-keeps every GEMM operand a bit, as the AND-gate PEs need; the shift-add is
-a sum over that axis, taken on each tile's products before the diagonal
-stitch.  The schedulers
-return the stitched sums only, cast to int64 once per call.  As the weight
-SRAM keeps a layer's weights for all T steps, ``run_network`` stages each
-layer's +-1 operand once (:class:`GemmWeights`, the same for every config)
-and every step's call reuses it.
+product.  The encoding layer's bitplanes join the inner dimension too:
+its im2col keeps the 0/1 planes, and each plane ``k``'s weight columns are
+scaled by the first-stage shift ``2**k``, so the shift-add is part of the
+product.  Only the input operand models the AND gate's spike, and it stays
+a bit.  The weight operand carries output channels ``o`` and ``o +
+cout/2`` in one lane on a spiking call (below).  The schedulers return the
+stitched sums only, cast to int64 once per call.  As the weight SRAM keeps
+a layer's weights for all T steps, ``run_network`` stages each layer's
+operands once (:class:`GemmWeights`, the same for every config) and every
+step's call reuses them.
 
 The IF unit keeps membranes in int32 when the fixed-point format has at
 most 30 bits (24 by default, as on chip), and falls back to int64 for a
-call whose shifted sums could wrap int32.
+call whose shifted sums could wrap int32.  The encoding layer's sums are
+the same every step, so its shifted, bias-subtracted update is formed once
+per layer.
 
-The GEMM, the shift-add and the stitching run in float32 or float64,
-which is exact only while every partial sum stays below 2**24 or 2**53 in
-magnitude.  Every partial sum, from one kernel row's product to an output
-row part way through the stitch, is a sum over a subset of the layer's
-taps (and, for the encoding layer, of a pixel's bitplanes).  With +-1
-weights each is bounded by the whole layer's ``max|x| * cin * kh * kw``,
-where ``x`` is the 8-bit pixels for the encoding layer (a sum over some
-of a pixel's shifted bitplanes, ``x & mask``, is never larger than the
-pixel).  That bound is computed on every call (binary input is never
-assumed); past the float32 limit the arithmetic runs in float64, past the
-float64 limit in exact int64, and from 2**63, where int64 could wrap, a
-call raises ``FixedPointOverflowError``.
+The GEMM and the stitching run in float32 or float64, which is exact only
+while every partial sum stays below 2**24 or 2**53 in magnitude.  Every
+partial sum, from one kernel row's product to an output row part way
+through the stitch, is a sum over a subset of the layer's taps (and, for
+the encoding layer, of a pixel's bitplanes).  With +-1 weights each is
+bounded by the whole layer's ``max|x| * cin * kh * kw``, where ``x`` is
+the 8-bit pixels for the encoding layer (a sum over some of a pixel's
+shifted bitplanes, ``x & mask``, is never larger than the pixel).  That
+bound is computed on every call (binary input is never assumed); past the
+float32 limit the arithmetic runs in float64, past the float64 limit in
+exact int64, and from 2**63, where int64 could wrap, a call raises
+``FixedPointOverflowError``.
+
+A spiking call whose ``max|x| <= 1`` uses at most 12 of float32's 24
+exact bits per sum, so, with ``taps = cin * kh * kw`` and ``lane = 2*taps
++ 1``, its weight lanes pack two output channels: row ``o`` of the packed
+operand is ``w[o] + lane * w[o + cout/2]``.  Each of its partial sums is
+``lo + lane * hi`` with ``|lo|, |hi| <= taps``, so it stays below the lane
+bound ``(lane + 1) * taps``; the call packs only while that bound is below
+2**24 (``taps <= 2895``), checked on every call, and the GEMM and the
+stitch run on half the rows.  Since ``lo + taps`` lies in ``[0, lane)``,
+an int32 floor division of ``s + taps`` by ``lane`` decodes ``hi``
+exactly, and ``lo = s - lane * hi``.  The encoding layer, an odd
+``cout``, a call with ``max|x| > 1`` and the float64 and int64 paths run
+unpacked.
 
 Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
 geometry, the config and T; :func:`vecspike.geometry.layer_accounting`
@@ -84,7 +101,7 @@ from .errors import (
     ShapeError,
 )
 from .fixedpoint import FixedPointFormat
-from .geometry import TileBoundary, check_kernel, layer_accounting, pass_structure
+from .geometry import TileBoundary, check_kernel, layer_accounting, row_tiles
 
 if TYPE_CHECKING:  # pragma: no cover
     from .netconfig import LayerSpec, NetworkDescription
@@ -97,6 +114,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # Every integer of magnitude below these limits is exact in float32/float64.
 # With +-1 weights no partial sum of a layer's dot products exceeds
 # max|x| * cin * kh * kw, so arithmetic whose bound stays below a limit is exact.
+# A packed call's bound is (2*taps + 2) * taps instead (:func:`_lanes_fit`).
 FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
 
@@ -122,22 +140,24 @@ def _tile_partial_rows(
     """Kernel-row products of one row tile, before the diagonal stitch.
 
     ``x_tile`` is the tile's own ``rt`` input rows [..., cin, rt, w_in],
-    with no halo row; it is read, never written.  ``w_mat`` is the
-    [kh*cout, kw*cin] weights (:class:`GemmWeights`) in the GEMM dtype; the
-    leading axes of ``x_tile`` are batch axes.  The rows are lowered, in
-    that dtype, to width-only im2col columns [..., kw*cin, rt*w_out] and
-    multiplied once.  The result [..., kh, cout, rt, w_out] holds at ``[u,
-    :, r]`` kernel row ``u``'s products with input row ``r`` of the tile,
-    which belong to output row ``base + r - u`` for a tile from row
-    ``base``.
+    with no halo row; it is read, never written.  Its leading axes (the
+    encoding layer's bitplanes) join the input channels in the inner
+    dimension.  ``w_mat`` is the [kh*lanes, kw*taps] weights in the GEMM
+    dtype, where ``taps`` is the size of those leading axes times ``cin``
+    and ``lanes`` is ``cout``, or ``cout/2`` for a packed operand
+    (:class:`GemmWeights`).  The rows are lowered, in that dtype, to
+    width-only im2col columns [kw*taps, rt*w_out] and multiplied once.  The
+    result [kh, lanes, rt, w_out] holds at ``[u, :, r]`` kernel row ``u``'s
+    products with input row ``r`` of the tile, which belong to output row
+    ``base + r - u`` for a tile from row ``base``.
     """
     *lead, cin, rt, w_in = x_tile.shape
     w_out = w_in - kw + 1
-    im2col = np.empty((*lead, kw, cin, rt, w_out), dtype=w_mat.dtype)
+    im2col = np.empty((kw, *lead, cin, rt, w_out), dtype=w_mat.dtype)
     for v in range(kw):  # kernel column v sees columns v .. v + w_out - 1
-        im2col[..., v, :, :, :] = x_tile[..., v : v + w_out]
-    sums = w_mat @ im2col.reshape(*lead, kw * cin, rt * w_out)
-    return sums.reshape(*lead, kh, w_mat.shape[0] // kh, rt, w_out)
+        im2col[v] = x_tile[..., v : v + w_out]
+    sums = w_mat @ im2col.reshape(w_mat.shape[1], rt * w_out)
+    return sums.reshape(kh, w_mat.shape[0] // kh, rt, w_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,18 +166,29 @@ class GemmWeights:
 
     ``matrix`` is the contiguous float32 [kh*cout][kw*cin] of +-1 values:
     rows ``u*cout`` to ``(u+1)*cout`` hold kernel row ``u`` of every output
-    channel, columns run over kernel columns, then input channels.  It is
-    the same for every config: channel groups are passes of the cycle
-    model, not of this product.  The weight SRAM holds a layer's weights
-    for all of its time steps, and so does this: :func:`run_network` stages
-    each weighted layer once and passes the result as the ``weights`` of
-    every step's schedule call.
+    channel, columns run over kernel columns, then input channels.
+    ``packed``, staged for an even ``cout`` while the lane bound
+    ``(lane + 1) * taps`` stays below ``FLOAT32_EXACT_LIMIT`` (``taps =
+    cin*kh*kw``, ``lane = 2*taps + 1``), else None, is the float32
+    [kh*cout/2][kw*cin] ``W[:, :half] + lane * W[:, half:]``, kernel row by
+    kernel row: each row carries output channels ``o`` and ``o + cout/2``
+    in one exact weight lane.  Both are the same for every config: channel
+    groups are passes of the cycle model, not of this product.  The weight
+    SRAM holds a layer's weights for all of its time steps, and so does
+    this: :func:`run_network` stages each weighted layer once and passes
+    the result as the ``weights`` of every step's schedule call.
     """
 
     matrix: np.ndarray
     in_channels: int
     out_channels: int
     kernel: tuple[int, int]
+    packed: np.ndarray | None = None
+
+
+def _lanes_fit(taps: int) -> bool:
+    """Whether two channels' sums of ``taps`` +-1 taps share a float32 lane."""
+    return (2 * taps + 2) * taps < FLOAT32_EXACT_LIMIT
 
 
 def stage_weights(weights: BinaryWeightTensor) -> GemmWeights:
@@ -166,7 +197,36 @@ def stage_weights(weights: BinaryWeightTensor) -> GemmWeights:
     # [kh][cout][kw][cin]; copying runs of cin is faster than runs of kw
     signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 0, 3, 1))
     matrix = np.subtract(1, 2 * signs, dtype=np.float32)
-    return GemmWeights(matrix.reshape(kh * cout, kw * cin), cin, cout, (kh, kw))
+    taps = cin * kh * kw
+    packed = None
+    if cout % 2 == 0 and _lanes_fit(taps):
+        half = cout // 2
+        packed = matrix[:, :half] + (2 * taps + 1) * matrix[:, half:]
+        packed = packed.reshape(kh * half, kw * cin)
+    return GemmWeights(
+        matrix.reshape(kh * cout, kw * cin), cin, cout, (kh, kw), packed
+    )
+
+
+def _unpack_lanes(sums: np.ndarray, taps: int) -> np.ndarray:
+    """Split packed sums ``low + lane*high`` into int64 [low; high].
+
+    ``lane = 2*taps + 1`` and ``|low|, |high| <= taps``, so ``s + taps``
+    is ``high`` times ``lane`` plus a remainder in ``[0, 2*taps] < lane``:
+    an int32 floor division recovers ``high``, and the rest is ``low``.
+    """
+    half = len(sums)
+    out = np.empty((2 * half, *sums.shape[1:]), dtype=np.int64)
+    s = sums.astype(np.int32)
+    s += taps
+    lane = 2 * taps + 1
+    high = s // lane
+    out[half:] = high
+    high *= lane
+    s -= high
+    s -= taps
+    out[:half] = s
+    return out
 
 
 def _run_schedule(
@@ -178,31 +238,41 @@ def _run_schedule(
     """Shared pass structure for spiking and encoding convolutions.
 
     The row tiles partition the input rows, and each is one
-    :func:`_tile_partial_rows` call on a row slice of the input, with the
-    encoding layer's eight bitplanes as a batch axis in front.  Each tile's
-    bitplane products are shift-added, then the diagonal stitch adds
-    kernel row ``u``'s products with tile row ``r`` into output row ``base
-    + r - u``, dropping those that fall outside the output.  All of it runs
-    in the GEMM dtype, chosen from the layer bound ``max|x| * cin * kh *
-    kw``; the result is cast to int64 once.
+    :func:`_tile_partial_rows` call on a row slice of the input.  The
+    diagonal stitch adds kernel row ``u``'s products with tile row ``r``
+    into output row ``base + r - u``, dropping those that fall outside the
+    output.  A spiking call with ``max|x| <= 1`` runs on the packed weight
+    lanes when they are staged and the lane bound ``(lane + 1) * taps``
+    is below ``FLOAT32_EXACT_LIMIT``, and decodes them once.  Any other
+    call runs on the full matrix in the GEMM dtype, chosen from the layer
+    bound ``max|x| * cin * kh * kw``; the encoding layer's eight bitplanes
+    join its inner dimension, each plane's weight columns scaled by its
+    first-stage shift ``2**k``.  The result is cast to int64 once.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
-    _, tiles, h_out, w_out = pass_structure(cin, h_in, w_in, kh, kw, cfg, encoding)
+    tiles, h_out, w_out = row_tiles(h_in, w_in, kh, kw, cfg, encoding)
     peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
-    dtype = gemm_dtype(peak * cin * kh * kw)
-    w_mat = weights.matrix.astype(dtype, copy=False)
+    taps = cin * kh * kw
+    packed = (
+        not encoding and weights.packed is not None and peak <= 1
+        and _lanes_fit(taps)
+    )
+    if packed:
+        w_mat = weights.packed
+    else:
+        w_mat = weights.matrix.astype(gemm_dtype(peak * taps), copy=False)
     if encoding:
-        # [8][cin][h][w]: plane k holds bit k of every pixel
+        # [8][cin][h][w]: plane k holds bit k of every pixel, and its
+        # weight columns [kh*cout][kw][8][cin] carry the shift 2**k
         x = np.unpackbits(x.astype(np.uint8)[None], axis=0, bitorder="little")
-        plane_values = np.exp2(np.arange(8)).astype(dtype)
+        shifts = np.left_shift(1, np.arange(8)).astype(w_mat.dtype)[:, None]
+        rows = w_mat.shape[0]
+        w_mat = (w_mat.reshape(rows, kw, 1, cin) * shifts).reshape(rows, kw * 8 * cin)
 
-    out = np.zeros((weights.out_channels, h_out, w_out), dtype=dtype)
+    out = np.zeros((w_mat.shape[0] // kh, h_out, w_out), dtype=w_mat.dtype)
     for base, rt in tiles:
         products = _tile_partial_rows(x[..., base : base + rt, :], w_mat, kh, kw)
-        if encoding:  # first-stage shift-add of the bitplanes
-            shifted = plane_values @ products.reshape(8, -1)
-            products = shifted.reshape(products.shape[1:])
         # diagonal stitch: products[u, :, r] belongs to output row
         # base + r - u; rows that land outside the output are dropped
         for u in range(kh):
@@ -210,7 +280,7 @@ def _run_schedule(
             r1 = min(rt, h_out + u - base)
             if r0 < r1:
                 out[:, base + r0 - u : base + r1 - u] += products[u, :, r0:r1]
-    return out.astype(np.int64)
+    return _unpack_lanes(out, taps) if packed else out.astype(np.int64)
 
 
 def _step_input(x, weights):
@@ -391,7 +461,19 @@ def if_unit_process(
     that call runs in int64 and writes back the checked result.
     Faults are raised, and worded, exactly as the oracle's.  The encoding
     layer re-presents the same integer convolution every step (it is
-    parked in the second membrane SRAM on chip).
+    parked in the second membrane SRAM on chip), so ``run_network`` forms
+    its update once per layer (:func:`_if_update`) and fires it each step
+    (:func:`_if_fire`), the two halves of this call.
+    """
+    update = _if_update(conv_out, params, potentials, fmt)
+    return _if_fire(update, params, potentials, fmt)
+
+
+def _if_update(conv_out, params, potentials, fmt) -> np.ndarray:
+    """The checked, shifted, bias-subtracted update of one IF step.
+
+    int32 when ``potentials`` is and the update leaves room for the
+    membrane and the bias, else int64.
     """
     x = np.asarray(conv_out)
     if x.dtype.kind not in "iu":
@@ -414,6 +496,11 @@ def if_unit_process(
     else:
         update = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
     update -= params.bias_raw.astype(update.dtype)[:, None, None]
+    return update
+
+
+def _if_fire(update, params, potentials, fmt) -> np.ndarray:
+    """Accumulate ``update``, compare, fire and write back; uint8 spikes."""
     v = potentials if potentials.dtype == update.dtype else potentials.astype(np.int64)
     v += update
     fmt.check_raw(v, "membrane potential")
@@ -485,17 +572,21 @@ def _run_weighted_layer(
     """
     encoding = layer.kind == "encoding-conv"
     staged = stage_weights(tensor)
-    if encoding:
-        # scheduled once; every step re-presents the parked result
-        sums = schedule_encoding_layer(_pad_step(source, layer.padding), staged, cfg)
-        params = params.scaled_by_pow2(ENCODING_SHIFT)
     # the narrowest membrane the format allows
     potentials = np.zeros(layer.out_shape, dtype=_membrane_dtypes(cfg.fmt)[0])
     train = np.empty((time_steps, *layer.out_shape), dtype=np.uint8)
+    if encoding:
+        # scheduled once; every step re-presents the parked result, whose
+        # IF update is therefore formed once too
+        sums = schedule_encoding_layer(_pad_step(source, layer.padding), staged, cfg)
+        params = params.scaled_by_pow2(ENCODING_SHIFT)
+        update = _if_update(sums, params, potentials, cfg.fmt)
+        for t in range(time_steps):
+            train[t] = _if_fire(update, params, potentials, cfg.fmt)
+        return train
     for t in range(time_steps):
-        if not encoding:
-            step = source[t].reshape(layer.in_shape)
-            sums = schedule_conv_layer(_pad_step(step, layer.padding), staged, cfg)
+        step = source[t].reshape(layer.in_shape)
+        sums = schedule_conv_layer(_pad_step(step, layer.padding), staged, cfg)
         train[t] = if_unit_process(sums, params, potentials, cfg.fmt)
     return train
 

@@ -18,6 +18,7 @@ from conftest import (
 )
 from vecspike.arch import CycleReport, HardwareConfig
 from vecspike.core import (
+    ENCODING_SHIFT,
     BinaryWeightTensor,
     BNParams,
     FoldedNeuronParams,
@@ -286,12 +287,12 @@ def test_convolutions_refuse_inputs_that_are_not_integers(conv):
     assert conv(np.ones((1, 1, 1), dtype=bool), weights).tolist() == [[[1]]]
 
 
-def _record_gemm_dtypes(monkeypatch):
+def _record_gemm_dtypes(monkeypatch, key=lambda w_mat, kh: w_mat.dtype):
     seen = []
     kernel = dataflow._tile_partial_rows
 
     def spy(x_tile, w_mat, kh, kw):
-        seen.append(w_mat.dtype)
+        seen.append(key(w_mat, kh))
         return kernel(x_tile, w_mat, kh, kw)
 
     monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
@@ -371,6 +372,80 @@ def test_mnist_runs_every_gemm_in_float32(monkeypatch):
     assert len(engine_dtypes) == 36 and set(engine_dtypes) == {np.dtype(np.float32)}
     assert oracle_dtypes and set(oracle_dtypes) == {np.dtype(np.float32)}
     assert all(e == o for e, o in zip(engine.layer_trains, oracle.layer_trains))
+
+
+# ---------------------------------------------------------------------------
+# packed weight lanes
+# ---------------------------------------------------------------------------
+
+def _record_gemm_rows(monkeypatch):
+    # output rows per kernel row: cout, or cout/2 on packed lanes
+    return _record_gemm_dtypes(monkeypatch, lambda w_mat, kh: w_mat.shape[0] // kh)
+
+
+@pytest.mark.parametrize("taps, lanes", [(2895, 1), (2896, 2)])
+def test_weight_lanes_pack_up_to_the_float32_lane_bound(rng, monkeypatch, taps, lanes):
+    # (2*taps + 2) * taps < 2**24 holds for 2895 taps, not for 2896
+    seen = _record_gemm_rows(monkeypatch)
+    x = rng.integers(0, 2, (taps, 1, 1))
+    weights = BinaryWeightTensor(rng.integers(0, 2, (2, taps, 1, 1), dtype=np.uint8))
+    out = schedule_conv_layer(x, weights, CFG)
+    assert np.array_equal(out, brute_conv2d(x, weights.values()))
+    assert seen == [lanes]
+
+
+def test_packed_lanes_hold_their_extremes_exactly(monkeypatch):
+    # all-ones spikes against all +1 and all -1 output channels put each
+    # lane at +-taps, the packed sums at +-(lane + 1) * taps, across tiles
+    cin, (h, w) = 321, (10, 5)
+    taps = cin * 9
+    assert (2 * taps + 2) * taps < 2**24
+    seen = _record_gemm_rows(monkeypatch)
+    signs = np.zeros((4, cin, 3, 3), dtype=np.uint8)
+    signs[1:3] = 1  # +1, -1, -1, +1: lanes (0, 2) and (1, 3) are opposite
+    out = schedule_conv_layer(np.ones((cin, h, w), dtype=np.uint8),
+                              BinaryWeightTensor(signs), CFG)
+    expected = np.array([taps, -taps, -taps, taps])[:, None, None]
+    assert np.array_equal(out, np.broadcast_to(expected, (4, h - 2, w - 2)))
+    assert seen == [2, 2]
+
+
+@pytest.mark.parametrize("case", ["odd_cout", "large_input", "lowered_limit"])
+def test_calls_outside_the_lane_bound_run_unpacked(rng, monkeypatch, case):
+    cout = 3 if case == "odd_cout" else 4
+    x = rng.integers(0, 2, (6, 9, 5))
+    weights = BinaryWeightTensor(rng.integers(0, 2, (cout, 6, 3, 3), dtype=np.uint8))
+    staged = dataflow.stage_weights(weights)
+    assert (staged.packed is None) == (case == "odd_cout")
+    if case == "large_input":
+        x[2, 4, 1] = -2
+    if case == "lowered_limit":
+        # staged before the limit falls: the call's own check refuses it,
+        # and the full matrix still runs in float32
+        taps = 6 * 9
+        monkeypatch.setattr(dataflow, "FLOAT32_EXACT_LIMIT", (2 * taps + 2) * taps)
+    rows = _record_gemm_rows(monkeypatch)
+    dtypes = _record_gemm_dtypes(monkeypatch)
+    out = schedule_conv_layer(x, staged, CFG)
+    assert np.array_equal(out, brute_conv2d(x, weights.values()))
+    assert rows == [cout, cout] and set(dtypes) == {np.dtype(np.float32)}
+
+
+@given(_geometries(), st.booleans())
+def test_packed_schedule_equals_brute_force(geometry, signed):
+    # spikes, or {-1, 0, 1} inputs, on cout/2 lanes of any small geometry
+    cfg, (cin, h, w), (half, kh, kw), seed = geometry
+    rng = np.random.default_rng(seed)
+    cin = min(cin, 12)
+    weights = BinaryWeightTensor(
+        rng.integers(0, 2, (2 * half, cin, kh, kw), dtype=np.uint8)
+    )
+    x = rng.integers(-1 if signed else 0, 2, (cin, h, w))
+    with pytest.MonkeyPatch.context() as patch:
+        rows = _record_gemm_rows(patch)
+        out = schedule_conv_layer(x, weights, cfg)
+    assert np.array_equal(out, brute_conv2d(x, weights.values()))
+    assert set(rows) == {half}
 
 
 # ---------------------------------------------------------------------------
@@ -924,8 +999,10 @@ def test_no_gemm_operand_holds_a_halo_row(
     rng, monkeypatch, schedule, cin, h, w, kernel, high
 ):
     # each row tile multiplies only its own input rows: the tiles partition
-    # the padded input, and the GEMMs do 2*kh*kw*cout*cin*h*w_out flops
-    # (times 8 bitplanes for the encoding layer), none on a zero halo row
+    # the padded input, and the GEMMs do 2*kh*kw*cout*cin*h*w_out flops,
+    # none on a zero halo row; spike inputs run on cout/2 packed weight
+    # lanes, and the encoding layer's 8 bitplanes fold into the inner
+    # dimension K = kw*8*cin
     tiles, flops = [], 0
     kernel_fn = dataflow._tile_partial_rows
 
@@ -934,7 +1011,7 @@ def test_no_gemm_operand_holds_a_halo_row(
         tiles.append(np.array(x_tile))
         m, k = w_mat.shape
         n = x_tile.shape[-2] * (x_tile.shape[-1] - kw + 1)
-        flops += 2 * m * k * n * int(np.prod(x_tile.shape[:-3]))
+        flops += 2 * m * k * n
         return kernel_fn(x_tile, w_mat, kh, kw)
 
     monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
@@ -947,8 +1024,56 @@ def test_no_gemm_operand_holds_a_halo_row(
     if schedule is schedule_encoding_layer:
         rows = np.tensordot(2 ** np.arange(8), rows, axes=1)
     assert np.array_equal(rows, x)
-    planes = 8 if schedule is schedule_encoding_layer else 1
-    assert flops == 2 * kh * kw * cout * cin * h * (w - kw + 1) * planes
+    planes, lanes = (8, cout) if schedule is schedule_encoding_layer else (1, cout // 2)
+    assert flops == 2 * kh * kw * lanes * cin * h * (w - kw + 1) * planes
+
+
+def test_encoding_layer_forms_its_if_update_once(monkeypatch):
+    # the encoding sums repeat every step, so their update is formed once
+    # per layer; spiking layers form one per step, inside if_unit_process
+    calls = {"_if_update": 0, "if_unit_process": 0}
+
+    def counting(name):
+        original = getattr(dataflow, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dataflow, name, counting(name))
+    net = validate(parse_network("4Conv(encoding)-MP2-6Conv-5fc"), (1, 6, 6))
+    bundle = generate_random_bundle(net, seed=2)
+    image = random_input((1, 6, 6), 2)
+    engine = run_network(net, bundle.weights, bundle.params, image, 5, CFG)
+    oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 5)
+    assert calls == {"_if_update": 1 + 2 * 5, "if_unit_process": 2 * 5}
+    assert all(a == b for a, b in zip(engine.layer_trains, oracle.layer_trains))
+
+
+@pytest.mark.parametrize("total_bits", [24, 40])
+def test_encoding_membrane_faults_at_the_oracle_step_and_text(total_bits):
+    # 255 * 9 << 8 per step, never firing, leaves a 24-bit format at step
+    # 15; a 40-bit format (int64 membrane) holds all 16 steps
+    cfg = HardwareConfig(total_bits=total_bits)
+    net = validate(parse_network("2Conv(encoding)"), (1, 3, 3))
+    weights = [BinaryWeightTensor(np.zeros((2, 1, 3, 3), dtype=np.uint8))]
+    threshold = cfg.fmt.raw_max >> ENCODING_SHIFT  # scaled, just inside the format
+    params = [FoldedNeuronParams([0, 0], [threshold] * 2, [False] * 2, cfg.fmt)]
+    image = np.full((1, 3, 3), 255, dtype=np.uint8)
+    try:
+        oracle = run_network_oracle(net, weights, params, image, 16, cfg.fmt)
+    except FixedPointOverflowError as exc:
+        assert total_bits == 24
+        with pytest.raises(FixedPointOverflowError) as info:
+            run_network(net, weights, params, image, 16, cfg)
+        assert str(info.value) == str(exc)
+        assert "raw 8812800 " in str(exc)  # 15 * 587520
+        return
+    assert total_bits == 40
+    engine = run_network(net, weights, params, image, 16, cfg)
+    assert engine.layer_trains[0] == oracle.layer_trains[0]
 
 
 @pytest.mark.parametrize("total_bits, dtype", [(24, np.int32), (30, np.int32), (31, np.int64)])
