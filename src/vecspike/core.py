@@ -15,11 +15,10 @@ time steps, and writes each step's spikes into one [T] array.  And it
 convolves two time steps in one product: with ``taps = C*kh*kw*max|x|``
 each step's sum lies in [-taps, taps], so the map ``x[t] + base*x[t+1]``,
 ``base = 2*taps + 1``, convolves to ``s[t] + base*s[t+1]``, which decodes
-exactly as ``s[t+1] = floor((s + taps) / base)`` and
-``s[t] = s - base*s[t+1]``.  Steps pair only while the packed bound
-``(base + 1)*taps`` stays below 2**24, so the product stays float32 under
-the convolution's own check; the decoded steps stream into the IF loop
-one pair at a time.
+as ``s[t+1] = (s + taps) // base`` and ``s[t] = s - base*s[t+1]``.  Steps
+pair only while the packed bound ``(base + 1)*taps`` stays below 2**24,
+so the product stays float32 under the convolution's own check; the
+decoded steps stream into the IF loop one pair at a time.
 The engine in ``vecspike.dataflow`` must reproduce these results bit for
 bit; it shares no convolution code with this module, so the comparison
 stays an independent check.
@@ -76,7 +75,11 @@ class SpikeTrain:
         arr = np.asarray(data)
         if arr.ndim != 4:
             raise ShapeError(f"spike train must be 4-D [T][C][H][W], got {arr.shape}")
-        if not ((arr == 0) | (arr == 1)).all():
+        if arr.dtype.kind in "bu":  # no value below 0: the max decides
+            spikes = arr.max(initial=0) <= 1
+        else:
+            spikes = ((arr == 0) | (arr == 1)).all()
+        if not spikes:
             raise InvalidParameterError("spike train elements must be 0 or 1")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)
@@ -412,9 +415,9 @@ def _step_sums(
     """Yield :func:`conv2d_oracle` of each step of ``maps`` [T][C][H][W], in
     step order, two steps per product while the packed bound
     ``(base + 1)*taps`` stays below 2**24 (see the module docstring); past
-    it, and for an odd last step, a step convolves alone.  The decode is
-    exact: ``|s| < 2**24``, and the float64 quotient ``(s + taps) / base``,
-    whose exact fraction is a multiple of ``1/base``, floors to ``s[t+1]``.
+    it, and for an odd last step, a step convolves alone.  ``s + taps`` is
+    ``s[t+1]*base`` plus a remainder in ``[0, 2*taps]``, so an integer
+    floor division by ``base`` decodes ``s[t+1]``.
     """
     kh, kw, _, channels = offsets.values.shape
     taps = channels * kh * kw * max(int(maps.max(initial=0)), -int(maps.min(initial=0)))
@@ -427,10 +430,21 @@ def _step_sums(
         packed = maps[t + 1].astype(np.int32) * base
         packed += maps[t]
         low = conv2d_oracle(packed, offsets, padding=padding)
-        high = np.floor((low + taps) / base).astype(np.int64)
-        low -= base * high
+        high = low + taps
+        high //= base
+        # low -= base * high without a temporary: scale, subtract, unscale
+        high *= base
+        low -= high
+        high //= base
         yield low
         yield high
+
+
+def _weigh(x, params: FoldedNeuronParams, fmt: FixedPointFormat) -> np.ndarray:
+    """One step's IF input: the conv sums shifted onto the grid, less the bias."""
+    weighted = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
+    weighted -= params.bias_raw[:, None, None]
+    return weighted
 
 
 def _if_run(
@@ -443,18 +457,31 @@ def _if_run(
 
     ``step_inputs`` may be a generator of ``time_steps`` steps (a sequence
     gives its own length); each step is taken only when the previous one
-    has been integrated.  The int64 potential resets lazily,
+    has been integrated.  Each is weighed (:func:`_weigh`) and integrated
+    by :func:`_if_integrate`.
+    """
+    weighted = (_weigh(x, params, fmt) for x in step_inputs)
+    if time_steps is None:
+        time_steps = len(step_inputs)
+    return _if_integrate(weighted, params, fmt, time_steps)
+
+
+def _if_integrate(
+    weighted_inputs: Iterable[np.ndarray],
+    params: FoldedNeuronParams,
+    fmt: FixedPointFormat,
+    time_steps: int,
+) -> np.ndarray:
+    """The IF recurrence over ``time_steps`` weighed inputs, one per step.
+
+    The first input becomes the int64 potential and is updated in place;
+    the later ones are only read.  The potential resets lazily,
     ``V = V*(1 - o) + in`` with ``o`` the previous step's spikes, and each
     step's spikes are written into one [T][C][H][W] array.
     """
-    if time_steps is None:
-        time_steps = len(step_inputs)
-    bias = params.bias_raw[:, None, None]
     threshold = params.threshold_raw[:, None, None]
     flip = params.flipped
-    for t, x in enumerate(step_inputs):
-        weighted = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
-        weighted -= bias
+    for t, weighted in enumerate(weighted_inputs):
         if t:
             v *= 1 - spikes[t - 1]
             v += weighted
@@ -467,6 +494,19 @@ def _if_run(
         if flip.any():  # a negative gain flips the comparison to <=
             fired[flip] = v[flip] <= threshold[flip]
     return spikes
+
+
+def _if_run_constant(
+    x: np.ndarray,
+    params: FoldedNeuronParams,
+    fmt: FixedPointFormat,
+    time_steps: int,
+) -> np.ndarray:
+    """:func:`_if_run` of the same conv output ``x`` at every step, weighed once."""
+    weighted = _weigh(x, params, fmt)
+    # the first step's input becomes the potential: a copy of it
+    steps = [weighted.copy()] + [weighted] * (time_steps - 1)
+    return _if_integrate(steps, params, fmt, time_steps)
 
 
 @dataclass
@@ -488,11 +528,11 @@ def run_network_oracle(
     """Layer-by-layer reference execution of a validated network.
 
     The encoding layer computes its convolution once on the static 8-bit
-    image and re-accumulates the constant result every step; spiking conv
-    layers convolve two steps per product where that stays float32
-    (:func:`_step_sums`), otherwise one; fc layers run as 1x1 convolutions
-    over the flattened feature vector; pooling is an OR reduction of each
-    step's output map.  Each weighted layer's operand is laid out once
+    image, weighs it once and re-accumulates the constant result every
+    step (:func:`_if_run_constant`); spiking conv layers convolve two steps
+    per product where that stays float32 (:func:`_step_sums`), otherwise
+    one; fc layers run as 1x1 convolutions over the flattened feature
+    vector; pooling is an OR reduction of each step's output map.  Each weighted layer's operand is laid out once
     (:func:`lay_out_offsets`) for all of its steps.  Deterministic and
     reproducible bit for bit.
 
@@ -506,9 +546,12 @@ def run_network_oracle(
     current: np.ndarray | None = None  # [T][C][H][W] spikes
     for idx, layer in enumerate(net.layers):
         if layer.kind == "encoding-conv":
-            conv = conv2d_oracle(img, weights[idx], padding=layer.padding)
-            scaled = folded[idx].scaled_by_pow2(ENCODING_SHIFT)
-            current = _if_run([conv] * time_steps, scaled, fmt)
+            current = _if_run_constant(
+                conv2d_oracle(img, weights[idx], padding=layer.padding),
+                folded[idx].scaled_by_pow2(ENCODING_SHIFT),
+                fmt,
+                time_steps,
+            )
         elif layer.kind in ("conv", "fc"):
             offsets = lay_out_offsets(weights[idx])
             # an fc layer is a 1x1 convolution of the flattened map

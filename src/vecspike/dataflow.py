@@ -12,27 +12,27 @@ recombines them with a shift-add in the first accumulator stage.
 
 Functional outputs are produced by a GEMM-lowered equivalent of the
 column-by-column pipeline (integer addition is associative, so the
-reassociation is exact).  Each row tile is one GEMM of its own input rows,
+reassociation is exact).  Each step is one GEMM of the whole padded map,
 with no halo: the +-1 weights staged as [kh*cout][kw*cin] against a
-width-only im2col [kw*cin][rt*w_out] of the tile.  It yields the product
-of every kernel row ``u`` with every input row ``r`` of the tile, summed
-over the kernel columns and all input channels, and that product belongs
-to output row ``base + r - u``.  The stitch adds each product straight into
-the output: that is the PE arrays' diagonal adder, and it also does the
-tile-edge stitching, so no zero row ever enters a GEMM.  The channel groups
-that the hardware folds across sequential passes are one more such
-reassociation, summed inside the GEMM's inner dimension, so they shape the
-cycle and boundary accounting (:mod:`vecspike.geometry`) and not the
-product.  The encoding layer's bitplanes join the inner dimension too:
-its im2col keeps the 0/1 planes, and each plane ``k``'s weight columns are
-scaled by the first-stage shift ``2**k``, so the shift-add is part of the
-product.  Only the input operand models the AND gate's spike, and it stays
-a bit.  The weight operand carries output channels ``o`` and ``o +
-cout/2`` in one lane on a spiking call (below).  The schedulers return the
-stitched sums only, cast to int64 once per call.  As the weight SRAM keeps
-a layer's weights for all T steps, ``run_network`` stages each layer's
-operands once (:class:`GemmWeights`, the same for every config) and every
-step's call reuses them.
+width-only im2col [kw*cin][h_in*w_out].  It yields the product of every
+kernel row ``u`` with every input row ``r``, summed over the kernel
+columns and all input channels, and that product belongs to output row
+``r - u``.  The stitch is ``kh`` whole-map slice adds, one per kernel row:
+that is the PE arrays' diagonal adder.  The row tiles and the channel
+groups that the hardware runs as sequential passes, with tile edges
+stitched through the boundary SRAM, are both such reassociations: they
+shape the cycle and boundary accounting (:mod:`vecspike.geometry`) and
+not the product.  The encoding layer's bitplanes join the inner dimension
+too: its im2col keeps the 0/1 planes, and each plane ``k``'s weight
+columns are scaled by the first-stage shift ``2**k``, so the shift-add is
+part of the product.  Only the input operand models the AND gate's spike,
+and it stays a bit.  The weight operand carries output channels ``o`` and
+``o + cout/2`` in one lane on a spiking call (below).  The schedulers
+return the stitched sums only: int32 from a float32 GEMM, whose sums are
+all below 2**24, and int64 from the float64 and int64 paths.  As the
+weight SRAM keeps a layer's weights for all T steps, ``run_network``
+stages each layer's operands once (:class:`GemmWeights`, the same for
+every config) and every step's call reuses them.
 
 The IF unit keeps membranes in int32 when the fixed-point format has at
 most 30 bits (24 by default, as on chip), and falls back to int64 for a
@@ -101,7 +101,7 @@ from .errors import (
     ShapeError,
 )
 from .fixedpoint import FixedPointFormat
-from .geometry import TileBoundary, check_kernel, layer_accounting, row_tiles
+from .geometry import TileBoundary, check_kernel, layer_accounting, output_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from .netconfig import LayerSpec, NetworkDescription
@@ -135,34 +135,33 @@ def gemm_dtype(bound: int) -> np.dtype:
 
 
 def _tile_partial_rows(
-    x_tile: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
+    x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
 ) -> np.ndarray:
-    """Kernel-row products of one row tile, before the diagonal stitch.
+    """Kernel-row products of an input map, before the diagonal stitch.
 
-    ``x_tile`` is the tile's own ``rt`` input rows [..., cin, rt, w_in],
-    with no halo row; it is read, never written.  Its leading axes (the
-    encoding layer's bitplanes) join the input channels in the inner
-    dimension.  ``w_mat`` is the [kh*lanes, kw*taps] weights in the GEMM
-    dtype, where ``taps`` is the size of those leading axes times ``cin``
-    and ``lanes`` is ``cout``, or ``cout/2`` for a packed operand
-    (:class:`GemmWeights`).  The rows are lowered, in that dtype, to
-    width-only im2col columns [kw*taps, rt*w_out] and multiplied once.  The
-    result [kh, lanes, rt, w_out] holds at ``[u, :, r]`` kernel row ``u``'s
-    products with input row ``r`` of the tile, which belong to output row
-    ``base + r - u`` for a tile from row ``base``.
+    ``x`` is a whole padded map [..., cin, h, w_in], with no halo row; it
+    is read, never written.  Its leading axes (the encoding layer's
+    bitplanes) join the input channels in the inner dimension.  ``w_mat``
+    is the [kh*lanes, kw*taps] weights in the GEMM dtype, where ``taps`` is
+    the size of those leading axes times ``cin`` and ``lanes`` is ``cout``,
+    or ``cout/2`` for a packed operand (:class:`GemmWeights`).  The rows
+    are lowered, in that dtype, to width-only im2col columns [kw*taps,
+    h*w_out] and multiplied once.  The result [kh, lanes, h, w_out] holds
+    at ``[u, :, r]`` kernel row ``u``'s products with input row ``r``,
+    which belong to output row ``r - u``.
     """
-    *lead, cin, rt, w_in = x_tile.shape
+    *lead, cin, h, w_in = x.shape
     w_out = w_in - kw + 1
-    im2col = np.empty((kw, *lead, cin, rt, w_out), dtype=w_mat.dtype)
+    im2col = np.empty((kw, *lead, cin, h, w_out), dtype=w_mat.dtype)
     for v in range(kw):  # kernel column v sees columns v .. v + w_out - 1
-        im2col[v] = x_tile[..., v : v + w_out]
-    sums = w_mat @ im2col.reshape(w_mat.shape[1], rt * w_out)
-    return sums.reshape(kh, w_mat.shape[0] // kh, rt, w_out)
+        im2col[v] = x[..., v : v + w_out]
+    sums = w_mat @ im2col.reshape(w_mat.shape[1], h * w_out)
+    return sums.reshape(kh, w_mat.shape[0] // kh, h, w_out)
 
 
 @dataclass(frozen=True, eq=False)
 class GemmWeights:
-    """A weighted layer's weights as the operand of its tile GEMMs.
+    """A weighted layer's weights as the operand of its step GEMMs.
 
     ``matrix`` is the contiguous float32 [kh*cout][kw*cin] of +-1 values:
     rows ``u*cout`` to ``(u+1)*cout`` hold kernel row ``u`` of every output
@@ -173,10 +172,11 @@ class GemmWeights:
     [kh*cout/2][kw*cin] ``W[:, :half] + lane * W[:, half:]``, kernel row by
     kernel row: each row carries output channels ``o`` and ``o + cout/2``
     in one exact weight lane.  Both are the same for every config: channel
-    groups are passes of the cycle model, not of this product.  The weight
-    SRAM holds a layer's weights for all of its time steps, and so does
-    this: :func:`run_network` stages each weighted layer once and passes
-    the result as the ``weights`` of every step's schedule call.
+    groups and row tiles are passes of the cycle model, not of this
+    product.  The weight SRAM holds a layer's weights for all of its time
+    steps, and so does this: :func:`run_network` stages each weighted layer
+    once and passes the result as the ``weights`` of every step's schedule
+    call.
     """
 
     matrix: np.ndarray
@@ -209,23 +209,21 @@ def stage_weights(weights: BinaryWeightTensor) -> GemmWeights:
 
 
 def _unpack_lanes(sums: np.ndarray, taps: int) -> np.ndarray:
-    """Split packed sums ``low + lane*high`` into int64 [low; high].
+    """Split packed float32 sums ``low + lane*high`` into int32 [low; high].
 
     ``lane = 2*taps + 1`` and ``|low|, |high| <= taps``, so ``s + taps``
     is ``high`` times ``lane`` plus a remainder in ``[0, 2*taps] < lane``:
     an int32 floor division recovers ``high``, and the rest is ``low``.
     """
     half = len(sums)
-    out = np.empty((2 * half, *sums.shape[1:]), dtype=np.int64)
-    s = sums.astype(np.int32)
-    s += taps
+    out = np.empty((2 * half, *sums.shape[1:]), dtype=np.int32)
+    low, high = out[:half], out[half:]
+    low[...] = sums
+    low += taps
     lane = 2 * taps + 1
-    high = s // lane
-    out[half:] = high
-    high *= lane
-    s -= high
-    s -= taps
-    out[:half] = s
+    np.floor_divide(low, lane, out=high)
+    low -= taps
+    low -= high * lane
     return out
 
 
@@ -235,23 +233,23 @@ def _run_schedule(
     cfg: HardwareConfig,
     encoding: bool,
 ) -> np.ndarray:
-    """Shared pass structure for spiking and encoding convolutions.
+    """Shared product and stitch of spiking and encoding convolutions.
 
-    The row tiles partition the input rows, and each is one
-    :func:`_tile_partial_rows` call on a row slice of the input.  The
-    diagonal stitch adds kernel row ``u``'s products with tile row ``r``
-    into output row ``base + r - u``, dropping those that fall outside the
-    output.  A spiking call with ``max|x| <= 1`` runs on the packed weight
-    lanes when they are staged and the lane bound ``(lane + 1) * taps``
-    is below ``FLOAT32_EXACT_LIMIT``, and decodes them once.  Any other
-    call runs on the full matrix in the GEMM dtype, chosen from the layer
-    bound ``max|x| * cin * kh * kw``; the encoding layer's eight bitplanes
-    join its inner dimension, each plane's weight columns scaled by its
-    first-stage shift ``2**k``.  The result is cast to int64 once.
+    One :func:`_tile_partial_rows` call covers every input row.  The
+    diagonal stitch adds kernel row ``u``'s products with input row ``r``
+    into output row ``r - u`` as one slice add per kernel row, dropping
+    those that fall outside the output.  A spiking call with ``max|x| <=
+    1`` runs on the packed weight lanes when they are staged and the lane
+    bound ``(lane + 1) * taps`` is below ``FLOAT32_EXACT_LIMIT``, and
+    decodes them once.  Any other call runs on the full matrix in the GEMM
+    dtype, chosen from the layer bound ``max|x| * cin * kh * kw``; the
+    encoding layer's eight bitplanes join its inner dimension, each plane's
+    weight columns scaled by its first-stage shift ``2**k``.  The result is
+    cast once, to int32 from float32 and to int64 otherwise.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
-    tiles, h_out, w_out = row_tiles(h_in, w_in, kh, kw, cfg, encoding)
+    h_out, _ = output_size(h_in, w_in, kh, kw, cfg, encoding)
     peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     taps = cin * kh * kw
     packed = (
@@ -270,17 +268,17 @@ def _run_schedule(
         rows = w_mat.shape[0]
         w_mat = (w_mat.reshape(rows, kw, 1, cin) * shifts).reshape(rows, kw * 8 * cin)
 
-    out = np.zeros((w_mat.shape[0] // kh, h_out, w_out), dtype=w_mat.dtype)
-    for base, rt in tiles:
-        products = _tile_partial_rows(x[..., base : base + rt, :], w_mat, kh, kw)
-        # diagonal stitch: products[u, :, r] belongs to output row
-        # base + r - u; rows that land outside the output are dropped
-        for u in range(kh):
-            r0 = max(u - base, 0)
-            r1 = min(rt, h_out + u - base)
-            if r0 < r1:
-                out[:, base + r0 - u : base + r1 - u] += products[u, :, r0:r1]
-    return _unpack_lanes(out, taps) if packed else out.astype(np.int64)
+    products = _tile_partial_rows(x, w_mat, kh, kw)
+    # diagonal stitch: products[u, :, r] belongs to output row r - u; rows
+    # that land outside the output are dropped
+    out = products[0, :, :h_out]
+    if kh > 1:
+        out = out + products[1, :, 1 : 1 + h_out]
+    for u in range(2, kh):
+        out += products[u, :, u : u + h_out]
+    if packed:
+        return _unpack_lanes(out, taps)
+    return out.astype(np.int32 if w_mat.dtype == np.float32 else np.int64)
 
 
 def _step_input(x, weights):
@@ -309,9 +307,10 @@ def schedule_conv_layer(
     padded (padding is materialized by the network config, never inside
     the schedule), of a bool or integer dtype (any other raises
     ``InvalidParameterError``).  ``weights`` is the layer's tensor, or the
-    :class:`GemmWeights` staged from it.  Returns the int64
-    [Cout][H_out][W_out] sums, equal to the dense reference convolution;
-    cycles come from :func:`vecspike.geometry.layer_accounting`.
+    :class:`GemmWeights` staged from it.  Returns the [Cout][H_out][W_out]
+    sums, equal to the dense reference convolution: int32 when the GEMM
+    ran in float32, else int64.  Cycles come from
+    :func:`vecspike.geometry.layer_accounting`.
     """
     x, staged = _step_input(x, weights)
     return _run_schedule(x, staged, cfg, encoding=False)
@@ -327,8 +326,8 @@ def schedule_encoding_layer(
     Each input channel splits into eight 1-bit planes on eight PE blocks
     sharing one weight; the first accumulator stage shifts each block's
     sums by its bitplane index before the cross-block tree, so the
-    returned int64 [Cout][H_out][W_out] sums equal the integer convolution
-    of the 8-bit input exactly.  ``weights`` is as for
+    returned [Cout][H_out][W_out] sums equal the integer convolution of the
+    8-bit input exactly.  ``weights`` and the result dtype are as for
     :func:`schedule_conv_layer`.
     """
     x, staged = _step_input(x, weights)
@@ -491,8 +490,7 @@ def _if_update(conv_out, params, potentials, fmt) -> np.ndarray:
     # |membrane| <= 2**(total_bits - 1), and so is |bias| in the params' format
     headroom = 2**31 - 2 ** (fmt.total_bits - 1) - 2 ** (params.fmt.total_bits - 1)
     if potentials.dtype == np.int32 and peak << fmt.frac_bits < headroom:
-        update = x.astype(np.int32)
-        update <<= fmt.frac_bits
+        update = np.left_shift(x, fmt.frac_bits, dtype=np.int32)
     else:
         update = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
     update -= params.bias_raw.astype(update.dtype)[:, None, None]
@@ -541,12 +539,13 @@ class EngineRun:
         return total
 
 
-def _pad_step(step: np.ndarray, pad: int) -> np.ndarray:
+def _pad(maps: np.ndarray, pad: int) -> np.ndarray:
+    """Zero pad the last two axes of ``maps`` by ``pad`` on each side."""
     if pad == 0:
-        return step
-    c, h, w = step.shape
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=step.dtype)
-    padded[:, pad : pad + h, pad : pad + w] = step
+        return maps
+    *lead, h, w = maps.shape
+    padded = np.zeros((*lead, h + 2 * pad, w + 2 * pad), dtype=maps.dtype)
+    padded[..., pad : pad + h, pad : pad + w] = maps
     return padded
 
 
@@ -567,8 +566,9 @@ def _run_weighted_layer(
     """All time steps of one weighted layer: its [T][C][H][W] spike train.
 
     ``source`` is the image for the encoding layer, else the previous
-    layer's train.  The weights are staged once here and dropped when the
-    layer ends, so one layer's GEMM operand is alive at a time.
+    layer's train, which is padded once for all of its steps.  The weights
+    are staged once here and dropped when the layer ends, so one layer's
+    GEMM operand is alive at a time.
     """
     encoding = layer.kind == "encoding-conv"
     staged = stage_weights(tensor)
@@ -578,15 +578,15 @@ def _run_weighted_layer(
     if encoding:
         # scheduled once; every step re-presents the parked result, whose
         # IF update is therefore formed once too
-        sums = schedule_encoding_layer(_pad_step(source, layer.padding), staged, cfg)
+        sums = schedule_encoding_layer(_pad(source, layer.padding), staged, cfg)
         params = params.scaled_by_pow2(ENCODING_SHIFT)
         update = _if_update(sums, params, potentials, cfg.fmt)
         for t in range(time_steps):
             train[t] = _if_fire(update, params, potentials, cfg.fmt)
         return train
+    padded = _pad(source.reshape(time_steps, *layer.in_shape), layer.padding)
     for t in range(time_steps):
-        step = source[t].reshape(layer.in_shape)
-        sums = schedule_conv_layer(_pad_step(step, layer.padding), staged, cfg)
+        sums = schedule_conv_layer(padded[t], staged, cfg)
         train[t] = if_unit_process(sums, params, potentials, cfg.fmt)
     return train
 

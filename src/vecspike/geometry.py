@@ -5,13 +5,14 @@ only on one layer's shape, the config and T, so each is computed here
 once.  :func:`conv_layer_report` maps geometry to cycles and
 :func:`_tile_boundary` gives the rows a tile edge leaves pending;
 :func:`layer_accounting` calls both once per layer for ``run_network`` and
-``vecspike bench``, :func:`step_buffers` gives ``pingpong_schedule``
-the bytes one step stages, and :func:`row_tiles` gives the engine's tile
-loop its row tiles, without the channel groups it has no use for.  The
-cycles follow the pass structure: output channels outermost, then channel
-groups, then row tiles, then columns, with the pipeline fill charged once
-per weight-register pass because consecutive column streams overlap one
-pass's drain with the next pass's fill.
+``vecspike bench``, and :func:`step_buffers` gives ``pingpong_schedule``
+the bytes one step stages.  The engine's functional product is one GEMM
+per step whatever the tiling, so it takes only the checks and the output
+size, from :func:`output_size`.  The cycles follow the pass structure:
+output channels outermost, then channel groups, then row tiles, then
+columns, with the pipeline fill charged once per weight-register pass
+because consecutive column streams overlap one pass's drain with the next
+pass's fill.
 """
 
 from __future__ import annotations
@@ -50,17 +51,14 @@ def check_kernel(kh: int, kw: int, cfg: HardwareConfig):
         )
 
 
-def row_tiles(
+def output_size(
     h_padded: int, w_padded: int, kh: int, kw: int,
     cfg: HardwareConfig, encoding: bool,
-):
-    """Row tiles and output size of one convolution step.
+) -> tuple[int, int]:
+    """Output size ``(h_out, w_out)`` of one convolution step.
 
-    Tiles are (start, size) pairs that partition the padded input rows.
     Raises for a kernel the arrays cannot hold or the input cannot fit,
-    and for an encoding layer on fewer than 8 PE blocks.  The engine's
-    tile loop needs no more than this; :func:`pass_structure` adds the
-    channel groups.
+    and for an encoding layer on fewer than 8 PE blocks.
     """
     if encoding and cfg.pe_blocks < 8:
         raise ConfigError("the encoding layer needs 8 PE blocks per channel")
@@ -69,9 +67,7 @@ def row_tiles(
     w_out = w_padded - kw + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"{kh}x{kw} kernel does not fit {h_padded}x{w_padded} input")
-    rows = cfg.array_rows
-    tiles = [(r, min(rows, h_padded - r)) for r in range(0, h_padded, rows)]
-    return tiles, h_out, w_out
+    return h_out, w_out
 
 
 def pass_structure(
@@ -80,11 +76,14 @@ def pass_structure(
 ):
     """Channel groups, row tiles and output size of one convolution step.
 
-    Groups and tiles are (start, size) pairs; a group is one pass of the
-    PE blocks, which the cycle model and the boundary SRAM count.  Raises
-    as :func:`row_tiles` does.
+    Groups and tiles are (start, size) pairs: a group is one pass of the
+    PE blocks, and the tiles partition the padded input rows.  The cycle
+    model and the boundary SRAM count both.  Raises as
+    :func:`output_size` does.
     """
-    tiles, h_out, w_out = row_tiles(h_padded, w_padded, kh, kw, cfg, encoding)
+    h_out, w_out = output_size(h_padded, w_padded, kh, kw, cfg, encoding)
+    rows = cfg.array_rows
+    tiles = [(r, min(rows, h_padded - r)) for r in range(0, h_padded, rows)]
     size = cfg.encoding_channels_per_pass if encoding else cfg.group_size
     groups = [(c, min(size, in_channels - c)) for c in range(0, in_channels, size)]
     return groups, tiles, h_out, w_out

@@ -59,6 +59,23 @@ def test_spike_train_validates_and_freezes():
         SpikeTrain(np.zeros((1, 1, 1)))
 
 
+@pytest.mark.parametrize(
+    "value, dtype, ok",
+    [(2, np.uint8, False), (-1, np.int8, False), (0.5, np.float64, False),
+     (1, np.uint8, True), (1, np.int8, True), (1.0, np.float64, True),
+     (True, bool, True)],
+)
+def test_spike_train_checks_every_dtype_alike(value, dtype, ok):
+    # bool and unsigned trains are checked by their max alone
+    data = np.zeros((2, 1, 2, 2), dtype=dtype)
+    data[1, 0, 1, 0] = value
+    if ok:
+        assert SpikeTrain(data).spike_count() == 1
+    else:
+        with pytest.raises(InvalidParameterError):
+            SpikeTrain(data)
+
+
 def test_binary_weights_sign_convention():
     # sign bit 1 encodes -1, sign bit 0 encodes +1
     w = BinaryWeightTensor(np.array([[[[0, 1]]]]))
@@ -701,7 +718,8 @@ def test_network_oracle_convolves_below_the_float32_limit(monkeypatch, preset):
 
 def test_network_oracle_integrates_each_pair_before_convolving_the_next(monkeypatch):
     # the decoded steps stream into the IF loop: pair k is integrated
-    # before pair k + 1 is convolved, and an odd last step runs alone
+    # before pair k + 1 is convolved, and an odd last step runs alone; the
+    # encoding layer's constant sums are shifted once for all 5 steps
     import vecspike.core as core
 
     events = []
@@ -718,4 +736,4 @@ def test_network_oracle_integrates_each_pair_before_convolving_the_next(monkeypa
     net = validate(parse_network("4Conv(encoding)-4Conv"), (1, 6, 6))
     bundle = generate_random_bundle(net, seed=0)
     run_network_oracle(net, bundle.weights, bundle.params, random_input((1, 6, 6), 0), 5)
-    assert events == ["conv"] + ["if"] * 5 + ["conv", "if", "if"] * 2 + ["conv", "if"]
+    assert events == ["conv", "if"] + ["conv", "if", "if"] * 2 + ["conv", "if"]

@@ -5,8 +5,8 @@ import pytest
 
 import vecspike
 from vecspike.arch import HardwareConfig
-from vecspike.errors import ConfigError
-from vecspike.geometry import layer_accounting, step_buffers
+from vecspike.errors import ConfigError, ShapeError
+from vecspike.geometry import layer_accounting, output_size, pass_structure, step_buffers
 from vecspike.memmodel import pingpong_schedule
 from vecspike.netconfig import (
     LayerSpec,
@@ -73,3 +73,26 @@ def test_step_buffers_run_where_the_pass_structure_refuses(cfg):
         layer_accounting(net.layers[0], cfg, 2)
     assert step_buffers(net.layers[0], cfg) == step_buffers(net.layers[0], CFG)
     pingpong_schedule(net, 2, cfg)
+
+
+@pytest.mark.parametrize(
+    "h, w, kh, kw, cfg, encoding, error",
+    [
+        (10, 6, 3, 3, CFG, False, None),
+        (3, 3, 3, 3, CFG, True, None),
+        (2, 6, 3, 3, CFG, False, ShapeError),
+        (10, 6, 3, 4, CFG, False, ConfigError),
+        (10, 6, 4, 3, CFG, False, ConfigError),
+        (10, 6, 3, 3, CFG.replace(pe_blocks=4, group_size=4), True, ConfigError),
+    ],
+)
+def test_output_size_checks_as_the_pass_structure_does(h, w, kh, kw, cfg, encoding, error):
+    if error is None:
+        size = output_size(h, w, kh, kw, cfg, encoding)
+        assert size == (h - kh + 1, w - kw + 1)
+        assert pass_structure(5, h, w, kh, kw, cfg, encoding)[2:] == size
+        return
+    for call in (lambda: output_size(h, w, kh, kw, cfg, encoding),
+                 lambda: pass_structure(5, h, w, kh, kw, cfg, encoding)):
+        with pytest.raises(error):
+            call()
