@@ -2,11 +2,12 @@
 binary-weight spiking-CNN accelerator.
 
 The package splits into a bit-exact reference model (:mod:`vecspike.core`),
-the datapath engine verified against it (:mod:`vecspike.arch`,
-:mod:`vecspike.dataflow`), a layer step's passes, cycles and buffer bytes
-from its geometry alone (:mod:`vecspike.geometry`), an on-chip buffer and
-DRAM traffic model (:mod:`vecspike.memmodel`), the network/bundle formats
-(:mod:`vecspike.netconfig`) and a CLI (:mod:`vecspike.cli`).
+the datapath engine verified against it (:mod:`vecspike.dataflow`), the
+hardware config (:mod:`vecspike.arch`), a layer step's passes, cycles and
+buffer bytes from its geometry alone (:mod:`vecspike.geometry`), an on-chip
+buffer and DRAM traffic model (:mod:`vecspike.memmodel`), the network/bundle
+formats (:mod:`vecspike.netconfig`) and a CLI (:mod:`vecspike.cli`).  Tests
+alone run the register-level PE model, :mod:`vecspike.pipeline`.
 """
 
 __version__ = "0.1.0"

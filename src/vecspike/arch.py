@@ -1,4 +1,4 @@
-"""Hardware configuration and processing-element primitives.
+"""Hardware configuration, peak throughput and cycle accounting.
 
 The datapath is organized as ``pe_blocks`` blocks of ``arrays_per_block``
 PE arrays, each array an R x K grid of AND-gate multipliers whose products
@@ -8,11 +8,9 @@ processes one input channel per cycle; one array holds one kernel column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .errors import ConfigError, ScheduleFault, ShapeError
+from .errors import ConfigError
 from .fixedpoint import FixedPointFormat
 
 
@@ -105,159 +103,6 @@ class HardwareConfig:
 def peak_gops(cfg: HardwareConfig) -> float:
     """Peak throughput: 2 ops (multiply + add) per PE per cycle."""
     return cfg.pe_count * 2 * cfg.clock_hz / 1e9
-
-
-# ---------------------------------------------------------------------------
-# PE primitives
-# ---------------------------------------------------------------------------
-
-def pe_multiply(spike: int, weight_sign: int) -> int:
-    """Product of a spike bit and a sign-bit weight: {-1, 0, +1}.
-
-    Weight -1 is stored as sign bit 1, weight +1 as sign bit 0, so the
-    product is the two-bit two's-complement value {spike & sign, spike}.
-    """
-    if spike not in (0, 1) or weight_sign not in (0, 1):
-        raise ShapeError("pe_multiply operands must be single bits")
-    if not spike:
-        return 0
-    return -1 if weight_sign else 1
-
-
-def pe_multiply_bits(spike: int, weight_sign: int) -> tuple[int, int]:
-    """The gate-level encoding {high, low} = {s AND w, s} of the product."""
-    if spike not in (0, 1) or weight_sign not in (0, 1):
-        raise ShapeError("pe_multiply operands must be single bits")
-    return (spike & weight_sign, spike)
-
-
-@dataclass
-class PEArrayState:
-    """Registers of one R x K PE array.
-
-    ``partial`` holds the R+K-1 diagonal partial-sum registers; each cycle
-    they receive the diagonal reduction of one input column against one
-    kernel column (the full 1-D convolution of the input column with the
-    reversed kernel column).
-    """
-
-    rows: int
-    cols: int
-    partial: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError("array must have at least 1 row and 1 column")
-        self.partial = np.zeros(self.rows + self.cols - 1, dtype=np.int64)
-
-    def clear_partial(self):
-        self.partial[:] = 0
-
-
-def pe_array_cycle(
-    state: PEArrayState,
-    input_col,
-    weight_col,
-) -> np.ndarray:
-    """One array cycle: partial[r + k] += product(input[r], weight[k]).
-
-    Accumulates every PE's product of the two columns into its diagonal
-    register.  Returns the register file (a view); the added
-    contribution is the full 1-D convolution of the input column with the
-    weight column as stored, so loading kernel columns reversed makes the
-    diagonals line up with correlation-style output rows.
-    """
-    inp = np.asarray(input_col, dtype=np.uint8)
-    wgt = np.asarray(weight_col, dtype=np.uint8)
-    if inp.shape != (state.rows,):
-        raise ShapeError(f"input column must have {state.rows} bits, got {inp.shape}")
-    if wgt.shape != (state.cols,):
-        raise ShapeError(f"weight column must have {state.cols} bits, got {wgt.shape}")
-    for r in range(state.rows):
-        if not inp[r]:
-            continue
-        for k in range(state.cols):
-            state.partial[r + k] += pe_multiply(int(inp[r]), int(wgt[k]))
-    return state.partial
-
-
-# ---------------------------------------------------------------------------
-# accumulator
-# ---------------------------------------------------------------------------
-
-def accumulate_stage1(
-    array_outputs,
-    mode: str = "spiking",
-    bitplane_index: int = 0,
-) -> np.ndarray:
-    """Stage 1: element-wise sum of the outputs of a block's ``kw`` active
-    arrays, one per kernel column; the block's idle arrays add nothing.
-
-    In encoding mode the block's sum is additionally shifted left by its
-    bitplane index before it enters the cross-block tree.
-    """
-    vectors = [np.asarray(v, dtype=np.int64) for v in array_outputs]
-    length = vectors[0].shape
-    for v in vectors[1:]:
-        if v.shape != length:
-            raise ShapeError("stage-1 inputs must have equal length")
-    total = np.sum(vectors, axis=0)
-    if mode == "encoding":
-        if not 0 <= bitplane_index <= 7:
-            raise ConfigError("bitplane_index must be in [0, 7]")
-        total = total << bitplane_index
-    elif mode != "spiking":
-        raise ConfigError(f"unknown accumulator mode {mode!r}")
-    return total
-
-
-@dataclass
-class GroupAccumulator:
-    """Last accumulator stage: running sum across sequential channel groups."""
-
-    expected_groups: int
-    state: np.ndarray | None = None
-    groups_done: int = 0
-
-    def __post_init__(self):
-        if self.expected_groups < 1:
-            raise ConfigError("expected_groups must be >= 1")
-
-
-def accumulate_tree(
-    block_outputs,
-    group_state: GroupAccumulator,
-    is_last_group: bool,
-    *,
-    max_blocks: int = 32,
-):
-    """Stage 2/3: tree-sum the active blocks, then fold across groups.
-
-    Returns the completed convolution vector on the last group, otherwise
-    the updated ``group_state``.  Finalizing before every group has passed
-    through is a schedule fault.
-    """
-    vectors = [np.asarray(v, dtype=np.int64) for v in block_outputs]
-    if len(vectors) > max_blocks:
-        raise ShapeError(f"{len(vectors)} blocks exceed the {max_blocks}-block tree")
-    shape = vectors[0].shape
-    for v in vectors[1:]:
-        if v.shape != shape:
-            raise ShapeError("tree adder inputs must have equal length")
-    pass_sum = np.sum(vectors, axis=0)
-    if group_state.state is None:
-        group_state.state = pass_sum
-    else:
-        group_state.state = group_state.state + pass_sum
-    group_state.groups_done += 1
-    if is_last_group:
-        if group_state.groups_done != group_state.expected_groups:
-            raise ScheduleFault(
-                f"emitting after {group_state.groups_done} of "
-                f"{group_state.expected_groups} groups"
-            )
-        return group_state.state
-    return group_state
 
 
 # ---------------------------------------------------------------------------

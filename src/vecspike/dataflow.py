@@ -1,21 +1,12 @@
-"""Cycle-approximate model of the vectorwise convolution datapath.
-
-The schedule streams one input column per PE block per cycle.  A block's
-arrays hold the kernel columns of the active output channel, products
-reduce along array diagonals, and after a (kw-1)-cycle pipeline fill one
-output column completes per cycle.  Input heights taller than the array
-are split into row tiles whose edge partial sums are stitched through a
-boundary SRAM; input channels beyond the group size are folded across
-sequential group passes in the accumulator's last stage.  The encoding
-layer maps each of the eight input bitplanes to its own block and
-recombines them with a shift-add in the first accumulator stage.
+"""The datapath engine: GEMM-lowered convolutions, the IF unit and the run.
 
 Functional outputs are produced by a GEMM-lowered equivalent of the
-column-by-column pipeline (integer addition is associative, so the
-reassociation is exact).  Each step is one GEMM of the whole padded map,
-with no halo: the +-1 weights staged as [kh*cout][kw*cin] against a
-width-only im2col [kw*cin][h_in*w_out].  It yields the product of every
-kernel row ``u`` with every input row ``r``, summed over the kernel
+column-by-column pipeline that :mod:`vecspike.pipeline` models register by
+register (integer addition is associative, so the reassociation is
+exact).  Each step is one GEMM of the whole padded map, with no halo:
+the +-1 weights staged as [kh*cout][kw*cin] against a width-only im2col
+[kw*cin][h_in*w_out].  It yields the product of every kernel row ``u``
+with every input row ``r``, summed over the kernel
 columns and all input channels, and that product belongs to output row
 ``r - u``.  The stitch is ``kh`` whole-map slice adds, one per kernel row:
 that is the PE arrays' diagonal adder.  The row tiles and the channel
@@ -73,35 +64,21 @@ gives them once per layer, and the schedulers return sums only.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .arch import (
-    CycleReport,
-    GroupAccumulator,
-    HardwareConfig,
-    PEArrayState,
-    accumulate_stage1,
-    accumulate_tree,
-    pe_array_cycle,
-)
+from .arch import CycleReport, HardwareConfig
 from .core import (
     ENCODING_SHIFT,
     BinaryWeightTensor,
     FoldedNeuronParams,
     SpikeTrain,
 )
-from .errors import (
-    ConfigError,
-    FixedPointOverflowError,
-    InvalidParameterError,
-    ShapeError,
-)
+from .errors import FixedPointOverflowError, InvalidParameterError, ShapeError
 from .fixedpoint import FixedPointFormat
-from .geometry import TileBoundary, check_kernel, layer_accounting, output_size
+from .geometry import TileBoundary, layer_accounting, output_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from .netconfig import LayerSpec, NetworkDescription
@@ -250,7 +227,7 @@ def _run_schedule(
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
     h_out, _ = output_size(h_in, w_in, kh, kw, cfg, encoding)
-    peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    peak = _peak(x)
     taps = cin * kh * kw
     packed = (
         not encoding and weights.packed is not None and peak <= 1
@@ -279,6 +256,12 @@ def _run_schedule(
     if packed:
         return _unpack_lanes(out, taps)
     return out.astype(np.int32 if w_mat.dtype == np.float32 else np.int64)
+
+
+def _peak(x: np.ndarray) -> int:
+    """``max|x|``, 0 if empty; a bool or unsigned array has no negative value."""
+    peak = int(x.max(initial=0))
+    return peak if x.dtype.kind in "bu" else max(peak, -int(x.min(initial=0)))
 
 
 def _step_input(x, weights):
@@ -337,102 +320,6 @@ def schedule_encoding_layer(
 
 
 # ---------------------------------------------------------------------------
-# cycle-by-cycle column stream (small fixtures and cross-checks)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ColumnEmission:
-    cycle: int
-    out_channel: int
-    column_index: int
-    raw_column: np.ndarray  # R + K - 1 diagonal sums, pre-stitching
-
-
-@dataclass
-class ColumnStreamResult:
-    emissions: list[ColumnEmission]
-    output: np.ndarray
-    warmup_cycles: int
-    steady_cycles: int
-
-
-def stream_conv_columns(
-    x,
-    weights: BinaryWeightTensor,
-    cfg: HardwareConfig,
-) -> ColumnStreamResult:
-    """Simulate the column pipeline of one tile, register by register.
-
-    Input columns broadcast to every array of a block; array ``a`` holds
-    kernel column ``a`` (reversed into its weight register so diagonal
-    sums line up with output rows).  Array ``a``'s sums at cycle ``t``
-    belong to output column ``t - a``, so a column completes every cycle
-    once ``kw - 1`` fill cycles have passed.  Restricted to a single
-    tile/group (H <= R, Cin <= group size) and full-height kernels, on
-    spike inputs: any value other than 0 or 1 raises.
-    """
-    x = np.asarray(x)
-    if not ((x == 0) | (x == 1)).all():
-        raise InvalidParameterError("column stream inputs must be spikes, 0 or 1")
-    x = x.astype(np.uint8)
-    cin, h, w = x.shape
-    kh, kw = weights.kernel
-    check_kernel(kh, kw, cfg)
-    if kh != cfg.array_cols:
-        raise ConfigError("column stream requires kernel height == array_cols")
-    if h > cfg.array_rows:
-        raise ConfigError("column stream handles a single row tile (H <= R)")
-    if cin > cfg.group_size:
-        raise ConfigError("column stream handles a single channel group")
-    r, k = cfg.array_rows, cfg.array_cols
-    w_out = w - kw + 1
-    h_out = h - kh + 1
-    if w_out < 1 or h_out < 1:
-        raise ShapeError(f"{kh}x{kw} kernel does not fit {h}x{w} input")
-    cout = weights.out_channels
-
-    emissions: list[ColumnEmission] = []
-    output = np.zeros((cout, h_out, w_out), dtype=np.int64)
-    for o in range(cout):
-        arrays = [[PEArrayState(r, k) for _ in range(kw)] for _ in range(cin)]
-        history: list[list[deque]] = [
-            [deque(maxlen=kw) for _ in range(kw)] for _ in range(cin)
-        ]
-        # weight register: kernel column a, reversed top-to-bottom
-        wcols = [
-            [weights.sign_bits[o, c, ::-1, a] for a in range(kw)] for c in range(cin)
-        ]
-        for t in range(w):
-            in_cols = np.zeros((cin, r), dtype=np.uint8)
-            in_cols[:, :h] = x[:, :, t]
-            for c in range(cin):
-                for a in range(kw):
-                    state = arrays[c][a]
-                    state.clear_partial()
-                    sums = pe_array_cycle(state, in_cols[c], wcols[c][a])
-                    history[c][a].append(sums.copy())
-            if t < kw - 1:
-                continue
-            col = t - (kw - 1)
-            block_sums = []
-            for c in range(cin):
-                aligned = [history[c][a][-(kw - a)] for a in range(kw)]
-                block_sums.append(accumulate_stage1(aligned, mode="spiking"))
-            acc = GroupAccumulator(expected_groups=1)
-            column = accumulate_tree(
-                block_sums, acc, is_last_group=True, max_blocks=cfg.pe_blocks
-            )
-            emissions.append(ColumnEmission(t, o, col, column))
-            output[o, :, col] = column[kh - 1 : kh - 1 + h_out]
-    return ColumnStreamResult(
-        emissions=emissions,
-        output=output,
-        warmup_cycles=kw - 1,
-        steady_cycles=w_out,
-    )
-
-
-# ---------------------------------------------------------------------------
 # IF neuron unit
 # ---------------------------------------------------------------------------
 
@@ -486,7 +373,7 @@ def _if_update(conv_out, params, potentials, fmt) -> np.ndarray:
         raise ShapeError(
             f"{params.channels} parameter channels for {x.shape[0]} output channels"
         )
-    peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    peak = _peak(x)
     # |membrane| <= 2**(total_bits - 1), and so is |bias| in the params' format
     headroom = 2**31 - 2 ** (fmt.total_bits - 1) - 2 ** (params.fmt.total_bits - 1)
     if potentials.dtype == np.int32 and peak << fmt.frac_bits < headroom:

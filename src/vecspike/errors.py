@@ -49,8 +49,8 @@ class FixedPointOverflowError(SimulatorError, OverflowError):
 
 
 class ScheduleFault(SimulatorError, RuntimeError):
-    """The dataflow schedule was driven out of order (e.g. a group
-    accumulation finalized before its last group)."""
+    """A group accumulation finalized before its last group.  Only the
+    register-level model, :mod:`vecspike.pipeline`, raises it."""
 
 
 class CapacityFault(SimulatorError, RuntimeError):

@@ -40,17 +40,6 @@ class TileBoundary:
     peak_rows: int
 
 
-def check_kernel(kh: int, kw: int, cfg: HardwareConfig):
-    if kw > cfg.arrays_per_block:
-        raise ConfigError(
-            f"kernel width {kw} exceeds the {cfg.arrays_per_block} arrays per block"
-        )
-    if kh > cfg.array_cols:
-        raise ConfigError(
-            f"kernel height {kh} exceeds the {cfg.array_cols}-tall weight column"
-        )
-
-
 def output_size(
     h_padded: int, w_padded: int, kh: int, kw: int,
     cfg: HardwareConfig, encoding: bool,
@@ -62,7 +51,14 @@ def output_size(
     """
     if encoding and cfg.pe_blocks < 8:
         raise ConfigError("the encoding layer needs 8 PE blocks per channel")
-    check_kernel(kh, kw, cfg)
+    if kw > cfg.arrays_per_block:
+        raise ConfigError(
+            f"kernel width {kw} exceeds the {cfg.arrays_per_block} arrays per block"
+        )
+    if kh > cfg.array_cols:
+        raise ConfigError(
+            f"kernel height {kh} exceeds the {cfg.array_cols}-tall weight column"
+        )
     h_out = h_padded - kh + 1
     w_out = w_padded - kw + 1
     if h_out < 1 or w_out < 1:

@@ -26,7 +26,6 @@ from vecspike.dataflow import (
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
-    stream_conv_columns,
 )
 from vecspike.fixedpoint import DEFAULT_FORMAT
 from vecspike.geometry import conv_layer_report
@@ -37,6 +36,7 @@ from vecspike.memmodel import (
     simulate_traffic,
 )
 from vecspike.netconfig import generate_random_bundle, preset_network
+from vecspike.pipeline import stream_conv_columns
 
 CFG = HardwareConfig()
 FMT = DEFAULT_FORMAT

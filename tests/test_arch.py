@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from vecspike.arch import (
-    CycleReport,
+from vecspike.arch import CycleReport, HardwareConfig, peak_gops
+from vecspike.errors import ConfigError, ScheduleFault, ShapeError
+from vecspike.pipeline import (
     GroupAccumulator,
-    HardwareConfig,
     PEArrayState,
     accumulate_stage1,
     accumulate_tree,
     pe_array_cycle,
     pe_multiply,
     pe_multiply_bits,
-    peak_gops,
 )
-from vecspike.errors import ConfigError, ScheduleFault, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +89,7 @@ def test_halved_clock_halves_peak():
 
 
 # ---------------------------------------------------------------------------
-# PE primitives
+# PE primitives (vecspike.pipeline, the register-level model)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -156,7 +154,7 @@ def test_pe_array_cycle_rejects_bad_columns():
 
 
 # ---------------------------------------------------------------------------
-# accumulator
+# accumulator (vecspike.pipeline)
 # ---------------------------------------------------------------------------
 
 def test_stage1_sums_three_arrays():

