@@ -98,7 +98,7 @@ class SpikeTrain:
         return self._data.shape
 
     def spike_count(self) -> int:
-        return int(self._data.sum())
+        return int(np.count_nonzero(self._data))  # every element is 0 or 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpikeTrain):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .arch import HardwareConfig
@@ -50,7 +50,7 @@ def weight_bytes(
 # compute-layer view (pooling absorbed)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ComputeLayer:
     """A validated weighted layer (``spec``, shapes before pooling) and the
     map it hands on, ``out_shape``, with any following pooling absorbed."""
@@ -68,16 +68,16 @@ def compute_layers(net: "NetworkDescription") -> list[ComputeLayer]:
     """Collapse the layer list to weighted layers with pooling absorbed."""
     if not net.layers:
         raise PlanError("network has no layers")
-    if not net.is_annotated:
-        raise PlanError("network must be validated before planning")
     result: list[ComputeLayer] = []
     for idx, layer in enumerate(net.layers):
+        if layer.out_shape is None:
+            raise PlanError("network must be validated before planning")
         if layer.kind != "maxpool2":
             result.append(ComputeLayer(idx, layer, layer.out_shape))
         elif not result:
             raise PlanError("pooling cannot precede the first weighted layer")
         else:
-            result[-1] = replace(result[-1], out_shape=layer.out_shape)
+            result[-1].out_shape = layer.out_shape
     return result
 
 
@@ -92,14 +92,15 @@ class FusionPlan:
     groups: list[tuple[int, ...]]
 
     def __post_init__(self):
-        flat = [i for group in self.groups for i in group]
-        if flat != list(range(len(flat))):
-            raise PlanError(
-                "plan must cover every compute layer exactly once, in order"
-            )
+        pos, sized = 0, True
         for group in self.groups:
-            if len(group) not in (1, 2):
-                raise PlanError("fusion groups must have size 1 or 2")
+            sized = sized and len(group) in (1, 2)
+            for i in group:
+                if i != pos:
+                    raise PlanError("plan must cover every compute layer exactly once, in order")
+                pos += 1
+        if not sized:
+            raise PlanError("fusion groups must have size 1 or 2")
 
     @property
     def layer_count(self) -> int:
@@ -142,20 +143,14 @@ def plan_fusion(net: "NetworkDescription", cfg: HardwareConfig) -> FusionPlan:
     SRAM.  Unpaired layers simply run standalone.
     """
     layers = compute_layers(net)
+    weights = [weight_bytes(*l.spec.weight_shape, cfg.param_bytes) for l in layers]
     weight_capacity = 2 * cfg.weight_sram_bytes
     groups: list[tuple[int, ...]] = []
     pos = 0
     while pos < len(layers):
         if pos + 1 < len(layers):
-            first, second = layers[pos], layers[pos + 1]
-            weights_fit = (
-                weight_bytes(*first.spec.weight_shape, cfg.param_bytes)
-                + weight_bytes(*second.spec.weight_shape, cfg.param_bytes)
-                <= weight_capacity
-            )
-            intermediate_fit = (
-                spike_map_bytes(*first.out_shape, 1) <= cfg.temp_sram_bytes
-            )
+            weights_fit = weights[pos] + weights[pos + 1] <= weight_capacity
+            intermediate_fit = spike_map_bytes(*layers[pos].out_shape, 1) <= cfg.temp_sram_bytes
             if weights_fit and intermediate_fit:
                 groups.append((pos, pos + 1))
                 pos += 2
@@ -296,19 +291,22 @@ class BufferModel:
     writes: int = 0
 
     def write(self, nbytes: int):
-        self.occupancy = nbytes
-        if self.occupancy > self.capacity:
+        """Hold ``nbytes`` until the next write; one that does not fit raises first."""
+        if nbytes > self.capacity:
             raise CapacityFault(
-                f"{self.name}: {self.occupancy} bytes exceed capacity {self.capacity}"
+                f"{self.name}: {nbytes} bytes exceed capacity {self.capacity}"
             )
-        self.peak = max(self.peak, self.occupancy)
+        self.occupancy = nbytes
+        self.peak = max(self.peak, nbytes)
         self.writes += 1
 
-    def read(self):
+    def stage(self, nbytes: int):
+        """A write of ``nbytes``, held until the buffer's next write, and a read."""
+        self.write(nbytes)
         self.reads += 1
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     step: int
     layer_index: int
@@ -336,85 +334,84 @@ def pingpong_schedule(
     visits (a single layer may span both halves; a fused pair must).  The
     temp SRAM stages output columns on their way to DRAM or, when fused,
     to the next layer.  What crosses DRAM is the plan's :func:`_dram_rows`,
-    as in :func:`simulate_traffic`.  A layer step's membrane and boundary
-    charges are its :func:`vecspike.geometry.step_buffers`, read once per
-    visit.  Every buffer use except the weight load is one ``stage``: a
-    write, held until the buffer's next write, and a read.  Maps staged in
-    the spike and temp buffers are traced as a write and a read event;
-    membrane and boundary slices are counted, not traced.  A DRAM write is
-    an event only.  A capacity violation raises a fault.  No map is read
-    before its DRAM write: :class:`FusionPlan` admits only in-order groups
-    of one or two layers, so each group's predecessor wrote its map.
+    as in :func:`simulate_traffic`.  A group visit builds one step row per
+    layer, used at every step: :func:`vecspike.geometry.step_buffers`
+    charges, encoding flag, fused temp bytes, column bytes and DRAM map.
+    Every buffer use but the weight load is one :meth:`BufferModel.stage`.
+    Maps staged in the spike and temp buffers are traced as a write and a
+    read event; membrane and boundary slices are counted, not traced.  A
+    DRAM write is an event only.  A capacity violation raises a fault.  No
+    map is read before its DRAM write: :class:`FusionPlan` admits only
+    in-order groups of one or two layers, so a group's predecessor wrote its map.
     """
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
     layers = _plan_layers(net, plan, time_steps)
     rows = _dram_rows(layers, plan)
 
-    capacities = {
-        "spike0": cfg.spike_sram_bytes,  # spike ping-pong pair
-        "spike1": cfg.spike_sram_bytes,
-        "weight": 2 * cfg.weight_sram_bytes,  # weight ping-pong pair
-        "membrane0": cfg.membrane_sram_bytes,
-        "membrane1": cfg.membrane_sram_bytes,  # second membrane
-        "temp": cfg.temp_sram_bytes,  # output staging
-        "boundary": cfg.boundary_sram_bytes,  # tile boundary
-    }
-    buffers = {name: BufferModel(name, size) for name, size in capacities.items()}
+    buffers = {name: BufferModel(name, size) for name, size in (
+        ("spike0", cfg.spike_sram_bytes),  # spike ping-pong pair
+        ("spike1", cfg.spike_sram_bytes),
+        ("weight", 2 * cfg.weight_sram_bytes),  # weight ping-pong pair
+        ("membrane0", cfg.membrane_sram_bytes),
+        ("membrane1", cfg.membrane_sram_bytes),  # second membrane
+        ("temp", cfg.temp_sram_bytes),  # output staging
+        ("boundary", cfg.boundary_sram_bytes),  # tile boundary
+    )}
+    spike0, spike1, weight, membrane0, membrane1, temp, boundary = buffers.values()
     events: list[TraceEvent] = []
 
-    def stage(name, nbytes, step=0, pos=0, tag=None, traced=None):
-        """A write of ``nbytes`` and a read; when tagged, both are traced
-        as ``traced`` bytes (default ``nbytes``)."""
-        buf = buffers[name]
-        buf.write(nbytes)
-        buf.read()
-        if tag is not None:
-            shown = nbytes if traced is None else traced
-            events.append(TraceEvent(step, pos, name, "write", shown, tag))
-            events.append(TraceEvent(step, pos, name, "read", shown, tag))
-
     for group in plan.groups:
-        group_layers = [layers[pos] for pos in group]
-        signs = [weight_bytes(*l.spec.weight_shape, param_bytes=0) for l in group_layers]
-        buffers["weight"].write(sum(signs))
+        signs = [weight_bytes(*layers[pos].spec.weight_shape, param_bytes=0) for pos in group]
+        weight.write(sum(signs))
         for pos, nbytes in zip(group, signs):
             events.append(TraceEvent(-1, pos, "weight", "write", nbytes, ("weights", pos)))
 
-        charges = [step_buffers(l.spec, cfg) for l in group_layers]
+        step_rows = []
+        for slot, pos in enumerate(group):
+            layer = layers[pos]
+            charge = step_buffers(layer.spec, cfg)
+            out_c, out_h, _ = layer.out_shape
+            step_rows.append((
+                slot, pos, membrane1 if slot else membrane0, charge["membrane"],
+                layer.spec.kind == "encoding-conv", charge["boundary"],
+                spike_map_bytes(*layer.out_shape, 1), max(1, math.ceil(out_c * out_h / 8)),
+                rows[pos][2],
+            ))
         image, in_map, _ = rows[group[0]]
-        out_maps = [rows[pos][2] for pos in group]
         for step in range(time_steps):
-            spike = f"spike{step % 2}"
+            spike = spike1 if step % 2 else spike0
             # the static 8-bit image is staged once; the encoding layer then
             # iterates its parked convolution from the second membrane
             in_bytes = in_map + (0 if step else image)
-            in_tag = ("image",) if image else ("input", group[0] - 1, step)
             if in_bytes:
-                stage(spike, in_bytes, step, group[0], in_tag)
+                in_tag = ("image",) if image else ("input", group[0] - 1, step)
+                spike.stage(in_bytes)
+                events.append(TraceEvent(step, group[0], spike.name, "write", in_bytes, in_tag))
+                events.append(TraceEvent(step, group[0], spike.name, "read", in_bytes, in_tag))
 
-            layer_steps = zip(group, group_layers, charges, out_maps)
-            for slot, (pos, layer, charge, out_map) in enumerate(layer_steps):
-                stage("membrane1" if slot else "membrane0", charge["membrane"])
-                if layer.spec.kind == "encoding-conv":
-                    # the encoding layer parks its conv-result strip in the
-                    # second membrane
-                    stage("membrane1", charge["membrane"])
-                if charge["boundary"]:
-                    stage("boundary", charge["boundary"])
+            for slot, pos, membrane, charge, encoding, edge, fused, column, out_map in step_rows:
+                membrane.stage(charge)
+                if encoding:  # it parks its conv-result strip in the second membrane
+                    membrane1.stage(charge)
+                if edge:
+                    boundary.stage(edge)
                 out_tag = ("input", pos, step)
                 if not out_map:
                     # fused intermediate: the whole per-step map parks in
                     # temp SRAM and feeds the second layer directly
-                    stage("temp", spike_map_bytes(*layer.out_shape, 1), step, pos, out_tag)
+                    temp.stage(fused)
+                    events.append(TraceEvent(step, pos, "temp", "write", fused, out_tag))
+                    events.append(TraceEvent(step, pos, "temp", "read", fused, out_tag))
                     continue
-                if slot == 1:
+                if slot:
                     # the pair's output replaces the consumed entries of the
                     # first layer's input buffer on its way off chip
-                    stage(spike, max(in_bytes, out_map), step, pos, out_tag, out_map)
+                    spike.stage(max(in_bytes, out_map))
+                    events.append(TraceEvent(step, pos, spike.name, "write", out_map, out_tag))
+                    events.append(TraceEvent(step, pos, spike.name, "read", out_map, out_tag))
                 else:
                     # standalone output streams through temp a column at a time
-                    out_c, out_h, _ = layer.out_shape
-                    stage("temp", max(1, math.ceil(out_c * out_h / 8)))
+                    temp.stage(column)
                 events.append(TraceEvent(step, pos, "dram", "write", out_map, out_tag))
     return BufferTrace(events, buffers)

@@ -18,7 +18,7 @@ import math
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,8 +226,7 @@ def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
     for idx, layer in enumerate(net.layers):
         if layer.kind == "encoding-conv" and idx != 0:
             raise ValidationError("encoding layer only allowed at position 0", idx)
-        new = replace(layer)
-        new.in_shape = shape
+        in_shape, out_channels = shape, layer.out_channels
         kh, kw = layer.kernel
         if layer.kind in ("encoding-conv", "conv"):
             ph = shape[1] + 2 * layer.padding - kh + 1
@@ -236,23 +235,23 @@ def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
                 raise ValidationError(
                     f"{kh}x{kw} kernel does not fit {shape[1]}x{shape[2]} input", idx
                 )
-            shape = (layer.out_channels, ph, pw)
+            shape = (out_channels, ph, pw)
         elif layer.kind == "fc":
             if layer.kernel != (1, 1) or layer.padding:
                 raise ValidationError("fc layers take a 1x1 kernel, unpadded", idx)
-            new.in_shape = (math.prod(shape), 1, 1)
-            shape = (layer.out_channels, 1, 1)
+            in_shape = (math.prod(shape), 1, 1)
+            shape = (out_channels, 1, 1)
         elif layer.kind == "maxpool2":
             if shape[1] % 2 or shape[2] % 2:
                 raise ValidationError(
                     f"pooling needs even spatial dims, got {shape[1]}x{shape[2]}", idx
                 )
-            new.out_channels = shape[0]
+            out_channels = shape[0]
             shape = (shape[0], shape[1] // 2, shape[2] // 2)
         else:
             raise ValidationError(f"unknown layer kind {layer.kind!r}", idx)
-        new.out_shape = shape
-        annotated.append(new)
+        annotated.append(LayerSpec(layer.kind, out_channels, layer.kernel, layer.padding,
+                                   layer.v_th, in_shape, shape))
     return NetworkDescription(annotated, time_steps=net.time_steps)
 
 

@@ -103,6 +103,16 @@ def pe_array_cycle(
 # accumulator
 # ---------------------------------------------------------------------------
 
+def _vector_sum(vectors, adder: str) -> np.ndarray:
+    """Element-wise int64 sum of one or more equal-length vectors."""
+    vectors = [np.asarray(v, dtype=np.int64) for v in vectors]
+    if not vectors:
+        raise ShapeError(f"{adder} needs at least one input")
+    if any(v.shape != vectors[0].shape for v in vectors):
+        raise ShapeError(f"{adder} inputs must have equal length")
+    return np.sum(vectors, axis=0)
+
+
 def accumulate_stage1(
     array_outputs,
     mode: str = "spiking",
@@ -114,12 +124,7 @@ def accumulate_stage1(
     In encoding mode the block's sum is additionally shifted left by its
     bitplane index before it enters the cross-block tree.
     """
-    vectors = [np.asarray(v, dtype=np.int64) for v in array_outputs]
-    length = vectors[0].shape
-    for v in vectors[1:]:
-        if v.shape != length:
-            raise ShapeError("stage-1 inputs must have equal length")
-    total = np.sum(vectors, axis=0)
+    total = _vector_sum(array_outputs, "stage-1")
     if mode == "encoding":
         if not 0 <= bitplane_index <= 7:
             raise ConfigError("bitplane_index must be in [0, 7]")
@@ -155,14 +160,9 @@ def accumulate_tree(
     the updated ``group_state``.  Finalizing before every group has passed
     through is a schedule fault.
     """
-    vectors = [np.asarray(v, dtype=np.int64) for v in block_outputs]
-    if len(vectors) > max_blocks:
-        raise ShapeError(f"{len(vectors)} blocks exceed the {max_blocks}-block tree")
-    shape = vectors[0].shape
-    for v in vectors[1:]:
-        if v.shape != shape:
-            raise ShapeError("tree adder inputs must have equal length")
-    pass_sum = np.sum(vectors, axis=0)
+    if len(block_outputs) > max_blocks:
+        raise ShapeError(f"{len(block_outputs)} blocks exceed the {max_blocks}-block tree")
+    pass_sum = _vector_sum(block_outputs, "tree adder")
     if group_state.state is None:
         group_state.state = pass_sum
     else:
@@ -211,13 +211,17 @@ def stream_conv_columns(
     belong to output column ``t - a``, so a column completes every cycle
     once ``kw - 1`` fill cycles have passed.  Restricted to a single
     tile/group (H <= R, Cin <= group size) and full-height kernels, on
-    spike inputs: any value other than 0 or 1 raises.
+    a [C][H][W] spike map (0 or 1) of the weights' channels; others raise.
     """
     x = np.asarray(x)
+    if x.ndim != 3:
+        raise ShapeError(f"input must be [C][H][W], got {x.shape}")
+    cin, h, w = x.shape
+    if cin != weights.in_channels:
+        raise ShapeError(f"input has {cin} channels, weights expect {weights.in_channels}")
     if not ((x == 0) | (x == 1)).all():
         raise InvalidParameterError("column stream inputs must be spikes, 0 or 1")
     x = x.astype(np.uint8)
-    cin, h, w = x.shape
     kh, kw = weights.kernel
     h_out, w_out = output_size(h, w, kh, kw, cfg, encoding=False)
     if kh != cfg.array_cols:

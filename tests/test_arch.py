@@ -175,6 +175,13 @@ def test_stage1_length_mismatch():
         accumulate_stage1([[1, 2], [1], [1, 2]])
 
 
+def test_stage1_and_tree_refuse_no_inputs():
+    with pytest.raises(ShapeError, match="stage-1 needs at least one input"):
+        accumulate_stage1([])
+    with pytest.raises(ShapeError, match="tree adder needs at least one input"):
+        accumulate_tree([], GroupAccumulator(1), True)
+
+
 def test_tree_sums_and_passthrough():
     acc = GroupAccumulator(expected_groups=1)
     out = accumulate_tree([np.zeros(3, dtype=np.int64)] * 32, acc, True)

@@ -74,6 +74,14 @@ def test_spike_train_checks_every_dtype_alike(value, dtype, ok):
             SpikeTrain(data)
 
 
+@pytest.mark.parametrize("dtype", [bool, np.uint8])
+def test_spike_count_counts_every_spike(rng, dtype):
+    data = rng.integers(0, 2, (3, 4, 5, 6)).astype(dtype)
+    train = SpikeTrain(data)
+    assert train.spike_count() == int(data.sum())
+    assert type(train.spike_count()) is int
+
+
 def test_binary_weights_sign_convention():
     # sign bit 1 encodes -1, sign bit 0 encodes +1
     w = BinaryWeightTensor(np.array([[[[0, 1]]]]))

@@ -589,6 +589,21 @@ def test_column_stream_constraints():
         stream_conv_columns(x, w, CFG)  # taller than one tile
 
 
+@pytest.mark.parametrize("shape, message", [
+    ((3, 3), r"input must be \[C\]\[H\]\[W\], got \(3, 3\)"),
+    ((1, 1, 3, 3), r"input must be \[C\]\[H\]\[W\], got \(1, 1, 3, 3\)"),
+    ((2, 5, 5), "input has 2 channels, weights expect 3"),
+    ((4, 5, 5), "input has 4 channels, weights expect 3"),
+])
+def test_column_stream_refuses_a_map_the_oracle_refuses(shape, message):
+    # worded as conv2d_oracle words it
+    w = BinaryWeightTensor(np.zeros((1, 3, 3, 3), dtype=np.uint8))
+    x = np.zeros(shape, dtype=np.uint8)
+    for conv in (stream_conv_columns, lambda x, w, cfg: conv2d_oracle(x, w)):
+        with pytest.raises(ShapeError, match=message):
+            conv(x, w, CFG)
+
+
 @pytest.mark.parametrize("value", [256, 257, -1])
 def test_column_stream_refuses_inputs_other_than_spikes(value):
     # a uint8 cast would stream 256 as 0 and 257 as 1

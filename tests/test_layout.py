@@ -55,6 +55,10 @@ BOUNDARIES = [
     ("dataflow", "core",
      {"ENCODING_SHIFT", "BinaryWeightTensor", "FoldedNeuronParams", "SpikeTrain"}),
     ("dataflow", "arch", {"CycleReport", "HardwareConfig"}),
+    # the traffic path runs without the engine and the oracle
+    ("memmodel", "dataflow", None),
+    ("memmodel", "core", None),
+    ("memmodel", "geometry", {"step_buffers"}),
     # the register-level model runs only under test
     *[
         (path.stem, "pipeline", None)

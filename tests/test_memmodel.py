@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -216,9 +217,13 @@ def test_walks_refuse_time_steps_below_one(time_steps):
 def test_buffer_capacity_fault():
     buf = BufferModel("b", capacity=10)
     buf.write(10)
-    assert buf.peak == 10
-    with pytest.raises(CapacityFault):
-        buf.write(11)
+    buf.stage(4)
+    assert (buf.occupancy, buf.peak, buf.reads, buf.writes) == (4, 10, 1, 2)
+    # a write or stage that does not fit faults before it changes anything
+    for access in (buf.write, buf.stage):
+        with pytest.raises(CapacityFault, match="b: 11 bytes exceed capacity 10"):
+            access(11)
+        assert (buf.occupancy, buf.peak, buf.reads, buf.writes) == (4, 10, 1, 2)
 
 
 def test_pingpong_alternates_spike_buffers():
@@ -271,6 +276,21 @@ def test_pingpong_capacity_fault_on_small_weight_sram():
     net, _ = preset_network("mnist")
     with pytest.raises(CapacityFault):
         pingpong_schedule(net, 8, CFG.replace(weight_sram_bytes=1024))
+
+
+def test_first_fault_follows_the_stage_order():
+    # weights load first; each step then stages the input map, the membrane
+    # strip, the boundary rows and the output, so the first buffer too
+    # small is the one named
+    net = validate(parse_network("4Conv(encoding)-4Conv", 2), (1, 10, 10))
+    cfg = CFG.replace(**{f: 0 for f in SRAM_FIELDS})
+    for field, name in [("weight_sram_bytes", "weight"), ("spike_sram_bytes", "spike0"),
+                        ("membrane_sram_bytes", "membrane0"),
+                        ("boundary_sram_bytes", "boundary"), ("temp_sram_bytes", "temp")]:
+        with pytest.raises(CapacityFault, match=f"^{name}: "):
+            pingpong_schedule(net, 2, cfg)
+        cfg = cfg.replace(**{field: getattr(CFG, field)})
+    pingpong_schedule(net, 2, cfg)
 
 
 def test_membranes_hold_a_strip_of_the_conv_output_before_pooling():
@@ -335,3 +355,44 @@ def test_pingpong_dram_bytes_equal_the_ledger(net_seed, scale, time_steps):
             elif (e.buffer.startswith("spike") and e.op == "write"
                   and e.tag[0] == "input" and e.layer_index > e.tag[1]):
                 assert e.tag in in_dram
+
+
+# sha256 over a seeded sweep of the traffic path: random networks x SRAM
+# scales x every fusion plan x T in {1, 8}.  Per network, scale and T it
+# takes the greedy plan's groups; per plan, every ledger record, every
+# ping-pong trace event and each buffer's statistics, or the capacity
+# fault's message.  Where TRACE_SHA256 and BUFFER_STATS_SHA256 cover the
+# two presets, this covers faults, tiny SRAMs and every plan shape.
+SWEEP_SHA256 = "27ba143d522a09257bad468bf1fca53560f9c6f4cd942263af94dd7c092acb43"
+
+
+def test_golden_traffic_sweep():
+    rng = random.Random(26)
+    digest = hashlib.sha256()
+    for _ in range(4):
+        text, shape = random_network_text(rng)
+        for scale in (0.5, 1.0, 2.0):
+            cfg = CFG.replace(**{f: int(getattr(CFG, f) * scale) for f in SRAM_FIELDS})
+            for steps in (1, 8):
+                net = validate(parse_network(text, steps), shape)
+                digest.update(repr(plan_fusion(net, cfg).groups).encode())
+                for groups in fusion_plans(len(compute_layers(net))):
+                    plan = FusionPlan(list(groups))
+                    ledger = simulate_traffic(net, plan, steps, cfg)
+                    digest.update(repr(ledger.layer_fusion).encode())
+                    for r in ledger.records:
+                        fields = (r.layer_index, r.kind, r.note, r.weight_bytes_read,
+                                  r.input_spike_bytes_read, r.output_spike_bytes_written)
+                        digest.update(repr(fields).encode())
+                    try:
+                        trace = pingpong_schedule(net, steps, cfg, plan)
+                    except CapacityFault as fault:
+                        digest.update(str(fault).encode())
+                        continue
+                    for e in trace.events:
+                        fields = (e.step, e.layer_index, e.buffer, e.op, e.nbytes, e.tag)
+                        digest.update(repr(fields).encode())
+                    for b in trace.buffers.values():
+                        fields = (b.name, b.peak, b.reads, b.writes, b.occupancy)
+                        digest.update(repr(fields).encode())
+    assert digest.hexdigest() == SWEEP_SHA256
