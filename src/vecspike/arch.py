@@ -122,9 +122,12 @@ class CycleReport:
     total_cycles: int = 0
     warmup_cycles: int = 0
     active_pe_cycles: int = 0
-    total_pe_cycles: int = 0
     pe_count: int = 0
     clock_hz: float = 0.0
+
+    @property
+    def total_pe_cycles(self) -> int:
+        return self.total_cycles * self.pe_count
 
     @property
     def steady_cycles(self) -> int:
@@ -162,7 +165,6 @@ class CycleReport:
             total_cycles=self.total_cycles + other.total_cycles,
             warmup_cycles=self.warmup_cycles + other.warmup_cycles,
             active_pe_cycles=self.active_pe_cycles + other.active_pe_cycles,
-            total_pe_cycles=self.total_pe_cycles + other.total_pe_cycles,
             pe_count=max(self.pe_count, other.pe_count),
             clock_hz=max(self.clock_hz, other.clock_hz),
         )
@@ -173,7 +175,6 @@ class CycleReport:
             total_cycles=n * self.total_cycles,
             warmup_cycles=n * self.warmup_cycles,
             active_pe_cycles=n * self.active_pe_cycles,
-            total_pe_cycles=n * self.total_pe_cycles,
             pe_count=self.pe_count,
             clock_hz=self.clock_hz,
         )

@@ -32,15 +32,18 @@ Conventions
   whenever the updated potential reaches the threshold (hard reset to zero,
   ties fire).  With a negative normalization gain the comparison direction
   flips to ``<=``.  The oracle resets lazily, on the next step; the
-  engine writes zero back when a neuron fires.
+  engine writes zero back when a neuron fires.  ``_if_run`` alone runs it,
+  over a stream of weighed inputs (``_weigh``: the sums on the grid, less
+  the bias); it copies the first into its potential and writes no input.
 * The first (encoding) layer consumes an 8-bit image, computes its integer
-  convolution once, and re-accumulates that constant result every time step.
-  Its folded bias/threshold are pre-scaled by 256 so that the u/256 input
-  normalization stays in integer arithmetic.
+  convolution once, weighs it once and feeds that one array to ``_if_run``
+  at every time step.  Its folded bias/threshold are pre-scaled by 256 so
+  that the u/256 input normalization stays in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -68,22 +71,29 @@ FLOAT64_EXACT_LIMIT = 2**53
 # domain types
 # ---------------------------------------------------------------------------
 
+def _read_only_bits(data, shape_error: str, value_error: str) -> np.ndarray:
+    """A read-only uint8 copy of a 4-D array of 0s and 1s, else the error
+    text of the caller: ``shape_error`` is formatted with the shape."""
+    arr = np.asarray(data)
+    if arr.ndim != 4:
+        raise ShapeError(shape_error.format(arr.shape))
+    if arr.dtype.kind in "bu":  # no value below 0: the max decides
+        bits = arr.max(initial=0) <= 1
+    else:
+        bits = ((arr == 0) | (arr == 1)).all()
+    if not bits:
+        raise InvalidParameterError(value_error)
+    arr = arr.astype(np.uint8)
+    arr.setflags(write=False)
+    return arr
+
+
 class SpikeTrain:
     """Immutable binary activation tensor indexed [time][channel][row][col]."""
 
     def __init__(self, data):
-        arr = np.asarray(data)
-        if arr.ndim != 4:
-            raise ShapeError(f"spike train must be 4-D [T][C][H][W], got {arr.shape}")
-        if arr.dtype.kind in "bu":  # no value below 0: the max decides
-            spikes = arr.max(initial=0) <= 1
-        else:
-            spikes = ((arr == 0) | (arr == 1)).all()
-        if not spikes:
-            raise InvalidParameterError("spike train elements must be 0 or 1")
-        arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
-        self._data = arr
+        self._data = _read_only_bits(data, "spike train must be 4-D [T][C][H][W], got {}",
+                                     "spike train elements must be 0 or 1")
 
     @property
     def data(self) -> np.ndarray:
@@ -116,14 +126,8 @@ class BinaryWeightTensor:
     """Sign-bit weights in {-1,+1} per (out-channel, in-channel, kh, kw)."""
 
     def __init__(self, sign_bits):
-        arr = np.asarray(sign_bits)
-        if arr.ndim != 4:
-            raise ShapeError(f"weights must be 4-D [O][I][kh][kw], got {arr.shape}")
-        if not ((arr == 0) | (arr == 1)).all():
-            raise InvalidParameterError("sign bits must be 0 or 1")
-        arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
-        self.sign_bits = arr
+        self.sign_bits = _read_only_bits(sign_bits, "weights must be 4-D [O][I][kh][kw], got {}",
+                                         "sign bits must be 0 or 1")
 
     @classmethod
     def from_values(cls, values) -> "BinaryWeightTensor":
@@ -448,34 +452,16 @@ def _weigh(x, params: FoldedNeuronParams, fmt: FixedPointFormat) -> np.ndarray:
 
 
 def _if_run(
-    step_inputs: Iterable[np.ndarray],
-    params: FoldedNeuronParams,
-    fmt: FixedPointFormat,
-    time_steps: int | None = None,
-) -> np.ndarray:
-    """Drive the IF recurrence over integer conv outputs, one per step.
-
-    ``step_inputs`` may be a generator of ``time_steps`` steps (a sequence
-    gives its own length); each step is taken only when the previous one
-    has been integrated.  Each is weighed (:func:`_weigh`) and integrated
-    by :func:`_if_integrate`.
-    """
-    weighted = (_weigh(x, params, fmt) for x in step_inputs)
-    if time_steps is None:
-        time_steps = len(step_inputs)
-    return _if_integrate(weighted, params, fmt, time_steps)
-
-
-def _if_integrate(
     weighted_inputs: Iterable[np.ndarray],
     params: FoldedNeuronParams,
     fmt: FixedPointFormat,
     time_steps: int,
 ) -> np.ndarray:
-    """The IF recurrence over ``time_steps`` weighed inputs, one per step.
+    """The IF recurrence over ``time_steps`` weighed inputs (:func:`_weigh`).
 
-    The first input becomes the int64 potential and is updated in place;
-    the later ones are only read.  The potential resets lazily,
+    Each input is taken only when the previous one has been integrated, so
+    a generator of steps streams.  The first input is copied into the
+    int64 potential; no input is written.  The potential resets lazily,
     ``V = V*(1 - o) + in`` with ``o`` the previous step's spikes, and each
     step's spikes are written into one [T][C][H][W] array.
     """
@@ -486,7 +472,7 @@ def _if_integrate(
             v *= 1 - spikes[t - 1]
             v += weighted
         else:
-            v = weighted
+            v = np.array(weighted, dtype=np.int64)
             spikes = np.zeros((time_steps, *v.shape), dtype=np.uint8)
         fmt.check_raw(v, "membrane potential")
         fired = spikes[t].view(bool)
@@ -494,19 +480,6 @@ def _if_integrate(
         if flip.any():  # a negative gain flips the comparison to <=
             fired[flip] = v[flip] <= threshold[flip]
     return spikes
-
-
-def _if_run_constant(
-    x: np.ndarray,
-    params: FoldedNeuronParams,
-    fmt: FixedPointFormat,
-    time_steps: int,
-) -> np.ndarray:
-    """:func:`_if_run` of the same conv output ``x`` at every step, weighed once."""
-    weighted = _weigh(x, params, fmt)
-    # the first step's input becomes the potential: a copy of it
-    steps = [weighted.copy()] + [weighted] * (time_steps - 1)
-    return _if_integrate(steps, params, fmt, time_steps)
 
 
 @dataclass
@@ -528,17 +501,18 @@ def run_network_oracle(
     """Layer-by-layer reference execution of a validated network.
 
     The encoding layer computes its convolution once on the static 8-bit
-    image, weighs it once and re-accumulates the constant result every
-    step (:func:`_if_run_constant`); spiking conv layers convolve two steps
-    per product where that stays float32 (:func:`_step_sums`), otherwise
-    one; fc layers run as 1x1 convolutions over the flattened feature
-    vector; pooling is an OR reduction of each step's output map.  Each weighted layer's operand is laid out once
-    (:func:`lay_out_offsets`) for all of its steps.  Deterministic and
-    reproducible bit for bit.
+    image, weighs it once and feeds the same array to :func:`_if_run` at
+    every step; spiking conv layers convolve two steps per product where
+    that stays float32 (:func:`_step_sums`), otherwise one, and stream
+    each step's weighed sums into :func:`_if_run`; fc layers run as 1x1
+    convolutions over the flattened feature vector; pooling is an OR
+    reduction of each step's output map.  Each weighted layer's operand is
+    laid out once (:func:`lay_out_offsets`) for all of its steps.
+    Deterministic and reproducible bit for bit.
 
     The inputs pass ``net.check_run_inputs`` before any layer runs.
     """
-    img = net.check_run_inputs("run_network_oracle", weights, folded, image, time_steps)
+    img = net.check_run_inputs("run_network_oracle", weights, folded, image, time_steps, fmt)
     if img.min() < 0 or img.max() > 255:
         raise InvalidParameterError("encoding input values must be in [0, 255]")
 
@@ -546,18 +520,17 @@ def run_network_oracle(
     current: np.ndarray | None = None  # [T][C][H][W] spikes
     for idx, layer in enumerate(net.layers):
         if layer.kind == "encoding-conv":
-            current = _if_run_constant(
-                conv2d_oracle(img, weights[idx], padding=layer.padding),
-                folded[idx].scaled_by_pow2(ENCODING_SHIFT),
-                fmt,
-                time_steps,
-            )
+            sums = conv2d_oracle(img, weights[idx], padding=layer.padding)
+            params = folded[idx].scaled_by_pow2(ENCODING_SHIFT)
+            weighted = itertools.repeat(_weigh(sums, params, fmt), time_steps)
+            current = _if_run(weighted, params, fmt, time_steps)
         elif layer.kind in ("conv", "fc"):
             offsets = lay_out_offsets(weights[idx])
             # an fc layer is a 1x1 convolution of the flattened map
             maps = current.reshape(time_steps, *layer.in_shape)
-            steps = _step_sums(maps, offsets, layer.padding)
-            current = _if_run(steps, folded[idx], fmt, time_steps)
+            sums = _step_sums(maps, offsets, layer.padding)
+            weighted = (_weigh(s, folded[idx], fmt) for s in sums)
+            current = _if_run(weighted, folded[idx], fmt, time_steps)
         elif layer.kind == "maxpool2":
             current = np.stack(
                 [maxpool2_oracle(current[t]) for t in range(time_steps)]

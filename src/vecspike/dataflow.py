@@ -158,7 +158,6 @@ class GemmWeights:
 
     matrix: np.ndarray
     in_channels: int
-    out_channels: int
     kernel: tuple[int, int]
     packed: np.ndarray | None = None
 
@@ -180,9 +179,7 @@ def stage_weights(weights: BinaryWeightTensor) -> GemmWeights:
         half = cout // 2
         packed = matrix[:, :half] + (2 * taps + 1) * matrix[:, half:]
         packed = packed.reshape(kh * half, kw * cin)
-    return GemmWeights(
-        matrix.reshape(kh * cout, kw * cin), cin, cout, (kh, kw), packed
-    )
+    return GemmWeights(matrix.reshape(kh * cout, kw * cin), cin, (kh, kw), packed)
 
 
 def _unpack_lanes(sums: np.ndarray, taps: int) -> np.ndarray:
@@ -499,7 +496,7 @@ def run_network(
     (:func:`_or_pool2`).  Spike trains are bit-identical to
     :func:`vecspike.core.run_network_oracle`.
     """
-    img = net.check_run_inputs("run_network", weights, folded, image, time_steps)
+    img = net.check_run_inputs("run_network", weights, folded, image, time_steps, cfg.fmt)
 
     trains: list[SpikeTrain] = []
     layer_runs: list[LayerRun] = []

@@ -72,17 +72,16 @@ def pass_structure(
 ):
     """Channel groups, row tiles and output size of one convolution step.
 
-    Groups and tiles are (start, size) pairs: a group is one pass of the
-    PE blocks, and the tiles partition the padded input rows.  The cycle
-    model and the boundary SRAM count both.  Raises as
-    :func:`output_size` does.
+    Returns the number of channel groups, each one pass of the PE blocks,
+    and the row tiles as (start, size) pairs that partition the padded
+    input rows.  The cycle model and the boundary SRAM count both.  Raises
+    as :func:`output_size` does.
     """
     h_out, w_out = output_size(h_padded, w_padded, kh, kw, cfg, encoding)
     rows = cfg.array_rows
     tiles = [(r, min(rows, h_padded - r)) for r in range(0, h_padded, rows)]
     size = cfg.encoding_channels_per_pass if encoding else cfg.group_size
-    groups = [(c, min(size, in_channels - c)) for c in range(0, in_channels, size)]
-    return groups, tiles, h_out, w_out
+    return -(-in_channels // size), tiles, h_out, w_out
 
 
 def _tile_boundary(tiles, h_out: int, kh: int, n_groups: int) -> TileBoundary:
@@ -126,10 +125,10 @@ def conv_layer_report(
     padded input row of every channel (eight bitplane blocks per channel
     for the encoding layer) meets each kernel tap once per output column.
     """
-    groups, tiles, _, w_out = pass_structure(
+    n_groups, tiles, _, w_out = pass_structure(
         in_channels, h_padded, w_padded, kh, kw, cfg, encoding
     )
-    passes = out_channels * len(groups)
+    passes = out_channels * n_groups
     blocks_per_channel = 8 if encoding else 1
     total = passes * (kw - 1 + len(tiles) * w_out)
     return CycleReport(
@@ -139,7 +138,6 @@ def conv_layer_report(
             out_channels * w_out * in_channels * blocks_per_channel
             * kw * h_padded * kh
         ),
-        total_pe_cycles=total * cfg.pe_count,
         pe_count=cfg.pe_count,
         clock_hz=cfg.clock_hz,
     ).validate()
@@ -163,11 +161,11 @@ def layer_accounting(
     kh, kw = layer.kernel
     h, w = h + 2 * layer.padding, w + 2 * layer.padding
     encoding = layer.kind == "encoding-conv"
-    groups, tiles, h_out, _ = pass_structure(channels, h, w, kh, kw, cfg, encoding)
+    n_groups, tiles, h_out, _ = pass_structure(channels, h, w, kh, kw, cfg, encoding)
     report = conv_layer_report(
         channels, layer.out_channels, h, w, kh, kw, cfg, encoding=encoding
     )
-    boundary = _tile_boundary(tiles, h_out, kh, len(groups))
+    boundary = _tile_boundary(tiles, h_out, kh, n_groups)
     return (report if encoding else report.scaled(time_steps)), boundary
 
 

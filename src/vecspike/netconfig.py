@@ -94,13 +94,16 @@ class NetworkDescription:
     def is_annotated(self) -> bool:
         return all(layer.out_shape is not None for layer in self.layers)
 
-    def check_run_inputs(self, caller: str, weights, folded, image, time_steps: int) -> np.ndarray:
+    def check_run_inputs(self, caller: str, weights, folded, image, time_steps: int,
+                         fmt: FixedPointFormat) -> np.ndarray:
         """The entry check that the engine's and the oracle's runs share,
         naming ``caller``; returns the image as an array.
 
         The network must be validated, with one weight and one parameter
         entry per layer, neither ``None`` for a weighted layer, an image of
-        the first layer's ``in_shape`` and ``time_steps >= 1``.
+        the first layer's ``in_shape`` and ``time_steps >= 1``.  A weighted
+        layer's weights must have its ``weight_shape`` and its parameters
+        its ``out_channels``, in the run's format ``fmt``.
         """
         if not (self.layers and self.is_annotated):
             raise ValidationError(f"{caller} needs a validated network")
@@ -110,6 +113,19 @@ class NetworkDescription:
             for idx, layer in enumerate(self.layers):
                 if layer.has_weights and entries[idx] is None:
                     raise ShapeError(f"layer {idx} ({layer.kind}) has no {name} entry")
+        for idx, layer in enumerate(self.layers):
+            if not layer.has_weights:
+                continue
+            shape, params = weights[idx].sign_bits.shape, folded[idx]
+            where = f"layer {idx} ({layer.kind})"
+            if shape != layer.weight_shape:
+                raise ShapeError(f"{where} weights are {shape}, expected {layer.weight_shape}")
+            if params.channels != layer.out_channels:
+                raise ShapeError(f"{where} parameters cover {params.channels} channels, "
+                                 f"expected {layer.out_channels}")
+            if params.fmt != fmt:
+                raise InvalidParameterError(
+                    f"{where} parameters use {params.fmt}, the run {fmt}")
         img = np.asarray(image)
         if img.shape != self.layers[0].in_shape:
             raise ShapeError(

@@ -91,8 +91,8 @@ def stitching_ledger(h_in, kh, rows, n_groups):
 def step_boundary(cin, h, w, kh, kw, cfg, encoding=False):
     """(deposits, peak_rows) the engine charges one convolution step: its
     closed form over the row tiles and groups of the step's pass structure."""
-    groups, tiles, h_out, _ = geometry.pass_structure(cin, h, w, kh, kw, cfg, encoding)
-    boundary = geometry._tile_boundary(tiles, h_out, kh, len(groups))
+    n_groups, tiles, h_out, _ = geometry.pass_structure(cin, h, w, kh, kw, cfg, encoding)
+    boundary = geometry._tile_boundary(tiles, h_out, kh, n_groups)
     return boundary.deposits, boundary.peak_rows
 
 

@@ -222,7 +222,7 @@ def test_tree_too_many_blocks():
 def test_cycle_report_identities():
     report = CycleReport(
         total_cycles=100, warmup_cycles=10, active_pe_cycles=450,
-        total_pe_cycles=1000, pe_count=10, clock_hz=1e9,
+        pe_count=10, clock_hz=1e9,
     ).validate()
     assert report.steady_cycles == 90
     assert report.utilization == 0.45
@@ -232,19 +232,19 @@ def test_cycle_report_identities():
 
 
 def test_cycle_report_merge():
-    a = CycleReport(10, 1, 50, 100, 10, 1e9)
-    b = CycleReport(20, 2, 100, 200, 10, 1e9)
+    a = CycleReport(10, 1, 50, 10, 1e9)
+    b = CycleReport(20, 2, 100, 10, 1e9)
     merged = a.merged(b)
     assert merged.total_cycles == 30
     assert merged.active_pe_cycles == 150
     assert merged.utilization == 0.5
     with pytest.raises(ConfigError):
-        a.merged(CycleReport(5, 0, 10, 50, 20, 1e9))
+        a.merged(CycleReport(5, 0, 10, 20, 1e9))
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_cycle_report_scaled_equals_repeated_merge(n):
-    report = CycleReport(10, 1, 50, 100, 10, 1e9)
+    report = CycleReport(10, 1, 50, 10, 1e9)
     merged = report
     for _ in range(n - 1):
         merged = merged.merged(report)

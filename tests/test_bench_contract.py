@@ -48,7 +48,7 @@ def _expected_schedule_counts(net, time_steps, cfg):
         encoding = layer.kind == "encoding-conv"
         channels, h, w = layer.in_shape
         pad = 2 * layer.padding
-        groups, tiles, _, _ = geometry.pass_structure(
+        n_groups, tiles, _, _ = geometry.pass_structure(
             channels, h + pad, w + pad, *layer.kernel, cfg, encoding
         )
         steps = 1 if encoding else time_steps
@@ -57,7 +57,7 @@ def _expected_schedule_counts(net, time_steps, cfg):
             else "schedule_conv_layer." + ("fc" if layer.kind == "fc" else "conv")
         )
         calls[name] = calls.get(name, 0) + steps
-        passes += steps * len(groups) * len(tiles)
+        passes += steps * n_groups * len(tiles)
     return calls, passes
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -11,6 +13,7 @@ from vecspike.core import (
     SpikeTrain,
     _if_run,
     _step_sums,
+    _weigh,
     conv2d_oracle,
     fold_bn,
     if_step,
@@ -57,21 +60,44 @@ def test_spike_train_validates_and_freezes():
         SpikeTrain(np.zeros((1, 1, 1)))
 
 
-@pytest.mark.parametrize(
-    "value, dtype, ok",
-    [(2, np.uint8, False), (-1, np.int8, False), (0.5, np.float64, False),
-     (1, np.uint8, True), (1, np.int8, True), (1.0, np.float64, True),
-     (True, bool, True)],
-)
-def test_spike_train_checks_every_dtype_alike(value, dtype, ok):
-    # bool and unsigned trains are checked by their max alone
+BIT_CASES = [
+    (2, np.uint8, False), (-1, np.int8, False), (0.5, np.float64, False),
+    (1, np.uint8, True), (1, np.int8, True), (1.0, np.float64, True),
+    (True, bool, True),
+]
+
+
+def _one_bit(value, dtype):
     data = np.zeros((2, 1, 2, 2), dtype=dtype)
     data[1, 0, 1, 0] = value
+    return data
+
+
+@pytest.mark.parametrize("value, dtype, ok", BIT_CASES)
+def test_spike_train_checks_every_dtype_alike(value, dtype, ok):
+    # bool and unsigned trains are checked by their max alone
+    data = _one_bit(value, dtype)
     if ok:
-        assert SpikeTrain(data).spike_count() == 1
+        train = SpikeTrain(data)
+        assert train.spike_count() == 1
+        assert train.data.dtype == np.uint8 and not train.data.flags.writeable
     else:
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError,
+                           match="^spike train elements must be 0 or 1$"):
             SpikeTrain(data)
+
+
+@pytest.mark.parametrize("value, dtype, ok", BIT_CASES)
+def test_weight_bits_check_every_dtype_alike(value, dtype, ok):
+    # the same shared check as spike trains, with the weights' own text
+    data = _one_bit(value, dtype)
+    if ok:
+        bits = BinaryWeightTensor(data).sign_bits
+        assert bits.dtype == np.uint8 and bits.sum() == 1
+        assert not bits.flags.writeable
+    else:
+        with pytest.raises(InvalidParameterError, match="^sign bits must be 0 or 1$"):
+            BinaryWeightTensor(data)
 
 
 @pytest.mark.parametrize("dtype", [bool, np.uint8])
@@ -166,7 +192,20 @@ def test_oracle_if_refuses_a_wrapping_left_shift(conv_sum):
     # and 257 to 1.0, which fired
     params = FoldedNeuronParams([0], [WIDE.quantize(1.0)], [False], WIDE)
     with pytest.raises(FixedPointOverflowError, match="convolution sum"):
-        _if_run([np.full((1, 1, 1), conv_sum)], params, WIDE)
+        _if_run([_weigh(np.full((1, 1, 1), conv_sum), params, WIDE)], params, WIDE, 1)
+
+
+def test_if_run_reads_one_repeated_input_as_separate_copies(rng):
+    # the encoding layer feeds one weighed array at every step: the
+    # recurrence copies it into its potential and writes no input
+    params = FoldedNeuronParams([0, 0], [Q(1.0), Q(-0.5)], [False, True])
+    weighted = rng.integers(Q(-1.5), Q(1.5), (2, 3, 4))
+    before = weighted.copy()
+    repeated = _if_run(itertools.repeat(weighted, 5), params, FMT, 5)
+    assert np.array_equal(weighted, before)
+    copies = _if_run([weighted.copy() for _ in range(5)], params, FMT, 5)
+    assert np.array_equal(repeated, copies)
+    assert 0 < repeated[1:].sum() < repeated[1:].size
 
 
 def test_scaled_params_refuse_a_wrapping_left_shift():

@@ -195,7 +195,7 @@ def test_tile_boundary_closed_form_equals_stitching_ledger():
                     groups, tiles, h_out, _ = geometry.pass_structure(
                         n_groups, h, 1, kh, 1, cfg, encoding=False
                     )
-                    assert len(groups) == n_groups
+                    assert groups == n_groups
                     boundary = geometry._tile_boundary(tiles, h_out, kh, n_groups)
                     deposits, _, peak_rows = stitching_ledger(h, kh, rows, n_groups)
                     assert (boundary.deposits, boundary.peak_rows) == (
@@ -684,7 +684,7 @@ def test_if_unit_and_oracle_refuse_a_fractional_sum(conv_sum):
     with pytest.raises(ShapeError):
         if_unit_process(x, params, _membrane(1, 1, 1), FMT)
     with pytest.raises(InvalidParameterError):
-        core._if_run([x], params, FMT)
+        core._if_run([core._weigh(x, params, FMT)], params, FMT, 1)
 
 
 def test_if_unit_writes_back_the_sum_or_zero_where_it_fired():
@@ -757,7 +757,8 @@ def test_engine_write_back_equals_the_oracle_lazy_reset(case):
     membrane = np.zeros(sums.shape[1:], dtype=np.int64)
     for t in range(1, len(sums) + 1):
         try:
-            expected = core._if_run(list(sums[:t]), params, fmt)
+            weighted = (core._weigh(s, params, fmt) for s in sums[:t])
+            expected = core._if_run(weighted, params, fmt, t)
         except FixedPointOverflowError as exc:
             with pytest.raises(FixedPointOverflowError) as info:
                 if_unit_process(sums[t - 1], params, membrane, fmt)
@@ -805,7 +806,8 @@ def test_int32_write_back_equals_the_oracle_lazy_reset(case):
     wide = np.zeros(sums.shape[1:], dtype=np.int64)
     for t in range(1, len(sums) + 1):
         try:
-            expected = core._if_run(list(sums[:t]), params, fmt)
+            weighted = (core._weigh(s, params, fmt) for s in sums[:t])
+            expected = core._if_run(weighted, params, fmt, t)
         except FixedPointOverflowError as exc:
             with pytest.raises(FixedPointOverflowError) as info:
                 if_unit_process(sums[t - 1], params, membrane, fmt)
@@ -873,9 +875,10 @@ def test_engine_layer_reports_equal_the_merged_step_reports(rng, monkeypatch):
 
     def recording(schedule, encoding):
         def wrapper(x, weights, cfg):
+            kh, kw = weights.kernel
             report = conv_layer_report(
-                weights.in_channels, weights.out_channels, *x.shape[1:],
-                *weights.kernel, cfg, encoding=encoding,
+                weights.in_channels, len(weights.matrix) // kh, *x.shape[1:],
+                kh, kw, cfg, encoding=encoding,
             )
             calls.append((weights, report))
             return schedule(x, weights, cfg)
@@ -935,6 +938,55 @@ def test_run_network_names_an_image_of_the_wrong_shape():
     image = random_input((1, 6, 6), 0)
     with pytest.raises(ShapeError, match=r"image shape \(1, 6, 6\) .* \(1, 4, 4\)"):
         run_network(net, bundle.weights, bundle.params, image, 2, CFG)
+
+
+@pytest.mark.parametrize(
+    "defect, error, message",
+    [
+        ("out_channels", ShapeError,
+         "layer 2 (conv) weights are (32, 64, 3, 3), expected (64, 64, 3, 3)"),
+        ("kernel", ShapeError,
+         "layer 2 (conv) weights are (64, 64, 5, 5), expected (64, 64, 3, 3)"),
+        ("param_channels", ShapeError,
+         "layer 2 (conv) parameters cover 5 channels, expected 64"),
+        ("param_fmt", InvalidParameterError,
+         "layer 0 (encoding-conv) parameters use "
+         f"{FixedPointFormat(24, 12)}, the run {FMT}"),
+    ],
+    ids=["out_channels", "kernel", "param_channels", "param_fmt"],
+)
+def test_both_runs_refuse_a_bundle_that_does_not_fit(monkeypatch, defect, error, message):
+    # before this check the oracle broadcast a wrong channel count into a
+    # bare ValueError, the two runs refused a 5x5 kernel with different
+    # errors, and both fired from parameters read at the wrong scale
+    net, shape = preset_network("mnist", 2)
+    bundle = generate_random_bundle(net, seed=0)
+    weights, params = list(bundle.weights), list(bundle.params)
+    if defect in ("out_channels", "kernel"):
+        bad = (32, 64, 3, 3) if defect == "out_channels" else (64, 64, 5, 5)
+        weights[2] = BinaryWeightTensor(np.zeros(bad, dtype=np.uint8))
+    elif defect == "param_channels":
+        p = params[2]
+        params[2] = FoldedNeuronParams(p.bias_raw[:5], p.threshold_raw[:5], p.flipped[:5])
+    else:
+        wide = FixedPointFormat(24, 12)
+        params = [
+            None if p is None
+            else FoldedNeuronParams(p.bias_raw, p.threshold_raw, p.flipped, wide)
+            for p in params
+        ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layer ran before the entry checks")
+
+    monkeypatch.setattr(core, "conv2d_oracle", refuse)
+    monkeypatch.setattr(dataflow, "stage_weights", refuse)
+    image = random_input(shape, 0)
+    with pytest.raises(error) as oracle:
+        run_network_oracle(net, weights, params, image, 2)
+    with pytest.raises(error) as engine:
+        run_network(net, weights, params, image, 2, CFG)
+    assert str(oracle.value) == str(engine.value) == message
 
 
 def test_engine_reports_time_step_scaling(rng):
