@@ -153,16 +153,10 @@ def cmd_run(args) -> int:
     if args.bundle:
         bundle = load_bundle(args.bundle)
         bundle_net = validate(bundle.net, image.shape)
-        if bundle_net.layers != net.layers or any(
-            w is not None and w.sign_bits.shape != layer.weight_shape
-            for layer, w in zip(bundle_net.layers, bundle.weights)
-        ):
+        # weight shapes and the format are the runs' own entry check
+        if bundle_net.layers != net.layers:
             raise _CliError(
                 "bundle was built for a different network", EXIT_VALIDATION
-            )
-        if bundle.fmt != cfg.fmt:
-            raise _CliError(
-                f"bundle uses {bundle.fmt}, the config {cfg.fmt}", EXIT_VALIDATION
             )
         if bundle.net.time_steps != time_steps:
             raise _CliError(

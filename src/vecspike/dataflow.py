@@ -17,45 +17,44 @@ not the product.  The encoding layer's bitplanes join the inner dimension
 too: its im2col keeps the 0/1 planes, and each plane ``k``'s weight
 columns are scaled by the first-stage shift ``2**k``, so the shift-add is
 part of the product.  Only the input operand models the AND gate's spike,
-and it stays a bit.  The weight operand carries output channels ``o`` and
-``o + cout/2`` in one lane on a spiking call (below).  The schedulers
+and it stays a bit.  The weight operand of a spiking layer carries output
+channels ``o`` and ``o + cout/2`` in one lane (below).
+
+The inputs are what the hardware takes: a spiking layer's PEs AND 1-bit
+spikes, so :func:`schedule_conv_layer` takes 0/1 maps, and only the
+encoding layer takes multi-bit input, 8-bit pixels that
+:func:`schedule_encoding_layer` splits into bitplanes.  Both refuse any
+other value with ``InvalidParameterError``.  Every partial sum, from one
+kernel row's product to an output row part way through the stitch, is a
+sum over a subset of the layer's taps (and, for the encoding layer, of a
+pixel's shifted bitplanes, ``x & mask``, never larger than the pixel).
+With +-1 weights each is bounded by the layer's geometry alone: ``taps =
+cin * kh * kw`` for a spiking layer, ``255 * taps`` for the encoding
+layer.  So :func:`stage_weights` makes every choice once per layer, when
+the weight SRAM is loaded: the GEMM runs in float32 while that bound is
+below 2**24, else in float64, exact below 2**53, which even the encoding
+layer would need 3.5e13 taps to reach.  ``run_network`` stages each weighted layer once
+(:class:`GemmWeights`, the same for every config) and every step's call
+multiplies that one operand.
+
+A spike sum uses at most 12 of float32's 24 exact bits, so, with ``lane
+= 2*taps + 1``, a spiking layer with an even ``cout`` is staged on packed
+weight lanes: row ``o`` of its operand is ``w[o] + lane * w[o +
+cout/2]``.  Each partial sum is ``lo + lane * hi`` with ``|lo|, |hi| <=
+taps``, so it stays below the lane bound ``(lane + 1) * taps``; a layer
+packs only while that bound is below 2**24 (``taps <= 2895``), and its
+GEMM and stitch run on half the rows.  Since ``lo + taps`` lies in ``[0,
+lane)``, an int32 floor division of ``s + taps`` by ``lane`` decodes
+``hi`` exactly, and ``lo = s - lane * hi``.  The encoding layer, an odd
+``cout`` and a wider spiking layer are staged unpacked.  The schedulers
 return the stitched sums only: int32 from a float32 GEMM, whose sums are
-all below 2**24, and int64 from the float64 and int64 paths.  As the
-weight SRAM keeps a layer's weights for all T steps, ``run_network``
-stages each layer's operands once (:class:`GemmWeights`, the same for
-every config) and every step's call reuses them.
+all below 2**24, and int64 from a float64 one.
 
 The IF unit keeps membranes in int32 when the fixed-point format has at
 most 30 bits (24 by default, as on chip), and falls back to int64 for a
 call whose shifted sums could wrap int32.  The encoding layer's sums are
 the same every step, so its shifted, bias-subtracted update is formed once
 per layer.
-
-The GEMM and the stitching run in float32 or float64, which is exact only
-while every partial sum stays below 2**24 or 2**53 in magnitude.  Every
-partial sum, from one kernel row's product to an output row part way
-through the stitch, is a sum over a subset of the layer's taps (and, for
-the encoding layer, of a pixel's bitplanes).  With +-1 weights each is
-bounded by the whole layer's ``max|x| * cin * kh * kw``, where ``x`` is
-the 8-bit pixels for the encoding layer (a sum over some of a pixel's
-shifted bitplanes, ``x & mask``, is never larger than the pixel).  That
-bound is computed on every call (binary input is never assumed); past the
-float32 limit the arithmetic runs in float64, past the float64 limit in
-exact int64, and from 2**63, where int64 could wrap, a call raises
-``FixedPointOverflowError``.
-
-A spiking call whose ``max|x| <= 1`` uses at most 12 of float32's 24
-exact bits per sum, so, with ``taps = cin * kh * kw`` and ``lane = 2*taps
-+ 1``, its weight lanes pack two output channels: row ``o`` of the packed
-operand is ``w[o] + lane * w[o + cout/2]``.  Each of its partial sums is
-``lo + lane * hi`` with ``|lo|, |hi| <= taps``, so it stays below the lane
-bound ``(lane + 1) * taps``; the call packs only while that bound is below
-2**24 (``taps <= 2895``), checked on every call, and the GEMM and the
-stitch run on half the rows.  Since ``lo + taps`` lies in ``[0, lane)``,
-an int32 floor division of ``s + taps`` by ``lane`` decodes ``hi``
-exactly, and ``lo = s - lane * hi``.  The encoding layer, an odd
-``cout``, a call with ``max|x| > 1`` and the float64 and int64 paths run
-unpacked.
 
 Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
 geometry, the config and T; :func:`vecspike.geometry.layer_accounting`
@@ -89,9 +88,10 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 # Every integer of magnitude below these limits is exact in float32/float64.
-# With +-1 weights no partial sum of a layer's dot products exceeds
-# max|x| * cin * kh * kw, so arithmetic whose bound stays below a limit is exact.
-# A packed call's bound is (2*taps + 2) * taps instead (:func:`_lanes_fit`).
+# With +-1 weights no partial sum of a layer's dot products exceeds its
+# taps, times 255 for the encoding layer, so a GEMM whose bound stays below
+# a limit is exact.  A packed layer's bound is (2*taps + 2) * taps instead
+# (:func:`_lanes_fit`).
 FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
 
@@ -99,16 +99,14 @@ FLOAT64_EXACT_LIMIT = 2**53
 def gemm_dtype(bound: int) -> np.dtype:
     """Narrowest GEMM dtype that is exact when no |partial sum| reaches ``bound``.
 
-    float32 below 2**24, float64 below 2**53, exact int64 below 2**63;
-    a larger bound could wrap int64 and raises ``FixedPointOverflowError``.
+    float32 below 2**24, else float64.  A bound of 2**53, which float64
+    cannot hold, raises ``FixedPointOverflowError``.
     """
     if bound < FLOAT32_EXACT_LIMIT:
         return np.dtype(np.float32)
     if bound < FLOAT64_EXACT_LIMIT:
         return np.dtype(np.float64)
-    if bound < 2**63:
-        return np.dtype(np.int64)
-    raise FixedPointOverflowError(f"convolution sum: bound {bound} reaches 2**63")
+    raise FixedPointOverflowError(f"convolution sum: bound {bound} reaches 2**53")
 
 
 def _tile_partial_rows(
@@ -138,28 +136,28 @@ def _tile_partial_rows(
 
 @dataclass(frozen=True, eq=False)
 class GemmWeights:
-    """A weighted layer's weights as the operand of its step GEMMs.
+    """A weighted layer's weights as the one operand of its step GEMMs.
 
-    ``matrix`` is the contiguous float32 [kh*cout][kw*cin] of +-1 values:
-    rows ``u*cout`` to ``(u+1)*cout`` hold kernel row ``u`` of every output
-    channel, columns run over kernel columns, then input channels.
-    ``packed``, staged for an even ``cout`` while the lane bound
-    ``(lane + 1) * taps`` stays below ``FLOAT32_EXACT_LIMIT`` (``taps =
-    cin*kh*kw``, ``lane = 2*taps + 1``), else None, is the float32
-    [kh*cout/2][kw*cin] ``W[:, :half] + lane * W[:, half:]``, kernel row by
-    kernel row: each row carries output channels ``o`` and ``o + cout/2``
-    in one exact weight lane.  Both are the same for every config: channel
-    groups and row tiles are passes of the cycle model, not of this
-    product.  The weight SRAM holds a layer's weights for all of its time
-    steps, and so does this: :func:`run_network` stages each weighted layer
-    once and passes the result as the ``weights`` of every step's schedule
-    call.
+    ``matrix`` is the contiguous [kh*lanes][kw*planes*cin] operand in the
+    layer's GEMM dtype (:func:`gemm_dtype`), kernel row by kernel row:
+    rows ``u*lanes`` to ``(u+1)*lanes`` hold kernel row ``u``, columns run
+    over kernel columns, then bitplanes, then input channels.  A spiking
+    layer has one plane of +-1 values.  Where ``packed``, it has ``lanes =
+    cout/2`` rows per kernel row, row ``o`` being ``W[o] + lane * W[o +
+    cout/2]`` with ``lane = 2*taps + 1``, else ``lanes = cout``.  The
+    ``encoding`` layer has eight planes, plane ``k`` scaled by its shift
+    ``2**k``.  The operand is the same for every config: channel groups
+    and row tiles are passes of the cycle model, not of this product.  The
+    weight SRAM holds a layer's weights for all of its time steps, and so
+    does this: :func:`run_network` stages each weighted layer once and
+    passes the result as the ``weights`` of every step's schedule call.
     """
 
     matrix: np.ndarray
     in_channels: int
     kernel: tuple[int, int]
-    packed: np.ndarray | None = None
+    encoding: bool
+    packed: bool
 
 
 def _lanes_fit(taps: int) -> bool:
@@ -167,19 +165,30 @@ def _lanes_fit(taps: int) -> bool:
     return (2 * taps + 2) * taps < FLOAT32_EXACT_LIMIT
 
 
-def stage_weights(weights: BinaryWeightTensor) -> GemmWeights:
-    """Lay a layer's sign bits out as its :class:`GemmWeights`."""
+def stage_weights(weights: BinaryWeightTensor, encoding: bool) -> GemmWeights:
+    """Lay a layer's sign bits out as its :class:`GemmWeights`.
+
+    Every choice of the layer's GEMM is made here, once: its dtype from
+    the layer bound, ``taps`` or ``255 * taps`` for the ``encoding``
+    layer; packed lanes for a spiking layer with an even ``cout`` while
+    :func:`_lanes_fit`; the encoding layer's bitplane shifts.
+    """
     cout, cin, kh, kw = weights.sign_bits.shape
+    taps = cin * kh * kw
+    dtype = gemm_dtype(255 * taps if encoding else taps)
     # [kh][cout][kw][cin]; copying runs of cin is faster than runs of kw
     signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 0, 3, 1))
-    matrix = np.subtract(1, 2 * signs, dtype=np.float32)
-    taps = cin * kh * kw
-    packed = None
-    if cout % 2 == 0 and _lanes_fit(taps):
-        half = cout // 2
-        packed = matrix[:, :half] + (2 * taps + 1) * matrix[:, half:]
-        packed = packed.reshape(kh * half, kw * cin)
-    return GemmWeights(matrix.reshape(kh * cout, kw * cin), cin, (kh, kw), packed)
+    matrix = np.subtract(1, 2 * signs, dtype=dtype)
+    packed = not encoding and cout % 2 == 0 and _lanes_fit(taps)
+    planes, lanes = (8, cout) if encoding else (1, cout // 2 if packed else cout)
+    if encoding:
+        # [kh][cout][kw][8][cin]: plane k's columns carry the shift 2**k
+        shifts = np.left_shift(1, np.arange(8)).astype(dtype)[:, None]
+        matrix = matrix[:, :, :, None] * shifts
+    elif packed:
+        matrix = matrix[:, :lanes] + (2 * taps + 1) * matrix[:, lanes:]
+    matrix = matrix.reshape(kh * lanes, kw * planes * cin)
+    return GemmWeights(matrix, cin, (kh, kw), encoding, packed)
 
 
 def _unpack_lanes(sums: np.ndarray, taps: int) -> np.ndarray:
@@ -201,48 +210,25 @@ def _unpack_lanes(sums: np.ndarray, taps: int) -> np.ndarray:
     return out
 
 
-def _run_schedule(
-    x: np.ndarray,
-    weights: GemmWeights,
-    cfg: HardwareConfig,
-    encoding: bool,
-) -> np.ndarray:
+def _run_schedule(x: np.ndarray, weights: GemmWeights, cfg: HardwareConfig) -> np.ndarray:
     """Shared product and stitch of spiking and encoding convolutions.
 
-    One :func:`_tile_partial_rows` call covers every input row.  The
-    diagonal stitch adds kernel row ``u``'s products with input row ``r``
-    into output row ``r - u`` as one slice add per kernel row, dropping
-    those that fall outside the output.  A spiking call with ``max|x| <=
-    1`` runs on the packed weight lanes when they are staged and the lane
-    bound ``(lane + 1) * taps`` is below ``FLOAT32_EXACT_LIMIT``, and
-    decodes them once.  Any other call runs on the full matrix in the GEMM
-    dtype, chosen from the layer bound ``max|x| * cin * kh * kw``; the
-    encoding layer's eight bitplanes join its inner dimension, each plane's
-    weight columns scaled by its first-stage shift ``2**k``.  The result is
-    cast once, to int32 from float32 and to int64 otherwise.
+    The encoding layer's pixels split into their eight bitplanes, which
+    meet the shifted plane columns of its operand.  One
+    :func:`_tile_partial_rows` call on the staged operand covers every
+    input row.  The diagonal stitch adds kernel row ``u``'s products with
+    input row ``r`` into output row ``r - u`` as one slice add per kernel
+    row, dropping those that fall outside the output.  Packed lanes are
+    decoded once; other sums are cast once, to int32 from float32 and to
+    int64 from float64.
     """
     cin, h_in, w_in = x.shape
     kh, kw = weights.kernel
-    h_out, _ = output_size(h_in, w_in, kh, kw, cfg, encoding)
-    peak = _peak(x)
-    taps = cin * kh * kw
-    packed = (
-        not encoding and weights.packed is not None and peak <= 1
-        and _lanes_fit(taps)
-    )
-    if packed:
-        w_mat = weights.packed
-    else:
-        w_mat = weights.matrix.astype(gemm_dtype(peak * taps), copy=False)
-    if encoding:
-        # [8][cin][h][w]: plane k holds bit k of every pixel, and its
-        # weight columns [kh*cout][kw][8][cin] carry the shift 2**k
+    h_out, _ = output_size(h_in, w_in, kh, kw, cfg, weights.encoding)
+    if weights.encoding:
+        # [8][cin][h][w]: plane k holds bit k of every pixel
         x = np.unpackbits(x.astype(np.uint8)[None], axis=0, bitorder="little")
-        shifts = np.left_shift(1, np.arange(8)).astype(w_mat.dtype)[:, None]
-        rows = w_mat.shape[0]
-        w_mat = (w_mat.reshape(rows, kw, 1, cin) * shifts).reshape(rows, kw * 8 * cin)
-
-    products = _tile_partial_rows(x, w_mat, kh, kw)
+    products = _tile_partial_rows(x, weights.matrix, kh, kw)
     # diagonal stitch: products[u, :, r] belongs to output row r - u; rows
     # that land outside the output are dropped
     out = products[0, :, :h_out]
@@ -250,9 +236,9 @@ def _run_schedule(
         out = out + products[1, :, 1 : 1 + h_out]
     for u in range(2, kh):
         out += products[u, :, u : u + h_out]
-    if packed:
-        return _unpack_lanes(out, taps)
-    return out.astype(np.int32 if w_mat.dtype == np.float32 else np.int64)
+    if weights.packed:
+        return _unpack_lanes(out, cin * kh * kw)
+    return out.astype(np.int32 if out.dtype == np.float32 else np.int64)
 
 
 def _peak(x: np.ndarray) -> int:
@@ -261,7 +247,13 @@ def _peak(x: np.ndarray) -> int:
     return peak if x.dtype.kind in "bu" else max(peak, -int(x.min(initial=0)))
 
 
-def _step_input(x, weights):
+def _step_input(x, weights, encoding: bool) -> tuple[np.ndarray, GemmWeights]:
+    """The checked step map and the staged weights of one schedule call.
+
+    The map must be [C][H][W] integers with the weights' ``C``, each 0 or
+    1 for a spiking layer and in [0, 255] for the ``encoding`` layer; a
+    tensor is staged here, and staged weights must be of this layer kind.
+    """
     x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"input must be [C][H][W], got {x.shape}")
@@ -271,8 +263,13 @@ def _step_input(x, weights):
         )
     if x.dtype.kind not in "biu":
         raise InvalidParameterError(f"convolution input must be integers, got {x.dtype}")
+    kind, high = ("encoding", 255) if encoding else ("spike", 1)
+    if x.size and ((x.dtype.kind == "i" and x.min() < 0) or x.max() > high):
+        raise InvalidParameterError(f"{kind} input values must be in [0, {high}]")
     if isinstance(weights, BinaryWeightTensor):
-        weights = stage_weights(weights)
+        weights = stage_weights(weights, encoding)
+    elif weights.encoding != encoding:
+        raise InvalidParameterError("weights staged for the other layer kind")
     return x, weights
 
 
@@ -285,15 +282,15 @@ def schedule_conv_layer(
 
     ``x`` is a single time step's spike map [Cin][H][W], already zero
     padded (padding is materialized by the network config, never inside
-    the schedule), of a bool or integer dtype (any other raises
-    ``InvalidParameterError``).  ``weights`` is the layer's tensor, or the
-    :class:`GemmWeights` staged from it.  Returns the [Cout][H_out][W_out]
-    sums, equal to the dense reference convolution: int32 when the GEMM
-    ran in float32, else int64.  Cycles come from
-    :func:`vecspike.geometry.layer_accounting`.
+    the schedule), of a bool or integer dtype with every value 0 or 1;
+    any other raises ``InvalidParameterError``.  ``weights`` is the layer's
+    tensor, or the :class:`GemmWeights` staged from it for a spiking layer.
+    Returns the [Cout][H_out][W_out] sums, equal to the dense reference
+    convolution: int32 when the layer's GEMM runs in float32, else int64.
+    Cycles come from :func:`vecspike.geometry.layer_accounting`.
     """
-    x, staged = _step_input(x, weights)
-    return _run_schedule(x, staged, cfg, encoding=False)
+    x, staged = _step_input(x, weights, encoding=False)
+    return _run_schedule(x, staged, cfg)
 
 
 def schedule_encoding_layer(
@@ -303,17 +300,17 @@ def schedule_encoding_layer(
 ) -> np.ndarray:
     """Run the multi-bit encoding convolution through the datapath model.
 
-    Each input channel splits into eight 1-bit planes on eight PE blocks
-    sharing one weight; the first accumulator stage shifts each block's
-    sums by its bitplane index before the cross-block tree, so the
-    returned [Cout][H_out][W_out] sums equal the integer convolution of the
-    8-bit input exactly.  ``weights`` and the result dtype are as for
+    ``x`` holds 8-bit pixels, integers in [0, 255].  Each input channel
+    splits into eight 1-bit planes on eight PE blocks sharing one weight;
+    the first accumulator stage shifts each block's sums by its bitplane
+    index before the cross-block tree, so the returned [Cout][H_out][W_out]
+    sums equal the integer convolution of the 8-bit input exactly.
+    ``weights`` is the tensor or its :class:`GemmWeights` staged for the
+    encoding layer, and the result dtype is as for
     :func:`schedule_conv_layer`.
     """
-    x, staged = _step_input(x, weights)
-    if x.size and (x.min() < 0 or x.max() > 255):
-        raise InvalidParameterError("encoding input values must be in [0, 255]")
-    return _run_schedule(x, staged, cfg, encoding=True)
+    x, staged = _step_input(x, weights, encoding=True)
+    return _run_schedule(x, staged, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +333,10 @@ def if_unit_process(
     """Subtract the folded bias, accumulate, compare, fire and write back.
 
     Updates the layer's membrane ``potentials`` in place to the sum, or
-    zero where the neuron fired, and returns the uint8 spikes.  The
-    membrane is int64, or int32 for a format of at most 30 bits; it holds
-    in-format values, as every call that returns leaves it.  An int32
+    zero where the neuron fired, and returns the uint8 spikes.  ``params``
+    must be in the run's format ``fmt``, else ``InvalidParameterError``.
+    The membrane is int64, or int32 for a format of at most 30 bits; it
+    holds in-format values, as every call that returns leaves it.  An int32
     update runs in int32 when ``max|conv_out| << frac_bits`` leaves room
     for the membrane and the bias, so no intermediate can wrap; otherwise
     that call runs in int64 and writes back the checked result.
@@ -370,9 +368,11 @@ def _if_update(conv_out, params, potentials, fmt) -> np.ndarray:
         raise ShapeError(
             f"{params.channels} parameter channels for {x.shape[0]} output channels"
         )
+    if params.fmt != fmt:
+        raise InvalidParameterError(f"parameters use {params.fmt}, the IF unit {fmt}")
     peak = _peak(x)
-    # |membrane| <= 2**(total_bits - 1), and so is |bias| in the params' format
-    headroom = 2**31 - 2 ** (fmt.total_bits - 1) - 2 ** (params.fmt.total_bits - 1)
+    # |membrane| <= 2**(total_bits - 1), and so is |bias|
+    headroom = 2**31 - 2**fmt.total_bits
     if potentials.dtype == np.int32 and peak << fmt.frac_bits < headroom:
         update = np.left_shift(x, fmt.frac_bits, dtype=np.int32)
     else:
@@ -455,7 +455,7 @@ def _run_weighted_layer(
     GEMM operand is alive at a time.
     """
     encoding = layer.kind == "encoding-conv"
-    staged = stage_weights(tensor)
+    staged = stage_weights(tensor, encoding)
     # the narrowest membrane the format allows
     potentials = np.zeros(layer.out_shape, dtype=_membrane_dtypes(cfg.fmt)[0])
     train = np.empty((time_steps, *layer.out_shape), dtype=np.uint8)

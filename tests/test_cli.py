@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import fusion_plans
-from vecspike import cli, errors
+from vecspike import cli, dataflow, errors
 from vecspike.arch import HardwareConfig
 from vecspike.core import BinaryWeightTensor, SpikeTrain
 from vecspike.fixedpoint import FixedPointFormat
@@ -208,13 +208,16 @@ def _mnist_bundle(tmp_path, fmt=FixedPointFormat()):
     return bundle_path
 
 
-def test_run_bundle_with_another_fixed_point_format(tmp_path):
+def test_run_bundle_with_another_fixed_point_format(tmp_path, capsys):
     bundle_path = _mnist_bundle(tmp_path, FixedPointFormat(24, 4))
     args = [
         "run", "--net", "mnist", "--bundle", str(bundle_path), "--timesteps", "2",
         "--verify", "--out", str(tmp_path / "r.txt"),
     ]
     assert run_cli(args) == cli.EXIT_VALIDATION
+    assert "validation error: layer 0 (encoding-conv) parameters use" in (
+        capsys.readouterr().err
+    )
     config = tmp_path / "hw.json"
     config.write_text(json.dumps({"frac_bits": 4}))
     assert run_cli(args + ["--config", str(config)]) == 0
@@ -222,14 +225,16 @@ def test_run_bundle_with_another_fixed_point_format(tmp_path):
 
 
 def test_run_bundle_for_another_input_size_stops_before_the_engine(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, capsys
 ):
+    # the fc weights of a 28x28 bundle do not fit a 32x32 input: the
+    # engine's entry check refuses them before any layer is staged
     bundle_path = _mnist_bundle(tmp_path)
 
-    def engine(*args):
-        raise AssertionError("the engine ran")
+    def stage(*args):
+        raise AssertionError("a layer was staged")
 
-    monkeypatch.setattr(cli, "run_network", engine)
+    monkeypatch.setattr(dataflow, "stage_weights", stage)
     code = run_cli(
         [
             "run", "--net", "mnist", "--bundle", str(bundle_path),
@@ -237,6 +242,7 @@ def test_run_bundle_for_another_input_size_stops_before_the_engine(
         ]
     )
     assert code == cli.EXIT_VALIDATION
+    assert "validation error: layer 4 (fc) weights are" in capsys.readouterr().err
 
 
 def _small_bundle_with_layer(tmp_path, index, weights, params):

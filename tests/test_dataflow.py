@@ -165,19 +165,25 @@ def test_schedules_equal_oracle_across_geometry(geometry, encoding):
         out = schedule_encoding_layer(x, weights, cfg)
         group = cfg.encoding_channels_per_pass
     else:
-        x = rng.integers(*rng.choice([(0, 2), (-9, 10)]), (cin, h, w))
+        x = rng.integers(0, 2, (cin, h, w))
         out = schedule_conv_layer(x, weights, cfg)
         group = cfg.group_size
     assert np.array_equal(out, conv2d_oracle(x, weights))
     # weights staged once serve every later call, under any config: nothing
     # of one call's input may reach the next through the tile buffer
-    schedule = schedule_encoding_layer if encoding else schedule_conv_layer
-    staged = dataflow.stage_weights(weights)
+    schedule, other = (
+        (schedule_encoding_layer, schedule_conv_layer) if encoding
+        else (schedule_conv_layer, schedule_encoding_layer)
+    )
+    staged = dataflow.stage_weights(weights, encoding)
     for step in (x[:, ::-1], x):
         for step_cfg in (cfg, HardwareConfig()):
             assert np.array_equal(
                 schedule(step, staged, step_cfg), conv2d_oracle(step, weights)
             )
+    # they are staged for one layer kind, and the other's scheduler refuses them
+    with pytest.raises(InvalidParameterError, match="^weights staged for "):
+        other(x % 2, staged, cfg)
     n_groups = -(-cin // group)
     deposits, consumes, peak_rows = stitching_ledger(h, kh, cfg.array_rows, n_groups)
     assert deposits == consumes
@@ -241,15 +247,17 @@ def test_whole_map_stitch_equals_brute_force(rng, kh, cout):
         ("float32", np.int32),
         ("encoding", np.int32),
         ("float64", np.int64),
-        ("int64", np.int64),
     ],
 )
-def test_schedule_sums_are_int32_from_float32_gemms_else_int64(rng, case, dtype):
+def test_schedule_sums_are_int32_from_float32_gemms_else_int64(
+    rng, monkeypatch, case, dtype
+):
     # every float32 sum is below 2**24, so it leaves the GEMM as int32
-    magnitude = {"float64": 2**20, "int64": 2**50}.get(case, 1)
+    if case == "float64":  # the layer's 27 taps reach a lowered limit
+        monkeypatch.setattr(dataflow, "FLOAT32_EXACT_LIMIT", 27)
     cout = 3 if case == "float32" else 4
-    x = rng.integers(0, 256 if case == "encoding" else magnitude + 1, (3, 9, 5))
-    x[0, 0, 0] = 255 if case == "encoding" else magnitude
+    x = rng.integers(0, 256 if case == "encoding" else 2, (3, 9, 5))
+    x[0, 0, 0] = 255 if case == "encoding" else 1
     weights = BinaryWeightTensor(rng.integers(0, 2, (cout, 3, 3, 3), dtype=np.uint8))
     schedule = schedule_encoding_layer if case == "encoding" else schedule_conv_layer
     out = schedule(x, weights, CFG)
@@ -285,12 +293,15 @@ def test_schedules_reject_batched_input():
         (2**24 - 1, np.float32),
         (2**24, np.float64),
         (2**53 - 1, np.float64),
-        (2**53, np.int64),
-        (2**63 - 1, np.int64),
+        (2**53, None),  # float64 cannot hold it; an encoding layer needs 3.5e13 taps
     ],
 )
 def test_gemm_dtype_edges(bound, dtype):
-    assert gemm_dtype(bound) == np.dtype(dtype)
+    if dtype is None:
+        with pytest.raises(FixedPointOverflowError, match=r"^convolution sum: .* 2\*\*53$"):
+            gemm_dtype(bound)
+    else:
+        assert gemm_dtype(bound) == np.dtype(dtype)
 
 
 @given(arrays(
@@ -308,17 +319,20 @@ def test_peak_is_the_largest_magnitude(x):
     assert dataflow._peak(x) == max((abs(int(v)) for v in x.flat), default=0)
 
 
-@pytest.mark.parametrize(
-    "conv", [lambda x, w: schedule_conv_layer(x, w, CFG), conv2d_oracle],
-    ids=["engine", "oracle"],
-)
-def test_convolution_refuses_a_bound_int64_cannot_hold(conv):
+@pytest.mark.parametrize("engine", [True, False], ids=["engine", "oracle"])
+def test_convolution_refuses_a_bound_int64_cannot_hold(engine):
     weights = BinaryWeightTensor(np.zeros((1, 2, 1, 1), dtype=np.uint8))  # +1
+    if engine:
+        # the engine takes spikes only: no such sum reaches its GEMM
+        for value in (2**62 - 1, 2**62):
+            with pytest.raises(InvalidParameterError, match=r"must be in \[0, 1\]$"):
+                schedule_conv_layer(np.full((2, 1, 1), value), weights, CFG)
+        return
     # the largest bound that passes, 2 * (2**62 - 1), is summed exactly
-    assert conv(np.full((2, 1, 1), 2**62 - 1), weights).tolist() == [[[2**63 - 2]]]
+    assert conv2d_oracle(np.full((2, 1, 1), 2**62 - 1), weights).tolist() == [[[2**63 - 2]]]
     # 2 * 2**62 would wrap to -2**63
     with pytest.raises(FixedPointOverflowError, match="^convolution sum: "):
-        conv(np.full((2, 1, 1), 2**62), weights)
+        conv2d_oracle(np.full((2, 1, 1), 2**62), weights)
 
 
 @pytest.mark.parametrize(
@@ -352,8 +366,7 @@ def _record_gemm_dtypes(monkeypatch, key=lambda w_mat, kh: w_mat.dtype):
 
 
 @pytest.mark.parametrize(
-    "limits, dtype",
-    [((2**24, 2**53), np.float32), ((1, 2**53), np.float64), ((1, 1), np.int64)],
+    "limits, dtype", [((2**24, 2**53), np.float32), ((1, 2**53), np.float64)]
 )
 def test_lowered_limits_run_each_gemm_path_exactly(rng, monkeypatch, limits, dtype):
     monkeypatch.setattr(dataflow, "FLOAT32_EXACT_LIMIT", limits[0])
@@ -372,31 +385,21 @@ def test_lowered_limits_run_each_gemm_path_exactly(rng, monkeypatch, limits, dty
     assert seen and set(seen) == {np.dtype(dtype)}
 
 
-@pytest.mark.parametrize("magnitude, dtype", [(2**20, np.float64), (2**50, np.int64)])
-def test_large_inputs_take_the_wide_path_exactly(rng, monkeypatch, magnitude, dtype):
-    seen = _record_gemm_dtypes(monkeypatch)
-    x = rng.integers(-magnitude, magnitude, (3, 9, 5))
-    x[0, 0, 0] = magnitude
-    weights = BinaryWeightTensor(rng.integers(0, 2, (2, 3, 3, 3), dtype=np.uint8))
-    assert np.array_equal(
-        schedule_conv_layer(x, weights, CFG), brute_conv2d(x, weights.values())
-    )
-    assert set(seen) == {np.dtype(dtype)}
-
-
 @pytest.mark.parametrize(
-    "schedule, cin, x_max",
-    [(schedule_conv_layer, 64, 40_000), (schedule_encoding_layer, 8_000, 255)],
+    "schedule, cin, x_max, limit",
+    [(schedule_conv_layer, 64, 1, 2**9), (schedule_encoding_layer, 8_000, 255, 2**24)],
     ids=["conv", "encoding"],
 )
 def test_layer_bound_not_group_bound_picks_the_gemm_dtype(
-    rng, monkeypatch, schedule, cin, x_max
+    rng, monkeypatch, schedule, cin, x_max, limit
 ):
-    # one group's bound is below 2**24 (conv: 40000 * 32 * 9; encoding: one
-    # bitplane, 1 * 4 * 9) but the layer's, x_max * cin * 9, is not: the
-    # folded sum of the all +1 channel is odd and above 2**24, which float32
-    # cannot hold, so the GEMM and the fold must run in float64
-    assert x_max * cin * 9 >= 2**24
+    # one group's bound is below the float32 limit (conv: 32 * 9 spikes
+    # under a limit lowered to 2**9; encoding: one bitplane, 1 * 4 * 9) but
+    # the layer's, x_max * cin * 9, is not, so the GEMM and the fold must
+    # run in float64; at 2**24 the folded sum of the all +1 encoding
+    # channel is odd and above the limit, which float32 cannot hold
+    assert x_max * cin * 9 >= limit
+    monkeypatch.setattr(dataflow, "FLOAT32_EXACT_LIMIT", limit)
     seen = _record_gemm_dtypes(monkeypatch)
     x = rng.integers(x_max // 2, x_max + 1, (cin, 3, 4))
     x[:, :, :3] = x_max
@@ -405,7 +408,7 @@ def test_layer_bound_not_group_bound_picks_the_gemm_dtype(
     signs[0] = 0
     weights = BinaryWeightTensor(signs)
     out = schedule(x, weights, CFG)
-    assert out[0, 0, 0] == x_max * cin * 9 - 1 > 2**24
+    assert out[0, 0, 0] == x_max * cin * 9 - 1 >= limit
     assert np.array_equal(out, brute_conv2d(x, weights.values()))
     assert set(seen) == {np.dtype(np.float64)}
 
@@ -441,7 +444,10 @@ def test_weight_lanes_pack_up_to_the_float32_lane_bound(rng, monkeypatch, taps, 
     seen = _record_gemm_rows(monkeypatch)
     x = rng.integers(0, 2, (taps, 1, 1))
     weights = BinaryWeightTensor(rng.integers(0, 2, (2, taps, 1, 1), dtype=np.uint8))
-    out = schedule_conv_layer(x, weights, CFG)
+    # a packed layer stages one [kh*cout/2][kw*cin] operand, and no other
+    staged = dataflow.stage_weights(weights, False)
+    assert staged.packed == (lanes == 1) and staged.matrix.shape == (lanes, taps)
+    out = schedule_conv_layer(x, staged, CFG)
     assert np.array_equal(out, brute_conv2d(x, weights.values()))
     assert seen == [lanes]
 
@@ -463,20 +469,18 @@ def test_packed_lanes_hold_their_extremes_exactly(monkeypatch):
     assert seen == [2]
 
 
-@pytest.mark.parametrize("case", ["odd_cout", "large_input", "lowered_limit"])
+@pytest.mark.parametrize("case", ["odd_cout", "lowered_limit"])
 def test_calls_outside_the_lane_bound_run_unpacked(rng, monkeypatch, case):
     cout = 3 if case == "odd_cout" else 4
     x = rng.integers(0, 2, (6, 9, 5))
     weights = BinaryWeightTensor(rng.integers(0, 2, (cout, 6, 3, 3), dtype=np.uint8))
-    staged = dataflow.stage_weights(weights)
-    assert (staged.packed is None) == (case == "odd_cout")
-    if case == "large_input":
-        x[2, 4, 1] = -2
     if case == "lowered_limit":
-        # staged before the limit falls: the call's own check refuses it,
-        # and the full matrix still runs in float32
+        # the lane bound of 6 * 9 taps reaches the lowered limit, so the
+        # layer is staged unpacked, and its full matrix still runs in float32
         taps = 6 * 9
         monkeypatch.setattr(dataflow, "FLOAT32_EXACT_LIMIT", (2 * taps + 2) * taps)
+    staged = dataflow.stage_weights(weights, False)
+    assert not staged.packed and staged.matrix.shape == (3 * cout, 3 * 6)
     rows = _record_gemm_rows(monkeypatch)
     dtypes = _record_gemm_dtypes(monkeypatch)
     out = schedule_conv_layer(x, staged, CFG)
@@ -484,16 +488,16 @@ def test_calls_outside_the_lane_bound_run_unpacked(rng, monkeypatch, case):
     assert rows == [cout] and set(dtypes) == {np.dtype(np.float32)}
 
 
-@given(_geometries(), st.booleans())
-def test_packed_schedule_equals_brute_force(geometry, signed):
-    # spikes, or {-1, 0, 1} inputs, on cout/2 lanes of any small geometry
+@given(_geometries())
+def test_packed_schedule_equals_brute_force(geometry):
+    # spikes on cout/2 lanes of any small geometry
     cfg, (cin, h, w), (half, kh, kw), seed = geometry
     rng = np.random.default_rng(seed)
     cin = min(cin, 12)
     weights = BinaryWeightTensor(
         rng.integers(0, 2, (2 * half, cin, kh, kw), dtype=np.uint8)
     )
-    x = rng.integers(-1 if signed else 0, 2, (cin, h, w))
+    x = rng.integers(0, 2, (cin, h, w))
     with pytest.MonkeyPatch.context() as patch:
         rows = _record_gemm_rows(patch)
         out = schedule_conv_layer(x, weights, cfg)
@@ -537,8 +541,9 @@ def test_encoding_grouping_beyond_block_budget(rng):
 
 def test_encoding_rejects_out_of_range_values():
     w = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))
-    with pytest.raises(InvalidParameterError):
-        schedule_encoding_layer(np.array([[[256]]]), w, CFG)
+    for value in (256, -1):
+        with pytest.raises(InvalidParameterError, match=r"must be in \[0, 255\]$"):
+            schedule_encoding_layer(np.array([[[value]]]), w, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +609,14 @@ def test_column_stream_refuses_a_map_the_oracle_refuses(shape, message):
             conv(x, w, CFG)
 
 
-@pytest.mark.parametrize("value", [256, 257, -1])
+@pytest.mark.parametrize("value", [2, 256, 257, -1])
 def test_column_stream_refuses_inputs_other_than_spikes(value):
-    # a uint8 cast would stream 256 as 0 and 257 as 1
+    # a uint8 cast would stream 256 as 0 and 257 as 1, and a pixel check
+    # would pass 2; the engine refuses what the register-level model refuses
     w = BinaryWeightTensor(np.zeros((1, 1, 3, 3), dtype=np.uint8))
-    with pytest.raises(InvalidParameterError):
-        stream_conv_columns(np.full((1, 3, 3), value), w, CFG)
+    for conv in (stream_conv_columns, schedule_conv_layer):
+        with pytest.raises(InvalidParameterError):
+            conv(np.full((1, 3, 3), value), w, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +681,10 @@ def test_if_unit_shape_mismatch_and_overflow():
     huge = np.full((1, 1, 1), FMT.raw_max, dtype=np.int64)
     with pytest.raises(FixedPointOverflowError):
         if_unit_process(huge, params, _membrane(1, 1, 1), FMT)
+    # the IF unit runs in one format, as the run's entry check requires
+    wide = FoldedNeuronParams([0], [0], [False], FixedPointFormat(40, 8))
+    with pytest.raises(InvalidParameterError, match="^parameters use .*, the IF unit "):
+        if_unit_process(np.zeros((1, 1, 1), dtype=np.int64), wide, _membrane(1, 1, 1), FMT)
 
 
 @pytest.mark.parametrize("conv_sum", [1.9, 0.9])
@@ -787,9 +798,10 @@ _PAST_INT32 = 2**23 - 2**16  # << 8 reaches 2**31 - 2**24: the int64 path
     FoldedNeuronParams([0], [FMT.raw_max], [False], FMT),
     FMT,
 ))
-@example((  # a bias from a wider format leaves no int32 headroom
-    np.ones((1, 1, 1, 1), dtype=np.int64),
-    FoldedNeuronParams([2**32 + 5], [0], [False], FixedPointFormat(40, 8)),
+@example((  # the lowest bias, and 2**23 - 256 in the membrane, under the
+    # largest update past the int32 headroom: only int64 holds the sum
+    np.array([-1, 2**23 - 2**15 - 1]).reshape(2, 1, 1, 1),
+    FoldedNeuronParams([FMT.raw_min], [FMT.raw_max], [False], FMT),
     FMT,
 ))
 @example((  # a spike at step 1, then a sum whose shift by 4 would wrap at step 2
@@ -820,13 +832,16 @@ def test_int32_write_back_equals_the_oracle_lazy_reset(case):
 
 
 def test_if_unit_falls_back_to_int64_without_a_fault():
-    # a bias far outside the 8-bit format leaves no int32 headroom, yet
-    # the membrane ends inside the format: the int64 result is written back
-    fmt = FixedPointFormat(8, 2)
-    params = FoldedNeuronParams([2**40], [2**41], [False], FixedPointFormat(62, 2))
-    membrane = np.zeros((1, 1, 1), dtype=np.int32)
-    spikes = if_unit_process(np.full((1, 1, 1), 2**38 + 10), params, membrane, fmt)
-    assert spikes.tolist() == [[[0]]] and membrane.tolist() == [[[40]]]
+    # a shifted sum of 2**30 + 40 leaves a 30-bit format no int32 headroom,
+    # yet the bias and the membrane at the format's opposite edges bring it
+    # back inside: the int64 result is written back
+    fmt = FixedPointFormat(30, 2)
+    params = FoldedNeuronParams([fmt.raw_max], [fmt.raw_max], [False], fmt)
+    membrane = np.full((1, 1, 1), fmt.raw_min, dtype=np.int32)
+    x = np.full((1, 1, 1), 2**28 + 10)
+    assert dataflow._if_update(x, params, membrane, fmt).dtype == np.int64
+    spikes = if_unit_process(x, params, membrane, fmt)
+    assert spikes.tolist() == [[[0]]] and membrane.tolist() == [[[41]]]
 
 
 # ---------------------------------------------------------------------------
@@ -876,8 +891,9 @@ def test_engine_layer_reports_equal_the_merged_step_reports(rng, monkeypatch):
     def recording(schedule, encoding):
         def wrapper(x, weights, cfg):
             kh, kw = weights.kernel
+            cout = len(weights.matrix) // kh * (2 if weights.packed else 1)
             report = conv_layer_report(
-                weights.in_channels, len(weights.matrix) // kh, *x.shape[1:],
+                weights.in_channels, cout, *x.shape[1:],
                 kh, kw, cfg, encoding=encoding,
             )
             calls.append((weights, report))
@@ -1064,13 +1080,16 @@ def test_run_network_stages_each_weighted_layer_once(monkeypatch, preset, weight
         return staged[-1]
 
     monkeypatch.setattr(dataflow, "stage_weights", counting)
-    seen = _record_gemm_dtypes(monkeypatch)
+    seen = _record_gemm_dtypes(monkeypatch, lambda w_mat, kh: w_mat)
     net, shape = preset_network(preset, 8)
     bundle = generate_random_bundle(net, seed=0)
     run_network(net, bundle.weights, bundle.params, random_input(shape, 0), 8, CFG)
     assert len(staged) == weighted
-    # one GEMM for the encoding layer, one per step for every other
-    assert len(seen) == tiles == 1 + (weighted - 1) * 8
+    # one GEMM for the encoding layer, one per step for every other, each
+    # on its layer's staged operand itself: no per-call cast or copy
+    operands = [staged[0].matrix] + [s.matrix for s in staged[1:] for _ in range(8)]
+    assert len(seen) == tiles == len(operands) == 1 + (weighted - 1) * 8
+    assert all(a is b for a, b in zip(seen, operands))
 
 
 def test_every_gemm_operand_of_the_engine_is_a_bit(rng, monkeypatch):
