@@ -27,7 +27,6 @@ class HardwareConfig:
     array_rows: int = 8       # R: input column height
     array_cols: int = 3       # K: kernel column height
     clock_hz: float = 5e8
-    group_size: int = 32      # input channels processed per pass
     total_bits: int = 24      # fixed-point width of potentials/params
     frac_bits: int = 8
     spike_sram_bytes: int = 32 * 1024     # each of the two ping-pong halves
@@ -46,16 +45,13 @@ class HardwareConfig:
                     f"config field {f.name!r} must be a {kind.__name__} of"
                     f" magnitude below 2**63, got {value!r}"
                 )
-        for name in ("pe_blocks", "arrays_per_block", "array_rows", "array_cols",
-                     "group_size"):
+        for name in ("pe_blocks", "arrays_per_block", "array_rows", "array_cols"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for f in fields(self):
             # zero is legal: a buffer the plan never uses may be absent
             if f.name.endswith("_sram_bytes") and getattr(self, f.name) < 0:
                 raise ConfigError(f"{f.name} must be >= 0")
-        if self.group_size > self.pe_blocks:
-            raise ConfigError("group_size must not exceed pe_blocks")
         if self.clock_hz <= 0:
             raise ConfigError("clock_hz must be positive")
         # instantiating the format validates total_bits/frac_bits
@@ -75,6 +71,11 @@ class HardwareConfig:
     def param_bytes(self) -> int:
         """Bytes of one folded parameter (bias or threshold)."""
         return (self.total_bits + 7) // 8
+
+    @property
+    def group_size(self) -> int:
+        """Input channels a spiking layer maps per pass: one per PE block."""
+        return self.pe_blocks
 
     @property
     def encoding_channels_per_pass(self) -> int:

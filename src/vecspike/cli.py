@@ -62,14 +62,22 @@ class _CliError(Exception):
         self.code = code
 
 
+def _read_text(path: str, what: str) -> str:
+    """A UTF-8 text file: unreadable exits 2, undecodable 3."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _CliError(f"cannot read {what}: {exc}", EXIT_ARGS) from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{what} is not UTF-8 text: {exc}", EXIT_VALIDATION) from exc
+
+
 def _load_config(path: str | None) -> HardwareConfig:
     if path is None:
         return HardwareConfig()
     try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise _CliError(f"cannot read config: {exc}", EXIT_ARGS) from exc
+        data = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise _CliError(f"config is not valid JSON: {exc}", EXIT_VALIDATION) from exc
     if not isinstance(data, dict):
@@ -84,11 +92,7 @@ def _resolve_network(
     if source in PRESETS:
         return preset_network(source, time_steps)
     if os.path.exists(source):
-        try:
-            with open(source) as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise _CliError(f"cannot read network file: {exc}", EXIT_ARGS) from exc
+        text = _read_text(source, "network file")
     elif "Conv" in source or "fc" in source:
         text = source
     else:
@@ -239,7 +243,7 @@ def cmd_traffic(args) -> int:
     if args.fusion_plan == "auto":
         plan = plan_fusion(net, cfg)
     else:
-        plan = FusionPlan.from_json_file(args.fusion_plan)
+        plan = FusionPlan.from_json(_read_text(args.fusion_plan, "fusion plan"))
 
     baseline = simulate_traffic(net, FusionPlan.unfused(len(layers)), time_steps, cfg)
     fused = simulate_traffic(net, plan, time_steps, cfg)

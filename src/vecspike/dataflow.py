@@ -50,11 +50,14 @@ lane)``, an int32 floor division of ``s + taps`` by ``lane`` decodes
 return the stitched sums only: int32 from a float32 GEMM, whose sums are
 all below 2**24, and int64 from a float64 one.
 
-The IF unit keeps membranes in int32 when the fixed-point format has at
-most 30 bits (24 by default, as on chip), and falls back to int64 for a
-call whose shifted sums could wrap int32.  The encoding layer's sums are
-the same every step, so its shifted, bias-subtracted update is formed once
-per layer.
+The same bound fixes each layer's membrane.  Where ``bound <<
+frac_bits`` stays below ``2**31 - 2**total_bits``, the *int32 room*, no
+sum of a shifted step sum, a bias and a membrane value can wrap int32, so
+the layer's membrane is int32; else int64.  At the default 24/8 format
+the room holds bounds up to 8,323,071, and no format over 30 bits has
+any.  The IF unit runs every call in its membrane's dtype and never
+promotes it.  The encoding layer's sums are the same every step, so its
+shifted, bias-subtracted update is formed once per layer.
 
 Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
 geometry, the config and T; :func:`vecspike.geometry.layer_accounting`
@@ -151,6 +154,8 @@ class GemmWeights:
     weight SRAM holds a layer's weights for all of its time steps, and so
     does this: :func:`run_network` stages each weighted layer once and
     passes the result as the ``weights`` of every step's schedule call.
+    ``bound`` is the layer's sum bound, ``taps = cin*kh*kw`` or ``255 *
+    taps`` for the encoding layer: no step's sum exceeds it in magnitude.
     """
 
     matrix: np.ndarray
@@ -158,6 +163,7 @@ class GemmWeights:
     kernel: tuple[int, int]
     encoding: bool
     packed: bool
+    bound: int
 
 
 def _lanes_fit(taps: int) -> bool:
@@ -168,14 +174,17 @@ def _lanes_fit(taps: int) -> bool:
 def stage_weights(weights: BinaryWeightTensor, encoding: bool) -> GemmWeights:
     """Lay a layer's sign bits out as its :class:`GemmWeights`.
 
-    Every choice of the layer's GEMM is made here, once: its dtype from
-    the layer bound, ``taps`` or ``255 * taps`` for the ``encoding``
-    layer; packed lanes for a spiking layer with an even ``cout`` while
+    The layer's sum bound, ``taps`` or ``255 * taps`` for the
+    ``encoding`` layer, is computed here, once, and kept on the result;
+    the membrane dtype follows from it too (:func:`_int32_room`).  So is
+    every choice of the layer's GEMM: its dtype from that bound; packed
+    lanes for a spiking layer with an even ``cout`` while
     :func:`_lanes_fit`; the encoding layer's bitplane shifts.
     """
     cout, cin, kh, kw = weights.sign_bits.shape
     taps = cin * kh * kw
-    dtype = gemm_dtype(255 * taps if encoding else taps)
+    bound = 255 * taps if encoding else taps
+    dtype = gemm_dtype(bound)
     # [kh][cout][kw][cin]; copying runs of cin is faster than runs of kw
     signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 0, 3, 1))
     matrix = np.subtract(1, 2 * signs, dtype=dtype)
@@ -188,7 +197,7 @@ def stage_weights(weights: BinaryWeightTensor, encoding: bool) -> GemmWeights:
     elif packed:
         matrix = matrix[:, :lanes] + (2 * taps + 1) * matrix[:, lanes:]
     matrix = matrix.reshape(kh * lanes, kw * planes * cin)
-    return GemmWeights(matrix, cin, (kh, kw), encoding, packed)
+    return GemmWeights(matrix, cin, (kh, kw), encoding, packed, bound)
 
 
 def _unpack_lanes(sums: np.ndarray, taps: int) -> np.ndarray:
@@ -222,7 +231,7 @@ def _run_schedule(x: np.ndarray, weights: GemmWeights, cfg: HardwareConfig) -> n
     decoded once; other sums are cast once, to int32 from float32 and to
     int64 from float64.
     """
-    cin, h_in, w_in = x.shape
+    _, h_in, w_in = x.shape
     kh, kw = weights.kernel
     h_out, _ = output_size(h_in, w_in, kh, kw, cfg, weights.encoding)
     if weights.encoding:
@@ -237,7 +246,7 @@ def _run_schedule(x: np.ndarray, weights: GemmWeights, cfg: HardwareConfig) -> n
     for u in range(2, kh):
         out += products[u, :, u : u + h_out]
     if weights.packed:
-        return _unpack_lanes(out, cin * kh * kw)
+        return _unpack_lanes(out, weights.bound)
     return out.astype(np.int32 if out.dtype == np.float32 else np.int64)
 
 
@@ -317,11 +326,14 @@ def schedule_encoding_layer(
 # IF neuron unit
 # ---------------------------------------------------------------------------
 
-def _membrane_dtypes(fmt: FixedPointFormat) -> tuple[np.dtype, ...]:
-    """Membrane dtypes that hold ``fmt`` with room for one step's update."""
-    if fmt.total_bits <= 30:
-        return (np.dtype(np.int32), np.dtype(np.int64))
-    return (np.dtype(np.int64),)
+def _int32_room(bound: int, fmt: FixedPointFormat) -> bool:
+    """Whether sums of magnitude up to ``bound`` fit an int32 membrane of ``fmt``.
+
+    The membrane and the bias each lie within ``2**(total_bits - 1)``, so
+    a shifted sum below ``2**31 - 2**total_bits`` leaves every
+    intermediate of the update inside int32.
+    """
+    return bound << fmt.frac_bits < 2**31 - 2**fmt.total_bits
 
 
 def if_unit_process(
@@ -335,16 +347,17 @@ def if_unit_process(
     Updates the layer's membrane ``potentials`` in place to the sum, or
     zero where the neuron fired, and returns the uint8 spikes.  ``params``
     must be in the run's format ``fmt``, else ``InvalidParameterError``.
-    The membrane is int64, or int32 for a format of at most 30 bits; it
-    holds in-format values, as every call that returns leaves it.  An int32
-    update runs in int32 when ``max|conv_out| << frac_bits`` leaves room
-    for the membrane and the bias, so no intermediate can wrap; otherwise
-    that call runs in int64 and writes back the checked result.
-    Faults are raised, and worded, exactly as the oracle's.  The encoding
-    layer re-presents the same integer convolution every step (it is
-    parked in the second membrane SRAM on chip), so ``run_network`` forms
-    its update once per layer (:func:`_if_update`) and fires it each step
-    (:func:`_if_fire`), the two halves of this call.
+    The membrane is int64 or int32; it holds in-format values, as every
+    call that returns leaves it, and the call runs in its dtype.  An int32
+    membrane takes only sums whose peak meets the int32 room
+    (:func:`_int32_room`), so no intermediate can wrap; a larger sum
+    raises ``ShapeError`` before any write.  ``run_network`` gives a layer
+    an int32 membrane only when its sum bound meets the room, so it never
+    makes such a call.  Faults are raised, and worded, exactly as the
+    oracle's.  The encoding layer re-presents the same integer convolution
+    every step (it is parked in the second membrane SRAM on chip), so
+    ``run_network`` forms its update once per layer (:func:`_if_update`)
+    and fires it each step (:func:`_if_fire`), the two halves of this call.
     """
     update = _if_update(conv_out, params, potentials, fmt)
     return _if_fire(update, params, potentials, fmt)
@@ -353,16 +366,15 @@ def if_unit_process(
 def _if_update(conv_out, params, potentials, fmt) -> np.ndarray:
     """The checked, shifted, bias-subtracted update of one IF step.
 
-    int32 when ``potentials`` is and the update leaves room for the
-    membrane and the bias, else int64.
+    In the dtype of ``potentials``, int32 or int64.
     """
     x = np.asarray(conv_out)
     if x.dtype.kind not in "iu":
         raise ShapeError(f"conv output must be integer sums, got {x.dtype}")
-    if x.shape != potentials.shape or potentials.dtype not in _membrane_dtypes(fmt):
+    if x.shape != potentials.shape or potentials.dtype not in (np.int32, np.int64):
         raise ShapeError(
             f"conv output {x.shape} does not match the {potentials.dtype} membrane "
-            f"{potentials.shape} of a {fmt.total_bits}-bit format"
+            f"{potentials.shape}"
         )
     if params.channels != x.shape[0]:
         raise ShapeError(
@@ -370,20 +382,19 @@ def _if_update(conv_out, params, potentials, fmt) -> np.ndarray:
         )
     if params.fmt != fmt:
         raise InvalidParameterError(f"parameters use {params.fmt}, the IF unit {fmt}")
-    peak = _peak(x)
-    # |membrane| <= 2**(total_bits - 1), and so is |bias|
-    headroom = 2**31 - 2**fmt.total_bits
-    if potentials.dtype == np.int32 and peak << fmt.frac_bits < headroom:
+    if potentials.dtype == np.int64:
+        update = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
+    elif _int32_room(peak := _peak(x), fmt):
         update = np.left_shift(x, fmt.frac_bits, dtype=np.int32)
     else:
-        update = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
+        raise ShapeError(f"conv output peak {peak} leaves no int32 room in {fmt}")
     update -= params.bias_raw.astype(update.dtype)[:, None, None]
     return update
 
 
-def _if_fire(update, params, potentials, fmt) -> np.ndarray:
-    """Accumulate ``update``, compare, fire and write back; uint8 spikes."""
-    v = potentials if potentials.dtype == update.dtype else potentials.astype(np.int64)
+def _if_fire(update, params, v, fmt) -> np.ndarray:
+    """Accumulate ``update`` into the membrane ``v``, compare, fire and write
+    back; uint8 spikes."""
     v += update
     fmt.check_raw(v, "membrane potential")
     # v <= thr is not v >= thr + 1: one comparison serves both polarities
@@ -391,8 +402,6 @@ def _if_fire(update, params, potentials, fmt) -> np.ndarray:
     fired = v >= thr
     fired ^= params.flipped[:, None, None]
     v *= ~fired
-    if v is not potentials:
-        potentials[...] = v
     return fired.view(np.uint8)
 
 
@@ -456,8 +465,9 @@ def _run_weighted_layer(
     """
     encoding = layer.kind == "encoding-conv"
     staged = stage_weights(tensor, encoding)
-    # the narrowest membrane the format allows
-    potentials = np.zeros(layer.out_shape, dtype=_membrane_dtypes(cfg.fmt)[0])
+    # the layer's sums never exceed its bound, so int32 never wraps
+    membrane = np.int32 if _int32_room(staged.bound, cfg.fmt) else np.int64
+    potentials = np.zeros(layer.out_shape, dtype=membrane)
     train = np.empty((time_steps, *layer.out_shape), dtype=np.uint8)
     if encoding:
         # scheduled once; every step re-presents the parked result, whose
@@ -489,8 +499,9 @@ def run_network(
     Layer by layer, all time steps of one layer run before the next
     so membrane potentials never leave the chip.  Each weighted layer's
     weights are staged once (:func:`stage_weights`, one config-free
-    operand) for all of its steps, and its membrane, int32 for a format of
-    at most 30 bits and int64 otherwise, is updated in place.  The
+    operand) for all of its steps, and its membrane, int32 where the
+    layer's sum bound meets the int32 room and int64 otherwise, is updated
+    in place.  The
     encoding convolution is computed once and iterated against the residue
     potential; pooling ORs strided slices of the whole train
     (:func:`_or_pool2`).  Spike trains are bit-identical to

@@ -115,12 +115,11 @@ class FusionPlan:
         return cls([(i,) for i in range(n_layers)])
 
     @classmethod
-    def from_json_file(cls, path) -> "FusionPlan":
+    def from_json(cls, text: str) -> "FusionPlan":
         try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PlanError(f"cannot read fusion plan: {exc}") from exc
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PlanError(f"fusion plan is not valid JSON: {exc}") from exc
         if not isinstance(data, list) or not all(
             isinstance(group, list) for group in data
         ):

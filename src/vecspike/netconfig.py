@@ -361,6 +361,8 @@ def _bundle_payload(bundle: ModelBundle) -> bytes:
             continue
         wgt = bundle.weights[idx]
         par = bundle.params[idx]
+        if par.fmt != bundle.fmt:
+            raise BundleError(f"layer {idx}: parameters use {par.fmt}, the bundle {bundle.fmt}")
         parts.append(np.packbits(wgt.sign_bits.ravel()).tobytes())
         for name, raw in (("bias", par.bias_raw), ("threshold", par.threshold_raw)):
             field32 = raw.astype("<i4")

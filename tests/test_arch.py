@@ -21,7 +21,9 @@ from vecspike.pipeline import (
 def test_default_config_geometry():
     cfg = HardwareConfig()
     assert cfg.pe_count == 32 * 3 * 8 * 3 == 2304
-    assert cfg.group_size <= cfg.pe_blocks
+    # a spiking pass maps one input channel per PE block
+    assert cfg.group_size == cfg.pe_blocks == 32
+    assert HardwareConfig(pe_blocks=16).group_size == 16
     assert cfg.encoding_channels_per_pass == 4
     assert cfg.param_bytes == 3
     # the default buffer split sums to 230.3125 KiB
@@ -29,8 +31,8 @@ def test_default_config_geometry():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        HardwareConfig(group_size=64)  # exceeds pe_blocks
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        HardwareConfig().replace(group_size=32)  # derived from pe_blocks
     with pytest.raises(ConfigError):
         HardwareConfig(pe_blocks=0)
     with pytest.raises(ConfigError):
@@ -42,7 +44,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "fields",
     [
-        {"group_size": 2.5},
+        {"arrays_per_block": 2.5},
         {"clock_hz": float("nan")},
         {"clock_hz": float("inf")},
         {"array_rows": True},
@@ -72,12 +74,12 @@ def test_peak_gops_values():
     assert peak_gops(HardwareConfig()) == 2304.0
     one_pe = HardwareConfig(
         pe_blocks=1, arrays_per_block=1, array_rows=1, array_cols=1,
-        clock_hz=1e9, group_size=1,
+        clock_hz=1e9,
     )
     assert peak_gops(one_pe) == 2.0
     small = HardwareConfig(
         pe_blocks=16, arrays_per_block=1, array_rows=8, array_cols=1,
-        clock_hz=2e8, group_size=16,
+        clock_hz=2e8,
     )
     assert small.pe_count == 128
     assert peak_gops(small) == pytest.approx(51.2)

@@ -421,6 +421,15 @@ def test_bench_halved_clock(tmp_path, capsys):
     assert "peak throughput: 1152.0 GOPS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["bench"], ["run", "--net", "mnist", "--verify"]])
+def test_pe_blocks_alone_sets_both_pass_widths(tmp_path, command):
+    # 16 blocks map 16 channels per spiking pass and 2 per encoding pass
+    config = tmp_path / "hw.json"
+    config.write_text(json.dumps({"pe_blocks": 16}))
+    args = ["--timesteps", "2", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert run_cli(command + args) == 0
+
+
 def test_bench_achieved_below_peak(capsys):
     assert run_cli(["bench", "--timesteps", "2"]) == 0
     out = capsys.readouterr().out
@@ -446,7 +455,7 @@ def test_bad_config_json(tmp_path):
     "fields",
     [
         {"pe_blocks": "x"},
-        {"group_size": True},
+        {"array_cols": True},
         {"array_rows": 8.5},
         {"spike_sram_bytes": None},
         {"clock_hz": "fast"},
@@ -507,7 +516,7 @@ def test_run_net_with_signed_and_exponent_thresholds(tmp_path):
     assert parse_network(data["network"]) == parse_network(text)
 
 
-MNIST_ON_4_BLOCKS = {"pe_blocks": 4, "group_size": 4}
+MNIST_ON_4_BLOCKS = {"pe_blocks": 4}
 
 
 @pytest.mark.parametrize("args, config, code, message", [
@@ -515,10 +524,22 @@ MNIST_ON_4_BLOCKS = {"pe_blocks": 4, "group_size": 4}
     (["bench"], [1], 3, "error: config must be a JSON object"),
     (["bench"], {"bogus": 3}, 3, "validation error: unknown config fields"),
     (["bench"], {"self": 3}, 3, "validation error: unknown config fields"),
+    # one PE block maps one channel per spiking pass: the width is derived
+    (["bench"], {"group_size": 32}, 3, "validation error: unknown config fields"),
+    (["bench", "--config", "{tmp}"], None, 2, "error: cannot read config"),
+    (["bench", "--config", "{tmp}/bad.txt"], None, 3, "error: config is not UTF-8 text"),
     (["bench"], MNIST_ON_4_BLOCKS, 3, "validation error: the encoding layer needs 8"),
     (["run", "--net", "mnist", "--timesteps", "2"], MNIST_ON_4_BLOCKS, 3,
      "validation error: the encoding layer needs 8"),
     (["run", "--net", "{tmp}"], None, 2, "error: cannot read network file"),
+    (["run", "--net", "{tmp}/missing.txt"], None, 2, "error: no such preset or file"),
+    (["run", "--net", "{tmp}/bad.txt"], None, 3, "error: network file is not UTF-8 text"),
+    (["traffic", "--net", "mnist", "--fusion-plan", "{tmp}/missing.json"], None, 2,
+     "error: cannot read fusion plan"),
+    (["traffic", "--net", "mnist", "--fusion-plan", "{tmp}"], None, 2,
+     "error: cannot read fusion plan"),
+    (["traffic", "--net", "mnist", "--fusion-plan", "{tmp}/bad.txt"], None, 3,
+     "error: fusion plan is not UTF-8 text"),
     (["run", "--net", SMALL_NET, "--input", "{tmp}/missing.bin"], None, 2,
      "error: cannot read input tensor"),
     (["run", "--net", SMALL_NET], None, 2, "error: need --input, --input-shape"),
@@ -530,11 +551,14 @@ MNIST_ON_4_BLOCKS = {"pe_blocks": 4, "group_size": 4}
     (["run", "--net", "4Conv(encoding){vth=1e300}-2fc", "--input-shape", "1,4,4"],
      None, 4, "fault: quantize: 8.07930038958702e+299 outside"),
 ], ids=[
-    "missing_config", "config_list", "unknown_field", "field_self", "bench_4_blocks",
-    "run_4_blocks", "net_directory", "missing_input", "run_no_shape", "traffic_no_shape",
-    "vth_inf", "vth_no_exponent", "vth_off_format",
+    "missing_config", "config_list", "unknown_field", "field_self", "field_group_size",
+    "config_directory", "config_not_utf8", "bench_4_blocks", "run_4_blocks",
+    "net_directory", "missing_net_file", "net_file_not_utf8", "missing_plan",
+    "plan_directory", "plan_not_utf8", "missing_input", "run_no_shape",
+    "traffic_no_shape", "vth_inf", "vth_no_exponent", "vth_off_format",
 ])
 def test_cli_input_error_exit_code_and_message(tmp_path, capsys, args, config, code, message):
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe")  # not UTF-8
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     if config is not None:
         (tmp_path / "hw.json").write_text(json.dumps(config))

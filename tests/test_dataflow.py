@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -132,11 +132,8 @@ def test_schedule_cycle_formula():
 
 @st.composite
 def _geometries(draw):
-    pe_blocks = draw(st.integers(8, 32))
     cfg = HardwareConfig(
-        pe_blocks=pe_blocks,
-        group_size=draw(st.integers(1, pe_blocks)),
-        array_rows=draw(st.integers(1, 8)),
+        pe_blocks=draw(st.integers(1, 32)), array_rows=draw(st.integers(1, 8))
     )
     kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     shape = (
@@ -149,15 +146,16 @@ def _geometries(draw):
 
 @given(_geometries(), st.booleans())
 # one-row tiles under a 3-tall kernel: the first tile completes no row
-@example((HardwareConfig(group_size=4, array_rows=1), (9, 5, 4), (2, 3, 3), 0), False)
+@example((HardwareConfig(pe_blocks=4, array_rows=1), (9, 5, 4), (2, 3, 3), 0), False)
 @example((HardwareConfig(array_rows=1), (3, 6, 3), (3, 3, 2), 1), True)
 # a partial last channel group (8 + 8 + 3, or 4 + 1 encoding) over 4 row tiles
 @example(
-    (HardwareConfig(group_size=8, array_rows=3), (19, 10, 5), (2, 3, 3), 2), False
+    (HardwareConfig(pe_blocks=8, array_rows=3), (19, 10, 5), (2, 3, 3), 2), False
 )
 @example((HardwareConfig(array_rows=3), (5, 10, 4), (2, 3, 2), 3), True)
 def test_schedules_equal_oracle_across_geometry(geometry, encoding):
     cfg, (cin, h, w), (cout, kh, kw), seed = geometry
+    assume(cfg.pe_blocks >= 8 or not encoding)  # a pixel's 8 bitplanes need 8 blocks
     rng = np.random.default_rng(seed)
     weights = BinaryWeightTensor(rng.integers(0, 2, (cout, cin, kh, kw), dtype=np.uint8))
     if encoding:
@@ -195,7 +193,7 @@ def test_tile_boundary_closed_form_equals_stitching_ledger():
     cases = 0
     for rows in range(1, 10):
         for kh in range(1, 6):
-            cfg = HardwareConfig(array_rows=rows, array_cols=kh, group_size=1)
+            cfg = HardwareConfig(array_rows=rows, array_cols=kh, pe_blocks=1)
             for h in range(kh, 25):
                 for n_groups in (1, 2):
                     groups, tiles, h_out, _ = geometry.pass_structure(
@@ -779,32 +777,32 @@ def test_engine_write_back_equals_the_oracle_lazy_reset(case):
         assert np.array_equal(spikes, expected[-1]), t
 
 
-_PAST_INT32 = 2**23 - 2**16  # << 8 reaches 2**31 - 2**24: the int64 path
+_PAST_INT32 = 2**23 - 2**16  # << 8 reaches 2**31 - 2**24: past the int32 room
 
 
 @given(_if_cases())
-@example((  # the int64 fallback of an int32 membrane
+@example((  # the first sum past the int32 room
     np.full((1, 1, 1, 1), _PAST_INT32),
     FoldedNeuronParams([0], [0], [False], FMT),
     FMT,
 ))
-@example((  # one less stays in int32
+@example((  # one less is taken
     np.full((1, 1, 1, 1), _PAST_INT32 - 1),
     FoldedNeuronParams([0], [0], [False], FMT),
     FMT,
 ))
-@example((  # int32 would wrap: 2**23 - 256 in the membrane, then (2**23 - 1) << 8
+@example((  # 2**23 - 256 in the membrane, then (2**23 - 1) << 8: refused, kept
     np.array([2**15 - 1, 2**23 - 1]).reshape(2, 1, 1, 1),
     FoldedNeuronParams([0], [FMT.raw_max], [False], FMT),
     FMT,
 ))
 @example((  # the lowest bias, and 2**23 - 256 in the membrane, under the
-    # largest update past the int32 headroom: only int64 holds the sum
-    np.array([-1, 2**23 - 2**15 - 1]).reshape(2, 1, 1, 1),
+    # largest sum in the room: int32 holds 2**31 - 512, which faults
+    np.array([-1, _PAST_INT32 - 1]).reshape(2, 1, 1, 1),
     FoldedNeuronParams([FMT.raw_min], [FMT.raw_max], [False], FMT),
     FMT,
 ))
-@example((  # a spike at step 1, then a sum whose shift by 4 would wrap at step 2
+@example((  # a spike at step 1, then a sum past the room at step 2
     np.array([100, 2**59]).reshape(2, 1, 1, 1),
     FoldedNeuronParams([0], [0], [False], FixedPointFormat(12, 4)),
     FixedPointFormat(12, 4),
@@ -812,11 +810,17 @@ _PAST_INT32 = 2**23 - 2**16  # << 8 reaches 2**31 - 2**24: the int64 path
 def test_int32_write_back_equals_the_oracle_lazy_reset(case):
     # as for int64 membranes: spikes and membranes agree with an int64
     # engine at every step, or all fault at the same step with the
-    # oracle's text
+    # oracle's text; a sum past the int32 room is refused before any write
     sums, params, fmt = case
     membrane = np.zeros(sums.shape[1:], dtype=np.int32)
     wide = np.zeros(sums.shape[1:], dtype=np.int64)
     for t in range(1, len(sums) + 1):
+        if int(np.abs(sums[t - 1]).max()) << fmt.frac_bits >= 2**31 - 2**fmt.total_bits:
+            kept = membrane.copy()
+            with pytest.raises(ShapeError, match=" leaves no int32 room "):
+                if_unit_process(sums[t - 1], params, membrane, fmt)
+            assert np.array_equal(membrane, kept), t
+            return
         try:
             weighted = (core._weigh(s, params, fmt) for s in sums[:t])
             expected = core._if_run(weighted, params, fmt, t)
@@ -831,17 +835,22 @@ def test_int32_write_back_equals_the_oracle_lazy_reset(case):
         assert np.array_equal(membrane, wide), t
 
 
-def test_if_unit_falls_back_to_int64_without_a_fault():
-    # a shifted sum of 2**30 + 40 leaves a 30-bit format no int32 headroom,
-    # yet the bias and the membrane at the format's opposite edges bring it
-    # back inside: the int64 result is written back
+def test_if_unit_refuses_a_sum_past_the_int32_room():
+    # a shifted sum of 2**30 + 40 leaves a 30-bit format no int32 room; the
+    # bias and the membrane at the format's opposite edges bring it back
+    # inside, which an int64 membrane takes and an int32 one is refused
     fmt = FixedPointFormat(30, 2)
     params = FoldedNeuronParams([fmt.raw_max], [fmt.raw_max], [False], fmt)
     membrane = np.full((1, 1, 1), fmt.raw_min, dtype=np.int32)
     x = np.full((1, 1, 1), 2**28 + 10)
-    assert dataflow._if_update(x, params, membrane, fmt).dtype == np.int64
-    spikes = if_unit_process(x, params, membrane, fmt)
-    assert spikes.tolist() == [[[0]]] and membrane.tolist() == [[[41]]]
+    with pytest.raises(
+        ShapeError, match=r"^conv output peak 268435466 leaves no int32 room in Fixed"
+    ):
+        if_unit_process(x, params, membrane, fmt)
+    assert membrane.tolist() == [[[fmt.raw_min]]]
+    wide = membrane.astype(np.int64)
+    spikes = if_unit_process(x, params, wide, fmt)
+    assert spikes.tolist() == [[[0]]] and wide.tolist() == [[[41]]]
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +869,46 @@ def test_engine_matches_oracle_on_random_nets(rng):
             a == b for a, b in zip(oracle.layer_trains, engine.layer_trains)
         )
         assert np.array_equal(oracle.class_counts, engine.class_counts)
+
+
+def test_each_layer_membrane_follows_its_sum_bound(monkeypatch):
+    # at 30/18 the int32 room holds bounds below 2**12: the encoding
+    # layer's 255 * 9 meets it, the fc layer's 16 * 16 * 16 taps do not
+    fmt = FixedPointFormat(30, 18)
+    net = validate(parse_network("16Conv(encoding)-8fc"), (1, 16, 16))
+    bundle = generate_random_bundle(net, seed=0, fmt=fmt)
+    image = np.random.default_rng(0).integers(0, 4, (1, 16, 16), dtype=np.uint8)
+    membranes = []
+    fire = dataflow._if_fire
+
+    def recording(update, params, v, fmt):
+        membranes.append(v.dtype)
+        return fire(update, params, v, fmt)
+
+    monkeypatch.setattr(dataflow, "_if_fire", recording)
+    cfg = HardwareConfig(total_bits=30, frac_bits=18)
+    engine = run_network(net, bundle.weights, bundle.params, image, 4, cfg)
+    assert membranes == [np.int32] * 4 + [np.int64] * 4
+    oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 4, fmt)
+    assert all(a == b for a, b in zip(oracle.layer_trains, engine.layer_trains))
+    assert all(train.spike_count() for train in engine.layer_trains)
+
+
+def test_preset_layers_keep_int32_membranes_at_the_default_format():
+    # the 24/8 room holds bounds up to 8,323,071, far above the presets'
+    # largest, cifar10's encoding layer: 255 * 3 * 3 * 3
+    assert dataflow._int32_room(8_323_071, FMT)
+    assert not dataflow._int32_room(8_323_072, FMT)
+    bounds = [
+        dataflow.stage_weights(
+            BinaryWeightTensor(np.zeros(layer.weight_shape, dtype=np.uint8)),
+            layer.kind == "encoding-conv",
+        ).bound
+        for name in ("mnist", "cifar10")
+        for layer in preset_network(name, 8)[0].layers
+        if layer.has_weights
+    ]
+    assert max(bounds) == 255 * 27 == 6885
 
 
 def test_engine_matches_oracle_with_negative_gamma(rng):

@@ -43,7 +43,7 @@ def test_step_buffers_charge_no_boundary_for_a_single_tile_or_row_kernel():
 
 
 @pytest.mark.parametrize(
-    "cfg", [CFG.replace(pe_blocks=4, group_size=4), CFG.replace(array_cols=2)]
+    "cfg", [CFG.replace(pe_blocks=4), CFG.replace(array_cols=2)]
 )
 def test_step_buffers_run_where_the_pass_structure_refuses(cfg):
     # the buffer trace models any config; only the datapath needs the
@@ -63,7 +63,7 @@ def test_step_buffers_run_where_the_pass_structure_refuses(cfg):
         (2, 6, 3, 3, CFG, False, ShapeError),
         (10, 6, 3, 4, CFG, False, ConfigError),
         (10, 6, 4, 3, CFG, False, ConfigError),
-        (10, 6, 3, 3, CFG.replace(pe_blocks=4, group_size=4), True, ConfigError),
+        (10, 6, 3, 3, CFG.replace(pe_blocks=4), True, ConfigError),
     ],
 )
 def test_output_size_checks_as_the_pass_structure_does(h, w, kh, kw, cfg, encoding, error):

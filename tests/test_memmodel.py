@@ -84,15 +84,12 @@ def test_plan_validation():
         FusionPlan([(0, 1, 2)])  # too large
 
 
-def test_plan_json_round_trip(tmp_path):
+def test_plan_json_round_trip():
     plan = FusionPlan([(0, 1), (2,)])
-    path = tmp_path / "plan.json"
-    path.write_text(plan.to_json())
-    assert FusionPlan.from_json_file(path).groups == plan.groups
-    bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    with pytest.raises(PlanError):
-        FusionPlan.from_json_file(bad)
+    assert FusionPlan.from_json(plan.to_json()).groups == plan.groups
+    for bad in ("{}", "[[0]"):
+        with pytest.raises(PlanError):
+            FusionPlan.from_json(bad)
 
 
 # ---------------------------------------------------------------------------

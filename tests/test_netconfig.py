@@ -18,6 +18,7 @@ from vecspike.errors import (
 from vecspike.fixedpoint import FixedPointFormat
 from vecspike.netconfig import (
     PRESETS,
+    ModelBundle,
     generate_random_bundle,
     load_bundle,
     load_input_tensor,
@@ -214,6 +215,17 @@ def test_save_bundle_refuses_parameters_its_32_bit_fields_cannot_hold(tmp_path):
     bundle = generate_random_bundle(net, seed=3, fmt=FixedPointFormat(48, 36))
     assert bundle.params[0].bias_raw.tolist() == [-41261146566, 38124110346]
     with pytest.raises(BundleError, match="layer 0: raw bias"):
+        save_bundle(bundle, tmp_path / "model.vsa")
+    assert not (tmp_path / "model.vsa").exists()
+
+
+def test_save_bundle_refuses_parameters_in_another_format(tmp_path):
+    # the header states the bundle's format, and raws are read back in it:
+    # 30/12 raws under a 24/8 header came back 16 times larger
+    net = validate(parse_network("2Conv(encoding)-2fc"), (1, 4, 4))
+    fine = generate_random_bundle(net, seed=3, fmt=FixedPointFormat(30, 12))
+    bundle = ModelBundle(net, fine.weights, fine.params, FixedPointFormat(24, 8))
+    with pytest.raises(BundleError, match=r"^layer 0: parameters use .*30.*, the bundle "):
         save_bundle(bundle, tmp_path / "model.vsa")
     assert not (tmp_path / "model.vsa").exists()
 
