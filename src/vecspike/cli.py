@@ -6,6 +6,9 @@ Exit codes (scriptable CI gating):
   3  network/bundle validation error
   4  capacity or datapath fault
   5  engine/oracle verification mismatch
+
+A network or input too large to allocate exits 3 with one line, "error:
+out of memory", not a traceback.
 """
 
 from __future__ import annotations
@@ -88,12 +91,13 @@ def _load_config(path: str | None) -> HardwareConfig:
 def _resolve_network(
     source: str, time_steps: int
 ) -> tuple[NetworkDescription, tuple | None]:
-    """A preset name, a file holding a layer string, or the string itself."""
+    """A preset name, a file holding a layer string, or the string itself;
+    a source with a path separator is a file."""
     if source in PRESETS:
         return preset_network(source, time_steps)
     if os.path.exists(source):
         text = _read_text(source, "network file")
-    elif "Conv" in source or "fc" in source:
+    elif ("Conv" in source or "fc" in source) and not os.path.dirname(source):
         text = source
     else:
         raise _CliError(f"no such preset or file: {source!r}", EXIT_ARGS)
@@ -370,6 +374,9 @@ def main(argv=None) -> int:
         return EXIT_FAULT
     except SimulatorError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,42 +44,83 @@ def weight_bytes(
 ) -> int:
     """Sign bits packed to bytes plus per-channel folded bias and threshold."""
     signs = math.ceil(out_channels * in_channels * kh * kw / 8)
-    return signs + out_channels * 2 * param_bytes
+    return signs + _folded_param_bytes(out_channels, param_bytes)
+
+
+def _folded_param_bytes(out_channels: int, param_bytes: int) -> int:
+    """A folded bias and a threshold per output channel."""
+    return 2 * out_channels * param_bytes
 
 
 # ---------------------------------------------------------------------------
 # compute-layer view (pooling absorbed)
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ComputeLayer:
     """A validated weighted layer (``spec``, shapes before pooling) and the
-    map it hands on, ``out_shape``, with any following pooling absorbed."""
+    map it hands on, ``out_shape``, with any following pooling absorbed.
+
+    It carries the bytes every traffic walk reads: ``sign_bytes``, the
+    packed sign bits, and ``map_bytes``, one step of the bit-packed map it
+    hands on.  Records are frozen because :func:`compute_layers` shares
+    them across every walk of the network.
+    """
 
     index: int  # index in the original layer list
     spec: "LayerSpec"
     out_shape: tuple[int, int, int]
+    sign_bytes: int
+    map_bytes: int
 
     @property
     def pooled(self) -> bool:
         return self.out_shape != self.spec.out_shape
 
+    def weight_bytes(self, param_bytes: int) -> int:
+        """The sign bits and the folded parameters, as :func:`weight_bytes`."""
+        return self.sign_bytes + _folded_param_bytes(self.spec.out_channels, param_bytes)
 
-def compute_layers(net: "NetworkDescription") -> list[ComputeLayer]:
-    """Collapse the layer list to weighted layers with pooling absorbed."""
-    if not net.layers:
+
+def compute_layers(net: "NetworkDescription") -> tuple[ComputeLayer, ...]:
+    """Collapse the layer list to weighted layers with pooling absorbed.
+
+    The table is built on the first call and kept in the network's
+    ``derived_views``; later calls return the same tuple while
+    ``net.layers`` holds the same layer objects, in the same order and
+    number, and build it again otherwise.  A network that cannot be
+    planned raises :class:`PlanError` on every call.
+    """
+    layers = net.layers
+    built = net.derived_views.get("compute_layers")
+    if built is not None:
+        source, table = built
+        if len(source) == len(layers) and all(map(operator.is_, source, layers)):
+            return table
+    table = _build_compute_layers(layers)
+    net.derived_views["compute_layers"] = (tuple(layers), table)
+    return table
+
+
+def _build_compute_layers(layers: list["LayerSpec"]) -> tuple[ComputeLayer, ...]:
+    """The compute-layer records of a validated layer list.  A weighted
+    layer hands on the map of the last layer before the next weighted one."""
+    if not layers:
         raise PlanError("network has no layers")
-    result: list[ComputeLayer] = []
-    for idx, layer in enumerate(net.layers):
+    starts: list[int] = []
+    for idx, layer in enumerate(layers):
         if layer.out_shape is None:
             raise PlanError("network must be validated before planning")
         if layer.kind != "maxpool2":
-            result.append(ComputeLayer(idx, layer, layer.out_shape))
-        elif not result:
+            starts.append(idx)
+        elif not starts:
             raise PlanError("pooling cannot precede the first weighted layer")
-        else:
-            result[-1].out_shape = layer.out_shape
-    return result
+    records = []
+    for idx, end in zip(starts, starts[1:] + [len(layers)]):
+        spec, out_shape = layers[idx], layers[end - 1].out_shape
+        records.append(ComputeLayer(idx, spec, out_shape, weight_bytes(*spec.weight_shape, 0),
+                                    spike_map_bytes(*out_shape, 1)))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +146,7 @@ class FusionPlan:
 
     @property
     def layer_count(self) -> int:
-        return sum(len(group) for group in self.groups)
+        return sum(map(len, self.groups))
 
     def fused_intermediates(self) -> list[int]:
         """Compute-layer positions whose output map stays on chip."""
@@ -142,14 +184,14 @@ def plan_fusion(net: "NetworkDescription", cfg: HardwareConfig) -> FusionPlan:
     SRAM.  Unpaired layers simply run standalone.
     """
     layers = compute_layers(net)
-    weights = [weight_bytes(*l.spec.weight_shape, cfg.param_bytes) for l in layers]
+    weights = [layer.weight_bytes(cfg.param_bytes) for layer in layers]
     weight_capacity = 2 * cfg.weight_sram_bytes
     groups: list[tuple[int, ...]] = []
     pos = 0
     while pos < len(layers):
         if pos + 1 < len(layers):
             weights_fit = weights[pos] + weights[pos + 1] <= weight_capacity
-            intermediate_fit = spike_map_bytes(*layers[pos].out_shape, 1) <= cfg.temp_sram_bytes
+            intermediate_fit = layers[pos].map_bytes <= cfg.temp_sram_bytes
             if weights_fit and intermediate_fit:
                 groups.append((pos, pos + 1))
                 pos += 2
@@ -163,7 +205,7 @@ def plan_fusion(net: "NetworkDescription", cfg: HardwareConfig) -> FusionPlan:
 # traffic ledger
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class LayerTraffic:
     layer_index: int
     kind: str
@@ -205,7 +247,7 @@ class TrafficLedger:
 
 def _plan_layers(
     net: "NetworkDescription", plan: FusionPlan, time_steps: int
-) -> list[ComputeLayer]:
+) -> tuple[ComputeLayer, ...]:
     """The network's compute layers; raises unless T >= 1 and ``plan`` covers each."""
     if time_steps < 1:
         raise InvalidParameterError("time_steps must be >= 1")
@@ -215,7 +257,7 @@ def _plan_layers(
     return layers
 
 
-def _dram_rows(layers: list[ComputeLayer], plan: FusionPlan) -> list[tuple[int, int, int]]:
+def _dram_rows(layers: tuple[ComputeLayer, ...], plan: FusionPlan) -> list[tuple[int, int, int]]:
     """Per compute layer, ``(image, in_map, out_map)``: the bytes of the
     8-bit image, read once by the first layer at full byte width, and of
     the bit-packed maps it reads and writes per time step.  A layer reads
@@ -225,7 +267,7 @@ def _dram_rows(layers: list[ComputeLayer], plan: FusionPlan) -> list[tuple[int, 
     rows = []
     in_map = 0
     for pos, layer in enumerate(layers):
-        out_map = 0 if pos in on_chip else spike_map_bytes(*layer.out_shape, 1)
+        out_map = 0 if pos in on_chip else layer.map_bytes
         rows.append((0 if pos else math.prod(layer.spec.in_shape), in_map, out_map))
         in_map = out_map
     return rows
@@ -255,7 +297,7 @@ def simulate_traffic(
                 layer.index,
                 layer.spec.kind + ("+pool" if layer.pooled else ""),
                 note,
-                weight_bytes(*layer.spec.weight_shape, cfg.param_bytes),
+                layer.weight_bytes(cfg.param_bytes),
                 image + in_map * time_steps,
                 out_map * time_steps,
             )
@@ -268,19 +310,21 @@ def fusion_savings(
 ) -> int:
     """The identity value: sum of 2 x (intermediate map bytes) over pairs."""
     layers = _plan_layers(net, plan, time_steps)
-    return sum(
-        2 * spike_map_bytes(*layers[pos].out_shape, time_steps)
-        for pos in plan.fused_intermediates()
-    )
+    return sum(2 * layers[pos].map_bytes * time_steps for pos in plan.fused_intermediates())
 
 
 # ---------------------------------------------------------------------------
 # buffer model and ping-pong schedule
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class BufferModel:
-    """One on-chip buffer: capacity, occupancy and access counters."""
+    """One on-chip buffer: capacity, occupancy and access counters.
+
+    Every access is one :meth:`write`: a weight load is a write alone, and
+    a map or slice staged on its way through the buffer is a write that
+    is then read once (``reads=1``).
+    """
 
     name: str
     capacity: int
@@ -289,20 +333,18 @@ class BufferModel:
     reads: int = 0
     writes: int = 0
 
-    def write(self, nbytes: int):
-        """Hold ``nbytes`` until the next write; one that does not fit raises first."""
+    def write(self, nbytes: int, reads: int = 0):
+        """Hold ``nbytes`` until the next write and count ``reads`` reads of
+        them; a write that does not fit raises before it changes anything."""
         if nbytes > self.capacity:
             raise CapacityFault(
                 f"{self.name}: {nbytes} bytes exceed capacity {self.capacity}"
             )
         self.occupancy = nbytes
-        self.peak = max(self.peak, nbytes)
+        if nbytes > self.peak:
+            self.peak = nbytes
         self.writes += 1
-
-    def stage(self, nbytes: int):
-        """A write of ``nbytes``, held until the buffer's next write, and a read."""
-        self.write(nbytes)
-        self.reads += 1
+        self.reads += reads
 
 
 @dataclass(slots=True)
@@ -336,12 +378,13 @@ def pingpong_schedule(
     as in :func:`simulate_traffic`.  A group visit builds one step row per
     layer, used at every step: :func:`vecspike.geometry.step_buffers`
     charges, encoding flag, fused temp bytes, column bytes and DRAM map.
-    Every buffer use but the weight load is one :meth:`BufferModel.stage`.
-    Maps staged in the spike and temp buffers are traced as a write and a
-    read event; membrane and boundary slices are counted, not traced.  A
-    DRAM write is an event only.  A capacity violation raises a fault.  No
-    map is read before its DRAM write: :class:`FusionPlan` admits only
-    in-order groups of one or two layers, so a group's predecessor wrote its map.
+    Every buffer use but the weight load is a stage, a write read once:
+    one call, ``BufferModel.write(nbytes, 1)``.  Maps staged in the spike
+    and temp buffers are traced as a write and a read event; membrane and
+    boundary slices are counted, not traced.  A DRAM write is an event
+    only.  A capacity violation raises a fault.  No map is read before its
+    DRAM write: :class:`FusionPlan` admits only in-order groups of one or
+    two layers, so a group's predecessor wrote its map.
     """
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
@@ -361,10 +404,10 @@ def pingpong_schedule(
     events: list[TraceEvent] = []
 
     for group in plan.groups:
-        signs = [weight_bytes(*layers[pos].spec.weight_shape, param_bytes=0) for pos in group]
-        weight.write(sum(signs))
-        for pos, nbytes in zip(group, signs):
-            events.append(TraceEvent(-1, pos, "weight", "write", nbytes, ("weights", pos)))
+        weight.write(sum(layers[pos].sign_bytes for pos in group))
+        for pos in group:
+            events.append(TraceEvent(-1, pos, "weight", "write", layers[pos].sign_bytes,
+                                     ("weights", pos)))
 
         step_rows = []
         for slot, pos in enumerate(group):
@@ -374,7 +417,7 @@ def pingpong_schedule(
             step_rows.append((
                 slot, pos, membrane1 if slot else membrane0, charge["membrane"],
                 layer.spec.kind == "encoding-conv", charge["boundary"],
-                spike_map_bytes(*layer.out_shape, 1), max(1, math.ceil(out_c * out_h / 8)),
+                layer.map_bytes, max(1, math.ceil(out_c * out_h / 8)),
                 rows[pos][2],
             ))
         image, in_map, _ = rows[group[0]]
@@ -385,32 +428,32 @@ def pingpong_schedule(
             in_bytes = in_map + (0 if step else image)
             if in_bytes:
                 in_tag = ("image",) if image else ("input", group[0] - 1, step)
-                spike.stage(in_bytes)
+                spike.write(in_bytes, 1)
                 events.append(TraceEvent(step, group[0], spike.name, "write", in_bytes, in_tag))
                 events.append(TraceEvent(step, group[0], spike.name, "read", in_bytes, in_tag))
 
             for slot, pos, membrane, charge, encoding, edge, fused, column, out_map in step_rows:
-                membrane.stage(charge)
+                membrane.write(charge, 1)
                 if encoding:  # it parks its conv-result strip in the second membrane
-                    membrane1.stage(charge)
+                    membrane1.write(charge, 1)
                 if edge:
-                    boundary.stage(edge)
+                    boundary.write(edge, 1)
                 out_tag = ("input", pos, step)
                 if not out_map:
                     # fused intermediate: the whole per-step map parks in
                     # temp SRAM and feeds the second layer directly
-                    temp.stage(fused)
+                    temp.write(fused, 1)
                     events.append(TraceEvent(step, pos, "temp", "write", fused, out_tag))
                     events.append(TraceEvent(step, pos, "temp", "read", fused, out_tag))
                     continue
                 if slot:
                     # the pair's output replaces the consumed entries of the
                     # first layer's input buffer on its way off chip
-                    spike.stage(max(in_bytes, out_map))
+                    spike.write(max(in_bytes, out_map), 1)
                     events.append(TraceEvent(step, pos, spike.name, "write", out_map, out_tag))
                     events.append(TraceEvent(step, pos, spike.name, "read", out_map, out_tag))
                 else:
                     # standalone output streams through temp a column at a time
-                    temp.stage(column)
+                    temp.write(column, 1)
                 events.append(TraceEvent(step, pos, "dram", "write", out_map, out_tag))
     return BufferTrace(events, buffers)

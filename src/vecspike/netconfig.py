@@ -84,11 +84,18 @@ class NetworkDescription:
     """Ordered layers plus the global number of time steps.
 
     Equality compares the structural description only; shape annotations
-    are derived data.
+    are derived data.  So is ``derived_views``: tables that other modules
+    derive from ``layers`` and keep here by name, each with the layers it
+    was built from (the memory model's compute-layer table, say).  It is
+    not an argument, and equality, ``repr``, ``network_to_string``,
+    bundles and ``dataclasses.replace`` ignore it; ``validate`` returns a
+    new network, whose views are empty.
     """
 
     layers: list[LayerSpec]
     time_steps: int = 8
+    derived_views: dict = field(default_factory=dict, init=False, compare=False,
+                                repr=False)
 
     @property
     def is_annotated(self) -> bool:

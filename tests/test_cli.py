@@ -533,6 +533,9 @@ MNIST_ON_4_BLOCKS = {"pe_blocks": 4}
      "validation error: the encoding layer needs 8"),
     (["run", "--net", "{tmp}"], None, 2, "error: cannot read network file"),
     (["run", "--net", "{tmp}/missing.txt"], None, 2, "error: no such preset or file"),
+    # a missing path is not read as a layer string, though it holds "fc"
+    (["run", "--net", "{tmp}/fcnets/missing.txt", "--input-shape", "1,4,4"], None, 2,
+     "error: no such preset or file"),
     (["run", "--net", "{tmp}/bad.txt"], None, 3, "error: network file is not UTF-8 text"),
     (["traffic", "--net", "mnist", "--fusion-plan", "{tmp}/missing.json"], None, 2,
      "error: cannot read fusion plan"),
@@ -553,8 +556,8 @@ MNIST_ON_4_BLOCKS = {"pe_blocks": 4}
 ], ids=[
     "missing_config", "config_list", "unknown_field", "field_self", "field_group_size",
     "config_directory", "config_not_utf8", "bench_4_blocks", "run_4_blocks",
-    "net_directory", "missing_net_file", "net_file_not_utf8", "missing_plan",
-    "plan_directory", "plan_not_utf8", "missing_input", "run_no_shape",
+    "net_directory", "missing_net_file", "missing_net_path_with_fc", "net_file_not_utf8",
+    "missing_plan", "plan_directory", "plan_not_utf8", "missing_input", "run_no_shape",
     "traffic_no_shape", "vth_inf", "vth_no_exponent", "vth_off_format",
 ])
 def test_cli_input_error_exit_code_and_message(tmp_path, capsys, args, config, code, message):
@@ -593,6 +596,19 @@ def test_each_simulator_error_exits_with_its_family_code(monkeypatch, capsys, er
     assert run_cli(["bench"]) == (cli.EXIT_FAULT if fault else cli.EXIT_VALIDATION)
     prefix = "fault" if fault else "validation error"
     assert capsys.readouterr().err == f"{prefix}: raised\n"
+
+
+def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
+    # stands in for a real allocation that fails, such as an input of
+    # 1x400000x400000
+    def random_input(shape, seed):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(cli, "random_input", random_input)
+    code = run_cli(["run", "--net", "8Conv(encoding)-4fc", "--input-shape", "1,4,4"])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 149. GiB for an array\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import fusion_plans, random_network_text
+from vecspike import memmodel
 from vecspike.arch import HardwareConfig
 from vecspike.errors import CapacityFault, InvalidParameterError, PlanError
 from vecspike.memmodel import (
@@ -21,7 +23,14 @@ from vecspike.memmodel import (
     spike_map_bytes,
     weight_bytes,
 )
-from vecspike.netconfig import NetworkDescription, parse_network, preset_network, validate
+from vecspike.netconfig import (
+    PRESETS,
+    NetworkDescription,
+    network_to_string,
+    parse_network,
+    preset_network,
+    validate,
+)
 
 CFG = HardwareConfig()
 
@@ -53,6 +62,85 @@ def test_compute_layers_absorb_pooling():
     assert layers[0].out_shape == (64, 14, 14)
     assert layers[1].out_shape == (64, 7, 7)
     assert layers[2].spec.weight_shape == (128, 64 * 7 * 7, 1, 1)
+
+
+def test_one_table_per_network(monkeypatch):
+    # every plan walk of one validated network reads the table that the
+    # first walk built
+    builds = []
+    build = memmodel._build_compute_layers
+    monkeypatch.setattr(memmodel, "_build_compute_layers",
+                        lambda layers: builds.append(1) or build(layers))
+    net, _ = preset_network("mnist")
+    table = compute_layers(net)
+    plan = plan_fusion(net, CFG)
+    unfused = FusionPlan.unfused(len(table))
+    simulate_traffic(net, unfused, 8, CFG)
+    simulate_traffic(net, plan, 8, CFG)
+    fusion_savings(net, plan, 8)
+    pingpong_schedule(net, 8, CFG, plan)
+    pingpong_schedule(net, 8, CFG)
+    assert len(builds) == 1
+    assert compute_layers(net) is table
+    # a refusal is never kept: each call refuses again
+    parsed = parse_network(PRESETS["mnist"][0])
+    for _ in range(2):
+        with pytest.raises(PlanError, match="must be validated"):
+            compute_layers(parsed)
+    assert len(builds) == 3 and parsed.derived_views == {}
+
+
+def _table_rows(net):
+    return [(l.index, l.spec.kind, l.out_shape, l.pooled, l.sign_bytes, l.map_bytes)
+            for l in compute_layers(net)]
+
+
+SMALL, SMALL_SHAPE = "4Conv(encoding)-8Conv", (1, 8, 8)
+
+
+def _fresh(text, shape=SMALL_SHAPE):
+    return validate(parse_network(text), shape)
+
+
+@pytest.mark.parametrize("edit, text, shape", [
+    (lambda net: setattr(net, "layers", _fresh("4Conv(encoding)-MP2-6fc").layers),
+     "4Conv(encoding)-MP2-6fc", SMALL_SHAPE),
+    (lambda net: net.layers.append(_fresh(SMALL + "-MP2").layers[-1]),
+     SMALL + "-MP2", SMALL_SHAPE),
+    (lambda net: net.layers.__setitem__(1, _fresh("4Conv(encoding)-16Conv").layers[1]),
+     "4Conv(encoding)-16Conv", SMALL_SHAPE),
+    # equal layer specs (shapes do not compare) annotated for another input
+    (lambda net: net.layers.__setitem__(slice(None), _fresh(SMALL, (1, 16, 16)).layers),
+     SMALL, (1, 16, 16)),
+], ids=["replace", "append", "swap", "swap_equal_specs"])
+def test_table_follows_the_layer_list(edit, text, shape):
+    net = _fresh(SMALL)
+    table = compute_layers(net)
+    edit(net)
+    assert compute_layers(net) is not table
+    assert _table_rows(net) == _table_rows(_fresh(text, shape))
+
+
+def test_compute_layer_records_are_frozen():
+    net, _ = preset_network("mnist")
+    table = compute_layers(net)
+    assert isinstance(table, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table[0].out_shape = (1, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table[0].map_bytes = 0
+
+
+def test_planning_leaves_the_description_unchanged():
+    net, shape = preset_network("mnist")
+    text, shown = network_to_string(net), repr(net)
+    plan = plan_fusion(net, CFG)
+    simulate_traffic(net, plan, 8, CFG)
+    pingpong_schedule(net, 8, CFG, plan)
+    assert net.derived_views
+    assert net == validate(parse_network(text, net.time_steps), shape)
+    assert (network_to_string(net), repr(net)) == (text, shown)
+    assert dataclasses.replace(net).derived_views == {}
 
 
 def test_plan_single_layer_net():
@@ -214,12 +302,12 @@ def test_walks_refuse_time_steps_below_one(time_steps):
 def test_buffer_capacity_fault():
     buf = BufferModel("b", capacity=10)
     buf.write(10)
-    buf.stage(4)
+    buf.write(4, reads=1)  # a stage: a write read once
     assert (buf.occupancy, buf.peak, buf.reads, buf.writes) == (4, 10, 1, 2)
     # a write or stage that does not fit faults before it changes anything
-    for access in (buf.write, buf.stage):
+    for reads in (0, 1):
         with pytest.raises(CapacityFault, match="b: 11 bytes exceed capacity 10"):
-            access(11)
+            buf.write(11, reads=reads)
         assert (buf.occupancy, buf.peak, buf.reads, buf.writes) == (4, 10, 1, 2)
 
 
