@@ -82,16 +82,6 @@ class HardwareConfig:
         """Input channels the encoding layer maps per pass (8 blocks each)."""
         return max(1, self.pe_blocks // 8)
 
-    @property
-    def total_sram_bytes(self) -> int:
-        return (
-            2 * self.spike_sram_bytes
-            + 2 * self.weight_sram_bytes
-            + 2 * self.membrane_sram_bytes
-            + self.temp_sram_bytes
-            + self.boundary_sram_bytes
-        )
-
     def replace(self, /, **updates) -> "HardwareConfig":
         current = {f.name: getattr(self, f.name) for f in fields(self)}
         unknown = set(updates) - set(current)

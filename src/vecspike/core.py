@@ -129,13 +129,6 @@ class BinaryWeightTensor:
         self.sign_bits = _read_only_bits(sign_bits, "weights must be 4-D [O][I][kh][kw], got {}",
                                          "sign bits must be 0 or 1")
 
-    @classmethod
-    def from_values(cls, values) -> "BinaryWeightTensor":
-        vals = np.asarray(values)
-        if vals.size and not np.isin(vals, (-1, 1)).all():
-            raise InvalidParameterError("weight values must be -1 or +1")
-        return cls((1 - vals) // 2)
-
     def values(self, dtype=np.int64) -> np.ndarray:
         """Logical weights: bit b maps to 1 - 2b."""
         return np.subtract(1, 2 * self.sign_bits, dtype=dtype)

@@ -90,8 +90,5 @@ class FixedPointFormat:
             return int(raw)
         return raw
 
-    def to_real(self, raw):
-        return np.asarray(raw, dtype=np.float64) / self.scale
-
 
 DEFAULT_FORMAT = FixedPointFormat()

@@ -12,13 +12,18 @@ never breaks fusion adjacency, and the producing layer's DRAM output is
 the pooled map.  A compute layer keeps its validated ``LayerSpec``, so the
 shapes before pooling (weights, input, the conv output that the IF unit
 integrates) are read from the spec and only the pooled map is its own.
+
+Each network's compute-layer table is built once, by
+:func:`vecspike.netconfig.validate` through :func:`build_compute_layers`,
+and kept on the validated description; every walk reads it through
+:func:`compute_layers`, and a network that ``validate`` did not return
+cannot be planned.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -63,8 +68,8 @@ class ComputeLayer:
 
     It carries the bytes every traffic walk reads: ``sign_bytes``, the
     packed sign bits, and ``map_bytes``, one step of the bit-packed map it
-    hands on.  Records are frozen because :func:`compute_layers` shares
-    them across every walk of the network.
+    hands on.  Records are frozen because every walk of the network shares
+    the one table that ``validate`` built.
     """
 
     index: int  # index in the original layer list
@@ -83,38 +88,23 @@ class ComputeLayer:
 
 
 def compute_layers(net: "NetworkDescription") -> tuple[ComputeLayer, ...]:
-    """Collapse the layer list to weighted layers with pooling absorbed.
-
-    The table is built on the first call and kept in the network's
-    ``derived_views``; later calls return the same tuple while
-    ``net.layers`` holds the same layer objects, in the same order and
-    number, and build it again otherwise.  A network that cannot be
-    planned raises :class:`PlanError` on every call.
-    """
-    layers = net.layers
-    built = net.derived_views.get("compute_layers")
-    if built is not None:
-        source, table = built
-        if len(source) == len(layers) and all(map(operator.is_, source, layers)):
-            return table
-    table = _build_compute_layers(layers)
-    net.derived_views["compute_layers"] = (tuple(layers), table)
-    return table
-
-
-def _build_compute_layers(layers: list["LayerSpec"]) -> tuple[ComputeLayer, ...]:
-    """The compute-layer records of a validated layer list.  A weighted
-    layer hands on the map of the last layer before the next weighted one."""
-    if not layers:
+    """The network's weighted layers with pooling absorbed: the table that
+    :func:`vecspike.netconfig.validate` built with
+    :func:`build_compute_layers`.  A network that ``validate`` did not
+    return, a ``dataclasses.replace`` copy among them, has no table and
+    raises :class:`PlanError`."""
+    if not net.layers:
         raise PlanError("network has no layers")
-    starts: list[int] = []
-    for idx, layer in enumerate(layers):
-        if layer.out_shape is None:
-            raise PlanError("network must be validated before planning")
-        if layer.kind != "maxpool2":
-            starts.append(idx)
-        elif not starts:
-            raise PlanError("pooling cannot precede the first weighted layer")
+    if not net.compute_layers:
+        raise PlanError("network must be validated before planning")
+    return net.compute_layers
+
+
+def build_compute_layers(layers: list["LayerSpec"]) -> tuple[ComputeLayer, ...]:
+    """The compute-layer records of a shape-annotated layer list whose
+    first layer is weighted.  A weighted layer hands on the map of the last
+    layer before the next weighted one."""
+    starts = [idx for idx, layer in enumerate(layers) if layer.kind != "maxpool2"]
     records = []
     for idx, end in zip(starts, starts[1:] + [len(layers)]):
         spec, out_shape = layers[idx], layers[end - 1].out_shape
@@ -225,24 +215,15 @@ class LayerTraffic:
 
 @dataclass
 class TrafficLedger:
+    """Per-layer DRAM records and their totals, which :func:`simulate_traffic`
+    sums once when it builds the ledger."""
+
     records: list[LayerTraffic]
     layer_fusion: bool
-
-    @property
-    def weight_total(self) -> int:
-        return sum(r.weight_bytes_read for r in self.records)
-
-    @property
-    def input_total(self) -> int:
-        return sum(r.input_spike_bytes_read for r in self.records)
-
-    @property
-    def output_total(self) -> int:
-        return sum(r.output_spike_bytes_written for r in self.records)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.total for r in self.records)
+    weight_total: int
+    input_total: int
+    output_total: int
+    total_bytes: int
 
 
 def _plan_layers(
@@ -302,7 +283,11 @@ def simulate_traffic(
                 out_map * time_steps,
             )
         )
-    return TrafficLedger(records, layer_fusion=any(not row[2] for row in rows))
+    weights = sum(r.weight_bytes_read for r in records)
+    inputs = sum(r.input_spike_bytes_read for r in records)
+    outputs = sum(r.output_spike_bytes_written for r in records)
+    return TrafficLedger(records, any(not row[2] for row in rows),
+                         weights, inputs, outputs, weights + inputs + outputs)
 
 
 def fusion_savings(

@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
+from .memmodel import build_compute_layers
 
 BUNDLE_MAGIC = b"VSA1"
 BUNDLE_VERSION = 1
@@ -84,18 +85,16 @@ class NetworkDescription:
     """Ordered layers plus the global number of time steps.
 
     Equality compares the structural description only; shape annotations
-    are derived data.  So is ``derived_views``: tables that other modules
-    derive from ``layers`` and keep here by name, each with the layers it
-    was built from (the memory model's compute-layer table, say).  It is
-    not an argument, and equality, ``repr``, ``network_to_string``,
-    bundles and ``dataclasses.replace`` ignore it; ``validate`` returns a
-    new network, whose views are empty.
+    are derived data.  So is ``compute_layers``, the memory model's
+    ``ComputeLayer`` records of the layers, which only ``validate`` writes.
+    It is not an argument, and equality and ``repr`` ignore it; a
+    description built by hand or by ``dataclasses.replace`` has none, so
+    the memory model refuses to plan it.
     """
 
     layers: list[LayerSpec]
     time_steps: int = 8
-    derived_views: dict = field(default_factory=dict, init=False, compare=False,
-                                repr=False)
+    compute_layers: tuple = field(default=(), init=False, compare=False, repr=False)
 
     @property
     def is_annotated(self) -> bool:
@@ -234,8 +233,9 @@ def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
     The only place that lowers an fc layer: it must have a 1x1 kernel and
     no padding, and its ``in_shape`` is the flattened input map
     ``(C*H*W, 1, 1)``, so every later stage treats it as a 1x1
-    convolution.  Returns a new, annotated description; the first
-    mismatching layer is reported with its index.
+    convolution.  Returns a new, annotated description that carries its
+    compute-layer table, built here once for every walk of the memory
+    model; the first mismatching layer is reported with its index.
     """
     c, h, w = (int(v) for v in input_shape)
     if min(c, h, w) < 1:
@@ -275,7 +275,9 @@ def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
             raise ValidationError(f"unknown layer kind {layer.kind!r}", idx)
         annotated.append(LayerSpec(layer.kind, out_channels, layer.kernel, layer.padding,
                                    layer.v_th, in_shape, shape))
-    return NetworkDescription(annotated, time_steps=net.time_steps)
+    validated = NetworkDescription(annotated, time_steps=net.time_steps)
+    validated.compute_layers = build_compute_layers(annotated)
+    return validated
 
 
 PRESETS: dict[str, tuple[str, tuple[int, int, int]]] = {

@@ -27,7 +27,9 @@ def test_default_config_geometry():
     assert cfg.encoding_channels_per_pass == 4
     assert cfg.param_bytes == 3
     # the default buffer split sums to 230.3125 KiB
-    assert cfg.total_sram_bytes == int(230.3125 * 1024)
+    sram = (2 * (cfg.spike_sram_bytes + cfg.weight_sram_bytes + cfg.membrane_sram_bytes)
+            + cfg.temp_sram_bytes + cfg.boundary_sram_bytes)
+    assert sram == int(230.3125 * 1024)
 
 
 def test_config_validation():

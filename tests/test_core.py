@@ -112,8 +112,7 @@ def test_binary_weights_sign_convention():
     # sign bit 1 encodes -1, sign bit 0 encodes +1
     w = BinaryWeightTensor(np.array([[[[0, 1]]]]))
     assert w.values().tolist() == [[[[1, -1]]]]
-    again = BinaryWeightTensor.from_values(w.values())
-    assert again == w
+    assert BinaryWeightTensor((1 - w.values()) // 2) == w
 
 
 def test_bn_params_validation():
@@ -342,7 +341,7 @@ def test_conv_oracle_zero_input():
 
 
 def test_conv_oracle_identity():
-    w = BinaryWeightTensor.from_values(np.ones((1, 1, 1, 1), dtype=np.int64))
+    w = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))  # +1
     out = conv2d_oracle(np.ones((1, 1, 1), dtype=np.uint8), w)
     assert out.tolist() == [[[1]]]
 
@@ -533,7 +532,7 @@ def test_network_oracle_constant_input_reaccumulates():
     # one-pixel encoding layer, +1 weight, threshold 0.5: input 255 counts as
     # 255/256 per step, crossing 0.5 every step after every reset
     net = validate(parse_network("1Conv(encoding)", time_steps=6), (1, 3, 3))
-    weights = [BinaryWeightTensor.from_values(np.ones((1, 1, 3, 3), dtype=np.int64))]
+    weights = [BinaryWeightTensor(np.zeros((1, 1, 3, 3), dtype=np.uint8))]  # +1
     params = [
         FoldedNeuronParams(
             np.array([0]), np.array([Q(0.5)]), np.array([False])

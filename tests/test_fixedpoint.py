@@ -36,7 +36,7 @@ def test_quantize_scalar_and_array():
 def test_quantize_round_trips_within_one_lsb(value):
     fmt = DEFAULT_FORMAT
     raw = fmt.quantize(value)
-    assert abs(fmt.to_real(raw) - value) <= 2.0**-fmt.frac_bits
+    assert abs(raw / fmt.scale - value) <= 2.0**-fmt.frac_bits
 
 
 def test_quantize_overflow_is_a_fault():

@@ -59,8 +59,10 @@ BOUNDARIES = [
     ("memmodel", "dataflow", None),
     ("memmodel", "core", None),
     ("memmodel", "geometry", {"step_buffers"}),
-    # the description keeps the memory model's derived views without importing it
-    ("netconfig", "memmodel", None),
+    # validation builds the memory model's compute-layer table, and takes
+    # nothing else from it; memmodel names netconfig's types only under
+    # TYPE_CHECKING, so the two import no cycle
+    ("netconfig", "memmodel", {"build_compute_layers"}),
     # the register-level model runs only under test
     *[
         (path.stem, "pipeline", None)

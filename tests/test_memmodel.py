@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import fusion_plans, random_network_text
-from vecspike import memmodel
+from vecspike import memmodel, netconfig
 from vecspike.arch import HardwareConfig
 from vecspike.errors import CapacityFault, InvalidParameterError, PlanError
 from vecspike.memmodel import (
@@ -65,60 +65,29 @@ def test_compute_layers_absorb_pooling():
 
 
 def test_one_table_per_network(monkeypatch):
-    # every plan walk of one validated network reads the table that the
-    # first walk built
+    # validate builds the compute-layer table once, and every walk of the
+    # network reads that table: no memory-model entry point builds one
     builds = []
-    build = memmodel._build_compute_layers
-    monkeypatch.setattr(memmodel, "_build_compute_layers",
-                        lambda layers: builds.append(1) or build(layers))
-    net, _ = preset_network("mnist")
+    build = memmodel.build_compute_layers
+
+    def counted(layers):
+        builds.append(1)
+        return build(layers)
+
+    for module in (netconfig, memmodel):
+        monkeypatch.setattr(module, "build_compute_layers", counted)
+    text, shape = PRESETS["mnist"]
+    net = validate(parse_network(text), shape)
+    assert len(builds) == 1
     table = compute_layers(net)
     plan = plan_fusion(net, CFG)
-    unfused = FusionPlan.unfused(len(table))
-    simulate_traffic(net, unfused, 8, CFG)
+    simulate_traffic(net, FusionPlan.unfused(len(table)), 8, CFG)
     simulate_traffic(net, plan, 8, CFG)
     fusion_savings(net, plan, 8)
     pingpong_schedule(net, 8, CFG, plan)
     pingpong_schedule(net, 8, CFG)
     assert len(builds) == 1
     assert compute_layers(net) is table
-    # a refusal is never kept: each call refuses again
-    parsed = parse_network(PRESETS["mnist"][0])
-    for _ in range(2):
-        with pytest.raises(PlanError, match="must be validated"):
-            compute_layers(parsed)
-    assert len(builds) == 3 and parsed.derived_views == {}
-
-
-def _table_rows(net):
-    return [(l.index, l.spec.kind, l.out_shape, l.pooled, l.sign_bytes, l.map_bytes)
-            for l in compute_layers(net)]
-
-
-SMALL, SMALL_SHAPE = "4Conv(encoding)-8Conv", (1, 8, 8)
-
-
-def _fresh(text, shape=SMALL_SHAPE):
-    return validate(parse_network(text), shape)
-
-
-@pytest.mark.parametrize("edit, text, shape", [
-    (lambda net: setattr(net, "layers", _fresh("4Conv(encoding)-MP2-6fc").layers),
-     "4Conv(encoding)-MP2-6fc", SMALL_SHAPE),
-    (lambda net: net.layers.append(_fresh(SMALL + "-MP2").layers[-1]),
-     SMALL + "-MP2", SMALL_SHAPE),
-    (lambda net: net.layers.__setitem__(1, _fresh("4Conv(encoding)-16Conv").layers[1]),
-     "4Conv(encoding)-16Conv", SMALL_SHAPE),
-    # equal layer specs (shapes do not compare) annotated for another input
-    (lambda net: net.layers.__setitem__(slice(None), _fresh(SMALL, (1, 16, 16)).layers),
-     SMALL, (1, 16, 16)),
-], ids=["replace", "append", "swap", "swap_equal_specs"])
-def test_table_follows_the_layer_list(edit, text, shape):
-    net = _fresh(SMALL)
-    table = compute_layers(net)
-    edit(net)
-    assert compute_layers(net) is not table
-    assert _table_rows(net) == _table_rows(_fresh(text, shape))
 
 
 def test_compute_layer_records_are_frozen():
@@ -137,10 +106,8 @@ def test_planning_leaves_the_description_unchanged():
     plan = plan_fusion(net, CFG)
     simulate_traffic(net, plan, 8, CFG)
     pingpong_schedule(net, 8, CFG, plan)
-    assert net.derived_views
     assert net == validate(parse_network(text, net.time_steps), shape)
     assert (network_to_string(net), repr(net)) == (text, shown)
-    assert dataclasses.replace(net).derived_views == {}
 
 
 def test_plan_single_layer_net():
@@ -262,12 +229,9 @@ def test_plan_network_mismatch():
                 walk(plan)
 
 
-def test_walks_refuse_a_network_with_no_layers():
-    # an empty layer list passed is_annotated, and simulate_traffic
-    # returned an empty ledger; validate() refuses the same network
-    net = NetworkDescription([], 8)
-    plan = FusionPlan([])
-    walks = [
+def _walks(net, plan):
+    """Every memory-model entry point that reads the compute-layer table."""
+    return [
         lambda: compute_layers(net),
         lambda: plan_fusion(net, CFG),
         lambda: simulate_traffic(net, plan, 2, CFG),
@@ -275,9 +239,26 @@ def test_walks_refuse_a_network_with_no_layers():
         lambda: pingpong_schedule(net, 2, CFG),
         lambda: fusion_savings(net, plan, 2),
     ]
-    for walk in walks:
+
+
+def test_walks_refuse_a_network_with_no_layers():
+    # an empty layer list passed is_annotated, and simulate_traffic
+    # returned an empty ledger; validate() refuses the same network
+    for walk in _walks(NetworkDescription([], 8), FusionPlan([])):
         with pytest.raises(PlanError, match="network has no layers"):
             walk()
+
+
+def test_walks_refuse_an_unvalidated_network():
+    # only validate() writes the table: a parsed network has none, nor has
+    # a replace() copy of a validated one, so no walk plans either
+    text, shape = PRESETS["mnist"]
+    validated = validate(parse_network(text), shape)
+    plan = plan_fusion(validated, CFG)
+    for net in (parse_network(text), dataclasses.replace(validated)):
+        for walk in _walks(net, plan):
+            with pytest.raises(PlanError, match="network must be validated before planning"):
+                walk()
 
 
 @pytest.mark.parametrize("time_steps", [0, -2])
