@@ -25,9 +25,13 @@ stays an independent check.
 
 Conventions
 -----------
-* Spikes are 0/1 values in uint8 tensors indexed ``[time][channel][row][col]``.
+* Spikes are 0/1 values indexed ``[time][channel][row][col]``.  The runs
+  compute them in uint8 arrays; a :class:`SpikeTrain` holds them one bit
+  each, ``ceil(C*H*W/8)`` bytes per step, as the spike SRAMs do.
 * Binary weights are stored as sign bits: bit 1 encodes weight -1, bit 0
-  encodes weight +1, i.e. the logical value is ``1 - 2*bit``.
+  encodes weight +1, i.e. the logical value is ``1 - 2*bit``.  A
+  :class:`BinaryWeightTensor` holds them one bit each, packed flat as a
+  bundle stores them.
 * The IF recurrence is ``V[t+1] = V[t]*(1 - o[t]) + in[t+1]`` with a spike
   whenever the updated potential reaches the threshold (hard reset to zero,
   ties fire).  With a negative normalization gain the comparison direction
@@ -44,6 +48,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -71,9 +76,16 @@ FLOAT64_EXACT_LIMIT = 2**53
 # domain types
 # ---------------------------------------------------------------------------
 
-def _read_only_bits(data, shape_error: str, value_error: str) -> np.ndarray:
-    """A read-only uint8 copy of a 4-D array of 0s and 1s, else the error
-    text of the caller: ``shape_error`` is formatted with the shape."""
+def _read_only_bits(data, shape_error: str, value_error: str,
+                    per_step: bool) -> tuple[tuple[int, int, int, int], np.ndarray]:
+    """Check a 4-D array of 0s and 1s and pack it: its shape, and its bits
+    as read-only ``np.packbits`` bytes with clear pad bits.
+
+    ``per_step`` packs one row of ``ceil(C*H*W/8)`` bytes per index of the
+    first axis, else the whole array is packed flat.  A wrong rank raises
+    ``ShapeError`` with ``shape_error`` formatted with the shape, any other
+    value than 0 or 1 ``InvalidParameterError`` with ``value_error``.
+    """
     arr = np.asarray(data)
     if arr.ndim != 4:
         raise ShapeError(shape_error.format(arr.shape))
@@ -83,39 +95,61 @@ def _read_only_bits(data, shape_error: str, value_error: str) -> np.ndarray:
         bits = ((arr == 0) | (arr == 1)).all()
     if not bits:
         raise InvalidParameterError(value_error)
-    arr = arr.astype(np.uint8)
-    arr.setflags(write=False)
-    return arr
+    if arr.dtype.kind not in "biu":  # np.packbits takes bools and integers
+        arr = arr.astype(np.uint8)
+    if per_step:
+        packed = np.packbits(arr.reshape(len(arr), math.prod(arr.shape[1:])), axis=1)
+    else:
+        packed = np.packbits(arr, axis=None)
+    packed.setflags(write=False)
+    return arr.shape, packed
+
+
+def _unpacked(packed: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only uint8 copy of the bits of :func:`_read_only_bits`:
+    ``packed`` holds one row per index of ``shape``'s first axis if it has
+    two axes, else the whole array flat."""
+    count = math.prod(shape[1:] if packed.ndim == 2 else shape)
+    bits = np.unpackbits(packed, axis=-1, count=count).reshape(shape)
+    bits.setflags(write=False)
+    return bits
 
 
 class SpikeTrain:
-    """Immutable binary activation tensor indexed [time][channel][row][col]."""
+    """Immutable binary activation tensor indexed [time][channel][row][col].
+
+    It is held bit-packed, ``ceil(C*H*W/8)`` bytes per time step, as the
+    spike SRAMs and DRAM hold it, and its spike count is taken once, when
+    it is built.  ``data`` unpacks a new read-only uint8 copy on every
+    access.
+    """
 
     def __init__(self, data):
-        self._data = _read_only_bits(data, "spike train must be 4-D [T][C][H][W], got {}",
-                                     "spike train elements must be 0 or 1")
+        data = np.asarray(data)
+        self._shape, self._bits = _read_only_bits(
+            data, "spike train must be 4-D [T][C][H][W], got {}",
+            "spike train elements must be 0 or 1", per_step=True)
+        self._count = int(np.count_nonzero(data))  # every element is 0 or 1
 
     @property
     def data(self) -> np.ndarray:
-        return self._data
+        return _unpacked(self._bits, self._shape)
 
     @property
     def time_steps(self) -> int:
-        return self._data.shape[0]
+        return self._shape[0]
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
-        return self._data.shape
+        return self._shape
 
     def spike_count(self) -> int:
-        return int(np.count_nonzero(self._data))  # every element is 0 or 1
+        return self._count
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpikeTrain):
             return NotImplemented
-        return self._data.shape == other._data.shape and np.array_equal(
-            self._data, other._data
-        )
+        return self._shape == other._shape and np.array_equal(self._bits, other._bits)
 
     def __repr__(self) -> str:
         t, c, h, w = self.shape
@@ -123,11 +157,21 @@ class SpikeTrain:
 
 
 class BinaryWeightTensor:
-    """Sign-bit weights in {-1,+1} per (out-channel, in-channel, kh, kw)."""
+    """Sign-bit weights in {-1,+1} per (out-channel, in-channel, kh, kw).
+
+    The bits are held packed flat, ``ceil(O*I*kh*kw/8)`` bytes, the bytes
+    a bundle stores (``packed``).  ``sign_bits`` unpacks a new read-only
+    uint8 copy on every access.
+    """
 
     def __init__(self, sign_bits):
-        self.sign_bits = _read_only_bits(sign_bits, "weights must be 4-D [O][I][kh][kw], got {}",
-                                         "sign bits must be 0 or 1")
+        self.shape, self.packed = _read_only_bits(
+            sign_bits, "weights must be 4-D [O][I][kh][kw], got {}",
+            "sign bits must be 0 or 1", per_step=False)
+
+    @property
+    def sign_bits(self) -> np.ndarray:
+        return _unpacked(self.packed, self.shape)
 
     def values(self, dtype=np.int64) -> np.ndarray:
         """Logical weights: bit b maps to 1 - 2b."""
@@ -135,22 +179,20 @@ class BinaryWeightTensor:
 
     @property
     def out_channels(self) -> int:
-        return self.sign_bits.shape[0]
+        return self.shape[0]
 
     @property
     def in_channels(self) -> int:
-        return self.sign_bits.shape[1]
+        return self.shape[1]
 
     @property
     def kernel(self) -> tuple[int, int]:
-        return self.sign_bits.shape[2], self.sign_bits.shape[3]
+        return self.shape[2], self.shape[3]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryWeightTensor):
             return NotImplemented
-        return self.sign_bits.shape == other.sign_bits.shape and np.array_equal(
-            self.sign_bits, other.sign_bits
-        )
+        return self.shape == other.shape and np.array_equal(self.packed, other.packed)
 
 
 @dataclass
@@ -328,9 +370,11 @@ class OffsetWeights:
 
 
 def lay_out_offsets(weights: BinaryWeightTensor) -> OffsetWeights:
-    """Lay a layer's sign bits out as its :class:`OffsetWeights`."""
-    signs = weights.sign_bits.transpose(2, 3, 0, 1)  # [kh][kw][O][C]
-    return OffsetWeights(np.subtract(1, 2 * signs, dtype=np.float32, order="C"))
+    """Unpack a layer's sign bits once and lay them out as its
+    :class:`OffsetWeights`."""
+    # [kh][kw][O][C]; the uint8 bits transpose faster than the floats
+    signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 3, 0, 1))
+    return OffsetWeights(np.subtract(1, 2 * signs, dtype=np.float32))
 
 
 def conv2d_oracle(
@@ -536,5 +580,5 @@ def run_network_oracle(
             )
         trains.append(SpikeTrain(current))
 
-    counts = trains[-1].data.sum(axis=(0, 2, 3)).astype(np.int64)
+    counts = current.sum(axis=(0, 2, 3)).astype(np.int64)
     return OracleRun(trains, counts)

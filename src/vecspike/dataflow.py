@@ -172,7 +172,8 @@ def _lanes_fit(taps: int) -> bool:
 
 
 def stage_weights(weights: BinaryWeightTensor, encoding: bool) -> GemmWeights:
-    """Lay a layer's sign bits out as its :class:`GemmWeights`.
+    """Unpack a layer's sign bits once and lay them out as its
+    :class:`GemmWeights`.
 
     The layer's sum bound, ``taps`` or ``255 * taps`` for the
     ``encoding`` layer, is computed here, once, and kept on the result;
@@ -181,21 +182,25 @@ def stage_weights(weights: BinaryWeightTensor, encoding: bool) -> GemmWeights:
     lanes for a spiking layer with an even ``cout`` while
     :func:`_lanes_fit`; the encoding layer's bitplane shifts.
     """
-    cout, cin, kh, kw = weights.sign_bits.shape
+    cout, cin, kh, kw = weights.shape
     taps = cin * kh * kw
     bound = 255 * taps if encoding else taps
     dtype = gemm_dtype(bound)
     # [kh][cout][kw][cin]; copying runs of cin is faster than runs of kw
     signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 0, 3, 1))
-    matrix = np.subtract(1, 2 * signs, dtype=dtype)
     packed = not encoding and cout % 2 == 0 and _lanes_fit(taps)
     planes, lanes = (8, cout) if encoding else (1, cout // 2 if packed else cout)
+    if packed:
+        # W[o] + lane*W[o + lanes] with W = 1 - 2s, on the half-height bits
+        lane = 2 * taps + 1
+        matrix = np.subtract(1 + lane, 2 * signs[:, :lanes], dtype=dtype)
+        matrix -= np.multiply(signs[:, lanes:], 2 * lane, dtype=dtype)
+    else:
+        matrix = np.subtract(1, 2 * signs, dtype=dtype)
     if encoding:
         # [kh][cout][kw][8][cin]: plane k's columns carry the shift 2**k
         shifts = np.left_shift(1, np.arange(8)).astype(dtype)[:, None]
         matrix = matrix[:, :, :, None] * shifts
-    elif packed:
-        matrix = matrix[:, :lanes] + (2 * taps + 1) * matrix[:, lanes:]
     matrix = matrix.reshape(kh * lanes, kw * planes * cin)
     return GemmWeights(matrix, cin, (kh, kw), encoding, packed, bound)
 
@@ -531,5 +536,5 @@ def run_network(
         report, boundary = layer_accounting(layer, cfg, time_steps)
         layer_runs.append(LayerRun(idx, layer.kind, report, boundary, train.spike_count()))
 
-    counts = trains[-1].data.sum(axis=(0, 2, 3)).astype(np.int64)
+    counts = current.sum(axis=(0, 2, 3)).astype(np.int64)
     return EngineRun(trains, counts, layer_runs)

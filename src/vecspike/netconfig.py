@@ -122,7 +122,7 @@ class NetworkDescription:
         for idx, layer in enumerate(self.layers):
             if not layer.has_weights:
                 continue
-            shape, params = weights[idx].sign_bits.shape, folded[idx]
+            shape, params = weights[idx].shape, folded[idx]
             where = f"layer {idx} ({layer.kind})"
             if shape != layer.weight_shape:
                 raise ShapeError(f"{where} weights are {shape}, expected {layer.weight_shape}")
@@ -372,7 +372,7 @@ def _bundle_payload(bundle: ModelBundle) -> bytes:
         par = bundle.params[idx]
         if par.fmt != bundle.fmt:
             raise BundleError(f"layer {idx}: parameters use {par.fmt}, the bundle {bundle.fmt}")
-        parts.append(np.packbits(wgt.sign_bits.ravel()).tobytes())
+        parts.append(wgt.packed.tobytes())
         for name, raw in (("bias", par.bias_raw), ("threshold", par.threshold_raw)):
             field32 = raw.astype("<i4")
             if not np.array_equal(field32, raw):

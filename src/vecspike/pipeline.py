@@ -233,6 +233,7 @@ def stream_conv_columns(
     r, k = cfg.array_rows, cfg.array_cols
     cout = weights.out_channels
 
+    signs = weights.sign_bits  # unpacked on each access: read once
     emissions: list[ColumnEmission] = []
     output = np.zeros((cout, h_out, w_out), dtype=np.int64)
     for o in range(cout):
@@ -242,7 +243,7 @@ def stream_conv_columns(
         ]
         # weight register: kernel column a, reversed top-to-bottom
         wcols = [
-            [weights.sign_bits[o, c, ::-1, a] for a in range(kw)] for c in range(cin)
+            [signs[o, c, ::-1, a] for a in range(kw)] for c in range(cin)
         ]
         for t in range(w):
             in_cols = np.zeros((cin, r), dtype=np.uint8)

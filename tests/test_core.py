@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,74 @@ def test_binary_weights_sign_convention():
     w = BinaryWeightTensor(np.array([[[[0, 1]]]]))
     assert w.values().tolist() == [[[[1, -1]]]]
     assert BinaryWeightTensor((1 - w.values()) // 2) == w
+
+
+BIT_DTYPES = [bool, np.uint8, np.int8, np.float64]
+
+
+@st.composite
+def _bit_arrays(draw, shape=None):
+    """A 4-D array of 0s and 1s in one of the dtypes the types accept; most
+    sizes are not a multiple of 8."""
+    if shape is None:
+        shape = tuple(draw(st.lists(st.integers(0, 5), min_size=4, max_size=4)))
+    size = int(np.prod(shape))
+    bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    dtype = draw(st.sampled_from(BIT_DTYPES))
+    return np.array(bits, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def _bit_array_pairs(draw):
+    """An array of :func:`_bit_arrays` and a second one: the same values in
+    another dtype, another draw of the same shape, or any other array."""
+    a = draw(_bit_arrays())
+    b = draw(st.one_of(
+        st.sampled_from(BIT_DTYPES).map(a.astype),
+        _bit_arrays(a.shape),
+        _bit_arrays(),
+    ))
+    return a, b
+
+
+PACKED_TYPES = [(SpikeTrain, lambda x: x.data),
+                (BinaryWeightTensor, lambda x: x.sign_bits)]
+
+
+@given(_bit_array_pairs())
+# flat bits that agree, packed into the same byte, in two shapes
+@example((np.ones((1, 1, 1, 8), dtype=np.uint8), np.ones((1, 1, 2, 4), dtype=np.uint8)))
+def test_packed_types_round_trip_and_compare_by_shape_and_value(pair):
+    a, b = pair
+    for cls, bits_of in PACKED_TYPES:
+        x, y = cls(a), cls(b)
+        bits = bits_of(x)
+        assert bits.dtype == np.uint8 and not bits.flags.writeable
+        assert bits.shape == a.shape and np.array_equal(bits, a)
+        assert x.shape == a.shape
+        assert (x == y) == (a.shape == b.shape and np.array_equal(a, b))
+    train = SpikeTrain(a)
+    assert train.spike_count() == np.count_nonzero(a)
+    assert train.time_steps == a.shape[0]
+
+
+@pytest.mark.parametrize("cls", [SpikeTrain, BinaryWeightTensor])
+def test_packed_types_retain_one_bit_per_element(cls):
+    # a dropped 8 MiB input leaves ceil(n/8) bytes and a small fixed overhead
+    shape = (8, 16, 256, 256)
+    n = int(np.prod(shape))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        data = np.zeros(shape, dtype=np.uint8)
+        data[..., ::3] = 1
+        kept = cls(data)
+        del data
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept.shape == shape
+    assert retained <= -(-n // 8) + 16 * 1024
 
 
 def test_bn_params_validation():

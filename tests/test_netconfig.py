@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -239,6 +240,38 @@ def test_bundle_seed_zero_reference_checksum():
     # frozen at first generation; any change to the generator or the
     # serialization layout is a breaking change and must show up here
     assert _mnist_bundle(0).checksum() == 878716613
+
+
+@pytest.mark.parametrize("preset, digest", [
+    ("mnist", "d38382f6c9de3f7b9972cb7a04211f9038e7797fd5e3481e8966485225388c9e"),
+    ("cifar10", "318c8c3451655a0878ec2a34401bac8995e7c7a89eb5a8646c3607f0baba5158"),
+])
+def test_preset_bundle_bytes_are_pinned(tmp_path, preset, digest):
+    # the whole VSA1 file: packed sign bits, parameters, header and CRC
+    path = tmp_path / "model.vsa"
+    save_bundle(generate_random_bundle(preset_network(preset, 8)[0], 0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_bundle_with_set_sign_pad_bits_is_refused(tmp_path):
+    # layer 0 has 2*1*3*3 = 18 sign bits: its third byte holds 6 pad bits,
+    # which save_bundle writes clear and load_bundle must find clear
+    net = validate(parse_network("2Conv(encoding)-2fc"), (1, 4, 4))
+    bundle = generate_random_bundle(net, seed=0)
+    path = tmp_path / "model.vsa"
+    save_bundle(bundle, path)
+    blob = bytearray(path.read_bytes())
+    last = 4 + struct.calcsize("<HHIIII") + 2 * struct.calcsize("<BBBBIIdI") + 2
+    assert blob[last] & 0x3F == 0
+    blob[last] |= 0x3F
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[4:-4]))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(BundleError, match="^bundle fields are not in canonical form$"):
+        load_bundle(path)
+    blob[last] &= 0xC0
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[4:-4]))
+    path.write_bytes(bytes(blob))
+    assert load_bundle(path) == bundle
 
 
 def test_bundle_bad_magic(tmp_path):
