@@ -4,14 +4,21 @@ This module holds the data types the engine shares and the functional
 oracle that checks it: a direct integer/fixed-point implementation of
 integrate-and-fire dynamics, folded batch normalization, dense binary
 convolution, OR-pooling and whole-network execution.  Everything favours
-clarity over speed, with three exceptions.  The dense convolution sums one
+clarity over speed, with four exceptions.  The dense convolution sums one
 BLAS product per kernel offset, each on a view of the padded input (no
 copy per offset), in float32 when ``max|x| * C * kh * kw`` stays below
 2**24, in float64 when it stays below 2**53 and in int64 when it stays
 below 2**63; a larger bound, which could wrap int64, raises
 ``FixedPointOverflowError``.  The whole-network run lays out each weighted
 layer's +-1 weights, one [O][C] matrix per offset, once for all of its
-time steps, and writes each step's spikes into one [T] array.  And it
+time steps, holds one weighted layer's operand and sums at a time, and
+writes each step's spikes into one [T] array.  It computes in int32
+wherever a step's own data prove int32 exact: a float32 product's sums
+lie below 2**24 and come back int32, and a step is weighed in int32 when
+its ``max|x| * 2**frac_bits + 2**total_bits`` is below 2**31, so neither
+the shifted sum less an in-format bias nor its addition to an in-format
+membrane can wrap; any other step is weighed in int64, and the membrane
+is promoted to int64 once, when the first such step arrives.  And it
 convolves two time steps in one product: with ``taps = C*kh*kw*max|x|``
 each step's sum lies in [-taps, taps], so the map ``x[t] + base*x[t+1]``,
 ``base = 2*taps + 1``, convolves to ``s[t] + base*s[t+1]``, which decodes
@@ -62,7 +69,7 @@ from .errors import (
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .netconfig import NetworkDescription
+    from .netconfig import LayerSpec, NetworkDescription
 
 # 8-bit inputs represent u/2**8 of the (0,1) range; folded params shift
 # left by this
@@ -70,6 +77,8 @@ ENCODING_SHIFT = 8
 # integers below these magnitudes are exact in float32 / float64
 FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
+# weighed sums and membranes of magnitude below this fit int32
+INT32_LIMIT = 2**31
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +386,11 @@ def lay_out_offsets(weights: BinaryWeightTensor) -> OffsetWeights:
     return OffsetWeights(np.subtract(1, 2 * signs, dtype=np.float32))
 
 
+def _peak(x: np.ndarray) -> int:
+    """``max|x|`` of an integer array as a Python int; 0 when it is empty."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
 def conv2d_oracle(
     inputs,
     weights: BinaryWeightTensor | OffsetWeights,
@@ -386,7 +400,9 @@ def conv2d_oracle(
 
     Accepts a single-step spike map or an unsigned 8-bit tensor shaped
     [C][H][W], of a bool or integer dtype (any other raises
-    ``InvalidParameterError``); returns exact integer outputs [O][H'][W'].
+    ``InvalidParameterError``); returns exact integer outputs [O][H'][W'],
+    int32 when the product ran in float32 (every sum below 2**24), else
+    int64.
     ``weights`` is the layer's tensor, or the :class:`OffsetWeights` laid
     out from it.  Accumulation is a plain sum over receptive-field
     offsets.  The padded input, plus one spare zero row, is written once
@@ -415,7 +431,7 @@ def conv2d_oracle(
         raise InvalidParameterError(f"convolution input must be integers, got {x.dtype}")
     # a float is exact while no |partial sum| reaches its limit; the bound
     # covers the running sum over every offset, not only one offset's product
-    bound = max(int(x.max(initial=0)), -int(x.min(initial=0))) * c * kh * kw
+    bound = _peak(x) * c * kh * kw
     if bound >= 2**63:
         raise FixedPointOverflowError(f"convolution sum: bound {bound} reaches 2**63")
     dtype = (np.float32 if bound < FLOAT32_EXACT_LIMIT
@@ -429,7 +445,9 @@ def conv2d_oracle(
         for v in range(kw):
             start = u * wp + v
             out += np.matmul(wv[u, v], flat[:, start : start + h_out * wp])
-    return out.reshape(-1, h_out, wp)[:, :, :w_out].astype(np.int64)
+    # a float32 product's sums lie below 2**24, so int32 holds them
+    exact = np.int32 if dtype is np.float32 else np.int64
+    return out.reshape(-1, h_out, wp)[:, :, :w_out].astype(exact)
 
 
 def maxpool2_oracle(spikes) -> np.ndarray:
@@ -458,10 +476,12 @@ def _step_sums(
     ``(base + 1)*taps`` stays below 2**24 (see the module docstring); past
     it, and for an odd last step, a step convolves alone.  ``s + taps`` is
     ``s[t+1]*base`` plus a remainder in ``[0, 2*taps]``, so an integer
-    floor division by ``base`` decodes ``s[t+1]``.
+    floor division by ``base`` decodes ``s[t+1]``.  A paired product runs
+    in float32, so it and both decoded steps are int32; a step convolved
+    alone comes back in :func:`conv2d_oracle`'s dtype.
     """
     kh, kw, _, channels = offsets.values.shape
-    taps = channels * kh * kw * max(int(maps.max(initial=0)), -int(maps.min(initial=0)))
+    taps = channels * kh * kw * _peak(maps)
     base = 2 * taps + 1
     paired = (base + 1) * taps < FLOAT32_EXACT_LIMIT
     for t in range(0, len(maps), 2 if paired else 1):
@@ -482,7 +502,20 @@ def _step_sums(
 
 
 def _weigh(x, params: FoldedNeuronParams, fmt: FixedPointFormat) -> np.ndarray:
-    """One step's IF input: the conv sums shifted onto the grid, less the bias."""
+    """One step's IF input: the conv sums shifted onto the grid, less the bias.
+
+    In int32 when the step's own ``max|x| * 2**frac_bits + 2**total_bits``
+    is below 2**31: the bias and any in-format membrane each lie within
+    ``2**(total_bits - 1)``, so neither this nor the IF update can wrap.
+    Otherwise in int64 through ``fmt.shift_left``, which refuses a shift
+    that would wrap.  ``x`` is not written.
+    """
+    x = np.asarray(x)
+    room = INT32_LIMIT - (1 << fmt.total_bits)
+    if x.dtype.kind in "iu" and _peak(x) << fmt.frac_bits < room:
+        weighted = np.left_shift(x, fmt.frac_bits, dtype=np.int32)
+        weighted -= params.bias_raw.astype(np.int32)[:, None, None]
+        return weighted
     weighted = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
     weighted -= params.bias_raw[:, None, None]
     return weighted
@@ -498,25 +531,55 @@ def _if_run(
 
     Each input is taken only when the previous one has been integrated, so
     a generator of steps streams.  The first input is copied into the
-    int64 potential; no input is written.  The potential resets lazily,
-    ``V = V*(1 - o) + in`` with ``o`` the previous step's spikes, and each
-    step's spikes are written into one [T][C][H][W] array.
+    potential, which keeps its dtype until a wider input arrives and is
+    then promoted once; no input is written.  An int32 input must meet
+    :func:`_weigh`'s int32 room, so no update wraps.  The potential resets
+    lazily, ``V = V*(1 - o) + in`` with ``o`` the previous step's spikes,
+    and each step's spikes are written into one [T][C][H][W] array.
     """
-    threshold = params.threshold_raw[:, None, None]
     flip = params.flipped
     for t, weighted in enumerate(weighted_inputs):
         if t:
+            # a step wider than the membrane promotes it, once
+            v = v.astype(np.promote_types(v.dtype, weighted.dtype), copy=False)
             v *= 1 - spikes[t - 1]
             v += weighted
         else:
-            v = np.array(weighted, dtype=np.int64)
+            v = np.array(weighted)
             spikes = np.zeros((time_steps, *v.shape), dtype=np.uint8)
         fmt.check_raw(v, "membrane potential")
+        # an int32 membrane means a format within int32, so the threshold fits
+        threshold = params.threshold_raw.astype(v.dtype)[:, None, None]
         fired = spikes[t].view(bool)
         np.greater_equal(v, threshold, out=fired)
         if flip.any():  # a negative gain flips the comparison to <=
             fired[flip] = v[flip] <= threshold[flip]
     return spikes
+
+
+def _layer_spikes(
+    layer: "LayerSpec",
+    tensor: BinaryWeightTensor,
+    params: FoldedNeuronParams,
+    source: np.ndarray,
+    time_steps: int,
+    fmt: FixedPointFormat,
+) -> np.ndarray:
+    """All time steps of one weighted layer: its [T][C][H][W] spikes.
+
+    ``source`` is the image for the encoding layer, whose sums are weighed
+    once and dropped, else the previous layer's spikes.  The layer's
+    operand, sums and generators live in this call alone, so they are
+    freed before the next layer is laid out.
+    """
+    if layer.kind == "encoding-conv":
+        params = params.scaled_by_pow2(ENCODING_SHIFT)
+        weighted = _weigh(conv2d_oracle(source, tensor, padding=layer.padding), params, fmt)
+        return _if_run(itertools.repeat(weighted, time_steps), params, fmt, time_steps)
+    # an fc layer is a 1x1 convolution of the flattened map
+    maps = source.reshape(time_steps, *layer.in_shape)
+    sums = _step_sums(maps, lay_out_offsets(tensor), layer.padding)
+    return _if_run((_weigh(s, params, fmt) for s in sums), params, fmt, time_steps)
 
 
 @dataclass
@@ -543,9 +606,12 @@ def run_network_oracle(
     that stays float32 (:func:`_step_sums`), otherwise one, and stream
     each step's weighed sums into :func:`_if_run`; fc layers run as 1x1
     convolutions over the flattened feature vector; pooling is an OR
-    reduction of each step's output map.  Each weighted layer's operand is
-    laid out once (:func:`lay_out_offsets`) for all of its steps.
-    Deterministic and reproducible bit for bit.
+    reduction of each step's output map.  Each weighted layer runs in its
+    own call (:func:`_layer_spikes`), which lays out its operand once
+    (:func:`lay_out_offsets`) for all of its steps and frees it, with the
+    layer's sums, before the next layer.  Sums, weighed inputs and
+    membranes are int32 wherever each step's data prove it exact (see the
+    module docstring).  Deterministic and reproducible bit for bit.
 
     The inputs pass ``net.check_run_inputs`` before any layer runs.
     """
@@ -556,18 +622,9 @@ def run_network_oracle(
     trains: list[SpikeTrain] = []
     current: np.ndarray | None = None  # [T][C][H][W] spikes
     for idx, layer in enumerate(net.layers):
-        if layer.kind == "encoding-conv":
-            sums = conv2d_oracle(img, weights[idx], padding=layer.padding)
-            params = folded[idx].scaled_by_pow2(ENCODING_SHIFT)
-            weighted = itertools.repeat(_weigh(sums, params, fmt), time_steps)
-            current = _if_run(weighted, params, fmt, time_steps)
-        elif layer.kind in ("conv", "fc"):
-            offsets = lay_out_offsets(weights[idx])
-            # an fc layer is a 1x1 convolution of the flattened map
-            maps = current.reshape(time_steps, *layer.in_shape)
-            sums = _step_sums(maps, offsets, layer.padding)
-            weighted = (_weigh(s, folded[idx], fmt) for s in sums)
-            current = _if_run(weighted, folded[idx], fmt, time_steps)
+        if layer.has_weights:
+            source = img if layer.kind == "encoding-conv" else current
+            current = _layer_spikes(layer, weights[idx], folded[idx], source, time_steps, fmt)
         elif layer.kind == "maxpool2":
             current = np.stack(
                 [maxpool2_oracle(current[t]) for t in range(time_steps)]

@@ -109,7 +109,9 @@ class NetworkDescription:
         entry per layer, neither ``None`` for a weighted layer, an image of
         the first layer's ``in_shape`` and ``time_steps >= 1``.  A weighted
         layer's weights must have its ``weight_shape`` and its parameters
-        its ``out_channels``, in the run's format ``fmt``.
+        its ``out_channels``, in the run's format ``fmt``.  The largest
+        layer's uint8 [T][C][H][W] train must fit numpy's largest array,
+        ``np.iinfo(np.intp).max`` bytes.
         """
         if not (self.layers and self.is_annotated):
             raise ValidationError(f"{caller} needs a validated network")
@@ -140,6 +142,11 @@ class NetworkDescription:
             )
         if time_steps < 1:
             raise InvalidParameterError("time_steps must be >= 1")
+        largest = max((layer.out_shape for layer in self.layers), key=math.prod)
+        if time_steps * math.prod(largest) > np.iinfo(np.intp).max:
+            raise InvalidParameterError(
+                f"time_steps {time_steps}: the {largest} layer's [T] spike train "
+                f"exceeds numpy's largest array")
         return img
 
 

@@ -611,6 +611,27 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
         "error: out of memory: Unable to allocate 149. GiB for an array\n")
 
 
+_PAST_NUMPY_T = ["1000000000000000000", "9223372036854775808"]
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["run", "verify"])
+@pytest.mark.parametrize("steps", _PAST_NUMPY_T)
+def test_run_refuses_a_train_past_numpys_largest_array(capsys, steps, verify):
+    # np.empty raised a ValueError for these, which left a traceback
+    code = run_cli(["run", "--net", "mnist", "--timesteps", steps, *verify])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"validation error: time_steps {steps}: the (64, 28, 28) layer's [T] "
+        "spike train exceeds numpy's largest array\n")
+
+
+@pytest.mark.parametrize("steps", _PAST_NUMPY_T)
+def test_traffic_takes_a_t_past_numpys_largest_array(capsys, steps):
+    # the memory model counts bytes in Python integers and holds no train
+    assert run_cli(["traffic", "--net", "mnist", "--timesteps", steps]) == 0
+    assert "reduction:" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under random config and plan JSON
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_conv2d, record_matmul_dtypes
+from conftest import brute_conv2d, random_network, record_matmul_dtypes
 from vecspike.core import (
     BinaryWeightTensor,
     BNParams,
@@ -537,7 +537,8 @@ def test_conv_oracle_matches_brute_force_on_any_geometry(
         mp.setattr(core, "FLOAT64_EXACT_LIMIT", _DTYPE_PATHS[dtype][1])
         seen = record_matmul_dtypes(mp)
         out = conv2d_oracle(x, weights, padding=pad)
-    assert out.dtype == np.int64
+    # a float32 product's sums lie below 2**24: they come back int32
+    assert out.dtype == (np.int32 if dtype is np.float32 else np.int64)
     assert np.array_equal(out, brute_conv2d(x, weights.values(), pad))
     assert len(seen) == kh * kw and set(seen) == {np.dtype(dtype)}
 
@@ -766,7 +767,8 @@ def test_a_decoded_pair_equals_two_step_convolutions(case):
     assert len(decoded) == 2
     for t in range(2):
         expected = conv2d_oracle(maps[t], weights, padding=pad)
-        assert decoded[t].dtype == np.int64 and np.array_equal(decoded[t], expected), t
+        # every product here runs in float32, so each step decodes in int32
+        assert decoded[t].dtype == np.int32 and np.array_equal(decoded[t], expected), t
     assert len(calls) == (1 if paired else 2)
     if paired:
         assert set(seen) == {np.dtype(np.float32)}
@@ -817,21 +819,106 @@ def test_network_oracle_convolves_below_the_float32_limit(monkeypatch, preset):
 def test_network_oracle_integrates_each_pair_before_convolving_the_next(monkeypatch):
     # the decoded steps stream into the IF loop: pair k is integrated
     # before pair k + 1 is convolved, and an odd last step runs alone; the
-    # encoding layer's constant sums are shifted once for all 5 steps
+    # encoding layer's constant sums are weighed once for all 5 steps
     import vecspike.core as core
 
     events = []
-    conv, shift = core.conv2d_oracle, FixedPointFormat.shift_left
-
-    def shift_spy(self, raw, shift_by, context="value"):
-        if context == "convolution sum":
-            events.append("if")
-        return shift(self, raw, shift_by, context)
-
+    conv, weigh = core.conv2d_oracle, core._weigh
     monkeypatch.setattr(core, "conv2d_oracle",
                         lambda *a, **k: events.append("conv") or conv(*a, **k))
-    monkeypatch.setattr(FixedPointFormat, "shift_left", shift_spy)
+    monkeypatch.setattr(core, "_weigh", lambda *a: events.append("if") or weigh(*a))
     net = validate(parse_network("4Conv(encoding)-4Conv"), (1, 6, 6))
     bundle = generate_random_bundle(net, seed=0)
     run_network_oracle(net, bundle.weights, bundle.params, random_input((1, 6, 6), 0), 5)
     assert events == ["conv", "if"] + ["conv", "if", "if"] * 2 + ["conv", "if"]
+
+
+def _promoting_case(channels, fault):
+    # at 30/24 a weighed step takes int32 while max|x| < 64.  The encoding
+    # neurons all fire at steps 1 and 3 alone, so the fc sums of channel 0
+    # (all +1, bias raw_max) read 0, n, 0, n: the membrane is promoted at
+    # step 1.  With 64 inputs channel 0 sinks to -(2**29 - 1), then
+    # 64 << 24 brings it back to 2, and no fault; with 192 it reaches
+    # 2**31 + 2, which a membrane kept in int32 would wrap.  Channel 1
+    # sums 16 and fires at steps 1 and 3.
+    fmt = FixedPointFormat(30, 24)
+    net = validate(parse_network(f"{channels}Conv(encoding)-2fc"), (1, 1, 1))
+    fc_signs = np.zeros((2, channels, 1, 1), dtype=np.uint8)
+    fc_signs[1, (channels + 16) // 2:] = 1
+    weights = [BinaryWeightTensor(np.zeros((channels, 1, 3, 3), dtype=np.uint8)),
+               BinaryWeightTensor(fc_signs)]
+    params = [FoldedNeuronParams([-2**14] * channels, [2**15] * channels,
+                                 [False] * channels, fmt),
+              FoldedNeuronParams([fmt.raw_max, 0], [fmt.scale] * 2, [False] * 2, fmt)]
+    image = np.zeros((1, 1, 1), dtype=np.uint8)
+    # the encoding layer weighs once, then the fc steps up to the fault
+    dtypes = [np.int32] + ([np.int32, np.int64] if fault else [np.int32, np.int64] * 2)
+    return net, weights, params, image, fmt, 4, (dtypes, fault)
+
+
+def _bundle_case(net, shape, fmt, steps, dtype=None):
+    bundle = generate_random_bundle(net, seed=0, fmt=fmt)
+    # the encoding layer weighs once, every other weighted layer once a step
+    weighs = sum(1 if layer.kind == "encoding-conv" else steps
+                 for layer in net.layers if layer.has_weights)
+    expect = None if dtype is None else ([dtype] * weighs, None)
+    return net, bundle.weights, bundle.params, random_input(shape, 0), fmt, steps, expect
+
+
+@st.composite
+def _width_cases(draw):
+    """A random network, format and T, expecting no dtypes and no outcome."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net, shape = random_network(rng, max_dim=10, max_channels=16)
+    total = draw(st.integers(6, 39))
+    fmt = FixedPointFormat(total, draw(st.integers(1, min(total - 1, 12))))
+    steps = draw(st.integers(1, 4))
+    try:
+        return _bundle_case(net, shape, fmt, steps)
+    except FixedPointOverflowError:  # a bias or threshold off a narrow format
+        assume(False)
+
+
+def _oracle_outcome(case):
+    net, weights, params, image, fmt, steps, _ = case
+    try:
+        run = run_network_oracle(net, weights, params, image, steps, fmt)
+    except FixedPointOverflowError as exc:
+        return type(exc), str(exc)
+    return [train.data.tobytes() for train in run.layer_trains], run.class_counts.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_width_cases())
+@example(_bundle_case(*preset_network("mnist", 4), FMT, 4, np.int32))
+@example(_bundle_case(*preset_network("cifar10", 2), FMT, 2, np.int32))
+@example(_bundle_case(*preset_network("mnist", 4), FixedPointFormat(32, 16), 4, np.int64))
+@example(_promoting_case(64, None))
+@example(_promoting_case(192, "membrane potential: raw 2147483650 "))
+def test_the_int32_width_rule_changes_no_oracle_outcome(case):
+    # the oracle as built against the oracle with every step in int64:
+    # the same trains and counts, or the same fault, type and text
+    import vecspike.core as core
+
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        weigh = core._weigh
+
+        def recording(*args):
+            weighted = weigh(*args)
+            seen.append(weighted.dtype)
+            return weighted
+
+        mp.setattr(core, "_weigh", recording)
+        built = _oracle_outcome(case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "INT32_LIMIT", 0)
+        wide = _oracle_outcome(case)
+    assert built == wide
+    if case[-1] is not None:
+        dtypes, fault = case[-1]
+        assert seen == dtypes
+        if fault:
+            assert built[0] is FixedPointOverflowError and fault in built[1]
+        else:
+            assert isinstance(built[0], list)

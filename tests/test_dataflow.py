@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -1266,3 +1268,28 @@ def test_run_network_membranes_are_int32_up_to_30_bits(monkeypatch, total_bits, 
     oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 4, cfg.fmt)
     assert seen == {np.dtype(dtype)}
     assert all(a == b for a, b in zip(engine.layer_trains, oracle.layer_trains))
+
+
+def _traced_peak(run):
+    """The tracemalloc peak of ``run()`` above what was traced before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_oracle_peaks_no_higher_than_the_engine_on_cifar10():
+    # a verify item runs both, so the higher peak is the item's.  The
+    # oracle's read 9.43 MiB against the engine's 7.05 MiB while it kept
+    # int64 sums and the last layer's operand alive into the next layer
+    net, shape = preset_network("cifar10", 8)
+    bundle = generate_random_bundle(net, seed=0)
+    image = random_input(shape, 0)
+    engine = _traced_peak(
+        lambda: run_network(net, bundle.weights, bundle.params, image, 8, CFG))
+    oracle = _traced_peak(
+        lambda: run_network_oracle(net, bundle.weights, bundle.params, image, 8))
+    assert oracle <= engine
