@@ -59,6 +59,25 @@ any.  The IF unit runs every call in its membrane's dtype and never
 promotes it.  The encoding layer's sums are the same every step, so its
 shifted, bias-subtracted update is formed once per layer.
 
+VSA configures its PE arrays and IF unit once per layer and streams all
+T steps through them, and so does the engine: everything fixed for a
+layer is set up once, when ``run_network`` stages it, and each step keeps
+one GEMM and a few in-place passes.  The im2col and product buffers live
+with the layer's :class:`GemmWeights` and every step's ``np.matmul``
+writes into them; a schedule still returns new sums.  The neuron
+parameters are cast once to the membrane dtype
+(:class:`StagedNeuronParams`), with no flip mask where no channel flips;
+the comparison fires through a bool view of the uint8 spikes (the
+encoding layer's straight into its train), and the reset reuses one mask.  The staged bound also stands in for two range scans.
+It proves the int32 room, so no step's sums are scanned for it.  And with
+``U = (bound << frac_bits) + max|bias|``, or the peak of the encoding
+layer's once-formed update, the membrane after step ``t`` (from 1) of a
+layer lies within ``t * U``: only a step with ``t * U > raw_max`` scans
+it, and as every later step scans too, a fault is raised on the same
+step, with the same type and text, as when every step scanned.  At 24/8
+and T=8 the only such step of the presets is the last one of cifar10's
+4096-input fc layer.
+
 Cycle counts, PE activity and boundary-SRAM use depend only on a layer's
 geometry, the config and T; :func:`vecspike.geometry.layer_accounting`
 gives them once per layer, and the schedulers return sums only.
@@ -66,7 +85,7 @@ gives them once per layer, and the schedulers return sums only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -112,32 +131,34 @@ def gemm_dtype(bound: int) -> np.dtype:
     raise FixedPointOverflowError(f"convolution sum: bound {bound} reaches 2**53")
 
 
-def _tile_partial_rows(
-    x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int
-) -> np.ndarray:
+def _tile_partial_rows(x: np.ndarray, weights: "GemmWeights") -> np.ndarray:
     """Kernel-row products of an input map, before the diagonal stitch.
 
     ``x`` is a whole padded map [..., cin, h, w_in], with no halo row; it
     is read, never written.  Its leading axes (the encoding layer's
-    bitplanes) join the input channels in the inner dimension.  ``w_mat``
-    is the [kh*lanes, kw*taps] weights in the GEMM dtype, where ``taps`` is
-    the size of those leading axes times ``cin`` and ``lanes`` is ``cout``,
-    or ``cout/2`` for a packed operand (:class:`GemmWeights`).  The rows
-    are lowered, in that dtype, to width-only im2col columns [kw*taps,
-    h*w_out] and multiplied once.  The result [kh, lanes, h, w_out] holds
-    at ``[u, :, r]`` kernel row ``u``'s products with input row ``r``,
-    which belong to output row ``r - u``.
+    bitplanes) join the input channels in the inner dimension.  The
+    staged operand ``weights.matrix`` is [kh*lanes, kw*taps] in the GEMM
+    dtype, where ``taps`` is the size of those leading axes times ``cin``
+    and ``lanes`` is ``cout``, or ``cout/2`` for a packed operand
+    (:class:`GemmWeights`).  The rows are lowered, in that dtype, to
+    width-only im2col columns [kw*taps, h*w_out] and multiplied once, both
+    into the layer's workspace (:meth:`GemmWeights.workspace`).  The
+    result [kh, lanes, h, w_out] is a view of the product buffer, which the
+    layer's next call overwrites: it holds at ``[u, :, r]`` kernel row
+    ``u``'s products with input row ``r``, which belong to output row ``r -
+    u``.
     """
     *lead, cin, h, w_in = x.shape
+    kh, kw = weights.kernel
     w_out = w_in - kw + 1
-    im2col = np.empty((kw, *lead, cin, h, w_out), dtype=w_mat.dtype)
+    im2col, products = weights.workspace((kw, *lead, cin, h, w_out))
     for v in range(kw):  # kernel column v sees columns v .. v + w_out - 1
         im2col[v] = x[..., v : v + w_out]
-    sums = w_mat @ im2col.reshape(w_mat.shape[1], h * w_out)
-    return sums.reshape(kh, w_mat.shape[0] // kh, h, w_out)
+    np.matmul(weights.matrix, im2col.reshape(-1, h * w_out), out=products)
+    return products.reshape(kh, -1, h, w_out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class GemmWeights:
     """A weighted layer's weights as the one operand of its step GEMMs.
 
@@ -156,6 +177,9 @@ class GemmWeights:
     passes the result as the ``weights`` of every step's schedule call.
     ``bound`` is the layer's sum bound, ``taps = cin*kh*kw`` or ``255 *
     taps`` for the encoding layer: no step's sum exceeds it in magnitude.
+    The layer's GEMM workspace lives here too (:meth:`workspace`), one
+    slot that every step overwrites, so the steps of one staged layer run
+    one at a time.
     """
 
     matrix: np.ndarray
@@ -164,6 +188,24 @@ class GemmWeights:
     encoding: bool
     packed: bool
     bound: int
+    _workspace: tuple | None = field(default=None, init=False, repr=False)
+
+    def workspace(self, im2col_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The im2col buffer of ``im2col_shape`` [kw, ..., h, w_out] and
+        the [kh*lanes][h*w_out] product buffer, both in the GEMM dtype.
+
+        Made for the first map and reused while the map keeps its size; a
+        map of another size replaces them.
+        """
+        if self._workspace is None or self._workspace[0] != im2col_shape:
+            h, w_out = im2col_shape[-2:]
+            dtype = self.matrix.dtype
+            self._workspace = (
+                im2col_shape,
+                np.empty(im2col_shape, dtype),
+                np.empty((len(self.matrix), h * w_out), dtype),
+            )
+        return self._workspace[1:]
 
 
 def _lanes_fit(taps: int) -> bool:
@@ -234,7 +276,8 @@ def _run_schedule(x: np.ndarray, weights: GemmWeights, cfg: HardwareConfig) -> n
     input row ``r`` into output row ``r - u`` as one slice add per kernel
     row, dropping those that fall outside the output.  Packed lanes are
     decoded once; other sums are cast once, to int32 from float32 and to
-    int64 from float64.
+    int64 from float64.  Either way the sums returned are a new array,
+    never the workspace.
     """
     _, h_in, w_in = x.shape
     kh, kw = weights.kernel
@@ -242,7 +285,7 @@ def _run_schedule(x: np.ndarray, weights: GemmWeights, cfg: HardwareConfig) -> n
     if weights.encoding:
         # [8][cin][h][w]: plane k holds bit k of every pixel
         x = np.unpackbits(x.astype(np.uint8)[None], axis=0, bitorder="little")
-    products = _tile_partial_rows(x, weights.matrix, kh, kw)
+    products = _tile_partial_rows(x, weights)
     # diagonal stitch: products[u, :, r] belongs to output row r - u; rows
     # that land outside the output are dropped
     out = products[0, :, :h_out]
@@ -341,9 +384,65 @@ def _int32_room(bound: int, fmt: FixedPointFormat) -> bool:
     return bound << fmt.frac_bits < 2**31 - 2**fmt.total_bits
 
 
+@dataclass(eq=False)
+class StagedNeuronParams:
+    """A layer's :class:`FoldedNeuronParams`, staged once with its membrane.
+
+    ``membrane`` is the layer's potentials, int32 or int64; only
+    :func:`if_unit_process` calls with this object write it, one call per
+    time step.  The parameters are cast once to its dtype: ``bias`` and
+    ``threshold`` are [C][1][1], the threshold raised by one on flipped
+    channels (``v <= thr`` is ``not v >= thr + 1``, so one comparison
+    serves both polarities), and ``flipped`` is the [C][1][1] flip mask,
+    or ``None`` when no channel flips.  ``keep`` is the reused reset mask.
+
+    ``peak`` is U, a bound on every step's |update|, and ``steps`` counts
+    the steps taken.  Built directly, an object has no bound (``peak`` is
+    ``None``) and every call checks and scans as with plain parameters.
+    :meth:`for_layer` derives the bound from the layer's staged weights.
+    """
+
+    params: FoldedNeuronParams
+    membrane: np.ndarray
+    peak: int | None = field(default=None, init=False)
+    steps: int = field(default=0, init=False)
+    bias: np.ndarray = field(init=False)
+    threshold: np.ndarray = field(init=False)
+    flipped: np.ndarray | None = field(init=False)
+    keep: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        p, dtype = self.params, self.membrane.dtype
+        self.bias = p.bias_raw.astype(dtype)[:, None, None]
+        self.threshold = (p.threshold_raw + p.flipped).astype(dtype)[:, None, None]
+        self.flipped = p.flipped[:, None, None] if p.flipped.any() else None
+        self.keep = np.empty(self.membrane.shape, dtype=bool)
+
+    @classmethod
+    def for_layer(
+        cls, params: FoldedNeuronParams, weights: GemmWeights, shape: tuple[int, ...]
+    ) -> "StagedNeuronParams":
+        """Stage ``params`` with a zero membrane of ``shape`` for the
+        layer whose sums the schedules compute from ``weights``.
+
+        The membrane is int32 where the sum bound meets the int32 room
+        (:func:`_int32_room`), else int64, and ``U = (bound << frac_bits) +
+        max|bias|``.  From a zero membrane, |v| <= steps * U, so a step
+        with ``steps * U <= raw_max`` cannot leave the format and skips
+        the membrane's range scan; every later step scans.  Both hold only
+        for sums within the bound, as every schedule call on ``weights``
+        returns.
+        """
+        fmt = params.fmt
+        dtype = np.int32 if _int32_room(weights.bound, fmt) else np.int64
+        staged = cls(params, np.zeros(shape, dtype=dtype))
+        staged.peak = (weights.bound << fmt.frac_bits) + _peak(params.bias_raw)
+        return staged
+
+
 def if_unit_process(
     conv_out,
-    params: FoldedNeuronParams,
+    params: FoldedNeuronParams | StagedNeuronParams,
     potentials: np.ndarray,
     fmt: FixedPointFormat,
 ) -> np.ndarray:
@@ -359,21 +458,21 @@ def if_unit_process(
     raises ``ShapeError`` before any write.  ``run_network`` gives a layer
     an int32 membrane only when its sum bound meets the room, so it never
     makes such a call.  Faults are raised, and worded, exactly as the
-    oracle's.  The encoding layer re-presents the same integer convolution
-    every step (it is parked in the second membrane SRAM on chip), so
-    ``run_network`` forms its update once per layer (:func:`_if_update`)
-    and fires it each step (:func:`_if_fire`), the two halves of this call.
-    """
-    update = _if_update(conv_out, params, potentials, fmt)
-    return _if_fire(update, params, potentials, fmt)
+    oracle's.
 
-
-def _if_update(conv_out, params, potentials, fmt) -> np.ndarray:
-    """The checked, shifted, bias-subtracted update of one IF step.
-
-    In the dtype of ``potentials``, int32 or int64.
+    ``params`` may be :class:`StagedNeuronParams` whose membrane is
+    ``potentials`` (else ``ShapeError``); plain parameters are staged for
+    this one call.  Staged by :meth:`StagedNeuronParams.for_layer`, as
+    ``run_network`` passes them, the layer's bound stands in for the
+    int32-room scan, and for the membrane's range scan on the steps it
+    clears: the sums must then be the schedule's on the staged weights.
+    The encoding layer re-presents the same integer convolution every step
+    (it is parked in the second membrane SRAM on chip), so ``run_network``
+    forms its update once per layer (:func:`_if_update`) and fires it each
+    step (:func:`_if_fire`), the two halves of this call.
     """
     x = np.asarray(conv_out)
+    folded = params if isinstance(params, FoldedNeuronParams) else params.params
     if x.dtype.kind not in "iu":
         raise ShapeError(f"conv output must be integer sums, got {x.dtype}")
     if x.shape != potentials.shape or potentials.dtype not in (np.int32, np.int64):
@@ -381,33 +480,55 @@ def _if_update(conv_out, params, potentials, fmt) -> np.ndarray:
             f"conv output {x.shape} does not match the {potentials.dtype} membrane "
             f"{potentials.shape}"
         )
-    if params.channels != x.shape[0]:
+    if folded.channels != x.shape[0]:
         raise ShapeError(
-            f"{params.channels} parameter channels for {x.shape[0]} output channels"
+            f"{folded.channels} parameter channels for {x.shape[0]} output channels"
         )
-    if params.fmt != fmt:
-        raise InvalidParameterError(f"parameters use {params.fmt}, the IF unit {fmt}")
-    if potentials.dtype == np.int64:
+    if folded.fmt != fmt:
+        raise InvalidParameterError(f"parameters use {folded.fmt}, the IF unit {fmt}")
+    if params is folded:
+        params = StagedNeuronParams(params, potentials)
+    elif potentials is not params.membrane:
+        raise ShapeError("staged neuron parameters belong to another membrane")
+    if params.peak is None and potentials.dtype == np.int32:
+        if not _int32_room(peak := _peak(x), fmt):
+            raise ShapeError(f"conv output peak {peak} leaves no int32 room in {fmt}")
+    spikes = np.empty(x.shape, dtype=np.uint8)
+    return _if_fire(_if_update(x, params, fmt), params, fmt, spikes)
+
+
+def _if_update(x: np.ndarray, neurons: StagedNeuronParams, fmt) -> np.ndarray:
+    """The shifted, bias-subtracted update of one IF step.
+
+    In the membrane's dtype: for an int32 one the int32 room is already
+    proven; an int64 one shifts through ``fmt.shift_left``, which refuses
+    a shift that would wrap.
+    """
+    if neurons.membrane.dtype == np.int64:
         update = fmt.shift_left(x, fmt.frac_bits, "convolution sum")
-    elif _int32_room(peak := _peak(x), fmt):
-        update = np.left_shift(x, fmt.frac_bits, dtype=np.int32)
     else:
-        raise ShapeError(f"conv output peak {peak} leaves no int32 room in {fmt}")
-    update -= params.bias_raw.astype(update.dtype)[:, None, None]
+        update = np.left_shift(x, fmt.frac_bits, dtype=np.int32)
+    update -= neurons.bias
     return update
 
 
-def _if_fire(update, params, v, fmt) -> np.ndarray:
-    """Accumulate ``update`` into the membrane ``v``, compare, fire and write
-    back; uint8 spikes."""
+def _if_fire(
+    update: np.ndarray, neurons: StagedNeuronParams, fmt, out: np.ndarray
+) -> np.ndarray:
+    """Accumulate ``update`` into the staged membrane, compare, fire into
+    the uint8 ``out`` and write back; returns ``out``."""
+    v = neurons.membrane
     v += update
-    fmt.check_raw(v, "membrane potential")
-    # v <= thr is not v >= thr + 1: one comparison serves both polarities
-    thr = (params.threshold_raw + params.flipped).astype(v.dtype)[:, None, None]
-    fired = v >= thr
-    fired ^= params.flipped[:, None, None]
-    v *= ~fired
-    return fired.view(np.uint8)
+    neurons.steps += 1
+    if neurons.peak is None or neurons.steps * neurons.peak > fmt.raw_max:
+        fmt.check_raw(v, "membrane potential")
+    fired = out.view(bool)
+    np.greater_equal(v, neurons.threshold, out=fired)
+    if neurons.flipped is not None:
+        fired ^= neurons.flipped
+    np.logical_not(fired, out=neurons.keep)
+    v *= neurons.keep
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,36 +578,40 @@ def _run_weighted_layer(
     layer: "LayerSpec",
     tensor: BinaryWeightTensor,
     params: FoldedNeuronParams,
-    source: np.ndarray,
+    inputs: np.ndarray,
     time_steps: int,
     cfg: HardwareConfig,
 ) -> np.ndarray:
     """All time steps of one weighted layer: its [T][C][H][W] spike train.
 
-    ``source`` is the image for the encoding layer, else the previous
-    layer's train, which is padded once for all of its steps.  The weights
-    are staged once here and dropped when the layer ends, so one layer's
-    GEMM operand is alive at a time.
+    ``inputs`` is the padded image for the encoding layer, else the
+    previous layer's padded [T] train.  Everything fixed for the layer is
+    set up here, once: the weights and their GEMM workspace
+    (:func:`stage_weights`), and the neuron parameters with the membrane
+    (:class:`StagedNeuronParams`), whose dtype and step bound U follow
+    from the layer's sum bound.  Each step then runs one schedule call
+    and one IF call, whose spikes are stored in the train.  The staged
+    layer is dropped when the layer ends, so one layer's GEMM operand and
+    workspace are alive at a time.
     """
+    fmt = cfg.fmt
     encoding = layer.kind == "encoding-conv"
     staged = stage_weights(tensor, encoding)
-    # the layer's sums never exceed its bound, so int32 never wraps
-    membrane = np.int32 if _int32_room(staged.bound, cfg.fmt) else np.int64
-    potentials = np.zeros(layer.out_shape, dtype=membrane)
+    if encoding:
+        params = params.scaled_by_pow2(ENCODING_SHIFT)
+    neurons = StagedNeuronParams.for_layer(params, staged, layer.out_shape)
     train = np.empty((time_steps, *layer.out_shape), dtype=np.uint8)
     if encoding:
         # scheduled once; every step re-presents the parked result, whose
-        # IF update is therefore formed once too
-        sums = schedule_encoding_layer(_pad(source, layer.padding), staged, cfg)
-        params = params.scaled_by_pow2(ENCODING_SHIFT)
-        update = _if_update(sums, params, potentials, cfg.fmt)
+        # IF update is therefore formed once too, and its peak is U
+        update = _if_update(schedule_encoding_layer(inputs, staged, cfg), neurons, fmt)
+        neurons.peak = _peak(update)
         for t in range(time_steps):
-            train[t] = _if_fire(update, params, potentials, cfg.fmt)
+            _if_fire(update, neurons, fmt, train[t])
         return train
-    padded = _pad(source.reshape(time_steps, *layer.in_shape), layer.padding)
     for t in range(time_steps):
-        sums = schedule_conv_layer(padded[t], staged, cfg)
-        train[t] = if_unit_process(sums, params, potentials, cfg.fmt)
+        sums = schedule_conv_layer(inputs[t], staged, cfg)
+        train[t] = if_unit_process(sums, neurons, neurons.membrane, fmt)
     return train
 
 
@@ -502,13 +627,15 @@ def run_network(
 
     The inputs pass ``net.check_run_inputs`` before any layer runs.
     Layer by layer, all time steps of one layer run before the next
-    so membrane potentials never leave the chip.  Each weighted layer's
-    weights are staged once (:func:`stage_weights`, one config-free
-    operand) for all of its steps, and its membrane, int32 where the
-    layer's sum bound meets the int32 room and int64 otherwise, is updated
-    in place.  The
-    encoding convolution is computed once and iterated against the residue
-    potential; pooling ORs strided slices of the whole train
+    so membrane potentials never leave the chip.  Each weighted layer is
+    set up once for all of its steps (:func:`_run_weighted_layer`): its
+    weights with their GEMM workspace (:func:`stage_weights`, one
+    config-free operand), and its neuron parameters with its membrane
+    (:class:`StagedNeuronParams`), int32 where the layer's sum bound meets
+    the int32 room and int64 otherwise, updated in place.  Its input is
+    padded once, and the unpadded train is dropped before the layer runs.
+    The encoding convolution is computed once and iterated against the
+    residue potential; pooling ORs strided slices of the whole train
     (:func:`_or_pool2`).  Spike trains are bit-identical to
     :func:`vecspike.core.run_network_oracle`.
     """
@@ -519,9 +646,15 @@ def run_network(
     current: np.ndarray | None = None
     for idx, layer in enumerate(net.layers):
         if layer.has_weights:
-            source = img if layer.kind == "encoding-conv" else current
+            # the padded input replaces the unpadded one, so a single
+            # copy of the input train is alive while the layer runs
+            current = _pad(
+                img if layer.kind == "encoding-conv"
+                else current.reshape(time_steps, *layer.in_shape),
+                layer.padding,
+            )
             current = _run_weighted_layer(
-                layer, weights[idx], folded[idx], source, time_steps, cfg
+                layer, weights[idx], folded[idx], current, time_steps, cfg
             )
         elif layer.kind == "maxpool2":
             current = _or_pool2(current)

@@ -44,8 +44,8 @@ def record_matmul_dtypes(monkeypatch):
     (the oracle's input for one kernel offset); returns the growing list.
 
     Each operand must be a 2-D view with unit-stride rows, not a copy.  The
-    ``@`` operator does not look ``np.matmul`` up, so the engine's tile
-    products are not recorded."""
+    engine's tile products call ``np.matmul`` too, so a test that records
+    the oracle's alone runs no engine while patched."""
     seen = []
     matmul = np.matmul
 

@@ -39,7 +39,8 @@ def test_one_traced_item_of_each_workload(tmp_path, name):
 
 def _expected_schedule_counts(net, time_steps, cfg):
     """Calls per span name and tile passes, derived from the network: the
-    encoding layer is scheduled once, every other weighted layer per step."""
+    encoding layer is scheduled once, every other weighted layer per step,
+    and each of those steps makes one ``if_unit_process`` call."""
     calls = {}
     passes = 0
     for layer in net.layers:
@@ -57,13 +58,18 @@ def _expected_schedule_counts(net, time_steps, cfg):
             else "schedule_conv_layer." + ("fc" if layer.kind == "fc" else "conv")
         )
         calls[name] = calls.get(name, 0) + steps
+        if not encoding:
+            calls["dataflow.if_unit_process"] = (
+                calls.get("dataflow.if_unit_process", 0) + time_steps
+            )
         passes += steps * n_groups * len(tiles)
     return calls, passes
 
 
 def test_traced_schedule_counts_equal_the_network_pass_structure(tmp_path):
     # the per-layer report reads x from args[0] and cfg from args[2] of
-    # the schedules, reached through the module attributes it wraps
+    # the schedules, reached through the module attributes it wraps; the
+    # IF span is one call per step of each spiking layer
     tracer = tracing.Tracer()
     run.install_spans(tracer)
     tracer.active = True
@@ -79,6 +85,7 @@ def test_traced_schedule_counts_equal_the_network_pass_structure(tmp_path):
         "dataflow.schedule_encoding_layer",
         "dataflow.schedule_conv_layer.conv",
         "dataflow.schedule_conv_layer.fc",
+        "dataflow.if_unit_process",
     }
     for name, expected in calls.items():
         assert tracer.calls[(tracing.ITEM, name)] == expected, name

@@ -357,9 +357,9 @@ def _record_gemm_dtypes(monkeypatch, key=lambda w_mat, kh: w_mat.dtype):
     seen = []
     kernel = dataflow._tile_partial_rows
 
-    def spy(x_tile, w_mat, kh, kw):
-        seen.append(key(w_mat, kh))
-        return kernel(x_tile, w_mat, kh, kw)
+    def spy(x_tile, weights):
+        seen.append(key(weights.matrix, weights.kernel[0]))
+        return kernel(x_tile, weights)
 
     monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
     return seen
@@ -837,6 +837,33 @@ def test_int32_write_back_equals_the_oracle_lazy_reset(case):
         assert np.array_equal(membrane, wide), t
 
 
+def test_only_a_layer_staging_bounds_the_neuron_params_and_they_keep_to_their_membrane():
+    # for_layer takes U from the staged weights' sum bound and the bias;
+    # an object built directly has no bound, so it is checked and scanned
+    # as plain parameters are
+    params = _plain_params(2, 1.0, bias_real=-2.0)
+    weights = dataflow.stage_weights(
+        BinaryWeightTensor(np.zeros((2, 3, 1, 1), dtype=np.uint8)), False)
+    staged = dataflow.StagedNeuronParams.for_layer(params, weights, (2, 1, 2))
+    assert staged.peak == (3 << FMT.frac_bits) + Q(2.0)
+    assert staged.membrane.dtype == np.int32 and not staged.membrane.any()
+    x = np.array([[[1, 0]], [[0, 1]]])
+    plain = _membrane(2, 1, 2)
+    expected = if_unit_process(x, params, plain, FMT)
+    assert np.array_equal(if_unit_process(x, staged, staged.membrane, FMT), expected)
+    assert np.array_equal(staged.membrane, plain) and staged.steps == 1
+    with pytest.raises(ShapeError, match="^staged neuron parameters belong to another"):
+        if_unit_process(x, staged, _membrane(2, 1, 2), FMT)
+    fmt = FixedPointFormat(30, 2)
+    params = FoldedNeuronParams([fmt.raw_max], [fmt.raw_max], [False], fmt)
+    unbounded = dataflow.StagedNeuronParams(
+        params, np.full((1, 1, 1), fmt.raw_min, dtype=np.int32))
+    assert unbounded.peak is None
+    with pytest.raises(ShapeError, match=r"^conv output peak 268435466 leaves no int32"):
+        if_unit_process(np.full((1, 1, 1), 2**28 + 10), unbounded, unbounded.membrane, fmt)
+    assert unbounded.membrane.tolist() == [[[fmt.raw_min]]]
+
+
 def test_if_unit_refuses_a_sum_past_the_int32_room():
     # a shifted sum of 2**30 + 40 leaves a 30-bit format no int32 room; the
     # bias and the membrane at the format's opposite edges bring it back
@@ -883,9 +910,9 @@ def test_each_layer_membrane_follows_its_sum_bound(monkeypatch):
     membranes = []
     fire = dataflow._if_fire
 
-    def recording(update, params, v, fmt):
-        membranes.append(v.dtype)
-        return fire(update, params, v, fmt)
+    def recording(update, neurons, fmt, out):
+        membranes.append(neurons.membrane.dtype)
+        return fire(update, neurons, fmt, out)
 
     monkeypatch.setattr(dataflow, "_if_fire", recording)
     cfg = HardwareConfig(total_bits=30, frac_bits=18)
@@ -1149,9 +1176,9 @@ def test_every_gemm_operand_of_the_engine_is_a_bit(rng, monkeypatch):
     tiles = []
     kernel = dataflow._tile_partial_rows
 
-    def spy(x_tile, w_mat, kh, kw):
+    def spy(x_tile, weights):
         tiles.append((x_tile.ndim, bool(np.isin(x_tile, (0, 1)).all())))
-        return kernel(x_tile, w_mat, kh, kw)
+        return kernel(x_tile, weights)
 
     monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
     for net, shape in (preset_network("mnist", 8), random_network(rng, max_channels=40)):
@@ -1180,13 +1207,13 @@ def test_no_gemm_operand_holds_a_halo_row(
     tiles, flops = [], 0
     kernel_fn = dataflow._tile_partial_rows
 
-    def spy(x_tile, w_mat, kh, kw):
+    def spy(x_tile, weights):
         nonlocal flops
         tiles.append(np.array(x_tile))
-        m, k = w_mat.shape
-        n = x_tile.shape[-2] * (x_tile.shape[-1] - kw + 1)
+        m, k = weights.matrix.shape
+        n = x_tile.shape[-2] * (x_tile.shape[-1] - weights.kernel[1] + 1)
         flops += 2 * m * k * n
-        return kernel_fn(x_tile, w_mat, kh, kw)
+        return kernel_fn(x_tile, weights)
 
     monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
     x = rng.integers(0, high, (cin, h, w))
@@ -1250,6 +1277,157 @@ def test_encoding_membrane_faults_at_the_oracle_step_and_text(total_bits):
     assert engine.layer_trains[0] == oracle.layer_trains[0]
 
 
+def _record_scans(monkeypatch):
+    """Every IF step of the engine, in order: the membrane's shape and
+    dtype, the step number and whether the membrane was range-scanned."""
+    log, scans = [], []
+    check = FixedPointFormat.check_raw
+
+    def checking(self, raw, context="value"):
+        if context == "membrane potential":
+            scans.append(raw)
+        return check(self, raw, context)
+
+    fire = dataflow._if_fire
+
+    def firing(update, neurons, fmt, out):
+        scans.clear()
+        try:
+            return fire(update, neurons, fmt, out)
+        finally:
+            v = neurons.membrane
+            log.append((v.shape, v.dtype, neurons.steps, bool(scans)))
+
+    monkeypatch.setattr(FixedPointFormat, "check_raw", checking)
+    monkeypatch.setattr(dataflow, "_if_fire", firing)
+    return log
+
+
+def _steps_past_the_bound(net, bundle, image, time_steps, fmt):
+    """Per weighted layer, the steps t with t * U > raw_max, which alone
+    need the membrane's range scan.  U is a spiking layer's
+    ``(taps << frac_bits) + max|bias|``, and the peak of the encoding
+    layer's update, weighed here by the oracle."""
+    steps = []
+    for layer, weights, params in zip(net.layers, bundle.weights, bundle.params):
+        if weights is None:
+            continue
+        if layer.kind == "encoding-conv":
+            sums = conv2d_oracle(image, weights, layer.padding)
+            update = core._weigh(sums, params.scaled_by_pow2(ENCODING_SHIFT), fmt)
+            peak = int(np.abs(update.astype(np.int64)).max())
+        else:
+            taps = int(np.prod(weights.shape[1:]))
+            peak = (taps << fmt.frac_bits) + int(np.abs(params.bias_raw).max())
+        steps.append([t for t in range(1, time_steps + 1) if t * peak > fmt.raw_max])
+    return steps
+
+
+@pytest.mark.parametrize(
+    "case, past",
+    [
+        ("mnist", {}),
+        # 8 * (4096 << 8) alone is raw_max + 1: cifar10's first fc layer,
+        # weighted layer 11, is past its bound on step 8 only
+        ("cifar10", {11: [8]}),
+        # a 9248-input fc layer clears three steps
+        ("fc9248", {1: [4, 5, 6]}),
+    ],
+)
+def test_membranes_scan_on_exactly_the_steps_past_the_bound(monkeypatch, case, past):
+    if case == "fc9248":
+        shape, steps = (1, 34, 34), 6
+        net = validate(parse_network("8Conv(encoding)-4fc"), shape)
+    else:
+        steps = 8
+        net, shape = preset_network(case, steps)
+    bundle = generate_random_bundle(net, seed=0)
+    image = random_input(shape, 0)
+    log = _record_scans(monkeypatch)
+    engine = run_network(net, bundle.weights, bundle.params, image, steps, CFG)
+    expected = _steps_past_the_bound(net, bundle, image, steps, FMT)
+    assert {i: s for i, s in enumerate(expected) if s} == past
+    assert len(log) == steps * len(expected)
+    assert [step for _, _, step, _ in log] == list(range(1, steps + 1)) * len(expected)
+    scanned = [
+        [step for _, _, step, scan in log[i * steps : (i + 1) * steps] if scan]
+        for i in range(len(expected))
+    ]
+    assert scanned == expected
+    oracle = run_network_oracle(net, bundle.weights, bundle.params, image, steps)
+    assert all(a == b for a, b in zip(oracle.layer_trains, engine.layer_trains))
+
+
+@pytest.mark.parametrize(
+    "fmt, dtype, first",
+    [(FixedPointFormat(24, 8), np.int32, 10), (FixedPointFormat(40, 26), np.int64, 3)],
+    ids=["int32", "int64"],
+)
+def test_a_membrane_past_its_bound_faults_at_the_oracle_step_and_text(
+    monkeypatch, fmt, dtype, first
+):
+    # every spike is 1 (the encoding threshold is 0) and every weight +1,
+    # so each fc step adds U = taps << frac_bits itself: after step t the
+    # membrane is t * U, and it leaves the format on the first step that
+    # the bound rule scans
+    net = validate(parse_network("33Conv(encoding)-2fc"), (1, 10, 10))
+    weights = [BinaryWeightTensor(np.zeros(layer.weight_shape, dtype=np.uint8))
+               for layer in net.layers]
+    params = [
+        FoldedNeuronParams([0] * 33, [0] * 33, [False] * 33, fmt),
+        FoldedNeuronParams([0, 0], [fmt.raw_max] * 2, [False] * 2, fmt),
+    ]
+    image = np.full((1, 10, 10), 255, dtype=np.uint8)
+    peak = (33 * 10 * 10) << fmt.frac_bits
+    assert (first - 1) * peak <= fmt.raw_max < first * peak
+    with pytest.raises(FixedPointOverflowError) as oracle:
+        run_network_oracle(net, weights, params, image, first + 2, fmt)
+    log = _record_scans(monkeypatch)
+    cfg = HardwareConfig(total_bits=fmt.total_bits, frac_bits=fmt.frac_bits)
+    with pytest.raises(FixedPointOverflowError) as engine:
+        run_network(net, weights, params, image, first + 2, cfg)
+    assert str(engine.value) == str(oracle.value)
+    assert str(oracle.value).startswith(f"membrane potential: raw {first * peak} ")
+    fc = [(v_dtype, step, scan) for shape, v_dtype, step, scan in log if shape == (2, 1, 1)]
+    assert fc == [(np.dtype(dtype), t, t == first) for t in range(1, first + 1)]
+
+
+def test_each_spiking_layer_reuses_one_product_buffer_and_returns_owned_sums(monkeypatch):
+    # the im2col and product buffers live with the staged layer; each
+    # schedule call returns new sums that no later call writes
+    products, results = [], []
+    kernel = dataflow._tile_partial_rows
+
+    def spy(x, weights):
+        out = kernel(x, weights)
+        products.append((weights, out))
+        return out
+
+    schedule = dataflow.schedule_conv_layer
+
+    def recording(x, weights, cfg):
+        sums = schedule(x, weights, cfg)
+        results.append((sums, sums.copy()))
+        return sums
+
+    monkeypatch.setattr(dataflow, "_tile_partial_rows", spy)
+    monkeypatch.setattr(dataflow, "schedule_conv_layer", recording)
+    net, shape = preset_network("mnist", 8)
+    bundle = generate_random_bundle(net, seed=0)
+    run_network(net, bundle.weights, bundle.params, random_input(shape, 0), 8, CFG)
+    layers = {}
+    for weights, out in products:
+        layers.setdefault(weights, []).append(out.base)
+    spiking = [bases for weights, bases in layers.items() if not weights.encoding]
+    assert [len(bases) for bases in spiking] == [8, 8, 8]
+    assert all(base is bases[0] for bases in spiking for base in bases)
+    buffers = [bases[0] for bases in layers.values()]
+    assert len(results) == 24
+    for sums, copy in results:
+        assert not any(np.shares_memory(sums, buffer) for buffer in buffers)
+        assert np.array_equal(sums, copy)
+
+
 @pytest.mark.parametrize("total_bits, dtype", [(24, np.int32), (30, np.int32), (31, np.int64)])
 def test_run_network_membranes_are_int32_up_to_30_bits(monkeypatch, total_bits, dtype):
     cfg = HardwareConfig(total_bits=total_bits)
@@ -1279,6 +1457,18 @@ def _traced_peak(run):
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def test_the_engine_peaks_at_most_7_25_mib_on_cifar10():
+    # each staged layer holds its GEMM workspace for all of its steps;
+    # run_network frees the unpadded input train once the padded copy
+    # exists, which keeps the peak near the 7.06 MiB of per-step buffers
+    net, shape = preset_network("cifar10", 8)
+    bundle = generate_random_bundle(net, seed=0)
+    image = random_input(shape, 0)
+    engine = _traced_peak(
+        lambda: run_network(net, bundle.weights, bundle.params, image, 8, CFG))
+    assert engine <= 7.25 * 2**20
 
 
 def test_the_oracle_peaks_no_higher_than_the_engine_on_cifar10():
