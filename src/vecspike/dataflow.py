@@ -569,9 +569,11 @@ def _pad(maps: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _or_pool2(train: np.ndarray) -> np.ndarray:
-    """2x2 OR pooling of a [T][C][H][W] train: strided slices, rows then columns."""
+    """2x2 OR pooling of a [T][C][H][W] 0/1 train: strided slices OR the
+    row pairs; a uint16 view of that contiguous result holds each column
+    pair, which fires when it is nonzero."""
     rows = train[:, :, 0::2] | train[:, :, 1::2]
-    return rows[..., 0::2] | rows[..., 1::2]
+    return (rows.view(np.uint16) != 0).view(np.uint8)
 
 
 def _run_weighted_layer(

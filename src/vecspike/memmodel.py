@@ -24,8 +24,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import accumulate
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arch import HardwareConfig
 from .errors import CapacityFault, InvalidParameterError, PlanError
@@ -61,15 +65,14 @@ def _folded_param_bytes(out_channels: int, param_bytes: int) -> int:
 # compute-layer view (pooling absorbed)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ComputeLayer:
+class ComputeLayer(NamedTuple):
     """A validated weighted layer (``spec``, shapes before pooling) and the
     map it hands on, ``out_shape``, with any following pooling absorbed.
 
     It carries the bytes every traffic walk reads: ``sign_bytes``, the
     packed sign bits, and ``map_bytes``, one step of the bit-packed map it
-    hands on.  Records are frozen because every walk of the network shares
-    the one table that ``validate`` built.
+    hands on.  Records are immutable because every walk of the network
+    shares the one table that ``validate`` built.
     """
 
     index: int  # index in the original layer list
@@ -318,18 +321,21 @@ class BufferModel:
     reads: int = 0
     writes: int = 0
 
-    def write(self, nbytes: int, reads: int = 0):
+    def write(self, nbytes: int, reads: int = 0, times: int = 1):
         """Hold ``nbytes`` until the next write and count ``reads`` reads of
-        them; a write that does not fit raises before it changes anything."""
+        them, ``times`` times over: the buffer ends as after that many
+        single writes, and ``times=0`` changes nothing.  A write that does
+        not fit raises before it changes anything, whatever ``times`` is."""
         if nbytes > self.capacity:
             raise CapacityFault(
                 f"{self.name}: {nbytes} bytes exceed capacity {self.capacity}"
             )
-        self.occupancy = nbytes
-        if nbytes > self.peak:
-            self.peak = nbytes
-        self.writes += 1
-        self.reads += reads
+        if times:
+            self.occupancy = nbytes
+            if nbytes > self.peak:
+                self.peak = nbytes
+            self.writes += times
+            self.reads += reads * times
 
 
 @dataclass(slots=True)
@@ -342,10 +348,116 @@ class TraceEvent:
     tag: tuple       # (producer layer position, step) identity of the data
 
 
+def _event(step: int, entry: tuple) -> TraceEvent:
+    """The event of a template entry, ``(layer position, buffer, op,
+    nbytes, tag)``, at ``step``: a buffer of ``None`` is the step's spike
+    half, and an ``("input", producer)`` tag gets the step's number."""
+    pos, buffer, op, nbytes, tag = entry
+    if buffer is None:
+        buffer = "spike1" if step % 2 else "spike0"
+    if tag[0] == "input":
+        tag += (step,)
+    return TraceEvent(step, pos, buffer, op, nbytes, tag)
+
+
+class TraceEvents(Sequence):
+    """The trace's events, in walk order, generated on demand.
+
+    Each group visit is its weight loads (step -1) and its runs of steps,
+    ``(template, first step, count)``: the steps of a run differ only in
+    their step numbers and spike halves.  ``len`` is arithmetic;
+    iteration and indexing build each :class:`TraceEvent` when it is
+    asked for.
+    """
+
+    __slots__ = ("_visits", "_starts", "_len")
+
+    def __init__(self, visits: list[tuple[tuple, tuple]]):
+        self._visits = visits
+        sizes = [len(loads) + sum(len(template) * count for template, _, count in runs)
+                 for loads, runs in visits]
+        self._starts = [0, *accumulate(sizes)]
+        self._len = self._starts.pop()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        for loads, runs in self._visits:
+            for entry in loads:
+                yield _event(-1, entry)
+            for template, start, count in runs:
+                for step in range(start, start + count):
+                    for entry in template:
+                        yield _event(step, entry)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trace event index out of range")
+        visit = bisect_right(self._starts, i) - 1
+        loads, runs = self._visits[visit]
+        i -= self._starts[visit]
+        if i < len(loads):
+            return _event(-1, loads[i])
+        i -= len(loads)
+        for template, start, count in runs:
+            if i < len(template) * count:
+                step, i = divmod(i, len(template))
+                return _event(start + step, template[i])
+            i -= len(template) * count
+
+
 @dataclass
 class BufferTrace:
-    events: list[TraceEvent]
+    events: TraceEvents
     buffers: dict[str, BufferModel]
+
+
+def _stage_run(group, step_rows, in_bytes: int, in_tag: tuple, start: int, count: int,
+               spike0, spike1, membrane1, temp, boundary) -> tuple:
+    """Stage a run of ``count`` steps of a group visit from step
+    ``start``, which stage the same bytes, with one counted write per
+    stage and spike half, as :func:`pingpong_schedule` states; return the
+    run's event template."""
+    first, second = (spike1, spike0) if start % 2 else (spike0, spike1)
+    on_first, on_second = (count + 1) // 2, count // 2
+    events = []
+    if in_bytes:
+        first.write(in_bytes, 1, on_first)
+        second.write(in_bytes, 1, on_second)
+        events += [(group[0], None, "write", in_bytes, in_tag),
+                   (group[0], None, "read", in_bytes, in_tag)]
+    for slot, pos, membrane, charge, encoding, edge, fused, column, out_map in step_rows:
+        membrane.write(charge, 1, count)
+        if encoding:  # it parks its conv-result strip in the second membrane
+            membrane1.write(charge, 1, count)
+        if edge:
+            boundary.write(edge, 1, count)
+        out_tag = ("input", pos)
+        if not out_map:
+            # fused intermediate: the whole per-step map parks in temp
+            # SRAM and feeds the second layer directly
+            temp.write(fused, 1, count)
+            events += [(pos, "temp", "write", fused, out_tag),
+                       (pos, "temp", "read", fused, out_tag)]
+            continue
+        if slot:
+            # the pair's output replaces the consumed entries of the first
+            # layer's input buffer on its way off chip
+            first.write(max(in_bytes, out_map), 1, on_first)
+            second.write(max(in_bytes, out_map), 1, on_second)
+            events += [(pos, None, "write", out_map, out_tag),
+                       (pos, None, "read", out_map, out_tag)]
+        else:
+            # standalone output streams through temp a column at a time
+            temp.write(column, 1, count)
+        events.append((pos, "dram", "write", out_map, out_tag))
+    return tuple(events)
 
 
 def pingpong_schedule(
@@ -361,15 +473,27 @@ def pingpong_schedule(
     temp SRAM stages output columns on their way to DRAM or, when fused,
     to the next layer.  What crosses DRAM is the plan's :func:`_dram_rows`,
     as in :func:`simulate_traffic`.  A group visit builds one step row per
-    layer, used at every step: :func:`vecspike.geometry.step_buffers`
-    charges, encoding flag, fused temp bytes, column bytes and DRAM map.
-    Every buffer use but the weight load is a stage, a write read once:
-    one call, ``BufferModel.write(nbytes, 1)``.  Maps staged in the spike
+    layer: :func:`vecspike.geometry.step_buffers` charges, encoding flag,
+    fused temp bytes, column bytes and DRAM map.  Every buffer use but the
+    weight load is a stage, a write read once.  Maps staged in the spike
     and temp buffers are traced as a write and a read event; membrane and
     boundary slices are counted, not traced.  A DRAM write is an event
     only.  A capacity violation raises a fault.  No map is read before its
     DRAM write: :class:`FusionPlan` admits only in-order groups of one or
     two layers, so a group's predecessor wrote its map.
+
+    Only step 0 of the first group stages the static 8-bit image, and the
+    other steps of a visit stage the same bytes: only the spike half
+    alternates, and both halves have one capacity.  So a visit's steps
+    fall into at most two runs, step 0 with the image and the steps
+    without it.  A run builds its step template once and writes each
+    stage with a count: a spike stage on the half of the run's first step
+    for the run's steps of that parity, then on the other half for the
+    rest, and any other stage for every step of the run.  A stage that
+    does not fit raises at the run's first step, at the stage and with
+    the text of a stepwise walk, and a counted write leaves a buffer as
+    that many single writes do.  The events are a :class:`TraceEvents`
+    view of each run's template.
     """
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
@@ -386,13 +510,12 @@ def pingpong_schedule(
         ("boundary", cfg.boundary_sram_bytes),  # tile boundary
     )}
     spike0, spike1, weight, membrane0, membrane1, temp, boundary = buffers.values()
-    events: list[TraceEvent] = []
+    visits = []
 
     for group in plan.groups:
         weight.write(sum(layers[pos].sign_bytes for pos in group))
-        for pos in group:
-            events.append(TraceEvent(-1, pos, "weight", "write", layers[pos].sign_bytes,
-                                     ("weights", pos)))
+        loads = tuple((pos, "weight", "write", layers[pos].sign_bytes, ("weights", pos))
+                      for pos in group)
 
         step_rows = []
         for slot, pos in enumerate(group):
@@ -406,39 +529,16 @@ def pingpong_schedule(
                 rows[pos][2],
             ))
         image, in_map, _ = rows[group[0]]
-        for step in range(time_steps):
-            spike = spike1 if step % 2 else spike0
-            # the static 8-bit image is staged once; the encoding layer then
-            # iterates its parked convolution from the second membrane
-            in_bytes = in_map + (0 if step else image)
-            if in_bytes:
-                in_tag = ("image",) if image else ("input", group[0] - 1, step)
-                spike.write(in_bytes, 1)
-                events.append(TraceEvent(step, group[0], spike.name, "write", in_bytes, in_tag))
-                events.append(TraceEvent(step, group[0], spike.name, "read", in_bytes, in_tag))
-
-            for slot, pos, membrane, charge, encoding, edge, fused, column, out_map in step_rows:
-                membrane.write(charge, 1)
-                if encoding:  # it parks its conv-result strip in the second membrane
-                    membrane1.write(charge, 1)
-                if edge:
-                    boundary.write(edge, 1)
-                out_tag = ("input", pos, step)
-                if not out_map:
-                    # fused intermediate: the whole per-step map parks in
-                    # temp SRAM and feeds the second layer directly
-                    temp.write(fused, 1)
-                    events.append(TraceEvent(step, pos, "temp", "write", fused, out_tag))
-                    events.append(TraceEvent(step, pos, "temp", "read", fused, out_tag))
-                    continue
-                if slot:
-                    # the pair's output replaces the consumed entries of the
-                    # first layer's input buffer on its way off chip
-                    spike.write(max(in_bytes, out_map), 1)
-                    events.append(TraceEvent(step, pos, spike.name, "write", out_map, out_tag))
-                    events.append(TraceEvent(step, pos, spike.name, "read", out_map, out_tag))
-                else:
-                    # standalone output streams through temp a column at a time
-                    temp.write(column, 1)
-                events.append(TraceEvent(step, pos, "dram", "write", out_map, out_tag))
-    return BufferTrace(events, buffers)
+        in_tag = ("image",) if image else ("input", group[0] - 1)
+        # the static 8-bit image is staged once; the encoding layer then
+        # iterates its parked convolution from the second membrane
+        if image:
+            runs = [(image + in_map, 0, 1), (in_map, 1, time_steps - 1)]
+        else:
+            runs = [(in_map, 0, time_steps)]
+        templates = tuple(
+            (_stage_run(group, step_rows, in_bytes, in_tag, start, count,
+                        spike0, spike1, membrane1, temp, boundary), start, count)
+            for in_bytes, start, count in runs if count)
+        visits.append((loads, templates))
+    return BufferTrace(TraceEvents(visits), buffers)

@@ -1,8 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from vecspike import geometry
+from vecspike.geometry import step_buffers
+from vecspike.memmodel import (
+    BufferModel,
+    BufferTrace,
+    FusionPlan,
+    TraceEvent,
+    _dram_rows,
+    _plan_layers,
+    compute_layers,
+)
 from vecspike.netconfig import LayerSpec, NetworkDescription, validate
 
 settings.register_profile(
@@ -188,3 +200,82 @@ def random_network_text(rng):
         tokens.append("MP2")
     tokens += [f"{rng.choice((64, 128, 256))}fc", "10fc"]
     return "-".join(tokens), shape
+
+
+def stepwise_pingpong(net, time_steps, cfg, plan=None):
+    """The ping-pong schedule walked step by step: every time step of every
+    group visit stages each buffer use through ``BufferModel.write`` and
+    appends its events to a list.  The tests' reference for
+    :func:`vecspike.memmodel.pingpong_schedule`, which stages two steps per
+    visit and generates its events on demand."""
+    if plan is None:
+        plan = FusionPlan.unfused(len(compute_layers(net)))
+    layers = _plan_layers(net, plan, time_steps)
+    rows = _dram_rows(layers, plan)
+
+    buffers = {name: BufferModel(name, size) for name, size in (
+        ("spike0", cfg.spike_sram_bytes),  # spike ping-pong pair
+        ("spike1", cfg.spike_sram_bytes),
+        ("weight", 2 * cfg.weight_sram_bytes),  # weight ping-pong pair
+        ("membrane0", cfg.membrane_sram_bytes),
+        ("membrane1", cfg.membrane_sram_bytes),  # second membrane
+        ("temp", cfg.temp_sram_bytes),  # output staging
+        ("boundary", cfg.boundary_sram_bytes),  # tile boundary
+    )}
+    spike0, spike1, weight, membrane0, membrane1, temp, boundary = buffers.values()
+    events: list[TraceEvent] = []
+
+    for group in plan.groups:
+        weight.write(sum(layers[pos].sign_bytes for pos in group))
+        for pos in group:
+            events.append(TraceEvent(-1, pos, "weight", "write", layers[pos].sign_bytes,
+                                     ("weights", pos)))
+
+        step_rows = []
+        for slot, pos in enumerate(group):
+            layer = layers[pos]
+            charge = step_buffers(layer.spec, cfg)
+            out_c, out_h, _ = layer.out_shape
+            step_rows.append((
+                slot, pos, membrane1 if slot else membrane0, charge["membrane"],
+                layer.spec.kind == "encoding-conv", charge["boundary"],
+                layer.map_bytes, max(1, math.ceil(out_c * out_h / 8)),
+                rows[pos][2],
+            ))
+        image, in_map, _ = rows[group[0]]
+        for step in range(time_steps):
+            spike = spike1 if step % 2 else spike0
+            # the static 8-bit image is staged once; the encoding layer then
+            # iterates its parked convolution from the second membrane
+            in_bytes = in_map + (0 if step else image)
+            if in_bytes:
+                in_tag = ("image",) if image else ("input", group[0] - 1, step)
+                spike.write(in_bytes, 1)
+                events.append(TraceEvent(step, group[0], spike.name, "write", in_bytes, in_tag))
+                events.append(TraceEvent(step, group[0], spike.name, "read", in_bytes, in_tag))
+
+            for slot, pos, membrane, charge, encoding, edge, fused, column, out_map in step_rows:
+                membrane.write(charge, 1)
+                if encoding:  # it parks its conv-result strip in the second membrane
+                    membrane1.write(charge, 1)
+                if edge:
+                    boundary.write(edge, 1)
+                out_tag = ("input", pos, step)
+                if not out_map:
+                    # fused intermediate: the whole per-step map parks in
+                    # temp SRAM and feeds the second layer directly
+                    temp.write(fused, 1)
+                    events.append(TraceEvent(step, pos, "temp", "write", fused, out_tag))
+                    events.append(TraceEvent(step, pos, "temp", "read", fused, out_tag))
+                    continue
+                if slot:
+                    # the pair's output replaces the consumed entries of the
+                    # first layer's input buffer on its way off chip
+                    spike.write(max(in_bytes, out_map), 1)
+                    events.append(TraceEvent(step, pos, spike.name, "write", out_map, out_tag))
+                    events.append(TraceEvent(step, pos, spike.name, "read", out_map, out_tag))
+                else:
+                    # standalone output streams through temp a column at a time
+                    temp.write(column, 1)
+                events.append(TraceEvent(step, pos, "dram", "write", out_map, out_tag))
+    return BufferTrace(events, buffers)

@@ -1471,7 +1471,7 @@ def test_the_engine_peaks_at_most_7_25_mib_on_cifar10():
     assert engine <= 7.25 * 2**20
 
 
-def test_the_oracle_peaks_no_higher_than_the_engine_on_cifar10():
+def test_a_cifar10_verify_item_peaks_at_most_7_25_mib():
     # a verify item runs both, so the higher peak is the item's.  The
     # oracle's read 9.43 MiB against the engine's 7.05 MiB while it kept
     # int64 sums and the last layer's operand alive into the next layer
@@ -1482,4 +1482,4 @@ def test_the_oracle_peaks_no_higher_than_the_engine_on_cifar10():
         lambda: run_network(net, bundle.weights, bundle.params, image, 8, CFG))
     oracle = _traced_peak(
         lambda: run_network_oracle(net, bundle.weights, bundle.params, image, 8))
-    assert oracle <= engine
+    assert max(engine, oracle) <= 7.25 * 2**20
