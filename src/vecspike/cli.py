@@ -8,7 +8,8 @@ Exit codes (scriptable CI gating):
   5  engine/oracle verification mismatch
 
 A network or input too large to allocate exits 3 with one line, "error:
-out of memory", not a traceback.
+out of memory", not a traceback, and so does a byte count too large for a
+float ("error: number out of range").
 """
 
 from __future__ import annotations
@@ -173,6 +174,7 @@ def cmd_run(args) -> int:
             )
         net = bundle_net
     else:
+        net.check_trains_fit(time_steps)  # before any weights are drawn
         bundle = generate_random_bundle(net, args.seed, cfg.fmt)
 
     engine = run_network(net, bundle.weights, bundle.params, image, time_steps, cfg)
@@ -377,6 +379,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except MemoryError as exc:
         print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError as exc:
+        print(f"error: number out of range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ Each network's compute-layer table is built once, by
 :func:`vecspike.netconfig.validate` through :func:`build_compute_layers`,
 and kept on the validated description; every walk reads it through
 :func:`compute_layers`, and a network that ``validate`` did not return
-cannot be planned.
+cannot be planned.  Each walk is one pass over the table, and every byte
+count is an integer ceiling, exact at any size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import operator
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arch import HardwareConfig
@@ -44,15 +44,16 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 def spike_map_bytes(channels: int, height: int, width: int, time_steps: int) -> int:
-    """Bit-packed spike traffic: ceil(C*H*W / 8) bytes per time step."""
-    return math.ceil(channels * height * width / 8) * time_steps
+    """Bit-packed spike traffic: ceil(C*H*W / 8) bytes per time step, an
+    integer ceiling, exact at any size."""
+    return -(-channels * height * width // 8) * time_steps
 
 
 def weight_bytes(
     out_channels: int, in_channels: int, kh: int, kw: int, param_bytes: int
 ) -> int:
     """Sign bits packed to bytes plus per-channel folded bias and threshold."""
-    signs = math.ceil(out_channels * in_channels * kh * kw / 8)
+    signs = -(-out_channels * in_channels * kh * kw // 8)
     return signs + _folded_param_bytes(out_channels, param_bytes)
 
 
@@ -105,14 +106,20 @@ def compute_layers(net: "NetworkDescription") -> tuple[ComputeLayer, ...]:
 
 def build_compute_layers(layers: list["LayerSpec"]) -> tuple[ComputeLayer, ...]:
     """The compute-layer records of a shape-annotated layer list whose
-    first layer is weighted.  A weighted layer hands on the map of the last
-    layer before the next weighted one."""
-    starts = [idx for idx, layer in enumerate(layers) if layer.kind != "maxpool2"]
+    first layer is weighted, in one pass.  A weighted layer hands on the
+    map of the last layer before the next weighted one: each ``maxpool2``
+    replaces the previous record's map with its own."""
     records = []
-    for idx, end in zip(starts, starts[1:] + [len(layers)]):
-        spec, out_shape = layers[idx], layers[end - 1].out_shape
-        records.append(ComputeLayer(idx, spec, out_shape, weight_bytes(*spec.weight_shape, 0),
-                                    spike_map_bytes(*out_shape, 1)))
+    for idx, spec in enumerate(layers):
+        out_shape = spec.out_shape
+        if spec.kind == "maxpool2":
+            index, weighted, _, signs, _ = records[-1]
+            records[-1] = ComputeLayer(index, weighted, out_shape, signs,
+                                       spike_map_bytes(*out_shape, 1))
+        else:
+            signs = weight_bytes(spec.out_channels, spec.in_shape[0], *spec.kernel, 0)
+            records.append(ComputeLayer(idx, spec, out_shape, signs,
+                                        spike_map_bytes(*out_shape, 1)))
     return tuple(records)
 
 
@@ -176,21 +183,24 @@ def plan_fusion(net: "NetworkDescription", cfg: HardwareConfig) -> FusionPlan:
     together and one time step of the intermediate spike map fits the temp
     SRAM.  Unpaired layers simply run standalone.
     """
-    layers = compute_layers(net)
-    weights = [layer.weight_bytes(cfg.param_bytes) for layer in layers]
+    param_bytes = cfg.param_bytes
     weight_capacity = 2 * cfg.weight_sram_bytes
+    temp_capacity = cfg.temp_sram_bytes
     groups: list[tuple[int, ...]] = []
-    pos = 0
-    while pos < len(layers):
-        if pos + 1 < len(layers):
-            weights_fit = weights[pos] + weights[pos + 1] <= weight_capacity
-            intermediate_fit = layers[pos].map_bytes <= cfg.temp_sram_bytes
-            if weights_fit and intermediate_fit:
-                groups.append((pos, pos + 1))
-                pos += 2
-                continue
+    # the previous layer while it waits for a partner: its weight bytes,
+    # or None, and whether its map fits the temp SRAM
+    held, held_fits = None, False
+    for pos, layer in enumerate(compute_layers(net)):
+        weights = layer.weight_bytes(param_bytes)
+        if held is not None and held_fits and held + weights <= weight_capacity:
+            groups.append((pos - 1, pos))
+            held = None
+            continue
+        if held is not None:
+            groups.append((pos - 1,))
+        held, held_fits = weights, layer.map_bytes <= temp_capacity
+    if held is not None:
         groups.append((pos,))
-        pos += 1
     return FusionPlan(groups)
 
 
@@ -241,20 +251,21 @@ def _plan_layers(
     return layers
 
 
-def _dram_rows(layers: tuple[ComputeLayer, ...], plan: FusionPlan) -> list[tuple[int, int, int]]:
-    """Per compute layer, ``(image, in_map, out_map)``: the bytes of the
-    8-bit image, read once by the first layer at full byte width, and of
-    the bit-packed maps it reads and writes per time step.  A layer reads
-    the map its predecessor wrote; a fused pair's intermediate stays on
-    chip and moves 0 bytes."""
+def _dram_rows(
+    layers: tuple[ComputeLayer, ...], plan: FusionPlan
+) -> Iterator[tuple[ComputeLayer, int, int, int]]:
+    """Per compute layer in order, ``(layer, image, in_map, out_map)``: the
+    bytes of the 8-bit image, read once by the first layer at full byte
+    width, and of the bit-packed maps it reads and writes per time step.
+    A layer reads the map its predecessor wrote; a fused pair's
+    intermediate stays on chip and moves 0 bytes.  The rows are generated
+    as the caller's walk asks for them."""
     on_chip = set(plan.fused_intermediates())
-    rows = []
-    in_map = 0
+    image, in_map = math.prod(layers[0].spec.in_shape), 0
     for pos, layer in enumerate(layers):
         out_map = 0 if pos in on_chip else layer.map_bytes
-        rows.append((0 if pos else math.prod(layer.spec.in_shape), in_map, out_map))
-        in_map = out_map
-    return rows
+        yield layer, image, in_map, out_map
+        image, in_map = 0, out_map
 
 
 def simulate_traffic(
@@ -267,30 +278,30 @@ def simulate_traffic(
 
     Tick batching is the only mode: all T steps of a layer run in one
     visit, so its weights cross DRAM once whatever T is.  The image
-    crosses once and each map T times, as :func:`_dram_rows` states.
+    crosses once and each map T times, as :func:`_dram_rows` states.  The
+    totals are summed as the records are built.
     """
     layers = _plan_layers(net, plan, time_steps)
-    rows = _dram_rows(layers, plan)
+    param_bytes = cfg.param_bytes
     records = []
-    for layer, (image, in_map, out_map) in zip(layers, rows):
+    weights = inputs = outputs = 0
+    fused = False
+    for layer, image, in_map, out_map in _dram_rows(layers, plan):
         note = "8-bit image input" if image else "" if in_map else "input fused on chip"
         if not out_map:
             note = (note + "; " if note else "") + "output fused on chip"
-        records.append(
-            LayerTraffic(
-                layer.index,
-                layer.spec.kind + ("+pool" if layer.pooled else ""),
-                note,
-                layer.weight_bytes(cfg.param_bytes),
-                image + in_map * time_steps,
-                out_map * time_steps,
-            )
-        )
-    weights = sum(r.weight_bytes_read for r in records)
-    inputs = sum(r.input_spike_bytes_read for r in records)
-    outputs = sum(r.output_spike_bytes_written for r in records)
-    return TrafficLedger(records, any(not row[2] for row in rows),
-                         weights, inputs, outputs, weights + inputs + outputs)
+            fused = True
+        weight = layer.weight_bytes(param_bytes)
+        read, written = image + in_map * time_steps, out_map * time_steps
+        records.append(LayerTraffic(
+            layer.index, layer.spec.kind + ("+pool" if layer.pooled else ""), note,
+            weight, read, written,
+        ))
+        weights += weight
+        inputs += read
+        outputs += written
+    return TrafficLedger(records, fused, weights, inputs, outputs,
+                         weights + inputs + outputs)
 
 
 def fusion_savings(
@@ -298,7 +309,7 @@ def fusion_savings(
 ) -> int:
     """The identity value: sum of 2 x (intermediate map bytes) over pairs."""
     layers = _plan_layers(net, plan, time_steps)
-    return sum(2 * layers[pos].map_bytes * time_steps for pos in plan.fused_intermediates())
+    return 2 * time_steps * sum(layers[pos].map_bytes for pos in plan.fused_intermediates())
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +385,14 @@ class TraceEvents(Sequence):
 
     def __init__(self, visits: list[tuple[tuple, tuple]]):
         self._visits = visits
-        sizes = [len(loads) + sum(len(template) * count for template, _, count in runs)
-                 for loads, runs in visits]
-        self._starts = [0, *accumulate(sizes)]
-        self._len = self._starts.pop()
+        self._starts = []  # the index of each visit's first event
+        size = 0
+        for loads, runs in visits:
+            self._starts.append(size)
+            size += len(loads)
+            for template, _, count in runs:
+                size += len(template) * count
+        self._len = size
 
     def __len__(self) -> int:
         return self._len
@@ -472,9 +487,11 @@ def pingpong_schedule(
     visits (a single layer may span both halves; a fused pair must).  The
     temp SRAM stages output columns on their way to DRAM or, when fused,
     to the next layer.  What crosses DRAM is the plan's :func:`_dram_rows`,
-    as in :func:`simulate_traffic`.  A group visit builds one step row per
-    layer: :func:`vecspike.geometry.step_buffers` charges, encoding flag,
-    fused temp bytes, column bytes and DRAM map.  Every buffer use but the
+    as in :func:`simulate_traffic`.  A group visit takes each layer's row
+    and, in the same loop, its weight load and its step row:
+    :func:`vecspike.geometry.step_buffers` charges, encoding flag, fused
+    temp bytes, column bytes (one output column, ``ceil(C*H / 8)``) and
+    DRAM map.  Every buffer use but the
     weight load is a stage, a write read once.  Maps staged in the spike
     and temp buffers are traced as a write and a read event; membrane and
     boundary slices are counted, not traced.  A DRAM write is an event
@@ -497,8 +514,7 @@ def pingpong_schedule(
     """
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
-    layers = _plan_layers(net, plan, time_steps)
-    rows = _dram_rows(layers, plan)
+    rows = _dram_rows(_plan_layers(net, plan, time_steps), plan)
 
     buffers = {name: BufferModel(name, size) for name, size in (
         ("spike0", cfg.spike_sram_bytes),  # spike ping-pong pair
@@ -513,22 +529,23 @@ def pingpong_schedule(
     visits = []
 
     for group in plan.groups:
-        weight.write(sum(layers[pos].sign_bytes for pos in group))
-        loads = tuple((pos, "weight", "write", layers[pos].sign_bytes, ("weights", pos))
-                      for pos in group)
-
-        step_rows = []
+        # the plan's groups cover the layers in order, so each group takes
+        # the next rows; the first layer's row gives the group's input
+        loads, step_rows, signs = [], [], 0
         for slot, pos in enumerate(group):
-            layer = layers[pos]
+            layer, layer_image, layer_in_map, out_map = next(rows)
+            if not slot:
+                image, in_map = layer_image, layer_in_map
+            signs += layer.sign_bytes
+            loads.append((pos, "weight", "write", layer.sign_bytes, ("weights", pos)))
             charge = step_buffers(layer.spec, cfg)
             out_c, out_h, _ = layer.out_shape
             step_rows.append((
                 slot, pos, membrane1 if slot else membrane0, charge["membrane"],
                 layer.spec.kind == "encoding-conv", charge["boundary"],
-                layer.map_bytes, max(1, math.ceil(out_c * out_h / 8)),
-                rows[pos][2],
+                layer.map_bytes, -(-out_c * out_h // 8), out_map,
             ))
-        image, in_map, _ = rows[group[0]]
+        weight.write(signs)
         in_tag = ("image",) if image else ("input", group[0] - 1)
         # the static 8-bit image is staged once; the encoding layer then
         # iterates its parked convolution from the second membrane
@@ -536,9 +553,11 @@ def pingpong_schedule(
             runs = [(image + in_map, 0, 1), (in_map, 1, time_steps - 1)]
         else:
             runs = [(in_map, 0, time_steps)]
-        templates = tuple(
-            (_stage_run(group, step_rows, in_bytes, in_tag, start, count,
-                        spike0, spike1, membrane1, temp, boundary), start, count)
-            for in_bytes, start, count in runs if count)
-        visits.append((loads, templates))
+        templates = []
+        for in_bytes, start, count in runs:
+            if count:
+                template = _stage_run(group, step_rows, in_bytes, in_tag, start, count,
+                                      spike0, spike1, membrane1, temp, boundary)
+                templates.append((template, start, count))
+        visits.append((tuple(loads), templates))
     return BufferTrace(TraceEvents(visits), buffers)

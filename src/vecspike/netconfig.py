@@ -109,9 +109,8 @@ class NetworkDescription:
         entry per layer, neither ``None`` for a weighted layer, an image of
         the first layer's ``in_shape`` and ``time_steps >= 1``.  A weighted
         layer's weights must have its ``weight_shape`` and its parameters
-        its ``out_channels``, in the run's format ``fmt``.  The largest
-        layer's uint8 [T][C][H][W] train must fit numpy's largest array,
-        ``np.iinfo(np.intp).max`` bytes.
+        its ``out_channels``, in the run's format ``fmt``.  The trains must
+        fit, as :meth:`check_trains_fit` states.
         """
         if not (self.layers and self.is_annotated):
             raise ValidationError(f"{caller} needs a validated network")
@@ -142,12 +141,18 @@ class NetworkDescription:
             )
         if time_steps < 1:
             raise InvalidParameterError("time_steps must be >= 1")
+        self.check_trains_fit(time_steps)
+        return img
+
+    def check_trains_fit(self, time_steps: int):
+        """Raise unless the largest layer's uint8 [T][C][H][W] train of the
+        validated network fits numpy's largest array,
+        ``np.iinfo(np.intp).max`` bytes."""
         largest = max((layer.out_shape for layer in self.layers), key=math.prod)
         if time_steps * math.prod(largest) > np.iinfo(np.intp).max:
             raise InvalidParameterError(
                 f"time_steps {time_steps}: the {largest} layer's [T] spike train "
                 f"exceeds numpy's largest array")
-        return img
 
 
 _CONV_RE = re.compile(r"^(\d+)Conv(\(encoding\))?$")

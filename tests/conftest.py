@@ -9,11 +9,15 @@ from vecspike.geometry import step_buffers
 from vecspike.memmodel import (
     BufferModel,
     BufferTrace,
+    ComputeLayer,
     FusionPlan,
+    LayerTraffic,
     TraceEvent,
-    _dram_rows,
+    TrafficLedger,
     _plan_layers,
     compute_layers,
+    spike_map_bytes,
+    weight_bytes,
 )
 from vecspike.netconfig import LayerSpec, NetworkDescription, validate
 
@@ -211,7 +215,7 @@ def stepwise_pingpong(net, time_steps, cfg, plan=None):
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
     layers = _plan_layers(net, plan, time_steps)
-    rows = _dram_rows(layers, plan)
+    rows = listed_dram_rows(layers, plan)
 
     buffers = {name: BufferModel(name, size) for name, size in (
         ("spike0", cfg.spike_sram_bytes),  # spike ping-pong pair
@@ -279,3 +283,82 @@ def stepwise_pingpong(net, time_steps, cfg, plan=None):
                     temp.write(column, 1)
                 events.append(TraceEvent(step, pos, "dram", "write", out_map, out_tag))
     return BufferTrace(events, buffers)
+
+
+# The memory model's table, planner and ledger as separate passes: the
+# compute-layer records from a scan of weighted-layer starts, the planner
+# over a list of weight bytes, and the ledger over a list of DRAM rows with
+# its totals summed afterwards.  The tests' reference for the one-pass
+# walks of :mod:`vecspike.memmodel`.
+
+def listed_build_compute_layers(layers):
+    """The compute-layer records of a shape-annotated layer list whose
+    first layer is weighted.  A weighted layer hands on the map of the last
+    layer before the next weighted one."""
+    starts = [idx for idx, layer in enumerate(layers) if layer.kind != "maxpool2"]
+    records = []
+    for idx, end in zip(starts, starts[1:] + [len(layers)]):
+        spec, out_shape = layers[idx], layers[end - 1].out_shape
+        records.append(ComputeLayer(idx, spec, out_shape, weight_bytes(*spec.weight_shape, 0),
+                                    spike_map_bytes(*out_shape, 1)))
+    return tuple(records)
+
+
+def listed_plan_fusion(net, cfg):
+    """Greedy front-to-back pairing of adjacent eligible layers."""
+    layers = compute_layers(net)
+    weights = [layer.weight_bytes(cfg.param_bytes) for layer in layers]
+    weight_capacity = 2 * cfg.weight_sram_bytes
+    groups = []
+    pos = 0
+    while pos < len(layers):
+        if pos + 1 < len(layers):
+            weights_fit = weights[pos] + weights[pos + 1] <= weight_capacity
+            intermediate_fit = layers[pos].map_bytes <= cfg.temp_sram_bytes
+            if weights_fit and intermediate_fit:
+                groups.append((pos, pos + 1))
+                pos += 2
+                continue
+        groups.append((pos,))
+        pos += 1
+    return FusionPlan(groups)
+
+
+def listed_dram_rows(layers, plan):
+    """Per compute layer, ``(image, in_map, out_map)``: the bytes of the
+    8-bit image, read once by the first layer at full byte width, and of
+    the bit-packed maps it reads and writes per time step."""
+    on_chip = set(plan.fused_intermediates())
+    rows = []
+    in_map = 0
+    for pos, layer in enumerate(layers):
+        out_map = 0 if pos in on_chip else layer.map_bytes
+        rows.append((0 if pos else math.prod(layer.spec.in_shape), in_map, out_map))
+        in_map = out_map
+    return rows
+
+
+def listed_simulate_traffic(net, plan, time_steps, cfg):
+    """DRAM byte counts per layer under a fusion plan."""
+    layers = _plan_layers(net, plan, time_steps)
+    rows = listed_dram_rows(layers, plan)
+    records = []
+    for layer, (image, in_map, out_map) in zip(layers, rows):
+        note = "8-bit image input" if image else "" if in_map else "input fused on chip"
+        if not out_map:
+            note = (note + "; " if note else "") + "output fused on chip"
+        records.append(
+            LayerTraffic(
+                layer.index,
+                layer.spec.kind + ("+pool" if layer.pooled else ""),
+                note,
+                layer.weight_bytes(cfg.param_bytes),
+                image + in_map * time_steps,
+                out_map * time_steps,
+            )
+        )
+    weights = sum(r.weight_bytes_read for r in records)
+    inputs = sum(r.input_spike_bytes_read for r in records)
+    outputs = sum(r.output_spike_bytes_written for r in records)
+    return TrafficLedger(records, any(not row[2] for row in rows),
+                         weights, inputs, outputs, weights + inputs + outputs)

@@ -632,6 +632,41 @@ def test_traffic_takes_a_t_past_numpys_largest_array(capsys, steps):
     assert "reduction:" in capsys.readouterr().out
 
 
+def test_traffic_counts_bytes_exactly_past_float_precision(capsys):
+    # 2**60 + 1 channels: a float ceiling printed ...704 for layer 0 and
+    # the fc weights 20 bytes short
+    huge = 2**60 + 1
+    code = run_cli(["traffic", "--net", f"{huge}Conv(encoding)-10fc",
+                    "--input-shape", "1,4,4", "--timesteps", "1"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[4:6]
+    signs = -(-huge * 9 // 8)
+    assert rows[0].split()[:5] == [
+        "0", "encoding-conv", str(signs + 6 * huge), "16", str(2 * huge)]
+    assert rows[1].split()[:5] == ["1", "fc", str(20 * huge + 60), str(2 * huge), "2"]
+
+
+# 10**320 output channels: past a float's range, and past numpy's largest
+# array, which refuses it without allocating
+_PAST_FLOAT_NET = "4Conv(encoding)-1" + "0" * 320 + "fc"
+
+
+def test_run_refuses_a_layer_past_a_floats_range_with_one_line(capsys):
+    code = run_cli(["run", "--net", _PAST_FLOAT_NET, "--input-shape", "1,4,4"])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: time_steps 8: the (1" + "0" * 320)
+    assert err.endswith("spike train exceeds numpy's largest array\n")
+    assert err.count("\n") == 1
+
+
+def test_traffic_exits_3_on_a_byte_count_past_a_floats_range(capsys):
+    code = run_cli(["traffic", "--net", _PAST_FLOAT_NET, "--input-shape", "1,4,4"])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: number out of range: int too large to convert to float\n")
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under random config and plan JSON
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ CASES = {
     "bench_t8.txt": ["bench", "--timesteps", "8"],
     "bench_t3.txt": ["bench", "--timesteps", "3"],
     "traffic_cifar10.txt": ["traffic", "--net", "cifar10"],
+    # between them, every note form of the ledger and both pooled kinds
+    "traffic_mnist_pairs.txt": ["traffic", "--net", "mnist",
+                                "--fusion-plan", str(GOLDEN / "plan_mnist_pairs.json")],
+    "traffic_mnist_middle.txt": ["traffic", "--net", "mnist",
+                                 "--fusion-plan", str(GOLDEN / "plan_mnist_middle.json")],
 }
 
 

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fusion_plans, random_network_text, stepwise_pingpong
+from conftest import (
+    fusion_plans,
+    listed_build_compute_layers,
+    listed_plan_fusion,
+    listed_simulate_traffic,
+    random_network_text,
+    stepwise_pingpong,
+)
 from vecspike import memmodel, netconfig
 from vecspike.arch import HardwareConfig
 from vecspike.errors import CapacityFault, InvalidParameterError, PlanError
@@ -48,6 +55,27 @@ def test_spike_map_bytes():
 def test_weight_bytes():
     assert weight_bytes(1, 1, 1, 1, param_bytes=3) == 1 + 6
     assert weight_bytes(64, 64, 3, 3, param_bytes=3) == 4608 + 64 * 6
+
+
+HUGE = 2**60 + 1  # a float ceiling of HUGE / 8 drops the + 1
+
+
+def test_byte_counts_are_exact_past_float_precision():
+    assert spike_map_bytes(HUGE, 1, 1, 1) == 2**57 + 1
+    assert spike_map_bytes(HUGE, 4, 4, 3) == 3 * (2**61 + 2)
+    assert weight_bytes(HUGE, 1, 3, 3, param_bytes=3) == 9 * 2**57 + 2 + 6 * HUGE
+    assert weight_bytes(10, 16 * HUGE, 1, 1, param_bytes=3) == 20 * HUGE + 60
+
+
+def test_the_table_and_the_trace_count_huge_layers_exactly():
+    net = validate(parse_network(f"{HUGE}Conv(encoding)", 1), (1, 1, 1))
+    (layer,) = compute_layers(net)
+    assert (layer.sign_bytes, layer.map_bytes) == (9 * 2**57 + 2, 2**57 + 1)
+    cfg = CFG.replace(weight_sram_bytes=2**62, temp_sram_bytes=2**62)
+    trace = pingpong_schedule(net, 1, cfg)
+    # one output column of HUGE channels, one row tall, staged in temp
+    assert trace.buffers["temp"].peak == 2**57 + 1
+    assert [e.nbytes for e in trace.events if e.buffer == "dram"] == [2**57 + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +399,52 @@ def test_the_schedule_walks_as_the_stepwise_walk(net_seed, scale, time_steps):
         plan = FusionPlan(list(groups))
         assert (_schedule_outcome(pingpong_schedule, net, time_steps, cfg, plan)
                 == _schedule_outcome(stepwise_pingpong, net, time_steps, cfg, plan))
+
+
+@st.composite
+def pooled_network_texts(draw):
+    """A network whose weighted layers may each be followed by several
+    ``MP2`` layers, down to a 1x1 map, with its input shape."""
+    size = draw(st.sampled_from((4, 8, 16, 32)))
+    shape = (draw(st.sampled_from((1, 3))), size, size)
+    tokens = [f"{draw(st.integers(1, 64))}Conv(encoding)"]
+    for kind in draw(st.lists(st.sampled_from(("Conv", "fc")), max_size=4)):
+        for _ in range(draw(st.integers(0, 3))):
+            if size % 2 == 0:
+                tokens.append("MP2")
+                size //= 2
+        if kind == "fc":
+            size = 1
+        tokens.append(f"{draw(st.integers(1, 64))}{kind}")
+    return "-".join(tokens), shape
+
+
+network_texts = (
+    st.integers(0, 2**32 - 1).map(lambda seed: random_network_text(random.Random(seed)))
+    | pooled_network_texts()
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=network_texts,
+    total_bits=st.integers(6, 39),
+    scale=st.floats(0.25, 2.0),
+    time_steps=st.integers(1, 9),
+)
+def test_the_one_pass_walks_equal_the_listed_walks(source, total_bits, scale, time_steps):
+    # parameters of 1 to 5 bytes; the table, the planner and the ledger of
+    # every plan as the separate passes of conftest compute them
+    text, shape = source
+    net = validate(parse_network(text, time_steps), shape)
+    cfg = CFG.replace(total_bits=total_bits, frac_bits=min(8, total_bits - 1),
+                      **{f: int(getattr(CFG, f) * scale) for f in SRAM_FIELDS})
+    assert net.compute_layers == listed_build_compute_layers(net.layers)
+    assert plan_fusion(net, cfg) == listed_plan_fusion(net, cfg)
+    for groups in fusion_plans(len(compute_layers(net))):
+        plan = FusionPlan(list(groups))
+        assert (simulate_traffic(net, plan, time_steps, cfg)
+                == listed_simulate_traffic(net, plan, time_steps, cfg))
 
 
 def test_pingpong_alternates_spike_buffers():
