@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -371,28 +369,22 @@ def _event(step: int, entry: tuple) -> TraceEvent:
     return TraceEvent(step, pos, buffer, op, nbytes, tag)
 
 
-class TraceEvents(Sequence):
-    """The trace's events, in walk order, generated on demand.
+class TraceEvents:
+    """The trace's events: an iterable with a length, generated in walk
+    order as it is walked, and not indexed.
 
     Each group visit is its weight loads (step -1) and its runs of steps,
     ``(template, first step, count)``: the steps of a run differ only in
-    their step numbers and spike halves.  ``len`` is arithmetic;
-    iteration and indexing build each :class:`TraceEvent` when it is
-    asked for.
+    their step numbers and spike halves.  The length is the count
+    :func:`pingpong_schedule` summed while it built the templates; each
+    walk builds every :class:`TraceEvent` afresh.
     """
 
-    __slots__ = ("_visits", "_starts", "_len")
+    __slots__ = ("_visits", "_len")
 
-    def __init__(self, visits: list[tuple[tuple, tuple]]):
+    def __init__(self, visits: list[tuple[tuple, list]], count: int):
         self._visits = visits
-        self._starts = []  # the index of each visit's first event
-        size = 0
-        for loads, runs in visits:
-            self._starts.append(size)
-            size += len(loads)
-            for template, _, count in runs:
-                size += len(template) * count
-        self._len = size
+        self._len = count
 
     def __len__(self) -> int:
         return self._len
@@ -405,26 +397,6 @@ class TraceEvents(Sequence):
                 for step in range(start, start + count):
                     for entry in template:
                         yield _event(step, entry)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._len))]
-        i = operator.index(index)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("trace event index out of range")
-        visit = bisect_right(self._starts, i) - 1
-        loads, runs = self._visits[visit]
-        i -= self._starts[visit]
-        if i < len(loads):
-            return _event(-1, loads[i])
-        i -= len(loads)
-        for template, start, count in runs:
-            if i < len(template) * count:
-                step, i = divmod(i, len(template))
-                return _event(start + step, template[i])
-            i -= len(template) * count
 
 
 @dataclass
@@ -510,7 +482,8 @@ def pingpong_schedule(
     does not fit raises at the run's first step, at the stage and with
     the text of a stepwise walk, and a counted write leaves a buffer as
     that many single writes do.  The events are a :class:`TraceEvents`
-    view of each run's template.
+    over the runs' templates, and their count, summed here as each
+    template is built, is its length: nothing is walked to build it.
     """
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
@@ -526,7 +499,7 @@ def pingpong_schedule(
         ("boundary", cfg.boundary_sram_bytes),  # tile boundary
     )}
     spike0, spike1, weight, membrane0, membrane1, temp, boundary = buffers.values()
-    visits = []
+    visits, events = [], 0
 
     for group in plan.groups:
         # the plan's groups cover the layers in order, so each group takes
@@ -546,6 +519,7 @@ def pingpong_schedule(
                 layer.map_bytes, -(-out_c * out_h // 8), out_map,
             ))
         weight.write(signs)
+        events += len(loads)
         in_tag = ("image",) if image else ("input", group[0] - 1)
         # the static 8-bit image is staged once; the encoding layer then
         # iterates its parked convolution from the second membrane
@@ -559,5 +533,6 @@ def pingpong_schedule(
                 template = _stage_run(group, step_rows, in_bytes, in_tag, start, count,
                                       spike0, spike1, membrane1, temp, boundary)
                 templates.append((template, start, count))
+                events += len(template) * count
         visits.append((tuple(loads), templates))
-    return BufferTrace(TraceEvents(visits), buffers)
+    return BufferTrace(TraceEvents(visits, events), buffers)

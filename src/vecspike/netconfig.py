@@ -45,6 +45,13 @@ _KIND_CODES = {kind: code for code, kind in enumerate(LAYER_KINDS)}
 DEFAULT_V_TH = 1.0
 
 
+def check_array_fits(shape, what: str) -> None:
+    """Raise unless a uint8 array of ``shape``, ``what``, fits numpy's
+    largest array, ``np.iinfo(np.intp).max`` bytes; numpy is not called."""
+    if math.prod(shape) > np.iinfo(np.intp).max:
+        raise InvalidParameterError(f"{what} exceeds numpy's largest array")
+
+
 # ---------------------------------------------------------------------------
 # network description
 # ---------------------------------------------------------------------------
@@ -146,13 +153,11 @@ class NetworkDescription:
 
     def check_trains_fit(self, time_steps: int):
         """Raise unless the largest layer's uint8 [T][C][H][W] train of the
-        validated network fits numpy's largest array,
-        ``np.iinfo(np.intp).max`` bytes."""
+        validated network fits numpy's largest array, as
+        :func:`check_array_fits` states."""
         largest = max((layer.out_shape for layer in self.layers), key=math.prod)
-        if time_steps * math.prod(largest) > np.iinfo(np.intp).max:
-            raise InvalidParameterError(
-                f"time_steps {time_steps}: the {largest} layer's [T] spike train "
-                f"exceeds numpy's largest array")
+        check_array_fits((time_steps, *largest), f"time_steps {time_steps}: the "
+                         f"{largest} layer's [T] spike train")
 
 
 _CONV_RE = re.compile(r"^(\d+)Conv(\(encoding\))?$")
@@ -513,10 +518,15 @@ def generate_random_bundle(
     Sign bits are fair coin flips; normalization parameters are drawn as
     gamma in [0.5, 2], beta and mean in [-1, 1], variance in [0.25, 4],
     then folded against each layer's threshold.  The same seed always
-    yields a bit-identical bundle.
+    yields a bit-identical bundle.  Every layer's sign weights must fit
+    numpy's largest array, checked before anything is drawn.
     """
     if not net.is_annotated:
         raise ValidationError("generate_random_bundle needs a validated network")
+    for idx, layer in enumerate(net.layers):
+        if layer.has_weights:
+            check_array_fits(layer.weight_shape, f"layer {idx} ({layer.kind}): the "
+                             f"{layer.weight_shape} sign-weight tensor")
     rng = np.random.default_rng(seed)
     weights: list[BinaryWeightTensor | None] = []
     params: list[FoldedNeuronParams | None] = []
@@ -577,6 +587,9 @@ def load_input_tensor(path) -> np.ndarray:
 
 
 def random_input(shape, seed: int) -> np.ndarray:
-    """Deterministic random 8-bit image for seeded runs."""
+    """Deterministic random 8-bit image for seeded runs; the shape must
+    fit numpy's largest array."""
+    shape = tuple(int(v) for v in shape)
+    check_array_fits(shape, f"the {shape} input image")
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, tuple(int(v) for v in shape), dtype=np.uint8)
+    return rng.integers(0, 256, shape, dtype=np.uint8)

@@ -3,9 +3,11 @@ import dataclasses
 import io
 import json
 import re
+import shlex
 import struct
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -665,6 +667,60 @@ def test_traffic_exits_3_on_a_byte_count_past_a_floats_range(capsys):
     assert code == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "error: number out of range: int too large to convert to float\n")
+
+
+# past numpy's largest array, 2**63 - 1 bytes, while the trains fit: the
+# fc layer's 2**58 x 64 sign weights, and a 1 x 4e9 x 4e9 input image.
+# numpy refuses both without allocating; the rule refuses them first.
+_WIDE_FC_NET = "4Conv(encoding)-288230376151711744fc"
+_WIDE_FC_ERROR = ("layer 1 (fc): the (288230376151711744, 64, 1, 1) sign-weight "
+                  "tensor exceeds numpy's largest array")
+_HUGE_IMAGE = (1, 4000000000, 4000000000)
+_HUGE_IMAGE_ERROR = "the (1, 4000000000, 4000000000) input image exceeds numpy's largest array"
+
+
+@pytest.mark.parametrize("net, shape, message", [
+    (_WIDE_FC_NET, "1,4,4", _WIDE_FC_ERROR),
+    ("4Conv(encoding)-10fc", "1,4000000000,4000000000", _HUGE_IMAGE_ERROR),
+], ids=["weights", "image"])
+def test_run_refuses_an_array_past_numpys_largest_with_one_line(capsys, net, shape, message):
+    # each left a ValueError traceback from rng.integers and exited 1
+    assert run_cli(["run", "--net", net, "--input-shape", shape]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_the_bundle_and_the_image_refuse_arrays_past_numpys_largest():
+    net = validate(parse_network(_WIDE_FC_NET), (1, 4, 4))
+    net.check_trains_fit(8)  # the trains fit; the weights do not
+    with pytest.raises(errors.InvalidParameterError, match=re.escape(_WIDE_FC_ERROR)):
+        generate_random_bundle(net, 0)
+    with pytest.raises(errors.InvalidParameterError, match=re.escape(_HUGE_IMAGE_ERROR)):
+        random_input(_HUGE_IMAGE, 0)
+
+
+def _readme_cli_commands() -> list[str]:
+    """The README "CLI" section's ``sh`` block, one command a line, with
+    continuation lines joined and comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+
+
+def test_the_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line) for line in _readme_cli_commands()]
+    for words in commands:
+        if words[0] == "echo":
+            text, redirect, path = words[1:]
+            assert redirect == ">"
+            (tmp_path / path).write_text(text + "\n")
+        else:
+            assert words[0] == "vecspike"
+            assert run_cli(words[1:]) == 0, shlex.join(words)
+    assert {words[1] for words in commands if words[0] == "vecspike"} == {
+        "run", "traffic", "bench"}
+    assert json.loads((tmp_path / "report.json").read_text())["oracle_match"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -345,18 +345,13 @@ def test_an_oversized_counted_write_faults_before_any_change(times):
 
 
 @pytest.mark.parametrize("time_steps", [1, 2, 3, 8])
-def test_the_event_view_indexes_as_its_list(time_steps):
+def test_the_events_count_and_walk_the_same_list_twice(time_steps):
+    # readers take the length and walk the events in order; none indexes
     net, _ = preset_network("mnist", time_steps)
     events = pingpong_schedule(net, time_steps, CFG, plan_fusion(net, CFG)).events
     listed = list(events)
-    assert len(events) == len(listed) == sum(1 for _ in events)
-    assert [events[i] for i in range(len(events))] == listed
-    assert [events[-i] for i in range(1, len(events) + 1)] == listed[::-1]
-    for cut in (slice(None), slice(3, -2), slice(None, None, -3), slice(5, 1000, 4)):
-        assert events[cut] == listed[cut]
-    for index in (len(listed), -len(listed) - 1):
-        with pytest.raises(IndexError):
-            events[index]
+    assert len(events) == len(listed)
+    assert list(events) == listed
 
 
 def _schedule_outcome(schedule, net, time_steps, cfg, plan):
