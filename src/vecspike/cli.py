@@ -367,6 +367,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads "--net=--" as no value
+                raise _CliError(f"--{name.replace('_', '-')} needs a value", EXIT_ARGS)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -93,10 +93,8 @@ def compute_layers(net: "NetworkDescription") -> tuple[ComputeLayer, ...]:
     """The network's weighted layers with pooling absorbed: the table that
     :func:`vecspike.netconfig.validate` built with
     :func:`build_compute_layers`.  A network that ``validate`` did not
-    return, a ``dataclasses.replace`` copy among them, has no table and
-    raises :class:`PlanError`."""
-    if not net.layers:
-        raise PlanError("network has no layers")
+    return, an empty or a ``dataclasses.replace`` copy among them, has no
+    table and raises :class:`PlanError`."""
     if not net.compute_layers:
         raise PlanError("network must be validated before planning")
     return net.compute_layers

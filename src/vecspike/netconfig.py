@@ -95,32 +95,34 @@ class NetworkDescription:
     are derived data.  So is ``compute_layers``, the memory model's
     ``ComputeLayer`` records of the layers, which only ``validate`` writes.
     It is not an argument, and equality and ``repr`` ignore it; a
-    description built by hand or by ``dataclasses.replace`` has none, so
-    the memory model refuses to plan it.
+    description built by hand, parsed or copied by ``dataclasses.replace``
+    has none, so every consumer refuses it (see :meth:`check_validated`).
     """
 
     layers: list[LayerSpec]
     time_steps: int = 8
     compute_layers: tuple = field(default=(), init=False, compare=False, repr=False)
 
-    @property
-    def is_annotated(self) -> bool:
-        return all(layer.out_shape is not None for layer in self.layers)
+    def check_validated(self, caller: str) -> None:
+        """Raise unless ``validate`` returned this description, naming
+        ``caller``: only it writes the compute-layer table."""
+        if not self.compute_layers:
+            raise ValidationError(f"{caller} needs a validated network")
 
     def check_run_inputs(self, caller: str, weights, folded, image, time_steps: int,
                          fmt: FixedPointFormat) -> np.ndarray:
         """The entry check that the engine's and the oracle's runs share,
         naming ``caller``; returns the image as an array.
 
-        The network must be validated, with one weight and one parameter
-        entry per layer, neither ``None`` for a weighted layer, an image of
-        the first layer's ``in_shape`` and ``time_steps >= 1``.  A weighted
+        The network must be one that ``validate`` returned, with one weight
+        and one parameter entry per layer, neither ``None`` for a weighted
+        layer, an image of the first layer's ``in_shape`` and
+        ``time_steps >= 1``.  A weighted
         layer's weights must have its ``weight_shape`` and its parameters
         its ``out_channels``, in the run's format ``fmt``.  The trains must
         fit, as :meth:`check_trains_fit` states.
         """
-        if not (self.layers and self.is_annotated):
-            raise ValidationError(f"{caller} needs a validated network")
+        self.check_validated(caller)
         for name, entries in (("weight", weights), ("parameter", folded)):
             if len(entries) != len(self.layers):
                 raise ShapeError(f"{len(entries)} {name} entries for {len(self.layers)} layers")
@@ -152,9 +154,10 @@ class NetworkDescription:
         return img
 
     def check_trains_fit(self, time_steps: int):
-        """Raise unless the largest layer's uint8 [T][C][H][W] train of the
-        validated network fits numpy's largest array, as
+        """Raise unless the network is validated and its largest layer's
+        uint8 [T][C][H][W] train fits numpy's largest array, as
         :func:`check_array_fits` states."""
+        self.check_validated("check_trains_fit")
         largest = max((layer.out_shape for layer in self.layers), key=math.prod)
         check_array_fits((time_steps, *largest), f"time_steps {time_steps}: the "
                          f"{largest} layer's [T] spike train")
@@ -195,33 +198,18 @@ def _parse_token(token: str, column: int) -> LayerSpec:
 
 
 def parse_network(text: str, time_steps: int = 8) -> NetworkDescription:
-    """Parse a dash-separated layer string into a NetworkDescription."""
+    """Parse a dash-separated layer string into a NetworkDescription;
+    only its syntax is checked, and :func:`validate` holds the layer rules."""
     stripped = text.strip()
     if not stripped:
         raise NetworkParseError("empty network description")
     layers: list[LayerSpec] = []
-    columns: list[int] = []
     column = 1
     for token in _LAYER_DASH_RE.split(stripped):
         if not token:
             raise NetworkParseError("empty layer token", column)
-        columns.append(column)
         layers.append(_parse_token(token, column))
         column += len(token) + 1
-    encodings = [i for i, l in enumerate(layers) if l.kind == "encoding-conv"]
-    if not encodings or encodings[0] != 0:
-        raise NetworkParseError(
-            "first layer must be an encoding convolution", columns[0]
-        )
-    if len(encodings) > 1:
-        raise NetworkParseError(
-            "only one encoding layer is allowed", columns[encodings[1]]
-        )
-    for idx, layer in enumerate(layers):
-        if layer.kind != "maxpool2" and layer.out_channels < 1:
-            raise NetworkParseError(
-                "layers must declare a positive channel count", columns[idx]
-            )
     return NetworkDescription(layers, time_steps=time_steps)
 
 
@@ -245,14 +233,16 @@ def network_to_string(net: NetworkDescription) -> str:
 
 
 def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
-    """Propagate shapes through the network and annotate every layer.
+    """Check the layer rules, propagate shapes and annotate every layer.
 
-    The only place that lowers an fc layer: it must have a 1x1 kernel and
-    no padding, and its ``in_shape`` is the flattened input map
-    ``(C*H*W, 1, 1)``, so every later stage treats it as a 1x1
-    convolution.  Returns a new, annotated description that carries its
-    compute-layer table, built here once for every walk of the memory
-    model; the first mismatching layer is reported with its index.
+    The one gate for a network, parsed or loaded: the first layer, and
+    only it, is an encoding convolution, and every weighted layer has a
+    positive channel count.  The only place that lowers an fc layer: it
+    must have a 1x1 kernel and no padding, and its ``in_shape`` is the
+    flattened input map ``(C*H*W, 1, 1)``, so every later stage treats it
+    as a 1x1 convolution.  Returns a new, annotated description that
+    carries its compute-layer table, built here once for every consumer;
+    the first layer that breaks a rule is reported with its index.
     """
     c, h, w = (int(v) for v in input_shape)
     if min(c, h, w) < 1:
@@ -266,6 +256,8 @@ def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
     for idx, layer in enumerate(net.layers):
         if layer.kind == "encoding-conv" and idx != 0:
             raise ValidationError("encoding layer only allowed at position 0", idx)
+        if layer.has_weights and layer.out_channels < 1:
+            raise ValidationError("weighted layers must declare a positive channel count", idx)
         in_shape, out_channels = shape, layer.out_channels
         kh, kw = layer.kernel
         if layer.kind in ("encoding-conv", "conv"):
@@ -341,16 +333,6 @@ class ModelBundle:
 
     def checksum(self) -> int:
         return zlib.crc32(_bundle_payload(self))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelBundle):
-            return NotImplemented
-        return (
-            self.net == other.net
-            and self.fmt == other.fmt
-            and self.weights == other.weights
-            and self.params == other.params
-        )
 
 
 def _bundle_payload(bundle: ModelBundle) -> bytes:
@@ -518,11 +500,11 @@ def generate_random_bundle(
     Sign bits are fair coin flips; normalization parameters are drawn as
     gamma in [0.5, 2], beta and mean in [-1, 1], variance in [0.25, 4],
     then folded against each layer's threshold.  The same seed always
-    yields a bit-identical bundle.  Every layer's sign weights must fit
-    numpy's largest array, checked before anything is drawn.
+    yields a bit-identical bundle.  The network must be one that
+    ``validate`` returned, and every layer's sign weights must fit numpy's
+    largest array, checked before anything is drawn.
     """
-    if not net.is_annotated:
-        raise ValidationError("generate_random_bundle needs a validated network")
+    net.check_validated("generate_random_bundle")
     for idx, layer in enumerate(net.layers):
         if layer.has_weights:
             check_array_fits(layer.weight_shape, f"layer {idx} ({layer.kind}): the "

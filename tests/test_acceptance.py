@@ -212,9 +212,10 @@ def test_criterion_5_traffic_reproduction():
         f"  fused   {fused.total_bytes} B ({fused.total_bytes / 1024:.3f} KiB) "
         f"vs published 938.172 KiB"
     )
+    published = 1484976  # 1450.171875 KiB
     print(
-        "  residual baseline discrepancy is the itemized weight lines "
-        f"(weights+params total {baseline.weight_total} B) and the image line"
+        f"  unfused ledger {baseline.total_bytes:,} B against the published "
+        f"{published:,} B, a gap of {baseline.total_bytes - published:,} B"
     )
     _announce(5, f"traffic: saving 512 KiB exactly, reduction {pct:.2f}%")
 

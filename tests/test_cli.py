@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fusion_plans
@@ -555,12 +555,20 @@ MNIST_ON_4_BLOCKS = {"pe_blocks": 4}
      None, 3, "validation error: bad attribute block"),
     (["run", "--net", "4Conv(encoding){vth=1e300}-2fc", "--input-shape", "1,4,4"],
      None, 4, "fault: quantize: 8.07930038958702e+299 outside"),
+    # the layer rules are validate's alone, and each names its layer
+    (["run", "--net", "64Conv-10fc", "--input-shape", "1,4,4"], None, 3,
+     "validation error: layer 0: first layer must be an encoding convolution"),
+    (["traffic", "--net", "64Conv(encoding)-8Conv(encoding)", "--input-shape", "1,4,4"],
+     None, 3, "validation error: layer 1: encoding layer only allowed at position 0"),
+    (["run", "--net", "4Conv(encoding)-0Conv-10fc", "--input-shape", "1,4,4"], None, 3,
+     "validation error: layer 1: weighted layers must declare a positive channel count"),
 ], ids=[
     "missing_config", "config_list", "unknown_field", "field_self", "field_group_size",
     "config_directory", "config_not_utf8", "bench_4_blocks", "run_4_blocks",
     "net_directory", "missing_net_file", "missing_net_path_with_fc", "net_file_not_utf8",
     "missing_plan", "plan_directory", "plan_not_utf8", "missing_input", "run_no_shape",
     "traffic_no_shape", "vth_inf", "vth_no_exponent", "vth_off_format",
+    "no_encoding_first", "second_encoding", "zero_channels",
 ])
 def test_cli_input_error_exit_code_and_message(tmp_path, capsys, args, config, code, message):
     (tmp_path / "bad.txt").write_bytes(b"\xff\xfe")  # not UTF-8
@@ -767,6 +775,42 @@ def test_random_config_keeps_the_exit_contract(tmp_path_factory, config):
 def test_random_fusion_plan_keeps_the_exit_contract(tmp_path_factory, plan):
     command = ["traffic", "--net", "mnist"]
     assert _exit_code(tmp_path_factory, command, "--fusion-plan", plan) in CONTRACT_CODES
+
+
+vth_attrs = st.just("") | (st.floats(-4, 4) | st.sampled_from([0.0, 1e-300, 1e300])).map(
+    lambda v: f"{{vth={v!r}}}")
+junk_tokens = (st.sampled_from(["", "BOGUS", "Conv", "8FC", "MP3", "MP2{vth=1}", "4fc{vth=}"])
+               | st.text("0123456789Conv(encoding)fcMP{vth=}.e-", max_size=10))
+
+
+@st.composite
+def layer_texts(draw):
+    """1-6 dash-joined layer tokens, N in 0..8 with an optional vth; the
+    first is an encoding layer half the time, and one token in five is junk."""
+    tokens = []
+    for position in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            token = draw(junk_tokens)
+        elif position == 0 and draw(st.booleans()):
+            token = f"{draw(st.integers(0, 8))}Conv(encoding)"
+        else:
+            token = draw(st.sampled_from(["{}Conv(encoding)", "{}Conv", "{}fc", "MP2"]))
+            if token != "MP2":
+                token = token.format(draw(st.integers(0, 8))) + draw(vth_attrs)
+        tokens.append(token)
+    return "-".join(tokens)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=layer_texts(),
+       shape=st.tuples(st.integers(1, 2), st.integers(1, 8), st.integers(1, 8)))
+@example(text="--", shape=(1, 1, 1))  # argparse read "--net=--" as an empty list
+def test_random_layer_text_keeps_the_exit_contract(tmp_path_factory, text, shape):
+    out = tmp_path_factory.mktemp("grammar") / "out"
+    net = "--net=" + text  # one argument, though it starts with a dash
+    shape = "--input-shape=" + ",".join(map(str, shape))
+    for command in (["traffic"], ["run", "--timesteps", "1"]):
+        assert run_cli(command + [net, shape, "--out", str(out)]) in CONTRACT_CODES
 
 
 # Bundle layout after the 4-byte magic: one header struct, then one table

@@ -271,10 +271,9 @@ def _walks(net, plan):
 
 
 def test_walks_refuse_a_network_with_no_layers():
-    # an empty layer list passed is_annotated, and simulate_traffic
-    # returned an empty ledger; validate() refuses the same network
+    # validate() refuses an empty network, so it has no table to walk
     for walk in _walks(NetworkDescription([], 8), FusionPlan([])):
-        with pytest.raises(PlanError, match="network has no layers"):
+        with pytest.raises(PlanError, match="network must be validated before planning"):
             walk()
 
 

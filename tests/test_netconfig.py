@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 import zlib
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from vecspike.core import BinaryWeightTensor
+from vecspike.arch import HardwareConfig
+from vecspike.core import BinaryWeightTensor, FoldedNeuronParams, run_network_oracle
+from vecspike.dataflow import run_network
 from vecspike.errors import (
     BadMagicError,
     BundleError,
@@ -19,7 +22,9 @@ from vecspike.errors import (
 from vecspike.fixedpoint import FixedPointFormat
 from vecspike.netconfig import (
     PRESETS,
+    LayerSpec,
     ModelBundle,
+    NetworkDescription,
     generate_random_bundle,
     load_bundle,
     load_input_tensor,
@@ -64,11 +69,14 @@ def test_parse_errors_carry_positions():
         parse_network("64Conv(encoding)-BOGUS-10fc")
     assert err.value.column == 18
     with pytest.raises(NetworkParseError):
-        parse_network("64Conv-10fc")  # no encoding layer first
-    with pytest.raises(NetworkParseError):
-        parse_network("64Conv(encoding)-8Conv(encoding)")
-    with pytest.raises(NetworkParseError):
         parse_network("64Conv(encoding)--10fc")
+    # the layer rules are validate's, which names the layer
+    with pytest.raises(ValidationError) as err:
+        validate(parse_network("64Conv-10fc"), (1, 4, 4))  # no encoding layer first
+    assert err.value.layer_index == 0
+    with pytest.raises(ValidationError) as err:
+        validate(parse_network("64Conv(encoding)-8Conv(encoding)"), (1, 4, 4))
+    assert err.value.layer_index == 1
 
 
 def test_parse_vth_attribute():
@@ -162,10 +170,79 @@ def test_validate_rejects_oversized_kernel():
     assert err.value.layer_index == 0
 
 
+@pytest.mark.parametrize("text, index", [
+    ("0Conv(encoding)-4Conv", 0),
+    ("4Conv(encoding)-MP2-0Conv", 2),
+    ("4Conv(encoding)-0fc", 1),
+])
+def test_validate_refuses_a_weighted_layer_with_no_channels(text, index):
+    with pytest.raises(ValidationError, match="positive channel count") as err:
+        validate(parse_network(text), (1, 4, 4))
+    assert err.value.layer_index == index
+
+
+def test_validate_refuses_a_hand_built_layer_with_no_channels():
+    net = NetworkDescription([
+        LayerSpec("encoding-conv", out_channels=4),
+        LayerSpec("conv", out_channels=0),
+        LayerSpec("fc", out_channels=10, kernel=(1, 1), padding=0),
+    ])
+    with pytest.raises(ValidationError, match="positive channel count") as err:
+        validate(net, (1, 4, 4))
+    assert err.value.layer_index == 1
+
+
+def test_validate_refuses_a_loaded_bundle_layer_with_no_channels(tmp_path):
+    # a bundle loads a layer table unchecked; validate is its gate too
+    bundle = generate_random_bundle(validate(parse_network("4Conv(encoding)-4Conv"),
+                                             (1, 4, 4)), seed=0)
+    par = bundle.params[1]
+    empty = FoldedNeuronParams(par.bias_raw[:0], par.threshold_raw[:0], par.flipped[:0],
+                               par.fmt)
+    weights = [bundle.weights[0], BinaryWeightTensor(bundle.weights[1].sign_bits[:0])]
+    zero = ModelBundle(parse_network("4Conv(encoding)-0Conv"), weights,
+                       [bundle.params[0], empty], bundle.fmt)
+    save_bundle(zero, tmp_path / "zero.vsa")
+    loaded = load_bundle(tmp_path / "zero.vsa")
+    assert loaded == zero
+    with pytest.raises(ValidationError, match="positive channel count") as err:
+        validate(loaded.net, (1, 4, 4))
+    assert err.value.layer_index == 1
+
+
+_GATE_TEXT, _GATE_SHAPE = "4Conv(encoding)-MP2-4Conv-3fc", (1, 4, 4)
+
+
+def _gated_consumers():
+    """Every consumer of a network, as (caller, call of a network)."""
+    bundle = generate_random_bundle(validate(parse_network(_GATE_TEXT), _GATE_SHAPE), seed=0)
+    image = random_input(_GATE_SHAPE, 0)
+    run = (bundle.weights, bundle.params, image, 2)
+    return [
+        ("run_network", lambda net: run_network(net, *run, HardwareConfig())),
+        ("run_network_oracle", lambda net: run_network_oracle(net, *run)),
+        ("generate_random_bundle", lambda net: generate_random_bundle(net, seed=0)),
+        ("check_trains_fit", lambda net: net.check_trains_fit(2)),
+    ]
+
+
+@pytest.mark.parametrize("source", ["parsed", "replace_copy"])
+def test_every_consumer_refuses_a_network_validate_did_not_return(source):
+    # a replace() copy keeps the annotated layers but not the table that
+    # only validate writes, so it is refused like a parsed network
+    validated = validate(parse_network(_GATE_TEXT), _GATE_SHAPE)
+    net = (parse_network(_GATE_TEXT) if source == "parsed"
+           else dataclasses.replace(validated))
+    for caller, consume in _gated_consumers():
+        consume(validated)
+        with pytest.raises(ValidationError, match=f"{caller} needs a validated network"):
+            consume(net)
+
+
 def test_preset_network_annotated():
     net, input_shape = preset_network("mnist")
     assert input_shape == (1, 28, 28)
-    assert net.is_annotated
+    assert [rec.index for rec in net.compute_layers] == [0, 2, 4, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +261,18 @@ def test_bundle_round_trip(tmp_path):
     loaded = load_bundle(path)
     assert loaded == bundle
     assert loaded.checksum() == bundle.checksum()
+
+
+def test_bundles_that_differ_in_one_threshold_compare_unequal():
+    bundle = _mnist_bundle()
+    par = bundle.params[0]
+    threshold = par.threshold_raw.copy()
+    threshold[0] += 1
+    params = [FoldedNeuronParams(par.bias_raw, threshold, par.flipped, par.fmt),
+              *bundle.params[1:]]
+    other = ModelBundle(bundle.net, bundle.weights, params, bundle.fmt)
+    assert other != bundle and not other == bundle
+    assert dataclasses.replace(other, params=bundle.params) == bundle
 
 
 @pytest.mark.parametrize(
