@@ -82,7 +82,7 @@ def _load_config(path: str | None) -> HardwareConfig:
         return HardwareConfig()
     try:
         data = json.loads(_read_text(path, "config"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, long integers, deep nesting
         raise _CliError(f"config is not valid JSON: {exc}", EXIT_VALIDATION) from exc
     if not isinstance(data, dict):
         raise _CliError("config must be a JSON object", EXIT_VALIDATION)

@@ -169,8 +169,9 @@ def layer_accounting(
     return (report if encoding else report.scaled(time_steps)), boundary
 
 
-def step_buffers(spec: "LayerSpec", cfg: HardwareConfig) -> dict[str, int]:
-    """Bytes one step of a validated weighted layer stages, by buffer.
+def step_buffers(spec: "LayerSpec", cfg: HardwareConfig) -> tuple[int, int]:
+    """Bytes one step of a validated weighted layer stages, as the pair
+    ``(membrane, boundary)``.
 
     ``membrane`` is one strip of the conv output, before pooling, per
     pass: ``min(array_rows, H)`` rows of width ``W``, one parameter each.
@@ -180,9 +181,7 @@ def step_buffers(spec: "LayerSpec", cfg: HardwareConfig) -> dict[str, int]:
     every config.
     """
     _, conv_h, conv_w = spec.out_shape
-    param = cfg.param_bytes
-    tiled = spec.in_shape[1] + 2 * spec.padding > cfg.array_rows
-    return {
-        "membrane": min(cfg.array_rows, conv_h) * conv_w * param,
-        "boundary": (spec.kernel[0] - 1) * conv_w * param if tiled else 0,
-    }
+    rows = cfg.array_rows
+    row_bytes = conv_w * cfg.param_bytes
+    tiled = spec.in_shape[1] + 2 * spec.padding > rows
+    return min(rows, conv_h) * row_bytes, (spec.kernel[0] - 1) * row_bytes if tiled else 0

@@ -14,8 +14,8 @@ shapes before pooling (weights, input, the conv output that the IF unit
 integrates) are read from the spec and only the pooled map is its own.
 
 Each network's compute-layer table is built once, by
-:func:`vecspike.netconfig.validate` through :func:`build_compute_layers`,
-and kept on the validated description; every walk reads it through
+:func:`vecspike.netconfig.validate` in its own loop over the layers, and
+kept on the validated description; every walk reads it through
 :func:`compute_layers`, and a network that ``validate`` did not return
 cannot be planned.  Each walk is one pass over the table, and every byte
 count is an integer ceiling, exact at any size.
@@ -68,10 +68,15 @@ class ComputeLayer(NamedTuple):
     """A validated weighted layer (``spec``, shapes before pooling) and the
     map it hands on, ``out_shape``, with any following pooling absorbed.
 
-    It carries the bytes every traffic walk reads: ``sign_bytes``, the
-    packed sign bits, and ``map_bytes``, one step of the bit-packed map it
-    hands on.  Records are immutable because every walk of the network
-    shares the one table that ``validate`` built.
+    It carries the per-layer facts every traffic walk reads and no config
+    changes: ``sign_bytes``, the packed sign bits (:func:`weight_bytes`
+    with no parameters), ``map_bytes``, one step of the bit-packed map it
+    hands on (:func:`spike_map_bytes` for one step), and ``label``, the
+    ledger's kind (``"conv+pool"`` for a pooled conv).  ``validate`` builds
+    each record in its loop over the layers, with ``tuple.__new__`` rather
+    than the generated ``__new__``: a ``maxpool2`` rebuilds the previous
+    record with its own map and a ``+pool`` label.  Records are immutable
+    because every walk of the network shares the one table.
     """
 
     index: int  # index in the original layer list
@@ -79,10 +84,7 @@ class ComputeLayer(NamedTuple):
     out_shape: tuple[int, int, int]
     sign_bytes: int
     map_bytes: int
-
-    @property
-    def pooled(self) -> bool:
-        return self.out_shape != self.spec.out_shape
+    label: str
 
     def weight_bytes(self, param_bytes: int) -> int:
         """The sign bits and the folded parameters, as :func:`weight_bytes`."""
@@ -91,32 +93,12 @@ class ComputeLayer(NamedTuple):
 
 def compute_layers(net: "NetworkDescription") -> tuple[ComputeLayer, ...]:
     """The network's weighted layers with pooling absorbed: the table that
-    :func:`vecspike.netconfig.validate` built with
-    :func:`build_compute_layers`.  A network that ``validate`` did not
-    return, an empty or a ``dataclasses.replace`` copy among them, has no
-    table and raises :class:`PlanError`."""
+    :func:`vecspike.netconfig.validate` built.  A network that ``validate``
+    did not return, an empty or a ``dataclasses.replace`` copy among them,
+    has no table and raises :class:`PlanError`."""
     if not net.compute_layers:
         raise PlanError("network must be validated before planning")
     return net.compute_layers
-
-
-def build_compute_layers(layers: list["LayerSpec"]) -> tuple[ComputeLayer, ...]:
-    """The compute-layer records of a shape-annotated layer list whose
-    first layer is weighted, in one pass.  A weighted layer hands on the
-    map of the last layer before the next weighted one: each ``maxpool2``
-    replaces the previous record's map with its own."""
-    records = []
-    for idx, spec in enumerate(layers):
-        out_shape = spec.out_shape
-        if spec.kind == "maxpool2":
-            index, weighted, _, signs, _ = records[-1]
-            records[-1] = ComputeLayer(index, weighted, out_shape, signs,
-                                       spike_map_bytes(*out_shape, 1))
-        else:
-            signs = weight_bytes(spec.out_channels, spec.in_shape[0], *spec.kernel, 0)
-            records.append(ComputeLayer(idx, spec, out_shape, signs,
-                                        spike_map_bytes(*out_shape, 1)))
-    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +126,6 @@ class FusionPlan:
     def layer_count(self) -> int:
         return sum(map(len, self.groups))
 
-    def fused_intermediates(self) -> list[int]:
-        """Compute-layer positions whose output map stays on chip."""
-        return [group[0] for group in self.groups if len(group) == 2]
-
     @classmethod
     def unfused(cls, n_layers: int) -> "FusionPlan":
         return cls([(i,) for i in range(n_layers)])
@@ -156,7 +134,7 @@ class FusionPlan:
     def from_json(cls, text: str) -> "FusionPlan":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, long integers, deep nesting
             raise PlanError(f"fusion plan is not valid JSON: {exc}") from exc
         if not isinstance(data, list) or not all(
             isinstance(group, list) for group in data
@@ -237,26 +215,32 @@ class TrafficLedger:
 
 def _plan_layers(
     net: "NetworkDescription", plan: FusionPlan, time_steps: int
-) -> tuple[ComputeLayer, ...]:
-    """The network's compute layers; raises unless T >= 1 and ``plan`` covers each."""
+) -> tuple[tuple[ComputeLayer, ...], set[int]]:
+    """The network's compute layers and the positions whose output map a
+    fused pair keeps on chip, from one walk of the plan's groups; raises
+    unless T >= 1 and ``plan`` covers each layer."""
     if time_steps < 1:
         raise InvalidParameterError("time_steps must be >= 1")
     layers = compute_layers(net)
-    if plan.layer_count != len(layers):
-        raise PlanError(f"plan covers {plan.layer_count} layers, network has {len(layers)}")
-    return layers
+    covered, on_chip = 0, set()
+    for group in plan.groups:
+        covered += len(group)
+        if len(group) == 2:
+            on_chip.add(group[0])
+    if covered != len(layers):
+        raise PlanError(f"plan covers {covered} layers, network has {len(layers)}")
+    return layers, on_chip
 
 
 def _dram_rows(
-    layers: tuple[ComputeLayer, ...], plan: FusionPlan
+    layers: tuple[ComputeLayer, ...], on_chip: set[int]
 ) -> Iterator[tuple[ComputeLayer, int, int, int]]:
     """Per compute layer in order, ``(layer, image, in_map, out_map)``: the
     bytes of the 8-bit image, read once by the first layer at full byte
     width, and of the bit-packed maps it reads and writes per time step.
     A layer reads the map its predecessor wrote; a fused pair's
-    intermediate stays on chip and moves 0 bytes.  The rows are generated
-    as the caller's walk asks for them."""
-    on_chip = set(plan.fused_intermediates())
+    intermediate, a position in ``on_chip``, stays on chip and moves 0
+    bytes.  The rows are generated as the caller's walk asks for them."""
     image, in_map = math.prod(layers[0].spec.in_shape), 0
     for pos, layer in enumerate(layers):
         out_map = 0 if pos in on_chip else layer.map_bytes
@@ -277,22 +261,18 @@ def simulate_traffic(
     crosses once and each map T times, as :func:`_dram_rows` states.  The
     totals are summed as the records are built.
     """
-    layers = _plan_layers(net, plan, time_steps)
     param_bytes = cfg.param_bytes
     records = []
     weights = inputs = outputs = 0
     fused = False
-    for layer, image, in_map, out_map in _dram_rows(layers, plan):
+    for layer, image, in_map, out_map in _dram_rows(*_plan_layers(net, plan, time_steps)):
         note = "8-bit image input" if image else "" if in_map else "input fused on chip"
         if not out_map:
             note = (note + "; " if note else "") + "output fused on chip"
             fused = True
         weight = layer.weight_bytes(param_bytes)
         read, written = image + in_map * time_steps, out_map * time_steps
-        records.append(LayerTraffic(
-            layer.index, layer.spec.kind + ("+pool" if layer.pooled else ""), note,
-            weight, read, written,
-        ))
+        records.append(LayerTraffic(layer.index, layer.label, note, weight, read, written))
         weights += weight
         inputs += read
         outputs += written
@@ -304,8 +284,8 @@ def fusion_savings(
     net: "NetworkDescription", plan: FusionPlan, time_steps: int
 ) -> int:
     """The identity value: sum of 2 x (intermediate map bytes) over pairs."""
-    layers = _plan_layers(net, plan, time_steps)
-    return 2 * time_steps * sum(layers[pos].map_bytes for pos in plan.fused_intermediates())
+    layers, on_chip = _plan_layers(net, plan, time_steps)
+    return 2 * time_steps * sum(layers[pos].map_bytes for pos in on_chip)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +465,7 @@ def pingpong_schedule(
     """
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
-    rows = _dram_rows(_plan_layers(net, plan, time_steps), plan)
+    rows = _dram_rows(*_plan_layers(net, plan, time_steps))
 
     buffers = {name: BufferModel(name, size) for name, size in (
         ("spike0", cfg.spike_sram_bytes),  # spike ping-pong pair
@@ -509,11 +489,11 @@ def pingpong_schedule(
                 image, in_map = layer_image, layer_in_map
             signs += layer.sign_bytes
             loads.append((pos, "weight", "write", layer.sign_bytes, ("weights", pos)))
-            charge = step_buffers(layer.spec, cfg)
+            charge, edge = step_buffers(layer.spec, cfg)
             out_c, out_h, _ = layer.out_shape
             step_rows.append((
-                slot, pos, membrane1 if slot else membrane0, charge["membrane"],
-                layer.spec.kind == "encoding-conv", charge["boundary"],
+                slot, pos, membrane1 if slot else membrane0, charge,
+                layer.spec.kind == "encoding-conv", edge,
                 layer.map_bytes, -(-out_c * out_h // 8), out_map,
             ))
         weight.write(signs)

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
-from .memmodel import build_compute_layers
+from .memmodel import ComputeLayer
 
 BUNDLE_MAGIC = b"VSA1"
 BUNDLE_VERSION = 1
@@ -84,7 +84,7 @@ class LayerSpec:
 
     @property
     def has_weights(self) -> bool:
-        return self.kind in ("encoding-conv", "conv", "fc")
+        return self.kind in _KIND_SUFFIXES
 
 
 @dataclass
@@ -116,11 +116,10 @@ class NetworkDescription:
 
         The network must be one that ``validate`` returned, with one weight
         and one parameter entry per layer, neither ``None`` for a weighted
-        layer, an image of the first layer's ``in_shape`` and
-        ``time_steps >= 1``.  A weighted
-        layer's weights must have its ``weight_shape`` and its parameters
-        its ``out_channels``, in the run's format ``fmt``.  The trains must
-        fit, as :meth:`check_trains_fit` states.
+        layer, an image of the first layer's ``in_shape`` and ``time_steps
+        >= 1``.  A weighted layer's weights must have its ``weight_shape``
+        and its parameters its ``out_channels``, in the run's format
+        ``fmt``.  The trains must fit, as :meth:`check_trains_fit` states.
         """
         self.check_validated(caller)
         for name, entries in (("weight", weights), ("parameter", folded)):
@@ -163,49 +162,54 @@ class NetworkDescription:
                          f"{largest} layer's [T] spike train")
 
 
-_CONV_RE = re.compile(r"^(\d+)Conv(\(encoding\))?$")
-_FC_RE = re.compile(r"^(\d+)fc$")
-_ATTR_RE = re.compile(r"^\{vth=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\}$")
-# a dash outside an attribute block; one inside, as in {vth=-0.5}, is a sign
+# a weighted layer's token is its channel count and its kind's suffix
+_TOKEN_KINDS = {"Conv(encoding)": ("encoding-conv", (3, 3), 1), "Conv": ("conv", (3, 3), 1),
+                "fc": ("fc", (1, 1), 0)}
+_KIND_SUFFIXES = {kind: suffix for suffix, (kind, _, _) in _TOKEN_KINDS.items()}
+_TOKEN_RE = re.compile(r"(\d+)(Conv\(encoding\)|Conv|fc)|MP2")
+_ATTR_RE = re.compile(r"\{vth=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\}")
 _LAYER_DASH_RE = re.compile(r"-(?![^{]*\})")
 
 
 def _parse_token(token: str, column: int) -> LayerSpec:
-    attrs = {}
+    v_th = DEFAULT_V_TH
     if "{" in token:
         base, brace, rest = token.partition("{")
-        match = _ATTR_RE.match(brace + rest)
+        match = _ATTR_RE.fullmatch(brace + rest)
         if not match:
             raise NetworkParseError(f"bad attribute block in {token!r}", column)
-        attrs["v_th"] = float(match.group(1))
-        if not math.isfinite(attrs["v_th"]):
+        v_th = float(match.group(1))
+        if not math.isfinite(v_th):
             raise NetworkParseError(f"vth must be finite in {token!r}", column)
-        token = base
-    if token == "MP2":
-        if attrs:
+        if base == "MP2":
             raise NetworkParseError("MP2 takes no attributes", column)
-        return LayerSpec("maxpool2", kernel=(2, 2), padding=0)
-    match = _CONV_RE.match(token)
-    if match:
-        kind = "encoding-conv" if match.group(2) else "conv"
-        return LayerSpec(kind, out_channels=int(match.group(1)), **attrs)
-    match = _FC_RE.match(token)
-    if match:
-        return LayerSpec(
-            "fc", out_channels=int(match.group(1)), kernel=(1, 1), padding=0, **attrs
-        )
-    raise NetworkParseError(f"unknown token {token!r}", column)
+        token = base
+    match = _TOKEN_RE.fullmatch(token)
+    if match is None:
+        raise NetworkParseError(f"unknown token {token!r}", column)
+    digits, suffix = match.groups()
+    if digits is None:
+        return LayerSpec("maxpool2", 0, (2, 2), 0)
+    try:
+        channels = int(digits)
+    except ValueError:  # past the interpreter's limit on digits
+        raise NetworkParseError(f"{len(digits)}-digit channel count", column) from None
+    kind, kernel, padding = _TOKEN_KINDS[suffix]
+    return LayerSpec(kind, channels, kernel, padding, v_th)
 
 
 def parse_network(text: str, time_steps: int = 8) -> NetworkDescription:
     """Parse a dash-separated layer string into a NetworkDescription;
-    only its syntax is checked, and :func:`validate` holds the layer rules."""
+    only its syntax is checked, and :func:`validate` holds the layer rules.
+    A text without ``}`` splits at every dash, one with ``}`` at each dash
+    that no ``}`` follows before the next ``{``: a sign, as in ``{vth=-0.5}``."""
     stripped = text.strip()
     if not stripped:
         raise NetworkParseError("empty network description")
+    tokens = _LAYER_DASH_RE.split(stripped) if "}" in stripped else stripped.split("-")
     layers: list[LayerSpec] = []
     column = 1
-    for token in _LAYER_DASH_RE.split(stripped):
+    for token in tokens:
         if not token:
             raise NetworkParseError("empty layer token", column)
         layers.append(_parse_token(token, column))
@@ -220,12 +224,7 @@ def network_to_string(net: NetworkDescription) -> str:
         if layer.kind == "maxpool2":
             tokens.append("MP2")
             continue
-        if layer.kind == "encoding-conv":
-            token = f"{layer.out_channels}Conv(encoding)"
-        elif layer.kind == "conv":
-            token = f"{layer.out_channels}Conv"
-        else:
-            token = f"{layer.out_channels}fc"
+        token = f"{layer.out_channels}{_KIND_SUFFIXES[layer.kind]}"
         if layer.v_th != DEFAULT_V_TH:
             token += f"{{vth={layer.v_th!r}}}"
         tokens.append(token)
@@ -240,9 +239,9 @@ def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
     positive channel count.  The only place that lowers an fc layer: it
     must have a 1x1 kernel and no padding, and its ``in_shape`` is the
     flattened input map ``(C*H*W, 1, 1)``, so every later stage treats it
-    as a 1x1 convolution.  Returns a new, annotated description that
-    carries its compute-layer table, built here once for every consumer;
-    the first layer that breaks a rule is reported with its index.
+    as a 1x1 convolution.  Returns a new, annotated description with its
+    :class:`ComputeLayer` table, built in the same loop; ``net`` is left
+    as it was, and the first layer that breaks a rule is named by index.
     """
     c, h, w = (int(v) for v in input_shape)
     if min(c, h, w) < 1:
@@ -251,49 +250,52 @@ def validate(net: NetworkDescription, input_shape) -> NetworkDescription:
         raise ValidationError("network has no layers")
     if net.layers[0].kind != "encoding-conv":
         raise ValidationError("first layer must be an encoding convolution", 0)
-    annotated = []
+    annotated, records = [], []
     shape = (c, h, w)
     for idx, layer in enumerate(net.layers):
-        if layer.kind == "encoding-conv" and idx != 0:
+        kind, out_channels, kernel = layer.kind, layer.out_channels, layer.kernel
+        c, h, w = in_shape = shape
+        if kind == "maxpool2":
+            if h % 2 or w % 2:
+                raise ValidationError(f"pooling needs even spatial dims, got {h}x{w}", idx)
+            shape = (c, h // 2, w // 2)
+            annotated.append(LayerSpec(kind, c, kernel, layer.padding, layer.v_th,
+                                       in_shape, shape))
+            index, spec, _, signs, _, _ = records[-1]
+            records[-1] = tuple.__new__(ComputeLayer, (index, spec, shape, signs,
+                                                       -(-c * shape[1] * shape[2] // 8),
+                                                       spec.kind + "+pool"))
+            continue
+        if kind == "encoding-conv" and idx:
             raise ValidationError("encoding layer only allowed at position 0", idx)
-        if layer.has_weights and layer.out_channels < 1:
+        if kind not in _KIND_SUFFIXES:
+            raise ValidationError(f"unknown layer kind {kind!r}", idx)
+        if out_channels < 1:
             raise ValidationError("weighted layers must declare a positive channel count", idx)
-        in_shape, out_channels = shape, layer.out_channels
-        kh, kw = layer.kernel
-        if layer.kind in ("encoding-conv", "conv"):
-            ph = shape[1] + 2 * layer.padding - kh + 1
-            pw = shape[2] + 2 * layer.padding - kw + 1
-            if ph < 1 or pw < 1:
-                raise ValidationError(
-                    f"{kh}x{kw} kernel does not fit {shape[1]}x{shape[2]} input", idx
-                )
-            shape = (out_channels, ph, pw)
-        elif layer.kind == "fc":
-            if layer.kernel != (1, 1) or layer.padding:
+        kh, kw = kernel
+        if kind == "fc":
+            if kernel != (1, 1) or layer.padding:
                 raise ValidationError("fc layers take a 1x1 kernel, unpadded", idx)
-            in_shape = (math.prod(shape), 1, 1)
+            in_shape = (c * h * w, 1, 1)
             shape = (out_channels, 1, 1)
-        elif layer.kind == "maxpool2":
-            if shape[1] % 2 or shape[2] % 2:
-                raise ValidationError(
-                    f"pooling needs even spatial dims, got {shape[1]}x{shape[2]}", idx
-                )
-            out_channels = shape[0]
-            shape = (shape[0], shape[1] // 2, shape[2] // 2)
         else:
-            raise ValidationError(f"unknown layer kind {layer.kind!r}", idx)
-        annotated.append(LayerSpec(layer.kind, out_channels, layer.kernel, layer.padding,
-                                   layer.v_th, in_shape, shape))
+            ph = h + 2 * layer.padding - kh + 1
+            pw = w + 2 * layer.padding - kw + 1
+            if ph < 1 or pw < 1:
+                raise ValidationError(f"{kh}x{kw} kernel does not fit {h}x{w} input", idx)
+            shape = (out_channels, ph, pw)
+        spec = LayerSpec(kind, out_channels, kernel, layer.padding, layer.v_th, in_shape, shape)
+        annotated.append(spec)
+        signs = -(-out_channels * in_shape[0] * kh * kw // 8)
+        records.append(tuple.__new__(ComputeLayer, (
+            idx, spec, shape, signs, -(-out_channels * shape[1] * shape[2] // 8), kind)))
     validated = NetworkDescription(annotated, time_steps=net.time_steps)
-    validated.compute_layers = build_compute_layers(annotated)
+    validated.compute_layers = tuple(records)
     return validated
 
 
 PRESETS: dict[str, tuple[str, tuple[int, int, int]]] = {
-    "mnist": (
-        "64Conv(encoding)-MP2-64Conv-MP2-128fc-10fc",
-        (1, 28, 28),
-    ),
+    "mnist": ("64Conv(encoding)-MP2-64Conv-MP2-128fc-10fc", (1, 28, 28)),
     "cifar10": (
         "128Conv(encoding)-128Conv-128Conv-MP2-192Conv-192Conv-192Conv-192Conv"
         "-MP2-256Conv-256Conv-256Conv-256Conv-MP2-256fc-10fc",
@@ -305,9 +307,7 @@ PRESETS: dict[str, tuple[str, tuple[int, int, int]]] = {
 def preset_network(name: str, time_steps: int = 8) -> tuple[NetworkDescription, tuple]:
     """A built-in network, validated against its canonical input shape."""
     if name not in PRESETS:
-        raise InvalidParameterError(
-            f"unknown preset {name!r}; available: {sorted(PRESETS)}"
-        )
+        raise InvalidParameterError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     text, input_shape = PRESETS[name]
     net = validate(parse_network(text, time_steps=time_steps), input_shape)
     return net, input_shape
@@ -435,9 +435,7 @@ def load_bundle(path) -> ModelBundle:
     layers: list[LayerSpec] = []
     arrays: list[tuple | None] = []  # unvalidated, signs still packed
     for kind, kh, kw, padding, out_c, in_c, v_th, weighted in table:
-        layers.append(
-            LayerSpec(kind, out_channels=out_c, kernel=(kh, kw), padding=padding, v_th=v_th)
-        )
+        layers.append(LayerSpec(kind, out_c, (kh, kw), padding, v_th))
         if not weighted:
             arrays.append(None)
             continue

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from vecspike import geometry
+from vecspike.errors import NetworkParseError
 from vecspike.geometry import step_buffers
 from vecspike.memmodel import (
     BufferModel,
@@ -174,6 +177,86 @@ def rng():
     return np.random.default_rng(1234)
 
 
+# Layer texts of the network grammar, valid and not, for the parser and
+# the CLI's exit contract.
+
+vth_attrs = st.just("") | (st.floats(-4, 4) | st.sampled_from([0.0, 1e-300, 1e300])).map(
+    lambda v: f"{{vth={v!r}}}")
+junk_tokens = (st.sampled_from(["", "BOGUS", "Conv", "8FC", "MP3", "MP2{vth=1}", "4fc{vth=}"])
+               | st.text("0123456789Conv(encoding)fcMP{vth=}.e-", max_size=10))
+
+
+@st.composite
+def layer_texts(draw):
+    """1-6 dash-joined layer tokens, N in 0..8 with an optional vth; the
+    first is an encoding layer half the time, and one token in five is junk."""
+    tokens = []
+    for position in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            token = draw(junk_tokens)
+        elif position == 0 and draw(st.booleans()):
+            token = f"{draw(st.integers(0, 8))}Conv(encoding)"
+        else:
+            token = draw(st.sampled_from(["{}Conv(encoding)", "{}Conv", "{}fc", "MP2"]))
+            if token != "MP2":
+                token = token.format(draw(st.integers(0, 8))) + draw(vth_attrs)
+        tokens.append(token)
+    return "-".join(tokens)
+
+
+# The layer-text parser as a regex split at every dash that no "}" follows
+# before the next "{", and a separate pattern per token kind.  The tests'
+# reference for :func:`vecspike.netconfig.parse_network`, which splits
+# plain text with str.split and matches each token once.
+
+_LISTED_CONV_RE = re.compile(r"^(\d+)Conv(\(encoding\))?$")
+_LISTED_FC_RE = re.compile(r"^(\d+)fc$")
+_LISTED_ATTR_RE = re.compile(r"^\{vth=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\}$")
+_LISTED_DASH_RE = re.compile(r"-(?![^{]*\})")
+
+
+def _listed_parse_token(token, column):
+    attrs = {}
+    if "{" in token:
+        base, brace, rest = token.partition("{")
+        match = _LISTED_ATTR_RE.match(brace + rest)
+        if not match:
+            raise NetworkParseError(f"bad attribute block in {token!r}", column)
+        attrs["v_th"] = float(match.group(1))
+        if not math.isfinite(attrs["v_th"]):
+            raise NetworkParseError(f"vth must be finite in {token!r}", column)
+        token = base
+    if token == "MP2":
+        if attrs:
+            raise NetworkParseError("MP2 takes no attributes", column)
+        return LayerSpec("maxpool2", kernel=(2, 2), padding=0)
+    match = _LISTED_CONV_RE.match(token)
+    if match:
+        kind = "encoding-conv" if match.group(2) else "conv"
+        return LayerSpec(kind, out_channels=int(match.group(1)), **attrs)
+    match = _LISTED_FC_RE.match(token)
+    if match:
+        return LayerSpec(
+            "fc", out_channels=int(match.group(1)), kernel=(1, 1), padding=0, **attrs
+        )
+    raise NetworkParseError(f"unknown token {token!r}", column)
+
+
+def listed_parse_network(text, time_steps=8):
+    """Parse a dash-separated layer string into a NetworkDescription."""
+    stripped = text.strip()
+    if not stripped:
+        raise NetworkParseError("empty network description")
+    layers = []
+    column = 1
+    for token in _LISTED_DASH_RE.split(stripped):
+        if not token:
+            raise NetworkParseError("empty layer token", column)
+        layers.append(_listed_parse_token(token, column))
+        column += len(token) + 1
+    return NetworkDescription(layers, time_steps=time_steps)
+
+
 # The traffic sweep's plan and network generators (perfbench/workloads.py),
 # copied so that the tests do not import the benchmark.
 
@@ -214,7 +297,7 @@ def stepwise_pingpong(net, time_steps, cfg, plan=None):
     visit and generates its events on demand."""
     if plan is None:
         plan = FusionPlan.unfused(len(compute_layers(net)))
-    layers = _plan_layers(net, plan, time_steps)
+    layers, _ = _plan_layers(net, plan, time_steps)
     rows = listed_dram_rows(layers, plan)
 
     buffers = {name: BufferModel(name, size) for name, size in (
@@ -238,11 +321,11 @@ def stepwise_pingpong(net, time_steps, cfg, plan=None):
         step_rows = []
         for slot, pos in enumerate(group):
             layer = layers[pos]
-            charge = step_buffers(layer.spec, cfg)
+            charge, edge = step_buffers(layer.spec, cfg)
             out_c, out_h, _ = layer.out_shape
             step_rows.append((
-                slot, pos, membrane1 if slot else membrane0, charge["membrane"],
-                layer.spec.kind == "encoding-conv", charge["boundary"],
+                slot, pos, membrane1 if slot else membrane0, charge,
+                layer.spec.kind == "encoding-conv", edge,
                 layer.map_bytes, max(1, math.ceil(out_c * out_h / 8)),
                 rows[pos][2],
             ))
@@ -294,13 +377,15 @@ def stepwise_pingpong(net, time_steps, cfg, plan=None):
 def listed_build_compute_layers(layers):
     """The compute-layer records of a shape-annotated layer list whose
     first layer is weighted.  A weighted layer hands on the map of the last
-    layer before the next weighted one."""
+    layer before the next weighted one, and its label is its kind, with
+    ``+pool`` when pooling follows it."""
     starts = [idx for idx, layer in enumerate(layers) if layer.kind != "maxpool2"]
     records = []
     for idx, end in zip(starts, starts[1:] + [len(layers)]):
         spec, out_shape = layers[idx], layers[end - 1].out_shape
+        label = spec.kind + ("+pool" if end - idx > 1 else "")
         records.append(ComputeLayer(idx, spec, out_shape, weight_bytes(*spec.weight_shape, 0),
-                                    spike_map_bytes(*out_shape, 1)))
+                                    spike_map_bytes(*out_shape, 1), label))
     return tuple(records)
 
 
@@ -328,7 +413,7 @@ def listed_dram_rows(layers, plan):
     """Per compute layer, ``(image, in_map, out_map)``: the bytes of the
     8-bit image, read once by the first layer at full byte width, and of
     the bit-packed maps it reads and writes per time step."""
-    on_chip = set(plan.fused_intermediates())
+    on_chip = {group[0] for group in plan.groups if len(group) == 2}
     rows = []
     in_map = 0
     for pos, layer in enumerate(layers):
@@ -340,7 +425,7 @@ def listed_dram_rows(layers, plan):
 
 def listed_simulate_traffic(net, plan, time_steps, cfg):
     """DRAM byte counts per layer under a fusion plan."""
-    layers = _plan_layers(net, plan, time_steps)
+    layers, _ = _plan_layers(net, plan, time_steps)
     rows = listed_dram_rows(layers, plan)
     records = []
     for layer, (image, in_map, out_map) in zip(layers, rows):
@@ -350,7 +435,7 @@ def listed_simulate_traffic(net, plan, time_steps, cfg):
         records.append(
             LayerTraffic(
                 layer.index,
-                layer.spec.kind + ("+pool" if layer.pooled else ""),
+                layer.spec.kind + ("+pool" if layer.out_shape != layer.spec.out_shape else ""),
                 note,
                 layer.weight_bytes(cfg.param_bytes),
                 image + in_map * time_steps,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fusion_plans
+from conftest import fusion_plans, layer_texts
 from vecspike import cli, dataflow, errors
 from vecspike.arch import HardwareConfig
 from vecspike.core import BinaryWeightTensor, SpikeTrain
@@ -519,6 +519,7 @@ def test_run_net_with_signed_and_exponent_thresholds(tmp_path):
 
 
 MNIST_ON_4_BLOCKS = {"pe_blocks": 4}
+LONG_DIGITS = "9" * 5000
 
 
 @pytest.mark.parametrize("args, config, code, message", [
@@ -562,16 +563,32 @@ MNIST_ON_4_BLOCKS = {"pe_blocks": 4}
      None, 3, "validation error: layer 1: encoding layer only allowed at position 0"),
     (["run", "--net", "4Conv(encoding)-0Conv-10fc", "--input-shape", "1,4,4"], None, 3,
      "validation error: layer 1: weighted layers must declare a positive channel count"),
+    # integers past the interpreter's 4300-digit limit on int(str)
+    (["traffic", "--net", LONG_DIGITS + "Conv(encoding)-10fc", "--input-shape", "1,4,4"],
+     None, 3, "validation error: 5000-digit channel count (column 1)"),
+    (["bench", "--config", "{tmp}/long_config.json"], None, 3,
+     "error: config is not valid JSON: Exceeds the limit"),
+    (["traffic", "--net", "mnist", "--fusion-plan", "{tmp}/long_plan.json"], None, 3,
+     "validation error: fusion plan is not valid JSON: Exceeds the limit"),
+    # nesting past the interpreter's recursion limit
+    (["bench", "--config", "{tmp}/deep.json"], None, 3,
+     "error: config is not valid JSON: maximum recursion depth exceeded"),
+    (["traffic", "--net", "mnist", "--fusion-plan", "{tmp}/deep.json"], None, 3,
+     "validation error: fusion plan is not valid JSON: maximum recursion depth exceeded"),
 ], ids=[
     "missing_config", "config_list", "unknown_field", "field_self", "field_group_size",
     "config_directory", "config_not_utf8", "bench_4_blocks", "run_4_blocks",
     "net_directory", "missing_net_file", "missing_net_path_with_fc", "net_file_not_utf8",
     "missing_plan", "plan_directory", "plan_not_utf8", "missing_input", "run_no_shape",
     "traffic_no_shape", "vth_inf", "vth_no_exponent", "vth_off_format",
-    "no_encoding_first", "second_encoding", "zero_channels",
+    "no_encoding_first", "second_encoding", "zero_channels", "long_net_integer",
+    "long_config_integer", "long_plan_integer", "deep_config", "deep_plan",
 ])
 def test_cli_input_error_exit_code_and_message(tmp_path, capsys, args, config, code, message):
     (tmp_path / "bad.txt").write_bytes(b"\xff\xfe")  # not UTF-8
+    (tmp_path / "long_config.json").write_text(f'{{"pe_blocks": {LONG_DIGITS}}}')
+    (tmp_path / "long_plan.json").write_text(f"[[{LONG_DIGITS}]]")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     if config is not None:
         (tmp_path / "hw.json").write_text(json.dumps(config))
@@ -579,7 +596,8 @@ def test_cli_input_error_exit_code_and_message(tmp_path, capsys, args, config, c
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a cast of inf or NaN warns
         assert run_cli(args + ["--out", str(tmp_path / "out")]) == code
-    assert capsys.readouterr().err.startswith(message)
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1  # one line
 
 
 FAULT_FAMILY = (
@@ -777,34 +795,11 @@ def test_random_fusion_plan_keeps_the_exit_contract(tmp_path_factory, plan):
     assert _exit_code(tmp_path_factory, command, "--fusion-plan", plan) in CONTRACT_CODES
 
 
-vth_attrs = st.just("") | (st.floats(-4, 4) | st.sampled_from([0.0, 1e-300, 1e300])).map(
-    lambda v: f"{{vth={v!r}}}")
-junk_tokens = (st.sampled_from(["", "BOGUS", "Conv", "8FC", "MP3", "MP2{vth=1}", "4fc{vth=}"])
-               | st.text("0123456789Conv(encoding)fcMP{vth=}.e-", max_size=10))
-
-
-@st.composite
-def layer_texts(draw):
-    """1-6 dash-joined layer tokens, N in 0..8 with an optional vth; the
-    first is an encoding layer half the time, and one token in five is junk."""
-    tokens = []
-    for position in range(draw(st.integers(1, 6))):
-        if draw(st.integers(0, 4)) == 0:
-            token = draw(junk_tokens)
-        elif position == 0 and draw(st.booleans()):
-            token = f"{draw(st.integers(0, 8))}Conv(encoding)"
-        else:
-            token = draw(st.sampled_from(["{}Conv(encoding)", "{}Conv", "{}fc", "MP2"]))
-            if token != "MP2":
-                token = token.format(draw(st.integers(0, 8))) + draw(vth_attrs)
-        tokens.append(token)
-    return "-".join(tokens)
-
-
 @settings(max_examples=50, deadline=None)
 @given(text=layer_texts(),
        shape=st.tuples(st.integers(1, 2), st.integers(1, 8), st.integers(1, 8)))
 @example(text="--", shape=(1, 1, 1))  # argparse read "--net=--" as an empty list
+@example(text=LONG_DIGITS + "Conv(encoding)-10fc", shape=(1, 4, 4))
 def test_random_layer_text_keeps_the_exit_contract(tmp_path_factory, text, shape):
     out = tmp_path_factory.mktemp("grammar") / "out"
     net = "--net=" + text  # one argument, though it starts with a dash

@@ -27,19 +27,18 @@ def test_array_geometry_is_read_only_through_geometry(module):
 def test_step_buffers_charge_a_strip_and_the_pending_kernel_rows():
     net, _ = preset_network("cifar10", 1)
     # a 32x32 conv, padded to 34 rows, on 8-row arrays: 3-byte parameters
-    assert step_buffers(net.layers[1], CFG) == {"membrane": 8 * 32 * 3,
-                                                "boundary": 2 * 32 * 3}
+    assert step_buffers(net.layers[1], CFG) == (8 * 32 * 3, 2 * 32 * 3)
     # the fc layer's 1x1 map fits one tile: no boundary
-    assert step_buffers(net.layers[-1], CFG) == {"membrane": 3, "boundary": 0}
+    assert step_buffers(net.layers[-1], CFG) == (3, 0)
 
 
 def test_step_buffers_charge_no_boundary_for_a_single_tile_or_row_kernel():
     net = validate(parse_network("4Conv(encoding)"), (1, 6, 6))
-    assert step_buffers(net.layers[0], CFG)["boundary"] == 0  # 8 padded rows
+    assert step_buffers(net.layers[0], CFG)[1] == 0  # 8 padded rows
     layers = [LayerSpec("encoding-conv", 4), LayerSpec("conv", 4, kernel=(1, 3))]
     tall = validate(NetworkDescription(layers), (1, 12, 12))
-    assert step_buffers(tall.layers[0], CFG)["boundary"] == 2 * 12 * 3
-    assert step_buffers(tall.layers[1], CFG) == {"membrane": 8 * 12 * 3, "boundary": 0}
+    assert step_buffers(tall.layers[0], CFG)[1] == 2 * 12 * 3
+    assert step_buffers(tall.layers[1], CFG) == (8 * 12 * 3, 0)
 
 
 @pytest.mark.parametrize(

@@ -59,10 +59,10 @@ BOUNDARIES = [
     ("memmodel", "dataflow", None),
     ("memmodel", "core", None),
     ("memmodel", "geometry", {"step_buffers"}),
-    # validation builds the memory model's compute-layer table, and takes
+    # validation builds the memory model's compute-layer records, and takes
     # nothing else from it; memmodel names netconfig's types only under
     # TYPE_CHECKING, so the two import no cycle
-    ("netconfig", "memmodel", {"build_compute_layers"}),
+    ("netconfig", "memmodel", {"ComputeLayer"}),
     # the register-level model runs only under test
     *[
         (path.stem, "pipeline", None)

@@ -16,7 +16,6 @@ from conftest import (
     random_network_text,
     stepwise_pingpong,
 )
-from vecspike import memmodel, netconfig
 from vecspike.arch import HardwareConfig
 from vecspike.errors import CapacityFault, InvalidParameterError, PlanError
 from vecspike.memmodel import (
@@ -86,36 +85,32 @@ def test_compute_layers_absorb_pooling():
     net, _ = preset_network("mnist")
     layers = compute_layers(net)
     assert [l.spec.kind for l in layers] == ["encoding-conv", "conv", "fc", "fc"]
-    assert layers[0].pooled and layers[1].pooled
+    assert [l.label for l in layers] == ["encoding-conv+pool", "conv+pool", "fc", "fc"]
     assert layers[0].out_shape == (64, 14, 14)
     assert layers[1].out_shape == (64, 7, 7)
     assert layers[2].spec.weight_shape == (128, 64 * 7 * 7, 1, 1)
 
 
-def test_one_table_per_network(monkeypatch):
+def test_one_table_per_network():
     # validate builds the compute-layer table once, and every walk of the
-    # network reads that table: no memory-model entry point builds one
-    builds = []
-    build = memmodel.build_compute_layers
-
-    def counted(layers):
-        builds.append(1)
-        return build(layers)
-
-    for module in (netconfig, memmodel):
-        monkeypatch.setattr(module, "build_compute_layers", counted)
+    # network reads that table and builds none: walks of a description
+    # whose table carries other bytes and labels report those
     text, shape = PRESETS["mnist"]
     net = validate(parse_network(text), shape)
-    assert len(builds) == 1
     table = compute_layers(net)
     plan = plan_fusion(net, CFG)
-    simulate_traffic(net, FusionPlan.unfused(len(table)), 8, CFG)
-    simulate_traffic(net, plan, 8, CFG)
-    fusion_savings(net, plan, 8)
-    pingpong_schedule(net, 8, CFG, plan)
-    pingpong_schedule(net, 8, CFG)
-    assert len(builds) == 1
-    assert compute_layers(net) is table
+    fused = sum(len(group) == 2 for group in plan.groups)
+    ledger, saving = simulate_traffic(net, plan, 8, CFG), fusion_savings(net, plan, 8)
+    net.compute_layers = tuple(rec._replace(sign_bytes=rec.sign_bytes + 1,
+                                            map_bytes=rec.map_bytes + 1, label="x")
+                               for rec in table)
+    assert compute_layers(net) is net.compute_layers
+    other = simulate_traffic(net, plan, 8, CFG)
+    assert [r.kind for r in other.records] == ["x"] * len(table)
+    assert other.weight_total == ledger.weight_total + len(table)
+    assert fusion_savings(net, plan, 8) == saving + 2 * 8 * fused
+    loads = [e.nbytes for e in pingpong_schedule(net, 8, CFG, plan).events if e.step < 0]
+    assert loads == [rec.sign_bytes + 1 for rec in table]
 
 
 def test_compute_layer_records_are_frozen():

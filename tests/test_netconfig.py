@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import struct
@@ -5,8 +6,10 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+from conftest import layer_texts, listed_parse_network
 
 from vecspike.arch import HardwareConfig
 from vecspike.core import BinaryWeightTensor, FoldedNeuronParams, run_network_oracle
@@ -113,6 +116,36 @@ def test_vth_must_be_a_finite_number(v_th):
     assert err.value.column == 17
 
 
+def _parsed(parse, text):
+    """The description ``parse`` makes of ``text``, or its error's message
+    and column."""
+    try:
+        return parse(text, 3)
+    except NetworkParseError as exc:
+        return str(exc), exc.column
+
+
+# the grammar's characters with stray braces, dashes and blanks; no
+# newline, which the listed parser's "$" let through before a dash
+grammar_texts = st.text("0123456789Conv(encoding)fcMP{vth=}.eE+- ", max_size=30)
+
+
+@settings(max_examples=200)
+@given(text=layer_texts() | grammar_texts)
+@example(text="4Conv(encoding){vth=-0.5}-MP2-2fc{vth=+1e-3}")
+@example(text="4Conv(encoding){vth=-1}-{vth=2}-}-2fc")
+@example(text="4Conv(encoding)-MP2{vth=1}")
+@example(text="4Conv(encoding)-2fcMP2")
+def test_the_parser_equals_the_listed_parser(text):
+    assert _parsed(parse_network, text) == _parsed(listed_parse_network, text)
+
+
+def test_a_newline_inside_a_token_is_refused():
+    with pytest.raises(NetworkParseError, match="unknown token") as err:
+        parse_network("4Conv(encoding)\n-2fc")
+    assert err.value.column == 1
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -150,6 +183,33 @@ def test_validate_rejects_an_fc_layer_that_is_not_1x1(kernel, padding):
     ])
     with pytest.raises(ValidationError) as err:
         validate(net, (1, 4, 4))
+    assert err.value.layer_index == 1
+
+
+@pytest.mark.parametrize("text, shape", [
+    (MNIST, (1, 28, 28)),
+    (CIFAR, (3, 32, 32)),
+    ("4Conv(encoding){vth=0.5}-MP2-MP2-3fc", (1, 8, 8)),
+    ("4Conv(encoding)-MP2-MP2-3fc", (1, 6, 6)),  # refused at the second pool
+])
+def test_validate_leaves_its_input_unannotated_and_unchanged(text, shape):
+    net = parse_network(text)
+    before = copy.deepcopy(net)
+    try:
+        validated = validate(net, shape)
+    except ValidationError:
+        validated = None
+    assert net == before and repr(net) == repr(before)
+    assert all(layer.in_shape is layer.out_shape is None for layer in net.layers)
+    assert net.compute_layers == ()
+    if validated is not None:
+        assert not {id(layer) for layer in validated.layers} & {id(layer) for layer in net.layers}
+
+
+def test_validate_refuses_an_unknown_layer_kind():
+    layers = [LayerSpec("encoding-conv", 4), LayerSpec("bogus", 4)]
+    with pytest.raises(ValidationError, match="unknown layer kind 'bogus'") as err:
+        validate(NetworkDescription(layers), (1, 4, 4))
     assert err.value.layer_index == 1
 
 
