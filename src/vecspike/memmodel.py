@@ -19,6 +19,16 @@ kept on the validated description; every walk reads it through
 :func:`compute_layers`, and a network that ``validate`` did not return
 cannot be planned.  Each walk is one pass over the table, and every byte
 count is an integer ceiling, exact at any size.
+
+A DRAM ledger sums its totals in its one pass from three identities over
+the table and the plan's on-chip positions: the weights are the summed
+sign bytes plus the folded parameters of the summed output channels; the
+outputs are T x the map of every layer not kept on chip; the inputs are
+the image, plus the outputs, less T x the last layer's map, since each
+layer reads what its predecessor wrote and the last layer is never kept
+on chip.  Its per-layer records come from :func:`_dram_rows` when they
+are first read, over the layers and the on-chip set the call captured,
+not the plan.
 """
 
 from __future__ import annotations
@@ -200,17 +210,50 @@ class LayerTraffic:
         )
 
 
-@dataclass
 class TrafficLedger:
-    """Per-layer DRAM records and their totals, which :func:`simulate_traffic`
-    sums once when it builds the ledger."""
+    """A plan's DRAM bytes: the totals that :func:`simulate_traffic` sums
+    from the compute-layer table, ``layer_fusion`` (whether the plan keeps
+    any map on chip) and the per-layer records.
 
-    records: list[LayerTraffic]
-    layer_fusion: bool
-    weight_total: int
-    input_total: int
-    output_total: int
-    total_bytes: int
+    ``records`` is built from :func:`_dram_rows` the first time it is
+    read, and kept.  The ledger holds the call's compute layers, on-chip
+    positions, T and parameter width, not the :class:`FusionPlan` or the
+    network, so editing either afterwards changes neither the totals nor
+    the records.
+    """
+
+    __slots__ = ("layer_fusion", "weight_total", "input_total", "output_total",
+                 "total_bytes", "_layers", "_on_chip", "_time_steps", "_param_bytes",
+                 "_records")
+
+    def __init__(self, layers: tuple[ComputeLayer, ...], on_chip: set[int],
+                 time_steps: int, param_bytes: int,
+                 weight_total: int, input_total: int, output_total: int):
+        self._layers, self._on_chip = layers, on_chip
+        self._time_steps, self._param_bytes = time_steps, param_bytes
+        self._records = None
+        self.layer_fusion = bool(on_chip)
+        self.weight_total = weight_total
+        self.input_total = input_total
+        self.output_total = output_total
+        self.total_bytes = weight_total + input_total + output_total
+
+    @property
+    def records(self) -> list[LayerTraffic]:
+        """Per compute layer in order, its :class:`LayerTraffic`: the image
+        crosses once and each map T times, as :func:`_dram_rows` states."""
+        if self._records is None:
+            time_steps, param_bytes = self._time_steps, self._param_bytes
+            records = []
+            for layer, image, in_map, out_map in _dram_rows(self._layers, self._on_chip):
+                note = "8-bit image input" if image else "" if in_map else "input fused on chip"
+                if not out_map:
+                    note = (note + "; " if note else "") + "output fused on chip"
+                records.append(LayerTraffic(
+                    layer.index, layer.label, note, layer.weight_bytes(param_bytes),
+                    image + in_map * time_steps, out_map * time_steps))
+            self._records = records
+        return self._records
 
 
 def _plan_layers(
@@ -218,15 +261,18 @@ def _plan_layers(
 ) -> tuple[tuple[ComputeLayer, ...], set[int]]:
     """The network's compute layers and the positions whose output map a
     fused pair keeps on chip, from one walk of the plan's groups; raises
-    unless T >= 1 and ``plan`` covers each layer."""
+    unless T >= 1 and ``plan`` covers each layer.  A pair's on-chip
+    position is the count of layers the groups before it cover, its first
+    index in every plan :class:`FusionPlan` admits, so the last layer is
+    never on chip."""
     if time_steps < 1:
         raise InvalidParameterError("time_steps must be >= 1")
     layers = compute_layers(net)
     covered, on_chip = 0, set()
     for group in plan.groups:
-        covered += len(group)
         if len(group) == 2:
-            on_chip.add(group[0])
+            on_chip.add(covered)
+        covered += len(group)
     if covered != len(layers):
         raise PlanError(f"plan covers {covered} layers, network has {len(layers)}")
     return layers, on_chip
@@ -254,30 +300,34 @@ def simulate_traffic(
     time_steps: int,
     cfg: HardwareConfig,
 ) -> TrafficLedger:
-    """DRAM byte counts per layer under a fusion plan.
+    """DRAM byte counts under a fusion plan: the totals, summed in one loop
+    over the compute-layer table, and the per-layer records, built only
+    when read (:class:`TrafficLedger`).
 
     Tick batching is the only mode: all T steps of a layer run in one
     visit, so its weights cross DRAM once whatever T is.  The image
-    crosses once and each map T times, as :func:`_dram_rows` states.  The
-    totals are summed as the records are built.
+    crosses once and each map T times, as :func:`_dram_rows` states, so
+    the totals are three identities over the table:
+
+    * weights: the summed ``sign_bytes`` plus :func:`_folded_param_bytes`
+      of the summed output channels;
+    * outputs: T x the ``map_bytes`` of every layer not kept on chip;
+    * inputs: the image, plus the outputs, less T x the last layer's map,
+      since each layer reads what its predecessor wrote and the last layer
+      is never kept on chip.
     """
+    layers, on_chip = _plan_layers(net, plan, time_steps)
+    signs = channels = maps = 0
+    for pos, layer in enumerate(layers):
+        signs += layer.sign_bytes
+        channels += layer.spec.out_channels
+        if pos not in on_chip:
+            maps += layer.map_bytes
     param_bytes = cfg.param_bytes
-    records = []
-    weights = inputs = outputs = 0
-    fused = False
-    for layer, image, in_map, out_map in _dram_rows(*_plan_layers(net, plan, time_steps)):
-        note = "8-bit image input" if image else "" if in_map else "input fused on chip"
-        if not out_map:
-            note = (note + "; " if note else "") + "output fused on chip"
-            fused = True
-        weight = layer.weight_bytes(param_bytes)
-        read, written = image + in_map * time_steps, out_map * time_steps
-        records.append(LayerTraffic(layer.index, layer.label, note, weight, read, written))
-        weights += weight
-        inputs += read
-        outputs += written
-    return TrafficLedger(records, fused, weights, inputs, outputs,
-                         weights + inputs + outputs)
+    outputs = maps * time_steps
+    inputs = math.prod(layers[0].spec.in_shape) + outputs - layers[-1].map_bytes * time_steps
+    return TrafficLedger(layers, on_chip, time_steps, param_bytes,
+                         signs + _folded_param_bytes(channels, param_bytes), inputs, outputs)
 
 
 def fusion_savings(

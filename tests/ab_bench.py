@@ -11,10 +11,12 @@ is removed at the end.  Pair ``i`` runs ``perfbench/run.py --workload W
 with ``PYTHONDONTWRITEBYTECODE=1`` so that both compile their sources
 alike; even pairs run the revision first, odd pairs the working tree.
 Every pair is printed, then, for each end-to-end metric that
-``BENCHMARK.json`` lists, each side's median and quartiles and the pairs
-the working tree won (ties count for neither side).  A pair whose two
-runs report different ``modeled_digest`` values, or a run that fails, is
-reported and ends the script with exit code 1.
+``BENCHMARK.json`` lists, each side's median and quartiles, the pairs
+the working tree won (ties count for neither side) and one verdict,
+decided by :func:`verdict` from the series and the metric's ``bound``.
+A pair whose two runs report different ``modeled_digest`` values, or a
+run that fails, is reported and ends the script with exit code 1; the
+verdicts do not change the exit code.
 
 The file is not a test module: pytest does not collect it, and it edits
 nothing under ``perfbench/``.
@@ -77,6 +79,35 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(base: list[float], head: list[float], higher: bool, bound: float) -> str:
+    """The verdict on one metric from paired series, ``base[i]`` against
+    ``head[i]``, where ``higher`` says which way is better and ``bound``
+    is the worsening the benchmark allows, as a fraction of the base's
+    median.  The first that holds of:
+
+    * ``gain``: the head wins at least nine tenths of the pairs (ties
+      count for neither side) and its median is better than the base's by
+      more than the base's interquartile spread;
+    * ``worse``: the head's median is worse than the base's by more than
+      ``bound``;
+    * ``unresolved``: the base's interquartile spread is wider than
+      ``bound``, unless every head run is better than every base run;
+    * ``no change``.
+    """
+    sign = 1 if higher else -1  # from here on, higher is better
+    base, head = [sign * v for v in base], [sign * v for v in head]
+    won = sum(h > b for b, h in zip(base, head))
+    (b1, b2, b3), (_, h2, _) = quartiles(base), quartiles(head)
+    spread, limit = b3 - b1, bound * abs(b2)
+    if 10 * won >= 9 * len(base) and h2 - b2 > spread:
+        return "gain"
+    if b2 - h2 > limit:
+        return "worse"
+    if spread > limit and min(head) <= max(base):
+        return "unresolved"
+    return "no change"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -112,7 +143,8 @@ def main(argv=None) -> int:
         print(f"{name} ({metric['unit']}, {metric['better']} is better): "
               f"base median {b2:.6g} [q1 {b1:.6g}, q3 {b3:.6g}]  "
               f"head median {h2:.6g} [q1 {h1:.6g}, q3 {h3:.6g}]  "
-              f"change {100 * (h2 / b2 - 1):+.1f}%  head won {won}/{args.pairs}")
+              f"change {100 * (h2 / b2 - 1):+.1f}%  head won {won}/{args.pairs}  "
+              f"verdict: {verdict(base, head, higher, metric['bound'])}")
     if not ok:
         print("modeled_digest differs between the trees", file=sys.stderr)
     return 0 if ok else 1

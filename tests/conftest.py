@@ -16,7 +16,6 @@ from vecspike.memmodel import (
     FusionPlan,
     LayerTraffic,
     TraceEvent,
-    TrafficLedger,
     _plan_layers,
     compute_layers,
     spike_map_bytes,
@@ -424,7 +423,8 @@ def listed_dram_rows(layers, plan):
 
 
 def listed_simulate_traffic(net, plan, time_steps, cfg):
-    """DRAM byte counts per layer under a fusion plan."""
+    """DRAM byte counts per layer under a fusion plan: the records, then
+    ``layer_fusion`` and the four totals, as the ledger names them."""
     layers, _ = _plan_layers(net, plan, time_steps)
     rows = listed_dram_rows(layers, plan)
     records = []
@@ -445,5 +445,5 @@ def listed_simulate_traffic(net, plan, time_steps, cfg):
     weights = sum(r.weight_bytes_read for r in records)
     inputs = sum(r.input_spike_bytes_read for r in records)
     outputs = sum(r.output_spike_bytes_written for r in records)
-    return TrafficLedger(records, any(not row[2] for row in rows),
-                         weights, inputs, outputs, weights + inputs + outputs)
+    return (records, any(not row[2] for row in rows),
+            weights, inputs, outputs, weights + inputs + outputs)

@@ -1,0 +1,57 @@
+"""The verdict rule of ``tests/ab_bench.py`` on hand-made paired series."""
+
+import pytest
+
+from ab_bench import verdict
+
+# median 100, quartiles 99 and 101: an interquartile spread of 2
+BASE = [98, 102, 99, 101, 100, 100, 101, 99, 102, 98]
+
+
+def shifted(series, by, pairs=()):
+    """``series`` plus ``by``, except the pairs in ``pairs``, which keep
+    the values given there."""
+    out = [v + by for v in series]
+    for i, v in pairs:
+        out[i] = v
+    return out
+
+
+@pytest.mark.parametrize("head, expected", [
+    (shifted(BASE, 5), "gain"),
+    # nine wins of ten still claim a gain
+    (shifted(BASE, 5, [(0, 97)]), "gain"),
+    # eight wins and two ties: ties count for neither side
+    (shifted(BASE, 5, [(0, 98), (1, 102)]), "no change"),
+    # every pair won, but by no more than the base's spread
+    (shifted(BASE, 1.5), "no change"),
+    (BASE, "no change"),
+    # 21% below the base's median against a bound of 20%
+    (shifted(BASE, -21), "worse"),
+    (shifted(BASE, -19), "no change"),
+])
+def test_verdict_on_a_higher_is_better_metric(head, expected):
+    assert verdict(BASE, head, True, 0.2) == expected
+
+
+def test_verdict_on_a_lower_is_better_metric():
+    base = [v / 100 for v in BASE]
+    assert verdict(base, [v * 0.9 for v in base], False, 0.2) == "gain"
+    assert verdict(base, [v * 1.1 for v in base], False, 0.2) == "no change"
+    assert verdict(base, [v * 1.25 for v in base], False, 0.2) == "worse"
+    # a higher-is-better reading of the same series turns the verdicts
+    assert verdict(base, [v * 1.1 for v in base], True, 0.2) == "gain"
+
+
+def test_a_spread_wider_than_the_bound_leaves_the_verdict_unresolved():
+    # median 100, quartiles 72.5 and 127.5: a spread of 55, past 20% of 100
+    base = [50, 150, 60, 140, 70, 130, 80, 120, 90, 110]
+    assert verdict(base, base[::-1], True, 0.2) == "unresolved"
+    assert verdict(base, [v + 10 for v in base], True, 0.2) == "unresolved"
+    # worse than the bound is worse, whatever the spread
+    assert verdict(base, [v - 25 for v in base], True, 0.2) == "worse"
+    # unless every head run beats every base run
+    assert verdict(base, [151] * 10, True, 0.2) == "no change"
+    assert verdict(base, [150] * 10, True, 0.2) == "unresolved"
+    # and a gain is a gain: every pair won, by more than the spread
+    assert verdict(base, [v + 56 for v in base], True, 0.2) == "gain"

@@ -430,10 +430,30 @@ def test_the_one_pass_walks_equal_the_listed_walks(source, total_bits, scale, ti
                       **{f: int(getattr(CFG, f) * scale) for f in SRAM_FIELDS})
     assert net.compute_layers == listed_build_compute_layers(net.layers)
     assert plan_fusion(net, cfg) == listed_plan_fusion(net, cfg)
-    for groups in fusion_plans(len(compute_layers(net))):
+    plans = fusion_plans(len(compute_layers(net)))
+    for k, groups in enumerate(plans):
         plan = FusionPlan(list(groups))
-        assert (simulate_traffic(net, plan, time_steps, cfg)
-                == listed_simulate_traffic(net, plan, time_steps, cfg))
+        listed = listed_simulate_traffic(net, plan, time_steps, cfg)
+        ledger = simulate_traffic(net, plan, time_steps, cfg)
+        totals = (ledger.layer_fusion, ledger.weight_total, ledger.input_total,
+                  ledger.output_total, ledger.total_bytes)
+        # the ledger keeps the call's plan: an edit before the records'
+        # first read changes neither them nor the totals
+        plan.groups[:] = plans[k - 1]
+        records = ledger.records
+        assert (records, *totals) == listed
+        assert ledger.records == list(records)
+        assert (ledger.layer_fusion, ledger.weight_total, ledger.input_total,
+                ledger.output_total, ledger.total_bytes) == totals
+        # the totals are the records' sums, and fusion is a record that
+        # writes no output
+        assert totals == (
+            any(not r.output_spike_bytes_written for r in records),
+            sum(r.weight_bytes_read for r in records),
+            sum(r.input_spike_bytes_read for r in records),
+            sum(r.output_spike_bytes_written for r in records),
+            sum(r.total for r in records),
+        )
 
 
 def test_pingpong_alternates_spike_buffers():
