@@ -26,6 +26,7 @@ from .core import (
     spikes_eq3_oracle,
 )
 from .dataflow import (
+    StagedNeuronParams,
     if_unit_process,
     run_network,
     schedule_conv_layer,
@@ -38,8 +39,6 @@ from .memmodel import (
     pingpong_schedule,
     plan_fusion,
     simulate_traffic,
-    spike_map_bytes,
-    weight_bytes,
 )
 from .netconfig import (
     ModelBundle,
@@ -64,6 +63,7 @@ __all__ = [
     "ModelBundle",
     "NetworkDescription",
     "SpikeTrain",
+    "StagedNeuronParams",
     "TrafficLedger",
     "conv2d_oracle",
     "fold_bn",
@@ -83,8 +83,6 @@ __all__ = [
     "schedule_conv_layer",
     "schedule_encoding_layer",
     "simulate_traffic",
-    "spike_map_bytes",
     "spikes_eq3_oracle",
     "validate",
-    "weight_bytes",
 ]

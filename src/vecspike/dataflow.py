@@ -386,9 +386,11 @@ def _int32_room(bound: int, fmt: FixedPointFormat) -> bool:
 
 @dataclass(eq=False)
 class StagedNeuronParams:
-    """A layer's :class:`FoldedNeuronParams`, staged once with its membrane.
+    """A layer's :class:`FoldedNeuronParams`, staged once with its membrane:
+    the ``neurons`` of every ``if_unit_process(conv_out, neurons)`` call.
 
-    ``membrane`` is the layer's potentials, int32 or int64; only
+    ``membrane`` is the layer's potentials, int32 or int64 with the
+    parameters' channels, else ``ShapeError`` before any write; only
     :func:`if_unit_process` calls with this object write it, one call per
     time step.  The parameters are cast once to its dtype: ``bias`` and
     ``threshold`` are [C][1][1], the threshold raised by one on flipped
@@ -397,9 +399,10 @@ class StagedNeuronParams:
     or ``None`` when no channel flips.  ``keep`` is the reused reset mask.
 
     ``peak`` is U, a bound on every step's |update|, and ``steps`` counts
-    the steps taken.  Built directly, an object has no bound (``peak`` is
-    ``None``) and every call checks and scans as with plain parameters.
-    :meth:`for_layer` derives the bound from the layer's staged weights.
+    the steps taken.  Built directly from plain parameters and a membrane,
+    an object has no bound (``peak`` is ``None``) and every call checks
+    and scans.  :meth:`for_layer` derives the bound from the layer's
+    staged weights.
     """
 
     params: FoldedNeuronParams
@@ -412,11 +415,15 @@ class StagedNeuronParams:
     keep: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        p, dtype = self.params, self.membrane.dtype
+        p, dtype, shape = self.params, self.membrane.dtype, self.membrane.shape
+        if dtype not in (np.int32, np.int64):
+            raise ShapeError(f"membrane must be int32 or int64, got {dtype}")
+        if shape[:1] != (p.channels,):
+            raise ShapeError(f"{p.channels} parameter channels for membrane {shape}")
         self.bias = p.bias_raw.astype(dtype)[:, None, None]
         self.threshold = (p.threshold_raw + p.flipped).astype(dtype)[:, None, None]
         self.flipped = p.flipped[:, None, None] if p.flipped.any() else None
-        self.keep = np.empty(self.membrane.shape, dtype=bool)
+        self.keep = np.empty(shape, dtype=bool)
 
     @classmethod
     def for_layer(
@@ -440,61 +447,43 @@ class StagedNeuronParams:
         return staged
 
 
-def if_unit_process(
-    conv_out,
-    params: FoldedNeuronParams | StagedNeuronParams,
-    potentials: np.ndarray,
-    fmt: FixedPointFormat,
-) -> np.ndarray:
+def if_unit_process(conv_out, neurons: StagedNeuronParams) -> np.ndarray:
     """Subtract the folded bias, accumulate, compare, fire and write back.
 
-    Updates the layer's membrane ``potentials`` in place to the sum, or
-    zero where the neuron fired, and returns the uint8 spikes.  ``params``
-    must be in the run's format ``fmt``, else ``InvalidParameterError``.
-    The membrane is int64 or int32; it holds in-format values, as every
-    call that returns leaves it, and the call runs in its dtype.  An int32
-    membrane takes only sums whose peak meets the int32 room
-    (:func:`_int32_room`), so no intermediate can wrap; a larger sum
-    raises ``ShapeError`` before any write.  ``run_network`` gives a layer
-    an int32 membrane only when its sum bound meets the room, so it never
-    makes such a call.  Faults are raised, and worded, exactly as the
-    oracle's.
+    ``neurons`` is the layer's :class:`StagedNeuronParams`, staged once and
+    passed to every step.  The call updates its membrane in place to the
+    sum, or zero where the neuron fired, in the membrane's dtype and the
+    format ``neurons.params.fmt``, and returns the uint8 spikes.
+    ``conv_out`` must be integer sums of the membrane's shape, else
+    ``ShapeError``, and the membrane must hold in-format values, as every
+    call that returns leaves it.  An int32 membrane takes only sums whose
+    peak meets the int32 room (:func:`_int32_room`), so no intermediate
+    can wrap; a larger sum raises ``ShapeError`` before any write, which
+    ``run_network`` never passes.  Faults are raised, and worded, exactly
+    as the oracle's.
 
-    ``params`` may be :class:`StagedNeuronParams` whose membrane is
-    ``potentials`` (else ``ShapeError``); plain parameters are staged for
-    this one call.  Staged by :meth:`StagedNeuronParams.for_layer`, as
-    ``run_network`` passes them, the layer's bound stands in for the
-    int32-room scan, and for the membrane's range scan on the steps it
-    clears: the sums must then be the schedule's on the staged weights.
-    The encoding layer re-presents the same integer convolution every step
-    (it is parked in the second membrane SRAM on chip), so ``run_network``
-    forms its update once per layer (:func:`_if_update`) and fires it each
-    step (:func:`_if_fire`), the two halves of this call.
+    Staged by :meth:`StagedNeuronParams.for_layer`, as ``run_network``
+    stages them, the layer's bound stands in for the int32-room scan, and
+    for the membrane's range scan on the steps it clears: the sums must
+    then be the schedule's on the staged weights.  The encoding layer
+    re-presents the same integer convolution every step (it is parked in
+    the second membrane SRAM on chip), so ``run_network`` forms its update
+    once per layer (:func:`_if_update`) and fires it each step
+    (:func:`_if_fire`), the two halves of this call.
     """
     x = np.asarray(conv_out)
-    folded = params if isinstance(params, FoldedNeuronParams) else params.params
+    fmt = neurons.params.fmt
     if x.dtype.kind not in "iu":
         raise ShapeError(f"conv output must be integer sums, got {x.dtype}")
-    if x.shape != potentials.shape or potentials.dtype not in (np.int32, np.int64):
+    if x.shape != neurons.membrane.shape:
         raise ShapeError(
-            f"conv output {x.shape} does not match the {potentials.dtype} membrane "
-            f"{potentials.shape}"
+            f"conv output {x.shape} does not match the membrane {neurons.membrane.shape}"
         )
-    if folded.channels != x.shape[0]:
-        raise ShapeError(
-            f"{folded.channels} parameter channels for {x.shape[0]} output channels"
-        )
-    if folded.fmt != fmt:
-        raise InvalidParameterError(f"parameters use {folded.fmt}, the IF unit {fmt}")
-    if params is folded:
-        params = StagedNeuronParams(params, potentials)
-    elif potentials is not params.membrane:
-        raise ShapeError("staged neuron parameters belong to another membrane")
-    if params.peak is None and potentials.dtype == np.int32:
+    if neurons.peak is None and neurons.membrane.dtype == np.int32:
         if not _int32_room(peak := _peak(x), fmt):
             raise ShapeError(f"conv output peak {peak} leaves no int32 room in {fmt}")
     spikes = np.empty(x.shape, dtype=np.uint8)
-    return _if_fire(_if_update(x, params, fmt), params, fmt, spikes)
+    return _if_fire(_if_update(x, neurons, fmt), neurons, fmt, spikes)
 
 
 def _if_update(x: np.ndarray, neurons: StagedNeuronParams, fmt) -> np.ndarray:
@@ -613,7 +602,7 @@ def _run_weighted_layer(
         return train
     for t in range(time_steps):
         sums = schedule_conv_layer(inputs[t], staged, cfg)
-        train[t] = if_unit_process(sums, neurons, neurons.membrane, fmt)
+        train[t] = if_unit_process(sums, neurons)
     return train
 
 

@@ -51,20 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # byte accounting
 # ---------------------------------------------------------------------------
 
-def spike_map_bytes(channels: int, height: int, width: int, time_steps: int) -> int:
-    """Bit-packed spike traffic: ceil(C*H*W / 8) bytes per time step, an
-    integer ceiling, exact at any size."""
-    return -(-channels * height * width // 8) * time_steps
-
-
-def weight_bytes(
-    out_channels: int, in_channels: int, kh: int, kw: int, param_bytes: int
-) -> int:
-    """Sign bits packed to bytes plus per-channel folded bias and threshold."""
-    signs = -(-out_channels * in_channels * kh * kw // 8)
-    return signs + _folded_param_bytes(out_channels, param_bytes)
-
-
 def _folded_param_bytes(out_channels: int, param_bytes: int) -> int:
     """A folded bias and a threshold per output channel."""
     return 2 * out_channels * param_bytes
@@ -79,14 +65,15 @@ class ComputeLayer(NamedTuple):
     map it hands on, ``out_shape``, with any following pooling absorbed.
 
     It carries the per-layer facts every traffic walk reads and no config
-    changes: ``sign_bytes``, the packed sign bits (:func:`weight_bytes`
-    with no parameters), ``map_bytes``, one step of the bit-packed map it
-    hands on (:func:`spike_map_bytes` for one step), and ``label``, the
-    ledger's kind (``"conv+pool"`` for a pooled conv).  ``validate`` builds
-    each record in its loop over the layers, with ``tuple.__new__`` rather
-    than the generated ``__new__``: a ``maxpool2`` rebuilds the previous
-    record with its own map and a ``+pool`` label.  Records are immutable
-    because every walk of the network shares the one table.
+    changes: ``sign_bytes``, the packed sign bits, ``ceil(cout*cin*kh*kw /
+    8)``; ``map_bytes``, one step of the bit-packed map it hands on,
+    ``ceil(C*H*W / 8)``; and ``label``, the ledger's kind (``"conv+pool"``
+    for a pooled conv).  :meth:`weight_bytes` adds the folded parameters.
+    ``validate`` builds each record in its loop over the layers, with
+    ``tuple.__new__`` rather than the generated ``__new__``: a ``maxpool2``
+    rebuilds the previous record with its own map and a ``+pool`` label.
+    Records are immutable because every walk of the network shares the one
+    table.
     """
 
     index: int  # index in the original layer list
@@ -97,7 +84,7 @@ class ComputeLayer(NamedTuple):
     label: str
 
     def weight_bytes(self, param_bytes: int) -> int:
-        """The sign bits and the folded parameters, as :func:`weight_bytes`."""
+        """The sign bits plus a folded bias and a threshold per output channel."""
         return self.sign_bytes + _folded_param_bytes(self.spec.out_channels, param_bytes)
 
 

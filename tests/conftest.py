@@ -18,8 +18,6 @@ from vecspike.memmodel import (
     TraceEvent,
     _plan_layers,
     compute_layers,
-    spike_map_bytes,
-    weight_bytes,
 )
 from vecspike.netconfig import LayerSpec, NetworkDescription, validate
 
@@ -383,8 +381,9 @@ def listed_build_compute_layers(layers):
     for idx, end in zip(starts, starts[1:] + [len(layers)]):
         spec, out_shape = layers[idx], layers[end - 1].out_shape
         label = spec.kind + ("+pool" if end - idx > 1 else "")
-        records.append(ComputeLayer(idx, spec, out_shape, weight_bytes(*spec.weight_shape, 0),
-                                    spike_map_bytes(*out_shape, 1), label))
+        # the packed signs, and one step of the packed map: ceil(bits / 8)
+        signs, map_bytes = -(-math.prod(spec.weight_shape) // 8), -(-math.prod(out_shape) // 8)
+        records.append(ComputeLayer(idx, spec, out_shape, signs, map_bytes, label))
     return tuple(records)
 
 

@@ -28,6 +28,7 @@ from vecspike.core import (
     run_network_oracle,
 )
 from vecspike.dataflow import (
+    StagedNeuronParams,
     gemm_dtype,
     if_unit_process,
     run_network,
@@ -631,34 +632,32 @@ def _plain_params(channels, threshold_real, bias_real=0.0):
     )
 
 
-def _membrane(*shape):
-    return np.zeros(shape, dtype=np.int64)
+def _neurons(params, *shape, dtype=np.int64):
+    """``params`` staged directly, with no bound, on a zero membrane."""
+    return StagedNeuronParams(params, np.zeros(shape, dtype=dtype))
 
 
 def test_if_unit_zero_input_no_spikes():
-    membrane = _membrane(2, 3, 3)
-    spikes = if_unit_process(
-        np.zeros((2, 3, 3), dtype=np.int64), _plain_params(2, 1.0), membrane, FMT
-    )
+    neurons = _neurons(_plain_params(2, 1.0), 2, 3, 3)
+    spikes = if_unit_process(np.zeros((2, 3, 3), dtype=np.int64), neurons)
     assert not spikes.any()
-    assert not membrane.any()
+    assert not neurons.membrane.any()
 
 
 def test_if_unit_threshold_boundary_fires():
     spikes = if_unit_process(
-        np.array([[[1]]], dtype=np.int64), _plain_params(1, 1.0), _membrane(1, 1, 1), FMT
+        np.array([[[1]]], dtype=np.int64), _neurons(_plain_params(1, 1.0), 1, 1, 1)
     )
     assert spikes[0, 0, 0] == 1
 
 
 def test_if_unit_encoding_iterate_period_two():
     # constant x with x < threshold <= 2x: spikes on steps 2 and 4
-    params = _plain_params(1, 1.5)
-    membrane = _membrane(1, 1, 1)
+    neurons = _neurons(_plain_params(1, 1.5), 1, 1, 1)
     x = np.array([[[1]]], dtype=np.int64)
     pattern = []
     for _ in range(4):
-        spikes = if_unit_process(x, params, membrane, FMT)
+        spikes = if_unit_process(x, neurons)
         pattern.append(int(spikes[0, 0, 0]))
     assert pattern == [0, 1, 0, 1]
 
@@ -670,21 +669,23 @@ def test_if_unit_flipped_channels():
         np.array([False, True]),
     )
     conv = np.array([[[2]], [[-2]]], dtype=np.int64)
-    spikes = if_unit_process(conv, params, _membrane(2, 1, 1), FMT)
+    spikes = if_unit_process(conv, _neurons(params, 2, 1, 1))
     assert spikes[:, 0, 0].tolist() == [1, 1]
 
 
 def test_if_unit_shape_mismatch_and_overflow():
     params = _plain_params(1, 1.0)
     with pytest.raises(ShapeError):
-        if_unit_process(np.zeros((2, 1, 1), dtype=np.int64), params, _membrane(1, 1, 1), FMT)
+        if_unit_process(np.zeros((2, 1, 1), dtype=np.int64), _neurons(params, 1, 1, 1))
     huge = np.full((1, 1, 1), FMT.raw_max, dtype=np.int64)
     with pytest.raises(FixedPointOverflowError):
-        if_unit_process(huge, params, _membrane(1, 1, 1), FMT)
-    # the IF unit runs in one format, as the run's entry check requires
-    wide = FoldedNeuronParams([0], [0], [False], FixedPointFormat(40, 8))
-    with pytest.raises(InvalidParameterError, match="^parameters use .*, the IF unit "):
-        if_unit_process(np.zeros((1, 1, 1), dtype=np.int64), wide, _membrane(1, 1, 1), FMT)
+        if_unit_process(huge, _neurons(params, 1, 1, 1))
+    # a membrane with other channels than the parameters is refused when
+    # the layer is staged, and left unwritten
+    membrane = np.full((2, 1, 1), 7, dtype=np.int64)
+    with pytest.raises(ShapeError, match=r"^1 parameter channels for membrane \(2, 1, 1\)"):
+        StagedNeuronParams(params, membrane)
+    assert membrane.tolist() == [[[7]], [[7]]]
 
 
 @pytest.mark.parametrize("conv_sum", [1.9, 0.9])
@@ -693,28 +694,32 @@ def test_if_unit_and_oracle_refuse_a_fractional_sum(conv_sum):
     params = _plain_params(1, 1.0)
     x = np.array([[[conv_sum]]])
     with pytest.raises(ShapeError):
-        if_unit_process(x, params, _membrane(1, 1, 1), FMT)
+        if_unit_process(x, _neurons(params, 1, 1, 1))
     with pytest.raises(InvalidParameterError):
         core._if_run([core._weigh(x, params, FMT)], params, FMT, 1)
 
 
 def test_if_unit_writes_back_the_sum_or_zero_where_it_fired():
     params = _plain_params(1, 1.0)
-    membrane = _membrane(1, 1, 2)
-    spikes = if_unit_process(np.array([[[0, 1]]]), params, membrane, FMT)
+    neurons = _neurons(params, 1, 1, 2)
+    membrane = neurons.membrane
+    spikes = if_unit_process(np.array([[[0, 1]]]), neurons)
     assert spikes.dtype == np.uint8 and spikes.tolist() == [[[0, 1]]]
     assert membrane.tolist() == [[[0, 0]]]
-    if_unit_process(np.array([[[-3, 2]]]), _plain_params(1, 9.0), membrane, FMT)
+    if_unit_process(np.array([[[-3, 2]]]), StagedNeuronParams(_plain_params(1, 9.0), membrane))
     assert membrane.tolist() == [[[Q(-3.0), Q(2.0)]]]
+    # a membrane the IF unit cannot run in is refused when the layer is
+    # staged, and left unwritten
     for dtype in (np.int16, np.float64):
-        with pytest.raises(ShapeError):
-            if_unit_process(np.zeros((1, 1, 2), dtype=np.int64), params,
-                            membrane.astype(dtype), FMT)
+        other = np.full((1, 1, 2), 7, dtype=dtype)
+        with pytest.raises(ShapeError, match="^membrane must be int32 or int64, got "):
+            StagedNeuronParams(params, other)
+        assert other.tolist() == [[[7, 7]]]
     wide = FixedPointFormat(62, 56)
     wide_params = FoldedNeuronParams([0], [wide.quantize(1.0)], [False], wide)
     with pytest.raises(ShapeError):
-        if_unit_process(np.zeros((1, 1, 2), dtype=np.int64), wide_params,
-                        membrane.astype(np.int32), wide)
+        if_unit_process(np.zeros((1, 1, 2), dtype=np.int64),
+                        StagedNeuronParams(wide_params, membrane.astype(np.int32)))
 
 
 @pytest.mark.parametrize(
@@ -730,9 +735,9 @@ def test_if_unit_refuses_a_wrapping_left_shift(conv_sum, potential):
     wide = FixedPointFormat(62, 56)
     params = FoldedNeuronParams([0], [wide.quantize(1.0)], [False], wide)
     x = np.full((1, 1, 1), conv_sum, dtype=np.int64)
-    membrane = np.full((1, 1, 1), potential, dtype=np.int64)
+    neurons = StagedNeuronParams(params, np.full((1, 1, 1), potential, dtype=np.int64))
     with pytest.raises(FixedPointOverflowError):
-        if_unit_process(x, params, membrane, wide)
+        if_unit_process(x, neurons)
 
 
 @st.composite
@@ -765,17 +770,17 @@ def test_engine_write_back_equals_the_oracle_lazy_reset(case):
     # the engine zeroes a fired neuron at once, the oracle on its next step:
     # spikes agree at every step, or both fault at the same step alike
     sums, params, fmt = case
-    membrane = np.zeros(sums.shape[1:], dtype=np.int64)
+    neurons = _neurons(params, *sums.shape[1:])
     for t in range(1, len(sums) + 1):
         try:
             weighted = (core._weigh(s, params, fmt) for s in sums[:t])
             expected = core._if_run(weighted, params, fmt, t)
         except FixedPointOverflowError as exc:
             with pytest.raises(FixedPointOverflowError) as info:
-                if_unit_process(sums[t - 1], params, membrane, fmt)
+                if_unit_process(sums[t - 1], neurons)
             assert str(info.value) == str(exc)
             return
-        spikes = if_unit_process(sums[t - 1], params, membrane, fmt)
+        spikes = if_unit_process(sums[t - 1], neurons)
         assert np.array_equal(spikes, expected[-1]), t
 
 
@@ -814,53 +819,50 @@ def test_int32_write_back_equals_the_oracle_lazy_reset(case):
     # engine at every step, or all fault at the same step with the
     # oracle's text; a sum past the int32 room is refused before any write
     sums, params, fmt = case
-    membrane = np.zeros(sums.shape[1:], dtype=np.int32)
-    wide = np.zeros(sums.shape[1:], dtype=np.int64)
+    neurons = _neurons(params, *sums.shape[1:], dtype=np.int32)
+    wide = _neurons(params, *sums.shape[1:])
     for t in range(1, len(sums) + 1):
         if int(np.abs(sums[t - 1]).max()) << fmt.frac_bits >= 2**31 - 2**fmt.total_bits:
-            kept = membrane.copy()
+            kept = neurons.membrane.copy()
             with pytest.raises(ShapeError, match=" leaves no int32 room "):
-                if_unit_process(sums[t - 1], params, membrane, fmt)
-            assert np.array_equal(membrane, kept), t
+                if_unit_process(sums[t - 1], neurons)
+            assert np.array_equal(neurons.membrane, kept), t
             return
         try:
             weighted = (core._weigh(s, params, fmt) for s in sums[:t])
             expected = core._if_run(weighted, params, fmt, t)
         except FixedPointOverflowError as exc:
             with pytest.raises(FixedPointOverflowError) as info:
-                if_unit_process(sums[t - 1], params, membrane, fmt)
+                if_unit_process(sums[t - 1], neurons)
             assert str(info.value) == str(exc)
             return
-        spikes = if_unit_process(sums[t - 1], params, membrane, fmt)
+        spikes = if_unit_process(sums[t - 1], neurons)
         assert np.array_equal(spikes, expected[-1]), t
-        if_unit_process(sums[t - 1], params, wide, fmt)
-        assert np.array_equal(membrane, wide), t
+        if_unit_process(sums[t - 1], wide)
+        assert np.array_equal(neurons.membrane, wide.membrane), t
 
 
 def test_only_a_layer_staging_bounds_the_neuron_params_and_they_keep_to_their_membrane():
     # for_layer takes U from the staged weights' sum bound and the bias;
-    # an object built directly has no bound, so it is checked and scanned
-    # as plain parameters are
+    # an object built directly has no bound, so its sums are checked and
+    # its membrane scanned every step; each object writes its own membrane
     params = _plain_params(2, 1.0, bias_real=-2.0)
     weights = dataflow.stage_weights(
         BinaryWeightTensor(np.zeros((2, 3, 1, 1), dtype=np.uint8)), False)
-    staged = dataflow.StagedNeuronParams.for_layer(params, weights, (2, 1, 2))
+    staged = StagedNeuronParams.for_layer(params, weights, (2, 1, 2))
     assert staged.peak == (3 << FMT.frac_bits) + Q(2.0)
     assert staged.membrane.dtype == np.int32 and not staged.membrane.any()
     x = np.array([[[1, 0]], [[0, 1]]])
-    plain = _membrane(2, 1, 2)
-    expected = if_unit_process(x, params, plain, FMT)
-    assert np.array_equal(if_unit_process(x, staged, staged.membrane, FMT), expected)
-    assert np.array_equal(staged.membrane, plain) and staged.steps == 1
-    with pytest.raises(ShapeError, match="^staged neuron parameters belong to another"):
-        if_unit_process(x, staged, _membrane(2, 1, 2), FMT)
+    plain = _neurons(params, 2, 1, 2)
+    expected = if_unit_process(x, plain)
+    assert np.array_equal(if_unit_process(x, staged), expected)
+    assert np.array_equal(staged.membrane, plain.membrane) and staged.steps == 1
     fmt = FixedPointFormat(30, 2)
     params = FoldedNeuronParams([fmt.raw_max], [fmt.raw_max], [False], fmt)
-    unbounded = dataflow.StagedNeuronParams(
-        params, np.full((1, 1, 1), fmt.raw_min, dtype=np.int32))
+    unbounded = StagedNeuronParams(params, np.full((1, 1, 1), fmt.raw_min, dtype=np.int32))
     assert unbounded.peak is None
     with pytest.raises(ShapeError, match=r"^conv output peak 268435466 leaves no int32"):
-        if_unit_process(np.full((1, 1, 1), 2**28 + 10), unbounded, unbounded.membrane, fmt)
+        if_unit_process(np.full((1, 1, 1), 2**28 + 10), unbounded)
     assert unbounded.membrane.tolist() == [[[fmt.raw_min]]]
 
 
@@ -870,16 +872,16 @@ def test_if_unit_refuses_a_sum_past_the_int32_room():
     # inside, which an int64 membrane takes and an int32 one is refused
     fmt = FixedPointFormat(30, 2)
     params = FoldedNeuronParams([fmt.raw_max], [fmt.raw_max], [False], fmt)
-    membrane = np.full((1, 1, 1), fmt.raw_min, dtype=np.int32)
+    neurons = StagedNeuronParams(params, np.full((1, 1, 1), fmt.raw_min, dtype=np.int32))
     x = np.full((1, 1, 1), 2**28 + 10)
     with pytest.raises(
         ShapeError, match=r"^conv output peak 268435466 leaves no int32 room in Fixed"
     ):
-        if_unit_process(x, params, membrane, fmt)
-    assert membrane.tolist() == [[[fmt.raw_min]]]
-    wide = membrane.astype(np.int64)
-    spikes = if_unit_process(x, params, wide, fmt)
-    assert spikes.tolist() == [[[0]]] and wide.tolist() == [[[41]]]
+        if_unit_process(x, neurons)
+    assert neurons.membrane.tolist() == [[[fmt.raw_min]]]
+    wide = StagedNeuronParams(params, neurons.membrane.astype(np.int64))
+    spikes = if_unit_process(x, wide)
+    assert spikes.tolist() == [[[0]]] and wide.membrane.tolist() == [[[41]]]
 
 
 # ---------------------------------------------------------------------------
@@ -1431,12 +1433,12 @@ def test_each_spiking_layer_reuses_one_product_buffer_and_returns_owned_sums(mon
 @pytest.mark.parametrize("total_bits, dtype", [(24, np.int32), (30, np.int32), (31, np.int64)])
 def test_run_network_membranes_are_int32_up_to_30_bits(monkeypatch, total_bits, dtype):
     cfg = HardwareConfig(total_bits=total_bits)
-    seen = set()
+    seen = []
     process = dataflow.if_unit_process
 
-    def spy(conv_out, params, potentials, fmt):
-        seen.add(potentials.dtype)
-        return process(conv_out, params, potentials, fmt)
+    def spy(conv_out, neurons):
+        seen.append(neurons)
+        return process(conv_out, neurons)
 
     monkeypatch.setattr(dataflow, "if_unit_process", spy)
     net = validate(parse_network("4Conv(encoding)-MP2-6Conv-5fc"), (1, 6, 6))
@@ -1444,7 +1446,11 @@ def test_run_network_membranes_are_int32_up_to_30_bits(monkeypatch, total_bits, 
     image = random_input((1, 6, 6), 3)
     engine = run_network(net, bundle.weights, bundle.params, image, 4, cfg)
     oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 4, cfg.fmt)
-    assert seen == {np.dtype(dtype)}
+    assert {neurons.membrane.dtype for neurons in seen} == {np.dtype(dtype)}
+    # configured once per layer: every step of a spiking layer gets the
+    # layer's one staged object
+    conv, fc = seen[0], seen[4]
+    assert seen == [conv] * 4 + [fc] * 4 and conv is not fc
     assert all(a == b for a, b in zip(engine.layer_trains, oracle.layer_trains))
 
 

@@ -1,6 +1,8 @@
 """Module boundaries of the package, read from its import statements."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import vecspike
 import vecspike.pipeline as pipeline
 
 PACKAGE = Path(vecspike.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 WHOLE_MODULE = "*"
 
 
@@ -92,3 +95,23 @@ def test_package_exports_no_name_of_the_register_level_model():
     }
     assert {"stream_conv_columns", "pe_multiply", "GroupAccumulator"} <= own
     assert not own & (set(vecspike.__all__) | set(vars(vecspike)))
+
+
+def test_every_module_qualified_name_the_readme_cites_resolves():
+    # `memmodel.compute_layers(net)` and `vecspike.dataflow.GemmWeights`
+    # each cite a module attribute; a renamed or deleted one fails here
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    cited = set(re.findall(
+        r"`(?:vecspike\.)?((?:%s)(?:\.\w+)+)(?:\([^`]*\))?`" % "|".join(modules),
+        README.read_text(),
+    ))
+    assert cited
+    missing = []
+    for name in sorted(cited):
+        module, *attrs = name.split(".")
+        value = importlib.import_module(f"vecspike.{module}")
+        for attr in attrs:
+            value = getattr(value, attr, None)
+        if value is None:
+            missing.append(name)
+    assert not missing, f"README.md cites names that do not resolve: {missing}"

@@ -26,8 +26,6 @@ from vecspike.memmodel import (
     pingpong_schedule,
     plan_fusion,
     simulate_traffic,
-    spike_map_bytes,
-    weight_bytes,
 )
 from vecspike.netconfig import (
     PRESETS,
@@ -45,25 +43,36 @@ CFG = HardwareConfig()
 # byte accounting
 # ---------------------------------------------------------------------------
 
+def _table(text, input_shape):
+    return compute_layers(validate(parse_network(text), input_shape))
+
+
 def test_spike_map_bytes():
-    assert spike_map_bytes(1, 1, 8, 1) == 1
-    assert spike_map_bytes(128, 32, 32, 8) == 131072
-    assert spike_map_bytes(10, 1, 1, 8) == 16  # ceil(10/8) = 2 per step
+    # map_bytes is one step of the bit-packed map a layer hands on
+    (layer,) = _table("1Conv(encoding)", (1, 1, 8))
+    assert layer.map_bytes == 1
+    (layer,) = _table("128Conv(encoding)", (1, 32, 32))
+    assert 8 * layer.map_bytes == 131072
+    _, layer = _table("1Conv(encoding)-10fc", (1, 1, 1))
+    assert 8 * layer.map_bytes == 16  # ceil(10/8) = 2 per step
 
 
 def test_weight_bytes():
-    assert weight_bytes(1, 1, 1, 1, param_bytes=3) == 1 + 6
-    assert weight_bytes(64, 64, 3, 3, param_bytes=3) == 4608 + 64 * 6
+    _, layer = _table("1Conv(encoding)-1fc", (1, 1, 1))
+    assert layer.weight_bytes(param_bytes=3) == 1 + 6
+    _, layer = _table("64Conv(encoding)-64Conv", (1, 3, 3))
+    assert layer.weight_bytes(param_bytes=3) == 4608 + 64 * 6
 
 
 HUGE = 2**60 + 1  # a float ceiling of HUGE / 8 drops the + 1
 
 
 def test_byte_counts_are_exact_past_float_precision():
-    assert spike_map_bytes(HUGE, 1, 1, 1) == 2**57 + 1
-    assert spike_map_bytes(HUGE, 4, 4, 3) == 3 * (2**61 + 2)
-    assert weight_bytes(HUGE, 1, 3, 3, param_bytes=3) == 9 * 2**57 + 2 + 6 * HUGE
-    assert weight_bytes(10, 16 * HUGE, 1, 1, param_bytes=3) == 20 * HUGE + 60
+    conv, fc = _table(f"{HUGE}Conv(encoding)-10fc", (1, 4, 4))
+    assert conv.map_bytes == 2**61 + 2  # 16 * HUGE bits per step
+    assert conv.weight_bytes(param_bytes=3) == 9 * 2**57 + 2 + 6 * HUGE
+    # the fc layer takes the flattened 16 * HUGE inputs
+    assert fc.weight_bytes(param_bytes=3) == 20 * HUGE + 60
 
 
 def test_the_table_and_the_trace_count_huge_layers_exactly():
@@ -179,9 +188,9 @@ def test_single_layer_totals():
     net = validate(parse_network("4Conv(encoding)"), (1, 6, 6))
     ledger = simulate_traffic(net, FusionPlan.unfused(1), 8, CFG)
     rec = ledger.records[0]
-    assert rec.weight_bytes_read == weight_bytes(4, 1, 3, 3, CFG.param_bytes)
+    assert rec.weight_bytes_read == 5 + 2 * 4 * CFG.param_bytes  # ceil(36/8) signs
     assert rec.input_spike_bytes_read == 36  # 8-bit image, read once
-    assert rec.output_spike_bytes_written == spike_map_bytes(4, 6, 6, 8)
+    assert rec.output_spike_bytes_written == 8 * 18  # 4*6*6 bits, 8 steps
     assert ledger.total_bytes == rec.total
 
 
@@ -189,7 +198,7 @@ def test_fused_pair_saving_is_twice_the_intermediate():
     net = validate(parse_network("4Conv(encoding)-4Conv"), (1, 6, 6))
     unfused = simulate_traffic(net, FusionPlan.unfused(2), 8, CFG)
     fused = simulate_traffic(net, FusionPlan([(0, 1)]), 8, CFG)
-    intermediate = spike_map_bytes(4, 6, 6, 8)
+    intermediate = 8 * 18  # 4*6*6 bits, 8 steps
     assert unfused.total_bytes - fused.total_bytes == 2 * intermediate
     assert fusion_savings(net, FusionPlan([(0, 1)]), 8) == 2 * intermediate
     # fused boundary: no write from the producer, no read by the consumer
