@@ -31,6 +31,7 @@ from .dataflow import (
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
+    stage_weights,
 )
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from .memmodel import (
@@ -84,5 +85,6 @@ __all__ = [
     "schedule_encoding_layer",
     "simulate_traffic",
     "spikes_eq3_oracle",
+    "stage_weights",
     "validate",
 ]

@@ -33,9 +33,10 @@ cin * kh * kw`` for a spiking layer, ``255 * taps`` for the encoding
 layer.  So :func:`stage_weights` makes every choice once per layer, when
 the weight SRAM is loaded: the GEMM runs in float32 while that bound is
 below 2**24, else in float64, exact below 2**53, which even the encoding
-layer would need 3.5e13 taps to reach.  ``run_network`` stages each weighted layer once
-(:class:`GemmWeights`, the same for every config) and every step's call
-multiplies that one operand.
+layer would need 3.5e13 taps to reach.  Both schedules take the
+:class:`GemmWeights` that :func:`stage_weights` makes once per layer (the
+same for every config); ``run_network`` stages each weighted layer so, and
+every step's call multiplies that one operand.
 
 A spike sum uses at most 12 of float32's 24 exact bits, so, with ``lane
 = 2*taps + 1``, a spiking layer with an even ``cout`` is staged on packed
@@ -173,8 +174,9 @@ class GemmWeights:
     ``2**k``.  The operand is the same for every config: channel groups
     and row tiles are passes of the cycle model, not of this product.  The
     weight SRAM holds a layer's weights for all of its time steps, and so
-    does this: :func:`run_network` stages each weighted layer once and
-    passes the result as the ``weights`` of every step's schedule call.
+    does this: :func:`stage_weights` makes it once per layer, and every
+    step's schedule call takes it, and only it, as its ``weights``;
+    :func:`run_network` stages each weighted layer so.
     ``bound`` is the layer's sum bound, ``taps = cin*kh*kw`` or ``255 *
     taps`` for the encoding layer: no step's sum exceeds it in magnitude.
     The layer's GEMM workspace lives here too (:meth:`workspace`), one
@@ -304,12 +306,12 @@ def _peak(x: np.ndarray) -> int:
     return peak if x.dtype.kind in "bu" else max(peak, -int(x.min(initial=0)))
 
 
-def _step_input(x, weights, encoding: bool) -> tuple[np.ndarray, GemmWeights]:
-    """The checked step map and the staged weights of one schedule call.
+def _step_input(x, weights: GemmWeights, encoding: bool) -> np.ndarray:
+    """The checked step map of one schedule call.
 
     The map must be [C][H][W] integers with the weights' ``C``, each 0 or
-    1 for a spiking layer and in [0, 255] for the ``encoding`` layer; a
-    tensor is staged here, and staged weights must be of this layer kind.
+    1 for a spiking layer and in [0, 255] for the ``encoding`` layer, and
+    the weights must be staged for this layer kind.
     """
     x = np.asarray(x)
     if x.ndim != 3:
@@ -323,38 +325,28 @@ def _step_input(x, weights, encoding: bool) -> tuple[np.ndarray, GemmWeights]:
     kind, high = ("encoding", 255) if encoding else ("spike", 1)
     if x.size and ((x.dtype.kind == "i" and x.min() < 0) or x.max() > high):
         raise InvalidParameterError(f"{kind} input values must be in [0, {high}]")
-    if isinstance(weights, BinaryWeightTensor):
-        weights = stage_weights(weights, encoding)
-    elif weights.encoding != encoding:
+    if weights.encoding != encoding:
         raise InvalidParameterError("weights staged for the other layer kind")
-    return x, weights
+    return x
 
 
-def schedule_conv_layer(
-    x,
-    weights: BinaryWeightTensor | GemmWeights,
-    cfg: HardwareConfig,
-) -> np.ndarray:
+def schedule_conv_layer(x, weights: GemmWeights, cfg: HardwareConfig) -> np.ndarray:
     """Run one spiking-layer convolution step through the datapath model.
 
     ``x`` is a single time step's spike map [Cin][H][W], already zero
     padded (padding is materialized by the network config, never inside
     the schedule), of a bool or integer dtype with every value 0 or 1;
-    any other raises ``InvalidParameterError``.  ``weights`` is the layer's
-    tensor, or the :class:`GemmWeights` staged from it for a spiking layer.
+    any other raises ``InvalidParameterError``.  ``weights`` is the
+    layer's :class:`GemmWeights`, staged once by :func:`stage_weights` for
+    a spiking layer.
     Returns the [Cout][H_out][W_out] sums, equal to the dense reference
     convolution: int32 when the layer's GEMM runs in float32, else int64.
     Cycles come from :func:`vecspike.geometry.layer_accounting`.
     """
-    x, staged = _step_input(x, weights, encoding=False)
-    return _run_schedule(x, staged, cfg)
+    return _run_schedule(_step_input(x, weights, encoding=False), weights, cfg)
 
 
-def schedule_encoding_layer(
-    x,
-    weights: BinaryWeightTensor | GemmWeights,
-    cfg: HardwareConfig,
-) -> np.ndarray:
+def schedule_encoding_layer(x, weights: GemmWeights, cfg: HardwareConfig) -> np.ndarray:
     """Run the multi-bit encoding convolution through the datapath model.
 
     ``x`` holds 8-bit pixels, integers in [0, 255].  Each input channel
@@ -362,12 +354,11 @@ def schedule_encoding_layer(
     the first accumulator stage shifts each block's sums by its bitplane
     index before the cross-block tree, so the returned [Cout][H_out][W_out]
     sums equal the integer convolution of the 8-bit input exactly.
-    ``weights`` is the tensor or its :class:`GemmWeights` staged for the
-    encoding layer, and the result dtype is as for
-    :func:`schedule_conv_layer`.
+    ``weights`` is the layer's :class:`GemmWeights`, staged once by
+    :func:`stage_weights` for the encoding layer, and the result dtype is
+    as for :func:`schedule_conv_layer`.
     """
-    x, staged = _step_input(x, weights, encoding=True)
-    return _run_schedule(x, staged, cfg)
+    return _run_schedule(_step_input(x, weights, encoding=True), weights, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +380,8 @@ class StagedNeuronParams:
     """A layer's :class:`FoldedNeuronParams`, staged once with its membrane:
     the ``neurons`` of every ``if_unit_process(conv_out, neurons)`` call.
 
-    ``membrane`` is the layer's potentials, int32 or int64 with the
-    parameters' channels, else ``ShapeError`` before any write; only
+    ``membrane`` is the layer's [C][H][W] potentials, int32 or int64 with
+    the parameters' channels, else ``ShapeError`` before any write; only
     :func:`if_unit_process` calls with this object write it, one call per
     time step.  The parameters are cast once to its dtype: ``bias`` and
     ``threshold`` are [C][1][1], the threshold raised by one on flipped
@@ -418,7 +409,9 @@ class StagedNeuronParams:
         p, dtype, shape = self.params, self.membrane.dtype, self.membrane.shape
         if dtype not in (np.int32, np.int64):
             raise ShapeError(f"membrane must be int32 or int64, got {dtype}")
-        if shape[:1] != (p.channels,):
+        if len(shape) != 3:
+            raise ShapeError(f"membrane must be [C][H][W], got {shape}")
+        if shape[0] != p.channels:
             raise ShapeError(f"{p.channels} parameter channels for membrane {shape}")
         self.bias = p.bias_raw.astype(dtype)[:, None, None]
         self.threshold = (p.threshold_raw + p.flipped).astype(dtype)[:, None, None]

@@ -5,11 +5,14 @@ Run from anywhere inside the repository:
     python3 tests/ab_bench.py --against HEAD~1 --workload traffic_sweep \
         --pairs 10 --seconds 15 --seed 7001
 
-``REV`` is unpacked with ``git archive`` into a temporary directory, which
-is removed at the end.  Pair ``i`` runs ``perfbench/run.py --workload W
---seed SEED+i --seconds S`` once in each tree, each in its own process
-with ``PYTHONDONTWRITEBYTECODE=1`` so that both compile their sources
-alike; even pairs run the revision first, odd pairs the working tree.
+Both sides run from snapshots under one temporary directory, which is
+removed at the end: ``REV`` unpacked with ``git archive``, and the working
+tree copied file by file (:func:`snapshot`), so that neither side reads
+its sources from another place than the other.  Pair ``i`` runs
+``perfbench/run.py --workload W --seed SEED+i --seconds S`` once in each
+tree, each in its own process with ``PYTHONDONTWRITEBYTECODE=1`` so that
+both compile their sources alike; even pairs run the revision first, odd
+pairs the working tree.
 Every pair is printed, then, for each end-to-end metric that
 ``BENCHMARK.json`` lists, each side's median and quartiles, the pairs
 the working tree won (ties count for neither side) and one verdict,
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +59,21 @@ def unpack(rev: str, into: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def snapshot(into: Path) -> None:
+    """Copy the working tree's files under ``into``: every file that ``git
+    ls-files --cached --others --exclude-standard`` lists, so uncommitted
+    edits and untracked files are kept and ignored ones are left out."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted from the tree is skipped
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -114,9 +133,11 @@ def main(argv=None) -> int:
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     ok = True
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
-        base_tree = Path(tmp)
-        unpack(args.against, base_tree)
-        trees = {"base": base_tree, "head": ROOT}
+        trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
+        for tree in trees.values():
+            tree.mkdir()
+        unpack(args.against, trees["base"])
+        snapshot(trees["head"])
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")

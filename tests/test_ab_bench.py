@@ -1,7 +1,11 @@
-"""The verdict rule of ``tests/ab_bench.py`` on hand-made paired series."""
+"""The verdict rule of ``tests/ab_bench.py`` on hand-made paired series,
+and the two trees it runs."""
+
+import subprocess
 
 import pytest
 
+import ab_bench
 from ab_bench import verdict
 
 # median 100, quartiles 99 and 101: an interquartile spread of 2
@@ -55,3 +59,35 @@ def test_a_spread_wider_than_the_bound_leaves_the_verdict_unresolved():
     assert verdict(base, [150] * 10, True, 0.2) == "unresolved"
     # and a gain is a gain: every pair won, by more than the spread
     assert verdict(base, [v + 56 for v in base], True, 0.2) == "gain"
+
+
+def test_both_trees_are_snapshots_and_the_head_keeps_uncommitted_files(
+    tmp_path, monkeypatch
+):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "tracked.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("-c", "user.name=ab", "-c", "user.email=ab@example.com",
+        "commit", "-q", "-m", "base")
+    (repo / "pkg" / "tracked.py").write_text("edited\n")
+    (repo / "pkg" / "untracked.py").write_text("new\n")
+    (repo / "ignored.txt").write_text("build output\n")
+    monkeypatch.setattr(ab_bench, "ROOT", repo)
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir()
+    head.mkdir()
+    ab_bench.unpack("HEAD", base)
+    ab_bench.snapshot(head)
+    assert (base / "pkg" / "tracked.py").read_text() == "committed\n"
+    assert not (base / "pkg" / "untracked.py").exists()
+    assert (head / "pkg" / "tracked.py").read_text() == "edited\n"
+    assert (head / "pkg" / "untracked.py").read_text() == "new\n"
+    assert (head / ".gitignore").is_file()
+    assert not (head / "ignored.txt").exists()

@@ -26,6 +26,7 @@ from vecspike.dataflow import (
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
+    stage_weights,
 )
 from vecspike.fixedpoint import DEFAULT_FORMAT
 from vecspike.geometry import conv_layer_report
@@ -145,7 +146,8 @@ def test_criterion_3_column_schedule_fixture():
     for emission in stream.emissions:
         assert emission.raw_column.shape == (7,), "columns are 7 tall pre-stitching"
     assert np.array_equal(stream.output, conv2d_oracle(x, weights))
-    assert np.array_equal(schedule_conv_layer(x, weights, cfg), stream.output)
+    staged = stage_weights(weights, False)
+    assert np.array_equal(schedule_conv_layer(x, staged, cfg), stream.output)
     report = conv_layer_report(1, 1, 5, 5, 3, 3, cfg)
     assert report.steady_cycles == 3
     assert report.warmup_cycles == 2
@@ -167,7 +169,7 @@ def test_criterion_4_peak_throughput_and_utilization():
     weights = BinaryWeightTensor(
         rng.integers(0, 2, (128, 128, 3, 3), dtype=np.uint8)
     )
-    scheduled = schedule_conv_layer(x, weights, CFG)
+    scheduled = schedule_conv_layer(x, stage_weights(weights, False), CFG)
     assert np.array_equal(scheduled, conv2d_oracle(x, weights))
     _announce(
         4,
@@ -234,7 +236,7 @@ def test_criterion_6_bitplane_identity():
         weights = BinaryWeightTensor(
             rng.integers(0, 2, (cout, 3, 3, 3), dtype=np.uint8)
         )
-        out = schedule_encoding_layer(x, weights, CFG)
+        out = schedule_encoding_layer(x, stage_weights(weights, True), CFG)
         assert np.array_equal(out, conv2d_oracle(x, weights)), (
             f"case {case} diverged"
         )
@@ -257,7 +259,7 @@ def test_criterion_7_tile_and_group_equivalence():
         weights = BinaryWeightTensor(
             rng.integers(0, 2, (cout, cin, 3, 3), dtype=np.uint8)
         )
-        out = schedule_conv_layer(x, weights, CFG)
+        out = schedule_conv_layer(x, stage_weights(weights, False), CFG)
         assert np.array_equal(out, conv2d_oracle(x, weights)), (
             f"tiling case {case} diverged"
         )
@@ -275,7 +277,7 @@ def test_criterion_7_tile_and_group_equivalence():
         weights = BinaryWeightTensor(
             rng.integers(0, 2, (cout, cin, 3, 3), dtype=np.uint8)
         )
-        out = schedule_conv_layer(x, weights, CFG)
+        out = schedule_conv_layer(x, stage_weights(weights, False), CFG)
         assert np.array_equal(out, conv2d_oracle(x, weights)), (
             f"grouping case {case} diverged"
         )

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from vecspike.dataflow import (
     run_network,
     schedule_conv_layer,
     schedule_encoding_layer,
+    stage_weights,
 )
 from vecspike.errors import (
     ConfigError,
@@ -56,6 +58,7 @@ from vecspike.pipeline import stream_conv_columns
 FMT = DEFAULT_FORMAT
 Q = FMT.quantize
 CFG = HardwareConfig()
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _random_case(rng, cin, h, w, cout, k=3):
@@ -71,7 +74,7 @@ def _random_case(rng, cin, h, w, cout, k=3):
 def test_single_pe_single_cycle():
     x = np.ones((1, 1, 1), dtype=np.uint8)
     w = BinaryWeightTensor(np.ones((1, 1, 1, 1), dtype=np.uint8))  # weight -1
-    assert schedule_conv_layer(x, w, CFG).tolist() == [[[-1]]]
+    assert schedule_conv_layer(x, stage_weights(w, False), CFG).tolist() == [[[-1]]]
     report = conv_layer_report(1, 1, 1, 1, 1, 1, CFG)
     assert report.total_cycles == 1
     assert report.warmup_cycles == 0
@@ -83,7 +86,7 @@ def test_schedule_matches_oracle_basic(rng):
         cout = int(rng.integers(1, 8))
         h, w = int(rng.integers(3, 10)), int(rng.integers(3, 10))
         x, weights = _random_case(rng, cin, h, w, cout)
-        out = schedule_conv_layer(x, weights, CFG)
+        out = schedule_conv_layer(x, stage_weights(weights, False), CFG)
         assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
@@ -91,7 +94,7 @@ def test_schedule_tiling_matches_untiled_oracle(rng):
     # heights beyond the 8-row array force multi-tile stitching
     for h in (9, 16, 17, 24, 32):
         x, weights = _random_case(rng, 3, h, 6, 4)
-        out = schedule_conv_layer(x, weights, CFG)
+        out = schedule_conv_layer(x, stage_weights(weights, False), CFG)
         assert np.array_equal(out, conv2d_oracle(x, weights))
         deposits, consumes, peak_rows = stitching_ledger(h, 3, CFG.array_rows, 1)
         assert deposits == consumes
@@ -103,7 +106,7 @@ def test_schedule_grouping_matches_ungrouped_oracle(rng):
     # channel counts beyond the 32-wide group force sequential group passes
     for cin in (33, 64, 100, 128):
         x, weights = _random_case(rng, cin, 6, 6, 3)
-        out = schedule_conv_layer(x, weights, CFG)
+        out = schedule_conv_layer(x, stage_weights(weights, False), CFG)
         assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
@@ -116,8 +119,8 @@ def test_schedule_boundary_rows_count():
 
 def test_schedule_rejects_oversized_kernels():
     x = np.zeros((1, 8, 8), dtype=np.uint8)
-    wide = BinaryWeightTensor(np.zeros((1, 1, 3, 4), dtype=np.uint8))
-    tall = BinaryWeightTensor(np.zeros((1, 1, 4, 3), dtype=np.uint8))
+    wide = stage_weights(BinaryWeightTensor(np.zeros((1, 1, 3, 4), dtype=np.uint8)), False)
+    tall = stage_weights(BinaryWeightTensor(np.zeros((1, 1, 4, 3), dtype=np.uint8)), False)
     with pytest.raises(ConfigError):
         schedule_conv_layer(x, wide, CFG)
     with pytest.raises(ConfigError):
@@ -161,13 +164,14 @@ def test_schedules_equal_oracle_across_geometry(geometry, encoding):
     assume(cfg.pe_blocks >= 8 or not encoding)  # a pixel's 8 bitplanes need 8 blocks
     rng = np.random.default_rng(seed)
     weights = BinaryWeightTensor(rng.integers(0, 2, (cout, cin, kh, kw), dtype=np.uint8))
+    staged = stage_weights(weights, encoding)
     if encoding:
         x = rng.integers(0, 256, (cin, h, w))
-        out = schedule_encoding_layer(x, weights, cfg)
+        out = schedule_encoding_layer(x, staged, cfg)
         group = cfg.encoding_channels_per_pass
     else:
         x = rng.integers(0, 2, (cin, h, w))
-        out = schedule_conv_layer(x, weights, cfg)
+        out = schedule_conv_layer(x, staged, cfg)
         group = cfg.group_size
     assert np.array_equal(out, conv2d_oracle(x, weights))
     # weights staged once serve every later call, under any config: nothing
@@ -176,7 +180,6 @@ def test_schedules_equal_oracle_across_geometry(geometry, encoding):
         (schedule_encoding_layer, schedule_conv_layer) if encoding
         else (schedule_conv_layer, schedule_encoding_layer)
     )
-    staged = dataflow.stage_weights(weights, encoding)
     for step in (x[:, ::-1], x):
         for step_cfg in (cfg, HardwareConfig()):
             assert np.array_equal(
@@ -223,7 +226,8 @@ def test_one_tile_kernel_call_per_row_tile(rng, monkeypatch, schedule, cin, high
     seen = _record_gemm_dtypes(monkeypatch)
     x = rng.integers(0, high, (cin, 17, 5))
     weights = BinaryWeightTensor(rng.integers(0, 2, (4, cin, 3, 3), dtype=np.uint8))
-    assert np.array_equal(schedule(x, weights, CFG), conv2d_oracle(x, weights))
+    staged = stage_weights(weights, schedule is schedule_encoding_layer)
+    assert np.array_equal(schedule(x, staged, CFG), conv2d_oracle(x, weights))
     assert len(seen) == 1
 
 
@@ -236,7 +240,7 @@ def test_whole_map_stitch_equals_brute_force(rng, kh, cout):
     for h in (kh, kh + 1, 9, 13):
         x = rng.integers(0, 2, (5, h, 4))
         weights = BinaryWeightTensor(rng.integers(0, 2, (cout, 5, kh, 2), dtype=np.uint8))
-        out = schedule_conv_layer(x, weights, cfg)
+        out = schedule_conv_layer(x, stage_weights(weights, False), cfg)
         assert out.shape == (cout, h - kh + 1, 3)
         assert np.array_equal(out, brute_conv2d(x, weights.values()))
 
@@ -261,7 +265,7 @@ def test_schedule_sums_are_int32_from_float32_gemms_else_int64(
     x[0, 0, 0] = 255 if case == "encoding" else 1
     weights = BinaryWeightTensor(rng.integers(0, 2, (cout, 3, 3, 3), dtype=np.uint8))
     schedule = schedule_encoding_layer if case == "encoding" else schedule_conv_layer
-    out = schedule(x, weights, CFG)
+    out = schedule(x, stage_weights(weights, case == "encoding"), CFG)
     assert out.dtype == np.dtype(dtype)
     assert np.array_equal(out, brute_conv2d(x, weights.values()))
 
@@ -270,7 +274,7 @@ def test_schedule_sums_are_int32_from_float32_gemms_else_int64(
 def test_zero_input_channels_give_zero_sums(schedule):
     x = np.zeros((0, 9, 5), dtype=np.uint8)
     weights = BinaryWeightTensor(np.zeros((3, 0, 3, 3), dtype=np.uint8))
-    out = schedule(x, weights, CFG)
+    out = schedule(x, stage_weights(weights, schedule is schedule_encoding_layer), CFG)
     assert out.shape == (3, 7, 3)
     assert np.array_equal(out, conv2d_oracle(x, weights))
 
@@ -278,9 +282,32 @@ def test_zero_input_channels_give_zero_sums(schedule):
 def test_schedules_reject_batched_input():
     w = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))
     with pytest.raises(ShapeError):
-        schedule_conv_layer(np.zeros((2, 1, 3, 3), dtype=np.uint8), w, CFG)
+        schedule_conv_layer(
+            np.zeros((2, 1, 3, 3), dtype=np.uint8), stage_weights(w, False), CFG)
     with pytest.raises(ShapeError):
-        schedule_encoding_layer(np.zeros((2, 1, 3, 3), dtype=np.uint8), w, CFG)
+        schedule_encoding_layer(
+            np.zeros((2, 1, 3, 3), dtype=np.uint8), stage_weights(w, True), CFG)
+
+
+@pytest.mark.parametrize(
+    "schedule, encoding",
+    [(schedule_encoding_layer, False), (schedule_conv_layer, True)],
+    ids=["spiking-staged", "encoding-staged"],
+)
+def test_schedules_refuse_weights_staged_for_the_other_layer_kind(
+    rng, monkeypatch, schedule, encoding
+):
+    # a 0/1 map of the weights' channels is valid input for either kind, so
+    # only the layer kind the operand was staged for is refused, before any
+    # product
+    weights = BinaryWeightTensor(rng.integers(0, 2, (2, 3, 3, 3), dtype=np.uint8))
+    staged = stage_weights(weights, encoding)
+    seen = _record_gemm_dtypes(monkeypatch)
+    with pytest.raises(
+        InvalidParameterError, match="^weights staged for the other layer kind$"
+    ):
+        schedule(rng.integers(0, 2, (3, 5, 5)), staged, CFG)
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +352,10 @@ def test_convolution_refuses_a_bound_int64_cannot_hold(engine):
     weights = BinaryWeightTensor(np.zeros((1, 2, 1, 1), dtype=np.uint8))  # +1
     if engine:
         # the engine takes spikes only: no such sum reaches its GEMM
+        staged = stage_weights(weights, False)
         for value in (2**62 - 1, 2**62):
             with pytest.raises(InvalidParameterError, match=r"must be in \[0, 1\]$"):
-                schedule_conv_layer(np.full((2, 1, 1), value), weights, CFG)
+                schedule_conv_layer(np.full((2, 1, 1), value), staged, CFG)
         return
     # the largest bound that passes, 2 * (2**62 - 1), is summed exactly
     assert conv2d_oracle(np.full((2, 1, 1), 2**62 - 1), weights).tolist() == [[[2**63 - 2]]]
@@ -339,8 +367,8 @@ def test_convolution_refuses_a_bound_int64_cannot_hold(engine):
 @pytest.mark.parametrize(
     "conv",
     [
-        lambda x, w: schedule_conv_layer(x, w, CFG),
-        lambda x, w: schedule_encoding_layer(x, w, CFG),
+        lambda x, w: schedule_conv_layer(x, stage_weights(w, False), CFG),
+        lambda x, w: schedule_encoding_layer(x, stage_weights(w, True), CFG),
         conv2d_oracle,
     ],
     ids=["conv", "encoding", "oracle"],
@@ -375,12 +403,13 @@ def test_lowered_limits_run_each_gemm_path_exactly(rng, monkeypatch, limits, dty
     seen = _record_gemm_dtypes(monkeypatch)
     x, weights = _random_case(rng, 40, 11, 6, 3)
     assert np.array_equal(
-        schedule_conv_layer(x, weights, CFG), brute_conv2d(x, weights.values())
+        schedule_conv_layer(x, stage_weights(weights, False), CFG),
+        brute_conv2d(x, weights.values()),
     )
     pixels = rng.integers(0, 256, (5, 10, 6))
     enc_weights = BinaryWeightTensor(weights.sign_bits[:, :5])
     assert np.array_equal(
-        schedule_encoding_layer(pixels, enc_weights, CFG),
+        schedule_encoding_layer(pixels, stage_weights(enc_weights, True), CFG),
         brute_conv2d(pixels, enc_weights.values()),
     )
     assert seen and set(seen) == {np.dtype(dtype)}
@@ -408,7 +437,7 @@ def test_layer_bound_not_group_bound_picks_the_gemm_dtype(
     signs = rng.integers(0, 2, (2, cin, 3, 3), dtype=np.uint8)
     signs[0] = 0
     weights = BinaryWeightTensor(signs)
-    out = schedule(x, weights, CFG)
+    out = schedule(x, stage_weights(weights, schedule is schedule_encoding_layer), CFG)
     assert out[0, 0, 0] == x_max * cin * 9 - 1 >= limit
     assert np.array_equal(out, brute_conv2d(x, weights.values()))
     assert set(seen) == {np.dtype(np.float64)}
@@ -464,7 +493,7 @@ def test_packed_lanes_hold_their_extremes_exactly(monkeypatch):
     signs = np.zeros((4, cin, 3, 3), dtype=np.uint8)
     signs[1:3] = 1  # +1, -1, -1, +1: lanes (0, 2) and (1, 3) are opposite
     out = schedule_conv_layer(np.ones((cin, h, w), dtype=np.uint8),
-                              BinaryWeightTensor(signs), CFG)
+                              stage_weights(BinaryWeightTensor(signs), False), CFG)
     expected = np.array([taps, -taps, -taps, taps])[:, None, None]
     assert np.array_equal(out, np.broadcast_to(expected, (4, h - 2, w - 2)))
     assert seen == [2]
@@ -501,7 +530,7 @@ def test_packed_schedule_equals_brute_force(geometry):
     x = rng.integers(0, 2, (cin, h, w))
     with pytest.MonkeyPatch.context() as patch:
         rows = _record_gemm_rows(patch)
-        out = schedule_conv_layer(x, weights, cfg)
+        out = schedule_conv_layer(x, stage_weights(weights, False), cfg)
     assert np.array_equal(out, brute_conv2d(x, weights.values()))
     assert set(rows) == {half}
 
@@ -512,7 +541,8 @@ def test_packed_schedule_equals_brute_force(geometry):
 
 def test_encoding_zero_input():
     w = BinaryWeightTensor(np.zeros((2, 1, 3, 3), dtype=np.uint8))
-    out = schedule_encoding_layer(np.zeros((1, 5, 5), dtype=np.uint8), w, CFG)
+    out = schedule_encoding_layer(
+        np.zeros((1, 5, 5), dtype=np.uint8), stage_weights(w, True), CFG)
     assert not out.any()
 
 
@@ -520,7 +550,7 @@ def test_encoding_bitplane_recomposition():
     # pixel value 5 = bits 0 and 2, +1 weight: shift-add recovers 5
     w = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))
     x = np.array([[[5]]], dtype=np.uint8)
-    assert schedule_encoding_layer(x, w, CFG).tolist() == [[[5]]]
+    assert schedule_encoding_layer(x, stage_weights(w, True), CFG).tolist() == [[[5]]]
 
 
 def test_encoding_matches_integer_oracle(rng):
@@ -528,7 +558,7 @@ def test_encoding_matches_integer_oracle(rng):
         h, w = int(rng.integers(3, 12)), int(rng.integers(3, 12))
         x = rng.integers(0, 256, (3, h, w), dtype=np.uint8)
         weights = BinaryWeightTensor(rng.integers(0, 2, (4, 3, 3, 3), dtype=np.uint8))
-        out = schedule_encoding_layer(x, weights, CFG)
+        out = schedule_encoding_layer(x, stage_weights(weights, True), CFG)
         assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
@@ -536,12 +566,12 @@ def test_encoding_grouping_beyond_block_budget(rng):
     # more than pe_blocks/8 input channels forces grouped passes
     x = rng.integers(0, 256, (6, 5, 5), dtype=np.int64)
     weights = BinaryWeightTensor(rng.integers(0, 2, (2, 6, 3, 3), dtype=np.uint8))
-    out = schedule_encoding_layer(x, weights, CFG)
+    out = schedule_encoding_layer(x, stage_weights(weights, True), CFG)
     assert np.array_equal(out, conv2d_oracle(x, weights))
 
 
 def test_encoding_rejects_out_of_range_values():
-    w = BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))
+    w = stage_weights(BinaryWeightTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8)), True)
     for value in (256, -1):
         with pytest.raises(InvalidParameterError, match=r"must be in \[0, 255\]$"):
             schedule_encoding_layer(np.array([[[value]]]), w, CFG)
@@ -571,7 +601,7 @@ def test_column_stream_matches_schedule_and_oracle(rng):
         w = int(rng.integers(3, 9))
         x, weights = _random_case(rng, cin, h, w, cout)
         stream = stream_conv_columns(x, weights, CFG)
-        sched = schedule_conv_layer(x, weights, CFG)
+        sched = schedule_conv_layer(x, stage_weights(weights, False), CFG)
         assert np.array_equal(stream.output, sched)
         assert np.array_equal(stream.output, conv2d_oracle(x, weights))
 
@@ -615,9 +645,11 @@ def test_column_stream_refuses_inputs_other_than_spikes(value):
     # a uint8 cast would stream 256 as 0 and 257 as 1, and a pixel check
     # would pass 2; the engine refuses what the register-level model refuses
     w = BinaryWeightTensor(np.zeros((1, 1, 3, 3), dtype=np.uint8))
-    for conv in (stream_conv_columns, schedule_conv_layer):
+    for conv, weights in (
+        (stream_conv_columns, w), (schedule_conv_layer, stage_weights(w, False))
+    ):
         with pytest.raises(InvalidParameterError):
-            conv(np.full((1, 3, 3), value), w, CFG)
+            conv(np.full((1, 3, 3), value), weights, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +718,11 @@ def test_if_unit_shape_mismatch_and_overflow():
     with pytest.raises(ShapeError, match=r"^1 parameter channels for membrane \(2, 1, 1\)"):
         StagedNeuronParams(params, membrane)
     assert membrane.tolist() == [[[7]], [[7]]]
+    # so is a membrane that is not [C][H][W], which the [C][1][1] bias
+    # would otherwise meet inside numpy on the first call
+    flat = np.zeros((1, 2), np.int64)
+    with pytest.raises(ShapeError, match=r"^membrane must be \[C\]\[H\]\[W\], got \(1, 2\)$"):
+        StagedNeuronParams(FoldedNeuronParams([0], [256], [False]), flat)
 
 
 @pytest.mark.parametrize("conv_sum", [1.9, 0.9])
@@ -1221,7 +1258,8 @@ def test_no_gemm_operand_holds_a_halo_row(
     x = rng.integers(0, high, (cin, h, w))
     cout, (kh, kw) = 4, kernel
     weights = BinaryWeightTensor(rng.integers(0, 2, (cout, cin, kh, kw), dtype=np.uint8))
-    assert np.array_equal(schedule(x, weights, CFG), conv2d_oracle(x, weights))
+    staged = stage_weights(weights, schedule is schedule_encoding_layer)
+    assert np.array_equal(schedule(x, staged, CFG), conv2d_oracle(x, weights))
     assert len(tiles) == 1
     rows = tiles[0]
     if schedule is schedule_encoding_layer:
@@ -1229,6 +1267,38 @@ def test_no_gemm_operand_holds_a_halo_row(
     assert np.array_equal(rows, x)
     planes, lanes = (8, cout) if schedule is schedule_encoding_layer else (1, cout // 2)
     assert flops == 2 * kh * kw * lanes * cin * h * (w - kw + 1) * planes
+
+
+def test_readme_states_the_presets_gemm_flops():
+    # 2*M*K*N per GEMM on the staged operands at T=8, N being the padded
+    # map's rows times w_out; the encoding layer is scheduled once and every
+    # other layer once per step, and a packed operand has half the rows
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    gflop = {}
+    for name in ("cifar10", "mnist"):
+        net, _ = preset_network(name, 8)
+        packed = unpacked = 0
+        for layer in net.layers:
+            if not layer.has_weights:
+                continue
+            encoding = layer.kind == "encoding-conv"
+            staged = stage_weights(
+                BinaryWeightTensor(np.zeros(layer.weight_shape, dtype=np.uint8)), encoding
+            )
+            (m, k), pad = staged.matrix.shape, layer.padding
+            _, h, w = layer.in_shape
+            n = (h + 2 * pad) * (w + 2 * pad - layer.kernel[1] + 1)
+            flops = 2 * m * k * n * (1 if encoding else 8)
+            packed += flops
+            unpacked += 2 * flops if staged.packed else flops
+        gflop[name] = (packed / 1e9, unpacked / 1e9)
+    cifar10, mnist = gflop["cifar10"], gflop["mnist"]
+    assert round(cifar10[0], 3) == 6.862 and round(cifar10[1], 3) == 13.648
+    assert round(mnist[0], 4) == 0.0802 and round(mnist[1], 4) == 0.1463
+    assert (
+        f"A cifar10 image's GEMMs do {cifar10[0]:.2f} GFLOP ({cifar10[1]:.2f} "
+        f"unpacked), and an mnist image's {mnist[0]:.3f} ({mnist[1]:.3f} unpacked)."
+    ) in readme
 
 
 def test_encoding_layer_forms_its_if_update_once(monkeypatch):
