@@ -11,14 +11,17 @@ copy per offset), in float32 when ``max|x| * C * kh * kw`` stays below
 below 2**63; a larger bound, which could wrap int64, raises
 ``FixedPointOverflowError``.  The whole-network run lays out each weighted
 layer's +-1 weights, one [O][C] matrix per offset, once for all of its
-time steps, holds one weighted layer's operand and sums at a time, and
-writes each step's spikes into one [T] array.  It computes in int32
-wherever a step's own data prove int32 exact: a float32 product's sums
-lie below 2**24 and come back int32, and a step is weighed in int32 when
-its ``max|x| * 2**frac_bits + 2**total_bits`` is below 2**31, so neither
-the shifted sum less an in-format bias nor its addition to an in-format
-membrane can wrap; any other step is weighed in int64, and the membrane
-is promoted to int64 once, when the first such step arrives.  And it
+time steps, and holds one weighted layer's operand and sums at a time.
+Trains stay bit-packed between layers: a layer unpacks its input one
+step at a time (two for a pair) and packs each step's spikes into its
+train as they fire, so no layer holds an unpacked [T] train.  The run
+computes in int32 wherever a step's own data prove int32 exact: a
+float32 product's sums lie below 2**24 and come back int32, and a step
+is weighed in int32 when its ``max|x| * 2**frac_bits + 2**total_bits``
+is below 2**31, so neither the shifted sum less an in-format bias nor
+its addition to an in-format membrane can wrap; any other step is
+weighed in int64, and the membrane is promoted to int64 once, when the
+first such step arrives.  And it
 convolves two time steps in one product: with ``taps = C*kh*kw*max|x|``
 each step's sum lies in [-taps, taps], so the map ``x[t] + base*x[t+1]``,
 ``base = 2*taps + 1``, convolves to ``s[t] + base*s[t+1]``, which decodes
@@ -32,9 +35,12 @@ stays an independent check.
 
 Conventions
 -----------
-* Spikes are 0/1 values indexed ``[time][channel][row][col]``.  The runs
-  compute them in uint8 arrays; a :class:`SpikeTrain` holds them one bit
-  each, ``ceil(C*H*W/8)`` bytes per step, as the spike SRAMs do.
+* Spikes are 0/1 values indexed ``[time][channel][row][col]``.  A
+  :class:`SpikeTrain` holds them one bit each, ``ceil(C*H*W/8)`` bytes per
+  step, as the spike SRAMs do; the runs compute one step at a time in
+  uint8 arrays and build each train from its packed steps
+  (:meth:`SpikeTrain.from_steps`, through the checked
+  :meth:`SpikeTrain.from_rows`).
 * Binary weights are stored as sign bits: bit 1 encodes weight -1, bit 0
   encodes weight +1, i.e. the logical value is ``1 - 2*bit``.  A
   :class:`BinaryWeightTensor` holds them one bit each, packed flat as a
@@ -45,7 +51,8 @@ Conventions
   flips to ``<=``.  The oracle resets lazily, on the next step; the
   engine writes zero back when a neuron fires.  ``_if_run`` alone runs it,
   over a stream of weighed inputs (``_weigh``: the sums on the grid, less
-  the bias); it copies the first into its potential and writes no input.
+  the bias), and yields each step's spikes; it copies the first input
+  into its potential and writes no input.
 * The first (encoding) layer consumes an 8-bit image, computes its integer
   convolution once, weighs it once and feeds that one array to ``_if_run``
   at every time step.  Its folded bias/threshold are pre-scaled by 256 so
@@ -79,6 +86,8 @@ FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
 # weighed sums and membranes of magnitude below this fit int32
 INT32_LIMIT = 2**31
+# sign bits that lay_out_offsets turns into +-1 values per block
+LAYOUT_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +123,32 @@ def _read_only_bits(data, shape_error: str, value_error: str,
     return arr.shape, packed
 
 
+def _checked_packed(packed, shape, per_step: bool, what: str) -> np.ndarray:
+    """A read-only copy of ``packed``, once it holds the bits of a 4-D
+    ``shape`` as :func:`_read_only_bits` packs them.
+
+    ``packed`` must be uint8 and shaped as those bytes, one row per index
+    of the first axis where ``per_step``, else flat, or ``ShapeError``; the
+    pad bits of each row's last byte must be clear, else
+    ``InvalidParameterError``.  ``what`` names the tensor in the texts.
+    """
+    packed = np.asarray(packed)
+    if len(shape) != 4 or min(shape) < 0:
+        raise ShapeError(f"{what} must be 4-D, got shape {shape}")
+    bits = math.prod(shape[1:] if per_step else shape)
+    expected = (shape[0], -(-bits // 8)) if per_step else (-(-bits // 8),)
+    if packed.shape != expected:
+        raise ShapeError(f"{what} {shape} packs into {expected} bytes, got {packed.shape}")
+    if packed.dtype != np.uint8:
+        raise InvalidParameterError(f"packed {what} must be uint8, got {packed.dtype}")
+    pad = -bits % 8  # np.packbits fills the low bits of the last byte
+    if pad and (packed[..., -1] & ((1 << pad) - 1)).any():
+        raise InvalidParameterError(f"packed {what} has set pad bits")
+    packed = packed.copy()
+    packed.setflags(write=False)
+    return packed
+
+
 def _unpacked(packed: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A read-only uint8 copy of the bits of :func:`_read_only_bits`:
     ``packed`` holds one row per index of ``shape``'s first axis if it has
@@ -129,8 +164,10 @@ class SpikeTrain:
 
     It is held bit-packed, ``ceil(C*H*W/8)`` bytes per time step, as the
     spike SRAMs and DRAM hold it, and its spike count is taken once, when
-    it is built.  ``data`` unpacks a new read-only uint8 copy on every
-    access.
+    it is built.  ``data`` unpacks a new read-only uint8 copy of the whole
+    train on every access, :meth:`step` one step's.  The runs build each
+    layer's train one step at a time (:meth:`from_steps`), so no unpacked
+    [T] train is made between layers.
     """
 
     def __init__(self, data):
@@ -140,9 +177,59 @@ class SpikeTrain:
             "spike train elements must be 0 or 1", per_step=True)
         self._count = int(np.count_nonzero(data))  # every element is 0 or 1
 
+    @classmethod
+    def from_rows(cls, rows, shape) -> "SpikeTrain":
+        """The train of ``shape`` [T][C][H][W] from its packed rows.
+
+        ``rows`` is uint8 [T][ceil(C*H*W/8)], each row a step's
+        ``np.packbits`` bytes; a wrong shape raises ``ShapeError``, set
+        pad bits ``InvalidParameterError``.  The rows are copied and their
+        spikes counted once.
+        """
+        shape = tuple(int(n) for n in shape)
+        train = cls.__new__(cls)
+        train._shape = shape
+        train._bits = _checked_packed(rows, shape, True, "spike train")
+        train._count = int(np.bitwise_count(train._bits).sum())
+        return train
+
+    @classmethod
+    def from_steps(cls, steps: Iterable[np.ndarray], shape) -> "SpikeTrain":
+        """The train of ``shape`` [T][C][H][W] from ``steps``, which yields
+        its T [C][H][W] maps in step order; nonzero elements are spikes.
+
+        Each map is packed into its row as it arrives, so a generator of
+        steps streams and only one unpacked step need exist at a time.  A
+        map of another shape, or another number of maps than T, raises
+        ``ShapeError``.  The rows pass :meth:`from_rows`.
+        """
+        shape = tuple(int(n) for n in shape)
+        rows = np.empty((shape[0], -(-math.prod(shape[1:]) // 8)), dtype=np.uint8)
+        taken = 0
+        for spikes in steps:
+            if taken == shape[0]:
+                raise ShapeError(f"more than {taken} steps for a train of {taken}")
+            if spikes.shape != shape[1:]:
+                raise ShapeError(f"step {taken} is {spikes.shape}, expected {shape[1:]}")
+            rows[taken] = np.packbits(spikes, axis=None)
+            taken += 1
+        if taken != shape[0]:
+            raise ShapeError(f"{taken} steps for a train of {shape[0]}")
+        return cls.from_rows(rows, shape)
+
     @property
     def data(self) -> np.ndarray:
         return _unpacked(self._bits, self._shape)
+
+    def step(self, t: int) -> np.ndarray:
+        """Step ``t``'s [C][H][W] spikes, unpacked into a new read-only
+        uint8 array."""
+        return _unpacked(self._bits[t], self._shape[1:])
+
+    def channel_counts(self) -> np.ndarray:
+        """The int64 [C] spike counts per channel over every step and
+        position, from the whole train unpacked once."""
+        return self.data.sum(axis=(0, 2, 3), dtype=np.int64)
 
     @property
     def time_steps(self) -> int:
@@ -169,14 +256,26 @@ class BinaryWeightTensor:
     """Sign-bit weights in {-1,+1} per (out-channel, in-channel, kh, kw).
 
     The bits are held packed flat, ``ceil(O*I*kh*kw/8)`` bytes, the bytes
-    a bundle stores (``packed``).  ``sign_bits`` unpacks a new read-only
-    uint8 copy on every access.
+    a bundle stores (``packed``), and :meth:`from_packed` takes those bytes
+    as they are.  ``sign_bits`` unpacks a new read-only uint8 copy on every
+    access.
     """
 
     def __init__(self, sign_bits):
         self.shape, self.packed = _read_only_bits(
             sign_bits, "weights must be 4-D [O][I][kh][kw], got {}",
             "sign bits must be 0 or 1", per_step=False)
+
+    @classmethod
+    def from_packed(cls, packed, shape) -> "BinaryWeightTensor":
+        """The tensor of ``shape`` [O][I][kh][kw] from its flat
+        ``np.packbits`` bytes, as a bundle stores them: uint8 of
+        ``ceil(O*I*kh*kw/8)`` bytes, else ``ShapeError``, with clear pad
+        bits, else ``InvalidParameterError``.  The bytes are copied."""
+        tensor = cls.__new__(cls)
+        tensor.shape = tuple(int(n) for n in shape)
+        tensor.packed = _checked_packed(packed, tensor.shape, False, "weights")
+        return tensor
 
     @property
     def sign_bits(self) -> np.ndarray:
@@ -380,10 +479,18 @@ class OffsetWeights:
 
 def lay_out_offsets(weights: BinaryWeightTensor) -> OffsetWeights:
     """Unpack a layer's sign bits once and lay them out as its
-    :class:`OffsetWeights`."""
+    :class:`OffsetWeights`.  The +-1 values are written a block of output
+    channels at a time, so no temporary of the operand's size is made
+    beside it."""
     # [kh][kw][O][C]; the uint8 bits transpose faster than the floats
     signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 3, 0, 1))
-    return OffsetWeights(np.subtract(1, 2 * signs, dtype=np.float32))
+    kh, kw, out_channels, in_channels = signs.shape
+    values = np.empty(signs.shape, dtype=np.float32)
+    block = max(1, LAYOUT_BLOCK // max(1, kh * kw * in_channels))
+    for start in range(0, out_channels, block):
+        rows = slice(start, start + block)
+        np.subtract(1, 2 * signs[:, :, rows], dtype=np.float32, out=values[:, :, rows])
+    return OffsetWeights(values)
 
 
 def _peak(x: np.ndarray) -> int:
@@ -469,27 +576,31 @@ def maxpool2_oracle(spikes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _step_sums(
-    maps: np.ndarray, offsets: OffsetWeights, padding: int
+    maps: Iterable[np.ndarray], peak: int, offsets: OffsetWeights, padding: int
 ) -> Iterator[np.ndarray]:
-    """Yield :func:`conv2d_oracle` of each step of ``maps`` [T][C][H][W], in
-    step order, two steps per product while the packed bound
-    ``(base + 1)*taps`` stays below 2**24 (see the module docstring); past
-    it, and for an odd last step, a step convolves alone.  ``s + taps`` is
+    """Yield :func:`conv2d_oracle` of each step map that ``maps`` yields,
+    in step order, two steps per product while the packed bound ``(base +
+    1)*taps`` stays below 2**24 (see the module docstring); past it, and
+    for an odd last step, a step convolves alone.  ``peak`` bounds every
+    map's ``max|x|``.  ``maps`` is read one map at a time, or two for a
+    pair, so a generator that unpacks each step streams.  ``s + taps`` is
     ``s[t+1]*base`` plus a remainder in ``[0, 2*taps]``, so an integer
     floor division by ``base`` decodes ``s[t+1]``.  A paired product runs
     in float32, so it and both decoded steps are int32; a step convolved
     alone comes back in :func:`conv2d_oracle`'s dtype.
     """
     kh, kw, _, channels = offsets.values.shape
-    taps = channels * kh * kw * _peak(maps)
+    taps = channels * kh * kw * peak
     base = 2 * taps + 1
     paired = (base + 1) * taps < FLOAT32_EXACT_LIMIT
-    for t in range(0, len(maps), 2 if paired else 1):
-        if not paired or t + 1 == len(maps):
-            yield conv2d_oracle(maps[t], offsets, padding=padding)
+    maps = iter(maps)
+    for first in maps:
+        second = next(maps, None) if paired else None
+        if second is None:
+            yield conv2d_oracle(first, offsets, padding=padding)
             continue
-        packed = maps[t + 1].astype(np.int32) * base
-        packed += maps[t]
+        packed = second.astype(np.int32) * base
+        packed += first
         low = conv2d_oracle(packed, offsets, padding=padding)
         high = low + taps
         high //= base
@@ -525,61 +636,65 @@ def _if_run(
     weighted_inputs: Iterable[np.ndarray],
     params: FoldedNeuronParams,
     fmt: FixedPointFormat,
-    time_steps: int,
-) -> np.ndarray:
-    """The IF recurrence over ``time_steps`` weighed inputs (:func:`_weigh`).
+) -> Iterator[np.ndarray]:
+    """The IF recurrence over weighed inputs (:func:`_weigh`): yield each
+    step's uint8 [C][H][W] spikes, a new array per step.
 
-    Each input is taken only when the previous one has been integrated, so
-    a generator of steps streams.  The first input is copied into the
-    potential, which keeps its dtype until a wider input arrives and is
-    then promoted once; no input is written.  An int32 input must meet
-    :func:`_weigh`'s int32 room, so no update wraps.  The potential resets
-    lazily, ``V = V*(1 - o) + in`` with ``o`` the previous step's spikes,
-    and each step's spikes are written into one [T][C][H][W] array.
+    Each input is taken only when the previous step's spikes have been
+    taken, so a generator of steps streams.  The first input is copied
+    into the potential, which keeps its dtype until a wider input arrives
+    and is then promoted once; no input is written.  An int32 input must
+    meet :func:`_weigh`'s int32 room, so no update wraps.  The potential
+    resets lazily, ``V = V*(1 - o) + in`` with ``o`` the previous step's
+    spikes, which the recurrence reads and does not write.
     """
     flip = params.flipped
     for t, weighted in enumerate(weighted_inputs):
         if t:
             # a step wider than the membrane promotes it, once
             v = v.astype(np.promote_types(v.dtype, weighted.dtype), copy=False)
-            v *= 1 - spikes[t - 1]
+            v *= 1 - spikes
             v += weighted
         else:
             v = np.array(weighted)
-            spikes = np.zeros((time_steps, *v.shape), dtype=np.uint8)
         fmt.check_raw(v, "membrane potential")
         # an int32 membrane means a format within int32, so the threshold fits
         threshold = params.threshold_raw.astype(v.dtype)[:, None, None]
-        fired = spikes[t].view(bool)
+        spikes = np.empty(v.shape, dtype=np.uint8)
+        fired = spikes.view(bool)
         np.greater_equal(v, threshold, out=fired)
         if flip.any():  # a negative gain flips the comparison to <=
             fired[flip] = v[flip] <= threshold[flip]
-    return spikes
+        yield spikes
 
 
-def _layer_spikes(
+def _layer_train(
     layer: "LayerSpec",
     tensor: BinaryWeightTensor,
     params: FoldedNeuronParams,
-    source: np.ndarray,
+    source: "np.ndarray | SpikeTrain",
     time_steps: int,
     fmt: FixedPointFormat,
-) -> np.ndarray:
-    """All time steps of one weighted layer: its [T][C][H][W] spikes.
+) -> SpikeTrain:
+    """All time steps of one weighted layer: its packed [T] train.
 
     ``source`` is the image for the encoding layer, whose sums are weighed
-    once and dropped, else the previous layer's spikes.  The layer's
-    operand, sums and generators live in this call alone, so they are
-    freed before the next layer is laid out.
+    once and dropped, else the previous layer's train, unpacked one step
+    at a time (two for a pair).  Each step's spikes are packed into the
+    train as they fire.  The layer's operand, sums and generators live in
+    this call alone, so they are freed before the next layer is laid out.
     """
     if layer.kind == "encoding-conv":
         params = params.scaled_by_pow2(ENCODING_SHIFT)
         weighted = _weigh(conv2d_oracle(source, tensor, padding=layer.padding), params, fmt)
-        return _if_run(itertools.repeat(weighted, time_steps), params, fmt, time_steps)
-    # an fc layer is a 1x1 convolution of the flattened map
-    maps = source.reshape(time_steps, *layer.in_shape)
-    sums = _step_sums(maps, lay_out_offsets(tensor), layer.padding)
-    return _if_run((_weigh(s, params, fmt) for s in sums), params, fmt, time_steps)
+        steps = _if_run(itertools.repeat(weighted, time_steps), params, fmt)
+    else:
+        # an fc layer is a 1x1 convolution of the flattened map
+        maps = (source.step(t).reshape(layer.in_shape) for t in range(time_steps))
+        peak = min(source.spike_count(), 1)
+        sums = _step_sums(maps, peak, lay_out_offsets(tensor), layer.padding)
+        steps = _if_run((_weigh(s, params, fmt) for s in sums), params, fmt)
+    return SpikeTrain.from_steps(steps, (time_steps, *layer.out_shape))
 
 
 @dataclass
@@ -606,8 +721,11 @@ def run_network_oracle(
     that stays float32 (:func:`_step_sums`), otherwise one, and stream
     each step's weighed sums into :func:`_if_run`; fc layers run as 1x1
     convolutions over the flattened feature vector; pooling is an OR
-    reduction of each step's output map.  Each weighted layer runs in its
-    own call (:func:`_layer_spikes`), which lays out its operand once
+    reduction of each step's output map.  Trains stay packed between
+    layers: each layer unpacks its input one step at a time (two for a
+    pair) and packs each step's spikes as they fire
+    (:meth:`SpikeTrain.from_steps`).  Each weighted layer runs in its own
+    call (:func:`_layer_train`), which lays out its operand once
     (:func:`lay_out_offsets`) for all of its steps and frees it, with the
     layer's sums, before the next layer.  Sums, weighed inputs and
     membranes are int32 wherever each step's data prove it exact (see the
@@ -620,22 +738,16 @@ def run_network_oracle(
         raise InvalidParameterError("encoding input values must be in [0, 255]")
 
     trains: list[SpikeTrain] = []
-    current: np.ndarray | None = None  # [T][C][H][W] spikes
+    current: SpikeTrain | None = None
     for idx, layer in enumerate(net.layers):
         if layer.has_weights:
             source = img if layer.kind == "encoding-conv" else current
-            current = _layer_spikes(layer, weights[idx], folded[idx], source, time_steps, fmt)
+            current = _layer_train(layer, weights[idx], folded[idx], source, time_steps, fmt)
         elif layer.kind == "maxpool2":
-            current = np.stack(
-                [maxpool2_oracle(current[t]) for t in range(time_steps)]
-            )
+            current = SpikeTrain.from_steps(
+                (maxpool2_oracle(current.step(t)) for t in range(time_steps)),
+                (time_steps, *layer.out_shape))
         else:
             raise InvalidParameterError(f"unknown layer kind {layer.kind!r}")
-        if current.shape[1:] != layer.out_shape:
-            raise ShapeError(
-                f"layer {idx} produced {current.shape[1:]}, expected {layer.out_shape}"
-            )
-        trains.append(SpikeTrain(current))
-
-    counts = current.sum(axis=(0, 2, 3)).astype(np.int64)
-    return OracleRun(trains, counts)
+        trains.append(current)
+    return OracleRun(trains, current.channel_counts())

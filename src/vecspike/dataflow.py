@@ -65,11 +65,15 @@ T steps through them, and so does the engine: everything fixed for a
 layer is set up once, when ``run_network`` stages it, and each step keeps
 one GEMM and a few in-place passes.  The im2col and product buffers live
 with the layer's :class:`GemmWeights` and every step's ``np.matmul``
-writes into them; a schedule still returns new sums.  The neuron
-parameters are cast once to the membrane dtype
+writes into them; a schedule still returns new sums.  Spike trains stay
+bit-packed between layers, as the spike SRAMs hold them: each step's
+input is unpacked into the layer's one zero-bordered [C][H+2p][W+2p]
+buffer, and each step's spikes are packed into the layer's train as they
+fire.  The neuron parameters are cast once to the membrane dtype
 (:class:`StagedNeuronParams`), with no flip mask where no channel flips;
 the comparison fires through a bool view of the uint8 spikes (the
-encoding layer's straight into its train), and the reset reuses one mask.  The staged bound also stands in for two range scans.
+encoding layer's into one reused step map), and the reset reuses one
+mask.  The staged bound also stands in for two range scans.
 It proves the int32 room, so no step's sums are scanned for it.  And with
 ``U = (bound << frac_bits) + max|bias|``, or the peak of the encoding
 layer's once-formed update, the membrane after step ``t`` (from 1) of a
@@ -87,7 +91,7 @@ gives them once per layer, and the schedulers return sums only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -117,6 +121,8 @@ if TYPE_CHECKING:  # pragma: no cover
 # (:func:`_lanes_fit`).
 FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
+# sign bits that stage_weights turns into +-1 values per block
+STAGING_BLOCK = 2**16
 
 
 def gemm_dtype(bound: int) -> np.dtype:
@@ -224,7 +230,9 @@ def stage_weights(weights: BinaryWeightTensor, encoding: bool) -> GemmWeights:
     the membrane dtype follows from it too (:func:`_int32_room`).  So is
     every choice of the layer's GEMM: its dtype from that bound; packed
     lanes for a spiking layer with an even ``cout`` while
-    :func:`_lanes_fit`; the encoding layer's bitplane shifts.
+    :func:`_lanes_fit`; the encoding layer's bitplane shifts.  The +-1
+    values are written into the operand a block of lanes at a time, so no
+    temporary of its size is made beside it.
     """
     cout, cin, kh, kw = weights.shape
     taps = cin * kh * kw
@@ -234,13 +242,17 @@ def stage_weights(weights: BinaryWeightTensor, encoding: bool) -> GemmWeights:
     signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 0, 3, 1))
     packed = not encoding and cout % 2 == 0 and _lanes_fit(taps)
     planes, lanes = (8, cout) if encoding else (1, cout // 2 if packed else cout)
-    if packed:
-        # W[o] + lane*W[o + lanes] with W = 1 - 2s, on the half-height bits
-        lane = 2 * taps + 1
-        matrix = np.subtract(1 + lane, 2 * signs[:, :lanes], dtype=dtype)
-        matrix -= np.multiply(signs[:, lanes:], 2 * lane, dtype=dtype)
-    else:
-        matrix = np.subtract(1, 2 * signs, dtype=dtype)
+    # W[o] + lane*W[o + lanes] with W = 1 - 2s where packed, else W[o]
+    lane = 2 * taps + 1 if packed else 0
+    low, high = signs[:, :lanes], signs[:, lanes:]
+    matrix = np.empty((kh, lanes, kw, cin), dtype=dtype)
+    # a block of lanes at a time, so no temporary reaches the operand's size
+    block = max(1, STAGING_BLOCK // max(1, kh * kw * cin))
+    for start in range(0, lanes, block):
+        rows = slice(start, start + block)
+        out = np.subtract(1 + lane, 2 * low[:, rows], dtype=dtype, out=matrix[:, rows])
+        if packed:
+            out -= np.multiply(high[:, rows], 2 * lane, dtype=dtype)
     if encoding:
         # [kh][cout][kw][8][cin]: plane k's columns carry the shift 2**k
         shifts = np.left_shift(1, np.arange(8)).astype(dtype)[:, None]
@@ -540,43 +552,42 @@ class EngineRun:
         return total
 
 
-def _pad(maps: np.ndarray, pad: int) -> np.ndarray:
-    """Zero pad the last two axes of ``maps`` by ``pad`` on each side."""
-    if pad == 0:
-        return maps
-    *lead, h, w = maps.shape
-    padded = np.zeros((*lead, h + 2 * pad, w + 2 * pad), dtype=maps.dtype)
-    padded[..., pad : pad + h, pad : pad + w] = maps
-    return padded
+def _bordered(shape: tuple[int, int, int], pad: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A zero [C][H+2p][W+2p] buffer for [C][H][W] maps of ``shape``, and
+    the view of its interior that a map is written into."""
+    c, h, w = shape
+    buffer = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=dtype)
+    return buffer, buffer[:, pad : pad + h, pad : pad + w]
 
 
-def _or_pool2(train: np.ndarray) -> np.ndarray:
-    """2x2 OR pooling of a [T][C][H][W] 0/1 train: strided slices OR the
-    row pairs; a uint16 view of that contiguous result holds each column
-    pair, which fires when it is nonzero."""
-    rows = train[:, :, 0::2] | train[:, :, 1::2]
+def _or_pool2(spikes: np.ndarray) -> np.ndarray:
+    """2x2 OR pooling of the last two axes of a 0/1 map: strided slices
+    OR the row pairs; a uint16 view of that contiguous result holds each
+    column pair, which fires when it is nonzero."""
+    rows = spikes[..., 0::2, :] | spikes[..., 1::2, :]
     return (rows.view(np.uint16) != 0).view(np.uint8)
 
 
-def _run_weighted_layer(
+def _layer_steps(
     layer: "LayerSpec",
     tensor: BinaryWeightTensor,
     params: FoldedNeuronParams,
-    inputs: np.ndarray,
+    source: "np.ndarray | SpikeTrain",
     time_steps: int,
     cfg: HardwareConfig,
-) -> np.ndarray:
-    """All time steps of one weighted layer: its [T][C][H][W] spike train.
+) -> Iterator[np.ndarray]:
+    """Yield the [C][H][W] spikes of each time step of one weighted layer.
 
-    ``inputs`` is the padded image for the encoding layer, else the
-    previous layer's padded [T] train.  Everything fixed for the layer is
-    set up here, once: the weights and their GEMM workspace
-    (:func:`stage_weights`), and the neuron parameters with the membrane
-    (:class:`StagedNeuronParams`), whose dtype and step bound U follow
-    from the layer's sum bound.  Each step then runs one schedule call
-    and one IF call, whose spikes are stored in the train.  The staged
-    layer is dropped when the layer ends, so one layer's GEMM operand and
-    workspace are alive at a time.
+    ``source`` is the image for the encoding layer, else the previous
+    layer's packed train.  Everything fixed for the layer is set up here,
+    once: the weights and their GEMM workspace (:func:`stage_weights`),
+    the neuron parameters with the membrane (:class:`StagedNeuronParams`),
+    whose dtype and step bound U follow from the layer's sum bound, and
+    one zero-bordered [C][H+2p][W+2p] input buffer.  Each step then
+    unpacks its input into that buffer's interior and runs one schedule
+    call on the buffer and one IF call.  A yielded map is valid until the
+    next is asked for.  The staged layer is dropped when the layer ends,
+    so one layer's GEMM operand and workspace are alive at a time.
     """
     fmt = cfg.fmt
     encoding = layer.kind == "encoding-conv"
@@ -584,19 +595,21 @@ def _run_weighted_layer(
     if encoding:
         params = params.scaled_by_pow2(ENCODING_SHIFT)
     neurons = StagedNeuronParams.for_layer(params, staged, layer.out_shape)
-    train = np.empty((time_steps, *layer.out_shape), dtype=np.uint8)
     if encoding:
         # scheduled once; every step re-presents the parked result, whose
         # IF update is therefore formed once too, and its peak is U
-        update = _if_update(schedule_encoding_layer(inputs, staged, cfg), neurons, fmt)
+        image, interior = _bordered(layer.in_shape, layer.padding, source.dtype)
+        interior[...] = source
+        update = _if_update(schedule_encoding_layer(image, staged, cfg), neurons, fmt)
         neurons.peak = _peak(update)
-        for t in range(time_steps):
-            _if_fire(update, neurons, fmt, train[t])
-        return train
+        spikes = np.empty(layer.out_shape, dtype=np.uint8)
+        for _ in range(time_steps):
+            yield _if_fire(update, neurons, fmt, spikes)
+        return
+    padded, interior = _bordered(layer.in_shape, layer.padding, np.uint8)
     for t in range(time_steps):
-        sums = schedule_conv_layer(inputs[t], staged, cfg)
-        train[t] = if_unit_process(sums, neurons)
-    return train
+        interior[...] = source.step(t).reshape(layer.in_shape)
+        yield if_unit_process(schedule_conv_layer(padded, staged, cfg), neurons)
 
 
 def run_network(
@@ -612,46 +625,35 @@ def run_network(
     The inputs pass ``net.check_run_inputs`` before any layer runs.
     Layer by layer, all time steps of one layer run before the next
     so membrane potentials never leave the chip.  Each weighted layer is
-    set up once for all of its steps (:func:`_run_weighted_layer`): its
-    weights with their GEMM workspace (:func:`stage_weights`, one
-    config-free operand), and its neuron parameters with its membrane
+    set up once for all of its steps (:func:`_layer_steps`): its weights
+    with their GEMM workspace (:func:`stage_weights`, one config-free
+    operand), its neuron parameters with its membrane
     (:class:`StagedNeuronParams`), int32 where the layer's sum bound meets
-    the int32 room and int64 otherwise, updated in place.  Its input is
-    padded once, and the unpadded train is dropped before the layer runs.
-    The encoding convolution is computed once and iterated against the
-    residue potential; pooling ORs strided slices of the whole train
-    (:func:`_or_pool2`).  Spike trains are bit-identical to
+    the int32 room and int64 otherwise, updated in place, and one padded
+    step buffer.  Trains stay bit-packed between layers, as in the spike
+    SRAMs: a layer unpacks one step of its input at a time into that
+    buffer, and each step's spikes are packed into the layer's train as
+    they fire (:meth:`SpikeTrain.from_steps`), so no layer holds an
+    unpacked [T] train.  The encoding convolution is computed once and
+    iterated against the residue potential; pooling ORs strided slices of
+    each step (:func:`_or_pool2`).  Spike trains are bit-identical to
     :func:`vecspike.core.run_network_oracle`.
     """
     img = net.check_run_inputs("run_network", weights, folded, image, time_steps, cfg.fmt)
 
     trains: list[SpikeTrain] = []
     layer_runs: list[LayerRun] = []
-    current: np.ndarray | None = None
+    current: SpikeTrain | None = None
     for idx, layer in enumerate(net.layers):
         if layer.has_weights:
-            # the padded input replaces the unpadded one, so a single
-            # copy of the input train is alive while the layer runs
-            current = _pad(
-                img if layer.kind == "encoding-conv"
-                else current.reshape(time_steps, *layer.in_shape),
-                layer.padding,
-            )
-            current = _run_weighted_layer(
-                layer, weights[idx], folded[idx], current, time_steps, cfg
-            )
+            source = img if layer.kind == "encoding-conv" else current
+            steps = _layer_steps(layer, weights[idx], folded[idx], source, time_steps, cfg)
         elif layer.kind == "maxpool2":
-            current = _or_pool2(current)
+            steps = (_or_pool2(current.step(t)) for t in range(time_steps))
         else:
             raise InvalidParameterError(f"unknown layer kind {layer.kind!r}")
-        if current.shape[1:] != layer.out_shape:
-            raise ShapeError(
-                f"layer {idx} produced {current.shape[1:]}, expected {layer.out_shape}"
-            )
-        train = SpikeTrain(current)
-        trains.append(train)
+        current = SpikeTrain.from_steps(steps, (time_steps, *layer.out_shape))
+        trains.append(current)
         report, boundary = layer_accounting(layer, cfg, time_steps)
-        layer_runs.append(LayerRun(idx, layer.kind, report, boundary, train.spike_count()))
-
-    counts = current.sum(axis=(0, 2, 3)).astype(np.int64)
-    return EngineRun(trains, counts, layer_runs)
+        layer_runs.append(LayerRun(idx, layer.kind, report, boundary, current.spike_count()))
+    return EngineRun(trains, current.channel_counts(), layer_runs)

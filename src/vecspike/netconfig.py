@@ -470,8 +470,11 @@ def load_bundle(path) -> ModelBundle:
                 params.append(None)
                 continue
             shape, packed, bias, thr, flipped = entry
-            bits = np.unpackbits(packed, count=math.prod(shape)).reshape(shape)
-            weights.append(BinaryWeightTensor(bits))
+            try:
+                # the cursor took the bytes' length: only set pad bits fail
+                weights.append(BinaryWeightTensor.from_packed(packed, shape))
+            except InvalidParameterError:
+                raise BundleError("bundle fields are not in canonical form") from None
             params.append(FoldedNeuronParams(bias, thr, flipped, fmt))
     except InvalidParameterError as exc:
         raise BundleError(f"bundle field out of range: {exc}") from exc
@@ -480,9 +483,10 @@ def load_bundle(path) -> ModelBundle:
     net = NetworkDescription(layers, time_steps=time_steps)
     bundle = ModelBundle(net, weights, params, fmt)
     # Every field must be what save_bundle writes: the reserved field zero,
-    # weighted 0 or 1, in_channels 0 on a layer without weights, and the
-    # pad bits of the packed signs clear.  A pooling layer's out_channels
-    # is written back as read and stays accepted: validate() recomputes it.
+    # weighted 0 or 1 and in_channels 0 on a layer without weights (the
+    # signs' pad bits were checked above, since save_bundle writes back
+    # the bytes read).  A pooling layer's out_channels is written back as
+    # read and stays accepted: validate() recomputes it.
     if _bundle_payload(bundle) != payload:
         raise BundleError("bundle fields are not in canonical form")
     return bundle

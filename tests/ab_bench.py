@@ -12,7 +12,8 @@ its sources from another place than the other.  Pair ``i`` runs
 ``perfbench/run.py --workload W --seed SEED+i --seconds S`` once in each
 tree, each in its own process with ``PYTHONDONTWRITEBYTECODE=1`` so that
 both compile their sources alike; even pairs run the revision first, odd
-pairs the working tree.
+pairs the working tree.  Before pair 1 each tree runs once with pair 1's
+arguments, revision first, and those figures are discarded.
 Every pair is printed, then, for each end-to-end metric that
 ``BENCHMARK.json`` lists, each side's median and quartiles, the pairs
 the working tree won (ties count for neither side) and one verdict,
@@ -138,6 +139,10 @@ def main(argv=None) -> int:
             tree.mkdir()
         unpack(args.against, trees["base"])
         snapshot(trees["head"])
+        # one untimed run of each tree first: pair 1 would otherwise find
+        # a cold tree, and its first side read slow
+        for side in ("base", "head"):
+            run_once(trees[side], args.workload, args.seed, args.seconds)
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")

@@ -91,3 +91,30 @@ def test_both_trees_are_snapshots_and_the_head_keeps_uncommitted_files(
     assert (head / "pkg" / "untracked.py").read_text() == "new\n"
     assert (head / ".gitignore").is_file()
     assert not (head / "ignored.txt").exists()
+
+
+def test_each_tree_runs_once_untimed_before_pair_1(tmp_path, monkeypatch, capsys):
+    # the first run of each tree reads 0 on every metric; the series and
+    # their medians hold only the pairs' runs
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "items_per_s", "unit": "1/s",'
+        ' "better": "higher", "bound": 0.2}]}')
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree.name, seed))
+        value = 0 if len(calls) <= 2 else 100 + len(calls)
+        return {"values": {"items_per_s": value}, "digest": "d"}
+
+    monkeypatch.setattr(ab_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(ab_bench, "unpack", lambda rev, into: None)
+    monkeypatch.setattr(ab_bench, "snapshot", lambda into: None)
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    assert ab_bench.main(["--against", "HEAD", "--workload", "w", "--pairs", "2",
+                          "--seconds", "1", "--seed", "5"]) == 0
+    assert calls == [("base", 5), ("head", 5),
+                     ("base", 5), ("head", 5), ("head", 6), ("base", 6)]
+    out = capsys.readouterr().out
+    assert "pair 1 seed 5 first base: items_per_s 103 -> 104" in out
+    assert "pair 2 seed 6 first head: items_per_s 106 -> 105" in out
+    assert "base median 104.5" in out and "head median 104.5" in out

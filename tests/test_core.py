@@ -13,6 +13,7 @@ from vecspike.core import (
     FoldedNeuronParams,
     SpikeTrain,
     _if_run,
+    _peak,
     _step_sums,
     _weigh,
     conv2d_oracle,
@@ -184,6 +185,65 @@ def test_packed_types_retain_one_bit_per_element(cls):
     assert retained <= -(-n // 8) + 16 * 1024
 
 
+@settings(deadline=None)
+@given(_bit_arrays())
+def test_a_train_from_packed_rows_equals_the_unpacked_one(a):
+    # rows as np.packbits writes them, pad bits clear, build the same train
+    # with the same count; one step unpacks as the whole train's slice
+    bits = a.astype(np.uint8)
+    rows = np.packbits(bits.reshape(len(a), int(np.prod(a.shape[1:]))), axis=1)
+    train = SpikeTrain.from_rows(rows, a.shape)
+    assert train == SpikeTrain(a)
+    assert train.spike_count() == SpikeTrain(a).spike_count() == np.count_nonzero(a)
+    assert type(train.spike_count()) is int
+    assert SpikeTrain.from_steps(iter(bits), a.shape) == train
+    for t in range(len(a)):
+        step = train.step(t)
+        assert step.dtype == np.uint8 and not step.flags.writeable
+        assert np.array_equal(step, a[t])
+    assert np.array_equal(train.channel_counts(), np.count_nonzero(a, axis=(0, 2, 3)))
+    weights = BinaryWeightTensor.from_packed(np.packbits(bits), a.shape)
+    assert weights == BinaryWeightTensor(a)
+    assert np.array_equal(weights.sign_bits, a)
+
+
+def test_packed_rows_of_a_wrong_shape_or_with_set_pad_bits_are_refused():
+    # [2][1][1][3]: two rows of one byte, each with five pad bits
+    rows = np.array([[0b10100000], [0b01100000]], dtype=np.uint8)
+    shape = (2, 1, 1, 3)
+    assert SpikeTrain.from_rows(rows, shape).spike_count() == 4
+    for bad in (rows[:1], np.vstack([rows, rows]), np.hstack([rows, rows]), rows[0]):
+        with pytest.raises(ShapeError):
+            SpikeTrain.from_rows(bad, shape)
+    with pytest.raises(ShapeError):
+        SpikeTrain.from_rows(rows, (2, 3))
+    with pytest.raises(InvalidParameterError, match="^packed spike train must be uint8"):
+        SpikeTrain.from_rows(rows.astype(np.int16), shape)
+    for pad in (0b1, 0b10000):
+        with pytest.raises(InvalidParameterError, match="^packed spike train has set pad bits$"):
+            SpikeTrain.from_rows(rows | np.uint8([[0], [pad]]), shape)
+    # 18 sign bits: three flat bytes, the last with six pad bits
+    flat = np.zeros(3, dtype=np.uint8)
+    assert BinaryWeightTensor.from_packed(flat, (2, 1, 3, 3)).shape == (2, 1, 3, 3)
+    with pytest.raises(ShapeError):
+        BinaryWeightTensor.from_packed(flat[:2], (2, 1, 3, 3))
+    with pytest.raises(ShapeError):
+        BinaryWeightTensor.from_packed(flat.reshape(1, 3), (2, 1, 3, 3))
+    with pytest.raises(InvalidParameterError, match="^packed weights has set pad bits$"):
+        BinaryWeightTensor.from_packed(flat | np.uint8([0, 0, 0b100000]), (2, 1, 3, 3))
+
+
+def test_a_train_from_steps_refuses_a_step_of_another_shape_or_count():
+    steps = np.zeros((2, 1, 2, 2), dtype=np.uint8)
+    assert SpikeTrain.from_steps(iter(steps), steps.shape).shape == (2, 1, 2, 2)
+    with pytest.raises(ShapeError, match=r"^step 1 is \(1, 4\), expected \(1, 2, 2\)$"):
+        SpikeTrain.from_steps([steps[0], steps[1].reshape(1, 4)], steps.shape)
+    with pytest.raises(ShapeError, match="^1 steps for a train of 2$"):
+        SpikeTrain.from_steps(iter(steps[:1]), steps.shape)
+    with pytest.raises(ShapeError, match="^more than 2 steps for a train of 2$"):
+        SpikeTrain.from_steps(iter(np.zeros((3, 1, 2, 2), np.uint8)), steps.shape)
+
+
 def test_bn_params_validation():
     with pytest.raises(InvalidParameterError):
         BNParams(gamma=0.0, beta=0.0, mean=0.0, var=1.0)
@@ -260,7 +320,7 @@ def test_oracle_if_refuses_a_wrapping_left_shift(conv_sum):
     # and 257 to 1.0, which fired
     params = FoldedNeuronParams([0], [WIDE.quantize(1.0)], [False], WIDE)
     with pytest.raises(FixedPointOverflowError, match="convolution sum"):
-        _if_run([_weigh(np.full((1, 1, 1), conv_sum), params, WIDE)], params, WIDE, 1)
+        list(_if_run([_weigh(np.full((1, 1, 1), conv_sum), params, WIDE)], params, WIDE))
 
 
 def test_if_run_reads_one_repeated_input_as_separate_copies(rng):
@@ -269,9 +329,9 @@ def test_if_run_reads_one_repeated_input_as_separate_copies(rng):
     params = FoldedNeuronParams([0, 0], [Q(1.0), Q(-0.5)], [False, True])
     weighted = rng.integers(Q(-1.5), Q(1.5), (2, 3, 4))
     before = weighted.copy()
-    repeated = _if_run(itertools.repeat(weighted, 5), params, FMT, 5)
+    repeated = np.stack(list(_if_run(itertools.repeat(weighted, 5), params, FMT)))
     assert np.array_equal(weighted, before)
-    copies = _if_run([weighted.copy() for _ in range(5)], params, FMT, 5)
+    copies = np.stack(list(_if_run([weighted.copy() for _ in range(5)], params, FMT)))
     assert np.array_equal(repeated, copies)
     assert 0 < repeated[1:].sum() < repeated[1:].size
 
@@ -763,7 +823,7 @@ def test_a_decoded_pair_equals_two_step_convolutions(case):
         conv = core.conv2d_oracle
         mp.setattr(core, "conv2d_oracle", lambda *a, **k: calls.append(1) or conv(*a, **k))
         seen = record_matmul_dtypes(mp)
-        decoded = list(_step_sums(maps, lay_out_offsets(weights), pad))
+        decoded = list(_step_sums(maps, _peak(maps), lay_out_offsets(weights), pad))
     assert len(decoded) == 2
     for t in range(2):
         expected = conv2d_oracle(maps[t], weights, padding=pad)
@@ -785,7 +845,7 @@ def test_step_sums_pair_the_steps_in_order_and_an_odd_last_one_alone(
     count = []
     conv = core.conv2d_oracle
     monkeypatch.setattr(core, "conv2d_oracle", lambda *a, **k: count.append(1) or conv(*a, **k))
-    decoded = list(_step_sums(maps, lay_out_offsets(weights), 1))
+    decoded = list(_step_sums(maps, _peak(maps), lay_out_offsets(weights), 1))
     assert len(count) == calls
     assert len(decoded) == steps
     for t in range(steps):
