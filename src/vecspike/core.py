@@ -38,9 +38,9 @@ Conventions
 * Spikes are 0/1 values indexed ``[time][channel][row][col]``.  A
   :class:`SpikeTrain` holds them one bit each, ``ceil(C*H*W/8)`` bytes per
   step, as the spike SRAMs do; the runs compute one step at a time in
-  uint8 arrays and build each train from its packed steps
-  (:meth:`SpikeTrain.from_steps`, through the checked
-  :meth:`SpikeTrain.from_rows`).
+  uint8 arrays and pack each step into its train's row as it is made
+  (:class:`TrainRows`); :meth:`SpikeTrain.from_rows` is the checked
+  constructor from rows packed elsewhere.
 * Binary weights are stored as sign bits: bit 1 encodes weight -1, bit 0
   encodes weight +1, i.e. the logical value is ``1 - 2*bit``.  A
   :class:`BinaryWeightTensor` holds them one bit each, packed flat as a
@@ -86,8 +86,16 @@ FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
 # weighed sums and membranes of magnitude below this fit int32
 INT32_LIMIT = 2**31
-# sign bits that lay_out_offsets turns into +-1 values per block
-LAYOUT_BLOCK = 2**16
+# sign bits that a layer's +-1 operand is written from per block
+SIGN_BLOCK = 2**16
+
+
+def sign_blocks(rows: int, bits_per_row: int) -> list[slice]:
+    """Slices over ``rows`` rows of ``bits_per_row`` sign bits, about
+    ``SIGN_BLOCK`` bits each: an operand written one such block at a time
+    makes no temporary near its own size."""
+    block = max(1, SIGN_BLOCK // max(1, bits_per_row))
+    return [slice(start, start + block) for start in range(0, rows, block)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +186,15 @@ class SpikeTrain:
         self._count = int(np.count_nonzero(data))  # every element is 0 or 1
 
     @classmethod
+    def _of(cls, shape: tuple[int, int, int, int], rows: np.ndarray,
+            count: int) -> "SpikeTrain":
+        """The train of ``shape`` held in ``rows``, read-only packed rows
+        that are known to be well formed, with ``count`` spikes."""
+        train = cls.__new__(cls)
+        train._shape, train._bits, train._count = shape, rows, count
+        return train
+
+    @classmethod
     def from_rows(cls, rows, shape) -> "SpikeTrain":
         """The train of ``shape`` [T][C][H][W] from its packed rows.
 
@@ -187,35 +204,25 @@ class SpikeTrain:
         spikes counted once.
         """
         shape = tuple(int(n) for n in shape)
-        train = cls.__new__(cls)
-        train._shape = shape
-        train._bits = _checked_packed(rows, shape, True, "spike train")
-        train._count = int(np.bitwise_count(train._bits).sum())
-        return train
+        rows = _checked_packed(rows, shape, True, "spike train")
+        # a step at a time, and the pad bits are clear
+        count = sum(np.count_nonzero(np.unpackbits(row)) for row in rows)
+        return cls._of(shape, rows, int(count))
 
     @classmethod
     def from_steps(cls, steps: Iterable[np.ndarray], shape) -> "SpikeTrain":
         """The train of ``shape`` [T][C][H][W] from ``steps``, which yields
         its T [C][H][W] maps in step order; nonzero elements are spikes.
 
-        Each map is packed into its row as it arrives, so a generator of
-        steps streams and only one unpacked step need exist at a time.  A
-        map of another shape, or another number of maps than T, raises
-        ``ShapeError``.  The rows pass :meth:`from_rows`.
+        Each map is packed into its row as it arrives (:class:`TrainRows`),
+        so a generator of steps streams and only one unpacked step need
+        exist at a time.  A map of another shape, or another number of maps
+        than T, raises ``ShapeError``.
         """
-        shape = tuple(int(n) for n in shape)
-        rows = np.empty((shape[0], -(-math.prod(shape[1:]) // 8)), dtype=np.uint8)
-        taken = 0
+        rows = TrainRows(shape)
         for spikes in steps:
-            if taken == shape[0]:
-                raise ShapeError(f"more than {taken} steps for a train of {taken}")
-            if spikes.shape != shape[1:]:
-                raise ShapeError(f"step {taken} is {spikes.shape}, expected {shape[1:]}")
-            rows[taken] = np.packbits(spikes, axis=None)
-            taken += 1
-        if taken != shape[0]:
-            raise ShapeError(f"{taken} steps for a train of {shape[0]}")
-        return cls.from_rows(rows, shape)
+            rows.add(spikes)
+        return rows.train()
 
     @property
     def data(self) -> np.ndarray:
@@ -250,6 +257,41 @@ class SpikeTrain:
     def __repr__(self) -> str:
         t, c, h, w = self.shape
         return f"SpikeTrain(T={t}, C={c}, H={h}, W={w}, spikes={self.spike_count()})"
+
+
+class TrainRows:
+    """A [T][C][H][W] train's packed rows, filled one step at a time.
+
+    :meth:`add` packs each [C][H][W] map into the next row and counts its
+    spikes (nonzero elements) as it arrives, so the unpacked map can be
+    dropped at once; :meth:`train` returns the finished
+    :class:`SpikeTrain`, holding these rows without a copy.  A map of
+    another shape, a map past row T or a train of fewer than T maps
+    raises ``ShapeError``.
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(int(n) for n in shape)
+        self.rows = np.empty((self.shape[0], -(-math.prod(self.shape[1:]) // 8)),
+                             dtype=np.uint8)
+        self.taken = 0
+        self.count = 0
+
+    def add(self, spikes: np.ndarray) -> None:
+        taken = self.taken
+        if taken == len(self.rows):
+            raise ShapeError(f"more than {taken} steps for a train of {taken}")
+        if spikes.shape != self.shape[1:]:
+            raise ShapeError(f"step {taken} is {spikes.shape}, expected {self.shape[1:]}")
+        self.rows[taken] = np.packbits(spikes, axis=None)
+        self.count += np.count_nonzero(spikes)
+        self.taken = taken + 1
+
+    def train(self) -> SpikeTrain:
+        if self.taken != self.shape[0]:
+            raise ShapeError(f"{self.taken} steps for a train of {self.shape[0]}")
+        self.rows.setflags(write=False)
+        return SpikeTrain._of(self.shape, self.rows, int(self.count))
 
 
 class BinaryWeightTensor:
@@ -486,9 +528,7 @@ def lay_out_offsets(weights: BinaryWeightTensor) -> OffsetWeights:
     signs = np.ascontiguousarray(weights.sign_bits.transpose(2, 3, 0, 1))
     kh, kw, out_channels, in_channels = signs.shape
     values = np.empty(signs.shape, dtype=np.float32)
-    block = max(1, LAYOUT_BLOCK // max(1, kh * kw * in_channels))
-    for start in range(0, out_channels, block):
-        rows = slice(start, start + block)
+    for rows in sign_blocks(out_channels, kh * kw * in_channels):
         np.subtract(1, 2 * signs[:, :, rows], dtype=np.float32, out=values[:, :, rows])
     return OffsetWeights(values)
 

@@ -69,7 +69,8 @@ writes into them; a schedule still returns new sums.  Spike trains stay
 bit-packed between layers, as the spike SRAMs hold them: each step's
 input is unpacked into the layer's one zero-bordered [C][H+2p][W+2p]
 buffer, and each step's spikes are packed into the layer's train as they
-fire.  The neuron parameters are cast once to the membrane dtype
+fire; the pools after a layer OR each of its steps before it is packed,
+so no train is unpacked again to be pooled.  The neuron parameters are cast once to the membrane dtype
 (:class:`StagedNeuronParams`), with no flip mask where no channel flips;
 the comparison fires through a bool view of the uint8 spikes (the
 encoding layer's into one reused step map), and the reset reuses one
@@ -101,6 +102,8 @@ from .core import (
     BinaryWeightTensor,
     FoldedNeuronParams,
     SpikeTrain,
+    TrainRows,
+    sign_blocks,
 )
 from .errors import FixedPointOverflowError, InvalidParameterError, ShapeError
 from .fixedpoint import FixedPointFormat
@@ -121,8 +124,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # (:func:`_lanes_fit`).
 FLOAT32_EXACT_LIMIT = 2**24
 FLOAT64_EXACT_LIMIT = 2**53
-# sign bits that stage_weights turns into +-1 values per block
-STAGING_BLOCK = 2**16
 
 
 def gemm_dtype(bound: int) -> np.dtype:
@@ -247,9 +248,7 @@ def stage_weights(weights: BinaryWeightTensor, encoding: bool) -> GemmWeights:
     low, high = signs[:, :lanes], signs[:, lanes:]
     matrix = np.empty((kh, lanes, kw, cin), dtype=dtype)
     # a block of lanes at a time, so no temporary reaches the operand's size
-    block = max(1, STAGING_BLOCK // max(1, kh * kw * cin))
-    for start in range(0, lanes, block):
-        rows = slice(start, start + block)
+    for rows in sign_blocks(lanes, kh * kw * cin):
         out = np.subtract(1 + lane, 2 * low[:, rows], dtype=dtype, out=matrix[:, rows])
         if packed:
             out -= np.multiply(high[:, rows], 2 * lane, dtype=dtype)
@@ -612,6 +611,20 @@ def _layer_steps(
         yield if_unit_process(schedule_conv_layer(padded, staged, cfg), neurons)
 
 
+def _pooled_runs(layers: Sequence["LayerSpec"]) -> list[list[int]]:
+    """The layer indices split into runs: each weighted layer with the
+    pools that directly follow it, which pool its output."""
+    runs: list[list[int]] = []
+    for idx, layer in enumerate(layers):
+        if layer.has_weights:
+            runs.append([idx])
+        elif layer.kind == "maxpool2":
+            runs[-1].append(idx)
+        else:
+            raise InvalidParameterError(f"unknown layer kind {layer.kind!r}")
+    return runs
+
+
 def run_network(
     net: "NetworkDescription",
     weights: Sequence[BinaryWeightTensor | None],
@@ -633,27 +646,33 @@ def run_network(
     step buffer.  Trains stay bit-packed between layers, as in the spike
     SRAMs: a layer unpacks one step of its input at a time into that
     buffer, and each step's spikes are packed into the layer's train as
-    they fire (:meth:`SpikeTrain.from_steps`), so no layer holds an
-    unpacked [T] train.  The encoding convolution is computed once and
-    iterated against the residue potential; pooling ORs strided slices of
-    each step (:func:`_or_pool2`).  Spike trains are bit-identical to
-    :func:`vecspike.core.run_network_oracle`.
+    they fire (:class:`vecspike.core.TrainRows`), so no layer holds an
+    unpacked [T] train.  The pools after a weighted layer OR strided
+    slices of each of its steps as it fires (:func:`_or_pool2`), as VSA
+    pools the IF unit's output before the spike SRAM, and pack their own
+    trains from there.  The encoding convolution is computed once and
+    iterated against the residue potential.  Spike trains are
+    bit-identical to :func:`vecspike.core.run_network_oracle`.
     """
     img = net.check_run_inputs("run_network", weights, folded, image, time_steps, cfg.fmt)
 
     trains: list[SpikeTrain] = []
     layer_runs: list[LayerRun] = []
     current: SpikeTrain | None = None
-    for idx, layer in enumerate(net.layers):
-        if layer.has_weights:
-            source = img if layer.kind == "encoding-conv" else current
-            steps = _layer_steps(layer, weights[idx], folded[idx], source, time_steps, cfg)
-        elif layer.kind == "maxpool2":
-            steps = (_or_pool2(current.step(t)) for t in range(time_steps))
-        else:
-            raise InvalidParameterError(f"unknown layer kind {layer.kind!r}")
-        current = SpikeTrain.from_steps(steps, (time_steps, *layer.out_shape))
-        trains.append(current)
-        report, boundary = layer_accounting(layer, cfg, time_steps)
-        layer_runs.append(LayerRun(idx, layer.kind, report, boundary, current.spike_count()))
+    for run in _pooled_runs(net.layers):
+        layer = net.layers[run[0]]
+        source = img if layer.kind == "encoding-conv" else current
+        rows, *pools = [TrainRows((time_steps, *net.layers[idx].out_shape)) for idx in run]
+        for spikes in _layer_steps(layer, weights[run[0]], folded[run[0]], source,
+                                   time_steps, cfg):
+            rows.add(spikes)
+            for pooled in pools:
+                spikes = _or_pool2(spikes)
+                pooled.add(spikes)
+        for idx, built in zip(run, (rows, *pools)):
+            current = built.train()
+            trains.append(current)
+            report, boundary = layer_accounting(net.layers[idx], cfg, time_steps)
+            layer_runs.append(LayerRun(idx, net.layers[idx].kind, report, boundary,
+                                       current.spike_count()))
     return EngineRun(trains, current.channel_counts(), layer_runs)

@@ -244,6 +244,14 @@ def test_a_train_from_steps_refuses_a_step_of_another_shape_or_count():
         SpikeTrain.from_steps(iter(np.zeros((3, 1, 2, 2), np.uint8)), steps.shape)
 
 
+def test_a_train_from_steps_counts_nonzero_elements():
+    # any nonzero element is a spike, packed as a 1 and counted once
+    steps = np.array([[[[0, 2], [7, 0]]], [[[1, 0], [0, 0]]]], dtype=np.int16)
+    train = SpikeTrain.from_steps(iter(steps), steps.shape)
+    assert train == SpikeTrain(steps != 0)
+    assert train.spike_count() == 3 and type(train.spike_count()) is int
+
+
 def test_bn_params_validation():
     with pytest.raises(InvalidParameterError):
         BNParams(gamma=0.0, beta=0.0, mean=0.0, var=1.0)

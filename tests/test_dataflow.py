@@ -1585,3 +1585,46 @@ def test_the_runs_build_every_train_from_packed_steps():
         assert train.spike_count() == int(train.data.sum())
     last = engine.layer_trains[-1].data
     assert np.array_equal(engine.class_counts, last.sum(axis=(0, 2, 3)))
+
+
+def test_the_engine_pools_each_step_as_its_layer_fires(monkeypatch):
+    # a pool, or a chain of pools, takes its layer's unpacked step before it
+    # is packed, so only the weighted layers after the first unpack a train
+    net = validate(parse_network("4Conv(encoding)-MP2-MP2-3fc"), (1, 8, 8))
+    bundle = generate_random_bundle(net, seed=3)
+    image = random_input((1, 8, 8), 3)
+    steps = []
+    unpack = SpikeTrain.step
+
+    def spy(train, t):
+        steps.append(t)
+        return unpack(train, t)
+
+    monkeypatch.setattr(SpikeTrain, "step", spy)
+    engine = run_network(net, bundle.weights, bundle.params, image, 3, CFG)
+    assert steps == [0, 1, 2]
+    monkeypatch.undo()
+    oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 3)
+    assert engine.layer_trains == oracle.layer_trains
+    assert [(run.index, run.kind) for run in engine.layers] == [
+        (0, "encoding-conv"), (1, "maxpool2"), (2, "maxpool2"), (3, "fc")]
+    for run, train in zip(engine.layers, engine.layer_trains):
+        assert train.shape == (3, *net.layers[run.index].out_shape)
+        assert run.spike_count == train.spike_count() == int(train.data.sum())
+        assert run.report == layer_accounting(net.layers[run.index], CFG, 3)[0]
+
+
+def test_the_runs_need_no_numpy_2_popcount(monkeypatch):
+    # np.bitwise_count first shipped in NumPy 2.0 and the package allows 1.24
+    net = validate(parse_network("4Conv(encoding)-MP2-6Conv-5fc"), (1, 8, 8))
+    bundle = generate_random_bundle(net, seed=4)
+    image = random_input((1, 8, 8), 4)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    engine = run_network(net, bundle.weights, bundle.params, image, 3, CFG)
+    oracle = run_network_oracle(net, bundle.weights, bundle.params, image, 3)
+    assert engine.layer_trains == oracle.layer_trains
+    for train, run in zip(engine.layer_trains, engine.layers):
+        count = int(train.data.sum())
+        assert run.spike_count == train.spike_count() == count
+        rows = np.packbits(train.data.reshape(3, -1), axis=1)
+        assert SpikeTrain.from_rows(rows, train.shape).spike_count() == count

@@ -54,9 +54,11 @@ BOUNDARIES = [
     ("geometry", "errors", {"ConfigError", "ShapeError"}),
     # the oracle checks the engine, so it takes nothing from it
     ("core", "dataflow", None),
-    # the engine is checked against the oracle, so it shares only types
+    # the engine is checked against the oracle, so it shares only types,
+    # the encoding shift and the block split of a sign-bit operand
     ("dataflow", "core",
-     {"ENCODING_SHIFT", "BinaryWeightTensor", "FoldedNeuronParams", "SpikeTrain"}),
+     {"ENCODING_SHIFT", "BinaryWeightTensor", "FoldedNeuronParams", "SpikeTrain",
+      "TrainRows", "sign_blocks"}),
     ("dataflow", "arch", {"CycleReport", "HardwareConfig"}),
     # the traffic path runs without the engine and the oracle
     ("memmodel", "dataflow", None),
